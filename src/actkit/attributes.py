@@ -1,13 +1,14 @@
 """Linear attribute classifiers and score stacking.
 
 Attributes (fine-grained activities and manipulated objects) are scored
-on time intervals by one-vs-all linear classifiers trained with a
-deterministic full-batch subgradient descent on the L2-regularized
-hinge loss.  Scores are z-normalized with training statistics.  On top
-of the raw scores, two score-derived features support a second
-classification level: the context feature (element-wise maximum of all
-other intervals of the sequence) and the co-occurrence feature (the
-score vector of the interval itself with the target attribute removed).
+on time intervals by one-vs-all linear classifiers.  One batched trainer,
+a deterministic full-batch subgradient descent on the L2-regularized
+hinge loss that updates all labels at once, serves every one-vs-all
+problem in the package.  Scores are z-normalized with training
+statistics.  Two score-derived features support a second level: the
+context feature (element-wise maximum of all other intervals of the
+sequence) and the co-occurrence feature (the score vector of the
+interval itself with the target attribute removed).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ class TrainConfig:
     """Hyper-parameters of the hinge-loss subgradient trainer.
 
     lam is the L2 regularization strength, the learning rate at epoch t
-    is 1 / (lam * t).  The seed is recorded so that derived per-attribute
-    seeds (seed, attribute index) stay reproducible when training is
-    parallelized; the descent itself starts from zero and is
-    deterministic.  floor is the score assigned to attributes that could
+    is 1 / (lam * t).  The descent starts from zero and draws no random
+    numbers, so the seed only travels with the config and saved models
+    as provenance.  floor is the score assigned to attributes that could
     not be trained, in z-normalized score units.
     """
 
@@ -103,28 +103,40 @@ def hinge_objective(X, y, w, b, lam) -> float:
     return reg + float(np.maximum(0.0, 1.0 - margins).mean())
 
 
-def _hinge_descent(X, y, lam, epochs):
-    """Full-batch subgradient descent on the hinge loss.
-
-    The bias is trained as an extra always-one feature so the whole
-    parameter vector follows the same 1/(lam*t) schedule.  Deterministic:
-    starts from zero, no sampling.
-    """
+def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
+    """Full-batch subgradient descent on the hinge loss for every column
+    of the (m, A) +-1 targets Y at once.  The bias is an extra always-one
+    feature, so W is (D + 1, A) and all of it follows the 1/(lam*t)
+    schedule.  A 0/1 mask shaped like W zeroes gradient entries; as the
+    descent starts from zero, masked weights stay exactly 0."""
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    w = np.zeros(Xa.shape[1])
-    m = float(len(y))
+    W = np.zeros((Xa.shape[1], Y.shape[1]))
     for t in range(1, epochs + 1):
-        margins = y * (Xa @ w)
-        viol = margins < 1.0
-        grad = lam * w
-        if viol.any():
-            grad = grad - (y[viol] @ Xa[viol]) / m
-        w = w - grad / (lam * t)
-    return w[:-1], float(w[-1])
+        viol = np.where(Y * (Xa @ W) < 1.0, Y, 0.0)
+        W -= (lam * W - Xa.T @ viol / len(Y)) * mask / (lam * t)
+    return W
 
 
-def _as_label_sets(labels):
-    return [set(s) for s in labels]
+def _hinge_descent(X, y, lam, epochs):
+    """The one-label case of _hinge_descent_batch: returns (w, b)."""
+    W = _hinge_descent_batch(X, np.asarray(y, dtype=float)[:, None], lam, epochs)
+    return W[:-1, 0], float(W[-1, 0])
+
+
+def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
+    """Train a label per column of the boolean positives P; returns W and
+    the training score mean, std (1 where constant) and constant flags."""
+    W = _hinge_descent_batch(X, np.where(P, 1.0, -1.0), cfg.lam, cfg.epochs, mask)
+    scores = X @ W[:-1] + W[-1]
+    std = scores.std(axis=0)
+    constant = std < 1e-12
+    return W, scores.mean(axis=0), np.where(constant, 1.0, std), constant
+
+
+def _membership(label_sets, names) -> np.ndarray:
+    """(len(label_sets), len(names)) boolean table of label presence."""
+    return np.array([[a in s for a in names] for s in label_sets],
+                    dtype=bool).reshape(len(label_sets), len(names))
 
 
 def train_linear_ova(features, labels, attribute_labels,
@@ -146,26 +158,22 @@ def train_linear_ova(features, labels, attribute_labels,
         raise ValueError("features must be a (T, N) array")
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
-    label_sets = _as_label_sets(labels)
+    label_sets = [set(s) for s in labels]
     if len(label_sets) != X.shape[0]:
         raise ValueError("label count does not match feature rows")
 
-    models, skipped = {}, []
-    for a in attribute_labels:
-        y = np.array([1.0 if a in s else -1.0 for s in label_sets])
-        n_pos = int((y > 0).sum())
-        n_neg = int((y < 0).sum())
-        if n_pos == 0 or n_neg == 0:
-            skipped.append((a, f"{n_pos} positive / {n_neg} negative intervals"))
-            continue
-        w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
-        scores = X @ w + b
-        mean = float(scores.mean())
-        std = float(scores.std())
-        constant = std < 1e-12
-        models[a] = LinearModel(w, b, mean, 1.0 if constant else std, constant)
-    return LinearModelSet(models, tuple(attribute_labels), tuple(skipped),
-                          cfg, X.shape[1])
+    attrs = tuple(attribute_labels)
+    P = _membership(label_sets, attrs)
+    n_pos = P.sum(axis=0)
+    ok = (n_pos > 0) & (n_pos < len(P))
+    skipped = tuple((a, f"{p} positive / {len(P) - p} negative intervals")
+                    for a, p, k in zip(attrs, n_pos, ok) if not k)
+    W, mean, std, constant = _fit_ova(X, P[:, ok], cfg)
+    trained = [a for a, k in zip(attrs, ok) if k]
+    models = {a: LinearModel(W[:-1, j].copy(), float(W[-1, j]), float(mean[j]),
+                             float(std[j]), bool(constant[j]))
+              for j, a in enumerate(trained)}
+    return LinearModelSet(models, attrs, skipped, cfg, X.shape[1])
 
 
 def score_intervals(model_set: LinearModelSet, features,
@@ -239,20 +247,36 @@ def _stack_parts(mode):
     return use_base, use_con, use_coocc
 
 
-def _stacked_design(score_mats, feats, i, use_base, use_con, use_coocc, floor):
-    rows = []
-    for d, S in enumerate(score_mats):
-        T = S.shape[1]
-        for t in range(T):
-            parts = []
-            if use_base:
-                parts.append(feats[d][t])
-            if use_con:
-                parts.append(context_feature(S, t, floor))
-            if use_coocc:
-                parts.append(cooccurrence_feature(S[:, t], i))
-            rows.append(np.concatenate(parts))
-    return np.array(rows)
+def _context_block(S, floor):
+    """context_feature of every interval of an (n, T) sequence as (T, n)
+    rows: the row maximum, or at the row's argmax the runner-up."""
+    n, T = S.shape
+    if T <= 1:
+        return np.full((T, n), floor)
+    second, first = np.partition(S, T - 2, axis=1)[:, -2:].T
+    return np.where(np.arange(T)[:, None] == S.argmax(axis=1), second, first)
+
+
+def _stacked_design(score_mats, feats, use_base, use_con, use_coocc, floor):
+    """One design for all attributes: the rows of every interval, laid out
+    [base | context | cooccurrence], and the (D + 1, n) 0/1 weight mask
+    that removes attribute i's own co-occurrence column from its model."""
+    blocks = []
+    if use_base:
+        if [len(f) for f in feats] != [S.shape[1] for S in score_mats]:
+            raise ValueError("base features do not match the score intervals")
+        blocks.append(np.concatenate(feats))
+    if use_con:
+        blocks.append(np.concatenate([_context_block(S, floor)
+                                      for S in score_mats]))
+    if use_coocc:
+        blocks.append(np.concatenate([S.T for S in score_mats]))
+    X = np.hstack(blocks)
+    n = score_mats[0].shape[0]
+    mask = np.ones((X.shape[1] + 1, n))
+    if use_coocc:
+        mask[X.shape[1] - n + np.arange(n), np.arange(n)] = 0.0
+    return X, mask
 
 
 def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
@@ -270,8 +294,8 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
     eval_scores.
     """
     cfg = config or TrainConfig()
-    use_base, use_con, use_coocc = _stack_parts(mode)
-    if use_base and (train_features is None or eval_features is None):
+    parts = _stack_parts(mode)
+    if parts[0] and (train_features is None or eval_features is None):
         raise ValueError(f"mode {mode!r} needs the base feature vectors")
     if not train_scores or not eval_scores:
         raise ValueError("need at least one training and one evaluation sequence")
@@ -288,35 +312,19 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
             raise ValueError(f"sequence {d}: label count does not match intervals")
         flat_labels.extend(set(s) for s in per_seq)
 
-    n = len(labels)
-    refined = [np.full_like(V, cfg.floor) for V in S_eval]
-    floored = []
-    for i, a in enumerate(labels):
-        Xtr = _stacked_design(S_train, train_features, i,
-                              use_base, use_con, use_coocc, cfg.floor)
-        y = np.array([1.0 if a in s else -1.0 for s in flat_labels])
-        if (y > 0).sum() == 0 or (y < 0).sum() == 0:
-            floored.append(a)
-            continue
-        w, b = _hinge_descent(Xtr, y, cfg.lam, cfg.epochs)
-        tr = Xtr @ w + b
-        mean, std = float(tr.mean()), float(tr.std())
-        if std < 1e-12:
-            std = 1.0
-        Xev = _stacked_design(S_eval, eval_features, i,
-                              use_base, use_con, use_coocc, cfg.floor)
-        s = Xev @ w + b
-        if cfg.znorm:
-            s = (s - mean) / std
-        col = 0
-        for d, V in enumerate(S_eval):
-            T = V.shape[1]
-            refined[d][i] = s[col:col + T]
-            col += T
-    return [
-        ScoreMatrix(vals, labels, eval_scores[d].interval_ids, tuple(floored))
-        for d, vals in enumerate(refined)
-    ]
+    P = _membership(flat_labels, labels)
+    ok = P.any(axis=0) & ~P.all(axis=0)
+    floored = tuple(a for a, k in zip(labels, ok) if not k)
+    Xtr, mask = _stacked_design(S_train, train_features, *parts, cfg.floor)
+    W, mean, std, _ = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
+    del Xtr
+    Xev, _ = _stacked_design(S_eval, eval_features, *parts, cfg.floor)
+    s = Xev @ W[:-1] + W[-1]
+    values = np.full((len(labels), Xev.shape[0]), cfg.floor)
+    values[ok] = ((s - mean) / std if cfg.znorm else s).T
+    bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
+    return [ScoreMatrix(V, labels, E.interval_ids, floored)
+            for V, E in zip(np.split(values, bounds, axis=1), eval_scores)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,26 +19,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attributes import TrainConfig, _hinge_descent
+from .attributes import TrainConfig, _fit_ova, _membership
 from .corpus import WeightMatrix
-
-
-@dataclass
-class SequenceFeature:
-    """Pooled attribute score vector of one sequence."""
-
-    values: np.ndarray
-    sequence_id: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("sequence feature must be a vector")
 
 
 def seq_feature(scores) -> np.ndarray:
@@ -68,22 +55,15 @@ def classify_svm(train_features, train_composites, test_features,
         raise ValueError("training features and composite labels must align")
     universe = tuple(composites) if composites is not None else \
         tuple(sorted(set(train_composites)))
+    P = _membership([{c} for c in train_composites], universe)
+    has_pos = P.any(axis=0)
+    report = {"skipped": [z for z, k in zip(universe, has_pos) if not k],
+              "trained_without_negatives": [
+                  z for z, k in zip(universe, P.all(axis=0) & has_pos) if k]}
+    W, mean, std, _ = _fit_ova(X, P[:, has_pos], cfg)
+    s = Xt @ W[:-1] + W[-1]
     scores = np.full((Xt.shape[0], len(universe)), cfg.floor)
-    report = {"skipped": [], "trained_without_negatives": []}
-    for zi, z in enumerate(universe):
-        y = np.array([1.0 if c == z else -1.0 for c in train_composites])
-        if (y > 0).sum() == 0:
-            report["skipped"].append(z)
-            continue
-        if (y < 0).sum() == 0:
-            report["trained_without_negatives"].append(z)
-        w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
-        s = Xt @ w + b
-        if cfg.znorm:
-            tr = X @ w + b
-            std = float(tr.std())
-            s = (s - float(tr.mean())) / (std if std > 1e-12 else 1.0)
-        scores[:, zi] = s
+    scores[:, has_pos] = (s - mean) / std if cfg.znorm else s
     return scores, universe, report
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import os
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .attributes import (ScoreMatrix, TrainConfig, save_models_npz,
                          score_intervals, train_and_score_stacked,
                          train_linear_ova)
-from .attributes import STACK_MODES
+from .attributes import STACK_MODES, _stack_parts
 from .composites import (PstConfig, classify_nn, classify_svm,
                          nn_script_classify, pst_scores,
                          save_predictions_csv, save_pst_config, script_score,
@@ -36,7 +38,7 @@ from .corpus import (build_documents, normalize_l1, save_weights_csv,
 from .metrics import EvalReport, accuracy, confusion_counts, \
     mean_average_precision
 from .synth import load_bundle
-from .temporal import Segment, merge_adjacent, save_segments_jsonl
+from .temporal import Segment, _cosine, merge_adjacent, save_segments_jsonl
 
 
 class ConfigError(Exception):
@@ -52,8 +54,9 @@ DEFAULT_PST_GRID = {
     "k": (3, 5, 10),
 }
 
-_KNOWN_KEYS = {"data", "output", "mode", "weights", "match_mode", "stack",
-               "segment_threshold", "pst", "grid", "lam", "epochs", "seed"}
+_DEFAULTS = {"weights": "mined", "match_mode": "literal", "stack": None,
+             "segment_threshold": None, "lam": 0.01, "epochs": 200, "seed": 0}
+_KNOWN_KEYS = {"data", "output", "mode", "pst", "grid", *_DEFAULTS}
 _PST_KEYS = {"alpha", "gamma", "delta", "k"}
 SCORE_FLOOR = -1e30
 
@@ -75,6 +78,20 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _number(name, value, integer, make):
+    """Raise ConfigError unless value is a finite number (an integer if
+    asked; JSON booleans are not) that the config class make accepts."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not math.isfinite(value):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    try:
+        make(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _validate(cfg: dict) -> dict:
     unknown = set(cfg) - _KNOWN_KEYS
     if unknown:
@@ -85,13 +102,8 @@ def _validate(cfg: dict) -> dict:
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}; pick one of {MODES}")
     out = dict(cfg)
-    out.setdefault("weights", "mined")
-    out.setdefault("match_mode", "literal")
-    out.setdefault("stack", None)
-    out.setdefault("segment_threshold", None)
-    out.setdefault("lam", 0.01)
-    out.setdefault("epochs", 200)
-    out.setdefault("seed", 0)
+    for key, value in _DEFAULTS.items():
+        out.setdefault(key, value)
     if out["weights"] not in ("mined", "planted"):
         raise ConfigError(f"weights must be 'mined' or 'planted', "
                           f"got {out['weights']!r}")
@@ -104,7 +116,7 @@ def _validate(cfg: dict) -> dict:
             out["segment_threshold"] = float(out["segment_threshold"])
         except (TypeError, ValueError):
             raise ConfigError("segment_threshold must be a number") from None
-    for key, spec in (("pst", "values"), ("grid", "lists")):
+    for key in ("pst", "grid"):
         block = out.get(key)
         if block is None:
             continue
@@ -113,6 +125,15 @@ def _validate(cfg: dict) -> dict:
         bad = set(block) - _PST_KEYS
         if bad:
             raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
+        for name, vals in block.items():
+            for v in (np.atleast_1d(vals) if key == "grid" else [vals]):
+                _number(f"{key}.{name}", v, name == "k",
+                        lambda x: PstConfig(**{name: x}))
+    for name in ("lam", "epochs", "seed"):
+        _number(name, out[name], name != "lam",
+                lambda x: TrainConfig(**{name: x}))
+    if out["seed"] < 0:
+        raise ConfigError("seed must be non-negative")
     return out
 
 
@@ -124,7 +145,7 @@ def _resolve_weights(bundle, cfg):
     return normalize_l1(mined)
 
 
-def _attribute_scores(bundle, cfg, labels, out_dir):
+def _attribute_scores(bundle, tcfg, labels, out_dir):
     """Per-sequence (n_attrs, T) score matrices, training models if needed."""
     extra = {}
     if bundle.config.mode == "scores":
@@ -134,7 +155,6 @@ def _attribute_scores(bundle, cfg, labels, out_dir):
     X = np.concatenate([s.features for s in train], axis=0)
     interval_labels = [set(attrs) for s in train
                        for attrs in s.interval_attributes]
-    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
     model_set = train_linear_ova(X, interval_labels, labels, tcfg)
     save_models_npz(model_set, os.path.join(out_dir, "models.npz"))
     if model_set.skipped:
@@ -143,11 +163,10 @@ def _attribute_scores(bundle, cfg, labels, out_dir):
             for s in bundle.sequences}, extra
 
 
-def _apply_stacking(bundle, cfg, mats, labels):
+def _apply_stacking(bundle, cfg, tcfg, mats, labels):
     order = [s.sequence_id for s in bundle.sequences]
     train = bundle.split("train")
-    if bundle.config.mode == "scores" and cfg["stack"] in \
-            ("base+context", "base+cooccurrence", "all"):
+    if bundle.config.mode == "scores" and _stack_parts(cfg["stack"])[0]:
         raise ConfigError(f"stack mode {cfg['stack']!r} needs interval "
                           "features, but the bundle only carries scores")
     train_scores = [ScoreMatrix(mats[s.sequence_id], labels) for s in train]
@@ -157,7 +176,6 @@ def _apply_stacking(bundle, cfg, mats, labels):
     if bundle.config.mode == "features":
         kwargs = {"train_features": [s.features for s in train],
                   "eval_features": [s.features for s in bundle.sequences]}
-    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
     refined = train_and_score_stacked(train_scores, train_labels, eval_scores,
                                       cfg["stack"], config=tcfg, **kwargs)
     return {sid: R.values for sid, R in zip(order, refined)}
@@ -172,18 +190,12 @@ def _apply_segmentation(bundle, cfg, mats, out_dir):
     threshold = cfg["segment_threshold"]
     seg_dir = os.path.join(out_dir, "segments")
     os.makedirs(seg_dir, exist_ok=True)
-
-    def cosine(a, b):
-        u, v = a[1], b[1]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        return 0.0 if nu == 0 or nv == 0 else float(u @ v) / (nu * nv)
-
     out = {}
     for seq in bundle.sequences:
         V = mats[seq.sequence_id]
         items = [([t], V[:, t].copy()) for t in range(V.shape[1])]
         merged = merge_adjacent(
-            items, cosine,
+            items, lambda a, b: _cosine(a[1], b[1]),
             lambda a, b: (a[0] + b[0], a[1] + b[1]),
             threshold)
         cols = [vec / len(idx) for idx, vec in merged]
@@ -271,9 +283,10 @@ def run_experiment(config) -> EvalReport:
     weights = _resolve_weights(bundle, cfg)
     save_weights_csv(weights, os.path.join(out_dir, "weights.csv"))
 
-    mats, extra = _attribute_scores(bundle, cfg, attr_labels, out_dir)
+    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
+    mats, extra = _attribute_scores(bundle, tcfg, attr_labels, out_dir)
     if cfg["stack"] is not None:
-        mats = _apply_stacking(bundle, cfg, mats, attr_labels)
+        mats = _apply_stacking(bundle, cfg, tcfg, mats, attr_labels)
     if cfg["segment_threshold"] is not None:
         mats = _apply_segmentation(bundle, cfg, mats, out_dir)
     pooled = {sid: seq_feature(V) for sid, V in mats.items()}
@@ -284,7 +297,6 @@ def run_experiment(config) -> EvalReport:
     ytr = [s.composite for s in train]
     Xte = np.stack([pooled[s.sequence_id] for s in test])
     truth = [s.composite for s in test]
-    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
 
     if mode == "svm":
         scores, universe, rep = classify_svm(Xtr, ytr, Xte, composites=comps,

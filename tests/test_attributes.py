@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from actkit.attributes import (
+    STACK_MODES,
     LinearModel,
     LinearModelSet,
     ScoreMatrix,
@@ -196,13 +197,20 @@ def test_stacked_unknown_mode():
 
 
 def test_stacked_all_mode_feature_dimension():
-    # with n attributes and N base dims the design is N + n + (n-1) wide
+    # with n attributes and N base dims, each attribute's classifier has
+    # N + n + (n-1) free feature columns: the shared design carries all n
+    # co-occurrence columns and the mask removes the attribute's own one
     mats, labels = _stacking_data()
     feats = [np.ones((m.values.shape[1], 7)) for m in mats]
     from actkit.attributes import _stacked_design
-    X = _stacked_design([m.values for m in mats[:2]], feats[:2], 0,
-                        True, True, True, -10.0)
-    assert X.shape[1] == 7 + 3 + 2
+    X, mask = _stacked_design([m.values for m in mats[:2]], feats[:2],
+                              True, True, True, -10.0)
+    assert X.shape[1] == 7 + 3 + 3
+    assert mask.shape == (X.shape[1] + 1, 3)
+    assert np.all(mask[:-1].sum(axis=0) == 7 + 3 + 2)
+    assert np.all(mask[-1] == 1)          # the bias always trains
+    for i in range(3):
+        assert mask[7 + 3 + i, i] == 0
 
 
 def test_stacked_context_constant_for_single_interval_sequences():
@@ -230,6 +238,120 @@ def test_stacked_cooccurrence_improves_noisy_attribute():
         base_ap.append(average_precision(mats[6 + d].values[1], truth))
         ref_ap.append(average_precision(refined[d].values[1], truth))
     assert np.mean(ref_ap) >= np.mean(base_ap)
+
+
+def _ragged_stacking_case(seed=11, n=5, N=4):
+    """Random ragged sequences (T = 1 included), tied maxima, and an
+    attribute ("a4") that never occurs in training.  Scores are not
+    rounded: a coarse grid puts hinge margins exactly on 1, where the
+    last bit of a sum decides which side of the hinge a row falls."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"a{i}" for i in range(n))
+    lengths = [1, 3, 6, 1, 4, 7, 2, 5, 1, 3]
+    mats, feats, labels = [], [], []
+    for T in lengths:
+        S = rng.normal(size=(n, T))
+        if T > 2:
+            S[:, -1] = S.max(axis=1)
+        mats.append(ScoreMatrix(S, names))
+        feats.append(rng.normal(size=(T, N)))
+        labels.append([{a for a in names[:-1] if rng.random() < 0.4}
+                       for _ in range(T)])
+    return mats, feats, labels
+
+
+def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
+    """Per-label reference: one design and one descent per attribute."""
+    from actkit.attributes import _hinge_descent, _stack_parts
+    use_base, use_con, use_coocc = _stack_parts(mode)
+
+    def design(mats, feats, i):
+        rows = []
+        for d, M in enumerate(mats):
+            for t in range(M.values.shape[1]):
+                parts = [feats[d][t]] if use_base else []
+                if use_con:
+                    parts.append(context_feature(M.values, t, cfg.floor))
+                if use_coocc:
+                    parts.append(cooccurrence_feature(M.values[:, t], i))
+                rows.append(np.concatenate(parts))
+        return np.array(rows)
+
+    flat = [s for seq in labels for s in seq]
+    out = np.full((len(train[0].labels),
+                   sum(M.values.shape[1] for M in evals)), cfg.floor)
+    floored = []
+    for i, a in enumerate(train[0].labels):
+        y = np.array([1.0 if a in s else -1.0 for s in flat])
+        if (y > 0).all() or (y < 0).all():
+            floored.append(a)
+            continue
+        Xtr = design(train, ftr, i)
+        w, b = _hinge_descent(Xtr, y, cfg.lam, cfg.epochs)
+        tr = Xtr @ w + b
+        std = tr.std() if tr.std() >= 1e-12 else 1.0
+        out[i] = (design(evals, fev, i) @ w + b - tr.mean()) / std
+    return out, tuple(floored)
+
+
+@pytest.mark.parametrize("mode", STACK_MODES)
+def test_stacked_matches_per_label_reference(mode):
+    mats, feats, labels = _ragged_stacking_case()
+    cfg = TrainConfig(epochs=60)
+    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], mode,
+                                      feats[:6], feats[6:], cfg)
+    ref, floored = _per_label_stacked(mats[:6], labels[:6], mats[6:], mode,
+                                      feats[:6], feats[6:], cfg)
+    got = np.concatenate([R.values for R in refined], axis=1)
+    assert floored == ("a4",)
+    assert all(R.floored_rows == floored for R in refined)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_batched_ova_matches_per_label_reference():
+    from actkit.attributes import _hinge_descent
+    from actkit.composites import classify_svm
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(30, 4))
+    names = ("a0", "a1", "a2", "none", "all")
+    sets = [{a for a in names[:3] if rng.random() < 0.4} | {"all"}
+            for _ in range(30)]
+    cfg = TrainConfig(epochs=80)
+    ms = train_linear_ova(X, sets, names, cfg)
+    assert [a for a, _ in ms.skipped] == ["none", "all"]
+    for a in names[:3]:
+        y = np.array([1.0 if a in s else -1.0 for s in sets])
+        w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
+        tr = X @ w + b
+        m = ms.models[a]
+        assert np.max(np.abs(m.weights - w)) <= 1e-12
+        assert abs(m.bias - b) <= 1e-12
+        assert abs(m.score_mean - tr.mean()) <= 1e-12
+        assert abs(m.score_std - tr.std()) <= 1e-12
+
+    comps = [sorted(s - {"all"})[0] if s != {"all"} else "a0" for s in sets]
+    Xt = rng.normal(size=(9, 4))
+    scores, universe, report = classify_svm(X, comps, Xt,
+                                            composites=names[:4], config=cfg)
+    assert report["skipped"] == ["none"]
+    for z, c in enumerate(universe[:3]):
+        y = np.array([1.0 if cc == c else -1.0 for cc in comps])
+        w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
+        tr = X @ w + b
+        ref = (Xt @ w + b - tr.mean()) / tr.std()
+        assert np.max(np.abs(scores[:, z] - ref)) <= 1e-12
+    assert np.all(scores[:, 3] == cfg.floor)
+
+
+def test_context_block_equals_context_feature_exactly():
+    from actkit.attributes import _context_block
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n, T = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        S = rng.integers(-2, 3, size=(n, T)).astype(float)   # many ties
+        C = _context_block(S, -7.0)
+        for t in range(T):
+            assert np.array_equal(C[t], context_feature(S, t, -7.0))
 
 
 def test_score_matrix_validation():

@@ -215,6 +215,29 @@ def test_run_unknown_key_exit_1(score_bundle, tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, words", [
+    ({"lam": -1}, "lam must be positive"),
+    ({"lam": "0.1"}, "lam must be a finite number"),
+    ({"epochs": "x"}, "epochs must be an integer"),
+    ({"epochs": 0}, "epochs must be at least 1"),
+    ({"epochs": 2.5}, "epochs must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": -3}, "seed must be non-negative"),
+    ({"mode": "pst", "pst": {"alpha": 2}}, "pst.alpha"),
+    ({"mode": "pst", "pst": {"k": "5"}}, "pst.k must be an integer"),
+    ({"mode": "pst", "grid": {"delta": [0.5, 0]}}, "grid.delta"),
+    ({"mode": "pst", "grid": {"gamma": [0.5, None]}}, "grid.gamma"),
+])
+def test_run_bad_config_values_exit_1(score_bundle, tmp_path, capsys,
+                                      bad, words):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"data": score_bundle,
+                               "output": str(tmp_path / "o"),
+                               "mode": "svm", **bad}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert words in capsys.readouterr().err
+
+
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
