@@ -4,9 +4,10 @@ Upper-body part inference on a grid
 
 A tree of body parts with Gaussian spatial relations is solved exactly
 by dynamic programming.  The naive message pass costs O((HW)^2) per
-edge; the distance-transform pass computes the same envelopes in O(HW)
-and must agree to machine precision.  Hand detections enter the model
-as a kernel-density unary for the hand parts.
+edge; the distance-transform pass uses the axis separability of the
+Gaussian, reducing over x and then y with per-axis tables in
+O(HW(H+W)), and must agree to machine precision.  Hand detections enter
+the model as a kernel-density unary for the hand parts.
 """
 
 import time
@@ -77,7 +78,7 @@ for name in PARTS:
 frac, per_stick, _ = pcp_eval(naive.placements, truth)
 print(f"\nPCP at factor 0.5: {frac:.2f}  {per_stick}")
 
-# Posterior uncertainty from the sum-product pass (naive only):
+# Posterior uncertainty from sum-product through the separable kernel:
 marg = infer(grids, graph, mode="marginal")
 for name in ("torso", "r_wrist"):
     post = marg.posteriors[name]

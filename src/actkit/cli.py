@@ -14,15 +14,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .attributes import (TrainConfig, load_annotations, load_models_npz,
-                         save_models_npz, save_scores_csv, score_intervals,
+from .attributes import (load_annotations, load_models_npz, save_models_npz,
+                         save_scores_csv, score_intervals,
                          train_and_score_stacked, train_linear_ova,
                          ScoreMatrix, STACK_MODES)
 from .composites import load_pst_config
 from .corpus import (binarize_weights, build_documents, load_lexicon,
                      load_script_corpus, load_vocab, normalize_l1,
                      save_weights_csv, tfidf_weights)
-from .experiment import ConfigError, MODES, run_experiment
+from .experiment import ConfigError, MODES, run_experiment, train_config
 from .metrics import EvalReport, eval_detection
 from .psinfer import (default_part_graph, infer, load_grids,
                       save_placements_csv)
@@ -73,6 +73,7 @@ def _cmd_gen_synthetic(args):
 
 
 def _cmd_train_attributes(args):
+    cfg = train_config(args.lam, args.epochs, args.seed)
     bundle = load_bundle(args.bundle)
     if bundle.config.mode != "features":
         raise ConfigError("training needs a bundle generated in features "
@@ -80,7 +81,6 @@ def _cmd_train_attributes(args):
     train = bundle.split("train")
     X = np.concatenate([s.features for s in train], axis=0)
     labels = [set(a) for s in train for a in s.interval_attributes]
-    cfg = TrainConfig(lam=args.lam, epochs=args.epochs, seed=args.seed)
     model_set = train_linear_ova(X, labels,
                                  bundle.true_weights.attributes, cfg)
     save_models_npz(model_set, args.output)
@@ -106,6 +106,7 @@ def _cmd_score(args):
 
 
 def _cmd_stack(args):
+    cfg = train_config(args.lam, args.epochs, args.seed)
     bundle = load_bundle(args.bundle)
     if bundle.config.mode != "scores":
         raise ConfigError("the stack command refines precomputed score "
@@ -118,7 +119,6 @@ def _cmd_stack(args):
     train_scores = [ScoreMatrix(s.scores, labels) for s in train]
     train_labels = [[set(a) for a in s.interval_attributes] for s in train]
     eval_scores = [ScoreMatrix(s.scores, labels) for s in bundle.sequences]
-    cfg = TrainConfig(lam=args.lam, epochs=args.epochs, seed=args.seed)
     refined = train_and_score_stacked(train_scores, train_labels,
                                       eval_scores, args.mode, config=cfg)
     os.makedirs(args.output, exist_ok=True)
@@ -184,8 +184,11 @@ def _cmd_pose_infer(args):
         algorithm = "naive" if args.mode == "marginal" else "distance_transform"
     elif args.mode == "marginal" and algorithm != "naive":
         raise ConfigError("marginal mode requires --algorithm naive")
+    try:
+        graph = default_part_graph(scale=args.scale)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     grids = load_grids(args.grids)
-    graph = default_part_graph(scale=args.scale)
     result = infer(grids, graph, mode=args.mode, algorithm=algorithm)
     if args.mode == "map":
         save_placements_csv(result.placements, args.output)
@@ -321,8 +324,9 @@ def _build_parser():
     p.add_argument("--algorithm",
                    choices=("naive", "distance_transform"),
                    default=None,
-                   help="defaults to distance_transform for map, "
-                        "naive for marginal")
+                   help="MAP message pass: distance_transform (separable "
+                        "kernel, the default) or naive (full pairwise); "
+                        "marginals take only naive")
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=_cmd_pose_infer)
 

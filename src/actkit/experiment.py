@@ -129,12 +129,18 @@ def _validate(cfg: dict) -> dict:
             for v in (np.atleast_1d(vals) if key == "grid" else [vals]):
                 _number(f"{key}.{name}", v, name == "k",
                         lambda x: PstConfig(**{name: x}))
-    for name in ("lam", "epochs", "seed"):
-        _number(name, out[name], name != "lam",
-                lambda x: TrainConfig(**{name: x}))
-    if out["seed"] < 0:
-        raise ConfigError("seed must be non-negative")
+    train_config(out["lam"], out["epochs"], out["seed"])
     return out
+
+
+def train_config(lam, epochs, seed) -> TrainConfig:
+    """TrainConfig from user-supplied values; a bad one is a ConfigError."""
+    for name, value in (("lam", lam), ("epochs", epochs), ("seed", seed)):
+        _number(name, value, name != "lam",
+                lambda x: TrainConfig(**{name: x}))
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    return TrainConfig(lam=lam, epochs=epochs, seed=seed)
 
 
 def _resolve_weights(bundle, cfg):

@@ -7,12 +7,16 @@ is, in log space,
 
     -0.5 * ((xc - xp - dx)^2 / vx + (yc - yp - dy)^2 / vy)
 
-with (dx, dy) the expected child-minus-parent offset.  MAP layouts are
-found by max-product belief propagation; messages are computed either
-by a full broadcast over all location pairs ("naive") or by two 1-D
-quadratic envelope passes ("distance_transform").  The two paths are
-deliberately independent implementations of the same quantity.  Exact
-per-part posterior marginals use the naive sum-product path.
+with (dx, dy) the expected child-minus-parent offset.  It factorises
+over the two axes, so a message is one separable kernel: a reduction
+over the child's x axis with a (W, W) table, then over its y axis with
+an (H, H) table, O(HW(H+W)) per edge.  MAP layouts are found by
+max-product belief propagation, with messages either from that kernel
+("distance_transform") or by a full broadcast over all location pairs
+("naive").  The two MAP paths are deliberately independent
+implementations of the same quantity.  Exact per-part posterior
+marginals run sum-product through the same kernel, with logsumexp in
+place of max.
 """
 
 from __future__ import annotations
@@ -115,8 +119,10 @@ def default_part_graph(scale: float = 1.0) -> PartGraph:
     """Torso-rooted upper-body tree over the ten tracked parts.
 
     Offsets are in pixels for a figure roughly 200 * scale tall, with
-    image y growing downward.
+    image y growing downward.  scale must be finite and positive.
     """
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     s = scale
     v = scale * scale
 
@@ -168,64 +174,49 @@ def _naive_max_message(beta, edge, shape):
             M.argmax(axis=0).reshape(shape))
 
 
-def _max_envelope_1d(f, a, offset):
-    """out[p] = max_q f[q] - a * (p + offset - q)^2, with the argmax q.
+def _axis_tables(edge, shape):
+    """Per-axis log edge potentials tx[xp, xc] and ty[yp, yc], whose
+    outer sum is the full pairwise table."""
+    def table(n, mean, var):
+        q = np.arange(n)
+        return -((1.0 / (2.0 * var)) * (q[:, None] + mean - q[None, :]) ** 2)
 
-    Upper envelope of downward parabolas rooted at the sample points,
-    evaluated at the (possibly fractional) positions p + offset.
+    return (table(shape[1], edge.mean[0], edge.var[0]),
+            table(shape[0], edge.mean[1], edge.var[1]))
+
+
+def _reduce(A, maximize):
+    """max (with its argmax) or logsumexp (with None) over the last axis."""
+    if not maximize:
+        return logsumexp(A, axis=-1), None
+    arg = A.argmax(axis=-1)
+    return np.take_along_axis(A, arg[..., None], -1)[..., 0], arg
+
+
+def _separable_message(f, tx, ty, maximize):
+    """Message out[yo, xo] = reduce over (yi, xi) of f[yi, xi] + tx[xo, xi]
+    + ty[yo, yi] in O(HW(H+W)): over xi first, then over yi, with max
+    (maximize) or logsumexp.  Returns (out, bestx, besty); for max,
+    bestx[yi, xo] is the best xi per input row and besty[xo, yo] the
+    best yi, else both are None.  Each sum is laid out so that the
+    reduced axis is contiguous.
     """
-    n = f.size
-    neg = -np.asarray(f, dtype=float)       # lower envelope of -f
-    v = np.zeros(n, dtype=int)
-    z = np.empty(n + 1)
-    z[0], z[1] = -np.inf, np.inf
-    k = 0
-    for q in range(1, n):
-        while True:
-            r = v[k]
-            s = ((neg[q] + a * q * q) - (neg[r] + a * r * r)) \
-                / (2.0 * a * (q - r))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    vals = np.empty(n)
-    args = np.empty(n, dtype=int)
-    k = 0
-    for p in range(n):
-        t = p + offset
-        while z[k + 1] < t:
-            k += 1
-        r = v[k]
-        vals[p] = f[r] - a * (t - r) ** 2
-        args[p] = r
-    return vals, args
+    g, bestx = _reduce(np.add(f[:, None, :], tx, order="C"), maximize)
+    out, besty = _reduce(np.add(g.T[:, None, :], ty, order="C"), maximize)
+    return out.T, bestx, besty
 
 
 def _dt_max_message(beta, edge, shape):
-    """Max-product message via two separable 1-D envelope passes.
+    """Max-product message via the separable kernel.
 
-    Returns (message, bestx, besty); bestx[yc, xp] is the best child
-    column for a row, besty[yp, xp] the best child row per parent
-    location, so decoding reads y* = besty[yp, xp], x* = bestx[y*, xp].
+    Returns (message, bestx, besty); decoding reads y* = besty[yp, xp],
+    x* = bestx[y*, xp].  Ties go to the lowest row on the y pass, then
+    to the lowest column within that row on the x pass, which is the
+    lowest flat (row-major) child index among exact maximisers.
     """
-    H, W = shape
-    dx, dy = edge.mean
-    ax = 1.0 / (2.0 * edge.var[0])
-    ay = 1.0 / (2.0 * edge.var[1])
-    g = np.empty((H, W))
-    bestx = np.empty((H, W), dtype=int)
-    for y in range(H):
-        g[y], bestx[y] = _max_envelope_1d(beta[y], ax, dx)
-    msg = np.empty((H, W))
-    besty = np.empty((H, W), dtype=int)
-    for x in range(W):
-        msg[:, x], besty[:, x] = _max_envelope_1d(g[:, x], ay, dy)
-    return msg, bestx, besty
+    msg, bestx, besty = _separable_message(beta, *_axis_tables(edge, shape),
+                                           True)
+    return msg, bestx, besty.T
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +238,10 @@ def infer(grids, graph: PartGraph, mode: str = "map",
     grids: (P, H, W) non-negative unaries ordered like graph.parts.
     mode "map" returns the highest scoring layout and its joint log
     score; mode "marginal" returns per-part posterior location maps.
-    Marginals require the naive algorithm: the envelope trick only
-    applies to maximization.
+    algorithm picks the MAP message pass: "distance_transform" uses the
+    separable kernel, "naive" the full pairwise broadcast.  Marginals
+    always use the separable sum-product kernel and accept only the
+    default "naive" name.
     """
     G = np.asarray(grids, dtype=float)
     if G.ndim != 3 or G.shape[0] != len(graph.parts):
@@ -307,7 +300,6 @@ def _infer_map(logphi, graph, order, shape, algorithm):
 
 
 def _infer_marginal(logphi, graph, order, shape):
-    H, W = shape
     up = {}
     for part in reversed(order):
         b = logphi[part].copy()
@@ -315,9 +307,8 @@ def _infer_marginal(logphi, graph, order, shape):
             b += up[ch]
         if part == graph.root:
             continue
-        logpsi = _log_pairwise(graph.parent_edge(part), shape)
-        up[part] = logsumexp(b.ravel()[:, None] + logpsi,
-                             axis=0).reshape(shape)
+        tables = _axis_tables(graph.parent_edge(part), shape)
+        up[part] = _separable_message(b, *tables, False)[0]
     down = {graph.root: np.zeros(shape)}
     posteriors = {}
     for part in order:
@@ -332,9 +323,8 @@ def _infer_marginal(logphi, graph, order, shape):
             for other in children:
                 if other != ch:
                     minus += up[other]
-            logpsi = _log_pairwise(graph.parent_edge(ch), shape)
-            down[ch] = logsumexp(logpsi + minus.ravel()[None, :],
-                                 axis=1).reshape(shape)
+            tx, ty = _axis_tables(graph.parent_edge(ch), shape)
+            down[ch] = _separable_message(minus, tx.T, ty.T, False)[0]
     return InferenceResult("marginal", "naive", posteriors=posteriors)
 
 

@@ -126,6 +126,30 @@ def test_stack_base_mode_rejected_for_scores(score_bundle, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["train-attributes", "stack"])
+@pytest.mark.parametrize("flag, value, words", [
+    ("--lam", "-1", "lam must be positive"),
+    ("--lam", "nan", "lam must be a finite number"),
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--seed", "-3", "seed must be non-negative"),
+])
+def test_train_config_errors_exit_1(feature_bundle, score_bundle, tmp_path,
+                                    capsys, command, flag, value, words):
+    bundle = feature_bundle if command == "train-attributes" \
+        else score_bundle
+    extra = ["--mode", "context"] if command == "stack" else []
+    out = tmp_path / "out"
+    rc = main([command, "--bundle", bundle, "--output", str(out),
+               flag, value] + extra)
+    assert rc == 1
+    assert words in capsys.readouterr().err
+    assert not out.exists()
+    # the config is checked before the bundle is read
+    rc = main([command, "--bundle", str(tmp_path / "missing"),
+               "--output", str(out), flag, value] + extra)
+    assert rc == 1
+
+
 # ---------------------------------------------------------------------------
 # detection and segmentation
 
@@ -283,6 +307,17 @@ def test_pose_infer_marginal_rejects_explicit_dt(tmp_path):
                "--output", str(tmp_path / "p.npz"), "--mode", "marginal",
                "--algorithm", "distance_transform"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_pose_infer_bad_scale_exit_1(tmp_path, capsys, scale):
+    np.save(tmp_path / "g.npy", np.ones((10, 4, 4)))
+    out = tmp_path / "p.csv"
+    rc = main(["pose-infer", "--grids", str(tmp_path / "g.npy"),
+               "--output", str(out), "--scale", scale])
+    assert rc == 1
+    assert "scale must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_command(tmp_path, capsys):

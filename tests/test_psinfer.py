@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from actkit.psinfer import (DEFAULT_STICKS, EdgeParams, HandHypothesisSet,
-                            PartGraph, default_part_graph,
-                            hand_likelihood_map, infer,
+from actkit.psinfer import (DEFAULT_STICKS, LOG_FLOOR, EdgeParams,
+                            HandHypothesisSet, PartGraph,
+                            _dt_max_message, _log_unary, _naive_max_message,
+                            default_part_graph, hand_likelihood_map, infer,
                             load_grids, load_hand_hypotheses_csv,
                             load_placements_csv, pcp_eval, save_grids,
                             save_hand_hypotheses_csv, save_placements_csv)
@@ -48,6 +50,47 @@ def _brute_force_map(grids, graph):
     placements = {part: (int(loc % W), int(loc // W))
                   for part, loc in zip(graph.parts, flat)}
     return placements, float(total.max())
+
+
+def _pairwise_table(edge, H, W):
+    """Full (HW child, HW parent) table of log edge potentials."""
+    ys, xs = np.divmod(np.arange(H * W), W)
+    dxm = xs[:, None] - xs[None, :] - edge.mean[0]
+    dym = ys[:, None] - ys[None, :] - edge.mean[1]
+    return -0.5 * (dxm ** 2 / edge.var[0] + dym ** 2 / edge.var[1])
+
+
+def _sum_product_oracle(grids, graph):
+    """Per-part posteriors by full-pairwise sum-product.
+
+    Every message is a logsumexp over the (HW, HW) table of log edge
+    potentials, with no use of the axis separability.
+    """
+    G = np.asarray(grids, dtype=float)
+    H, W = G.shape[1:]
+    logphi = {part: np.where(G[i] > 0,
+                             np.log(np.where(G[i] > 0, G[i], 1.0)),
+                             LOG_FLOOR).ravel()
+              for i, part in enumerate(graph.parts)}
+    order = graph.topo_order()
+    up = {}
+    for part in reversed(order):
+        b = logphi[part] + sum(up[ch] for ch in graph.children_of(part))
+        if part != graph.root:
+            psi = _pairwise_table(graph.parent_edge(part), H, W)
+            up[part] = logsumexp(b[:, None] + psi, axis=0)
+    down = {graph.root: np.zeros(H * W)}
+    posteriors = {}
+    for part in order:
+        children = graph.children_of(part)
+        base = logphi[part] + down[part]
+        belief = base + sum(up[ch] for ch in children)
+        posteriors[part] = np.exp(belief - logsumexp(belief)).reshape(H, W)
+        for ch in children:
+            minus = base + sum(up[o] for o in children if o != ch)
+            psi = _pairwise_table(graph.parent_edge(ch), H, W)
+            down[ch] = logsumexp(psi + minus[None, :], axis=1)
+    return posteriors
 
 
 def _random_tree(rng, num_parts):
@@ -95,6 +138,12 @@ def test_topo_order_parents_first():
             assert graph.parent_edge(part).parent in seen
         seen.add(part)
     assert seen == set(graph.parts)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_default_graph_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        default_part_graph(scale=scale)
 
 
 def test_edge_params_validation():
@@ -163,8 +212,23 @@ def test_map_tie_breaks_to_lowest_row_major():
     graph = PartGraph(("a", "b"),
                       (EdgeParams("a", "b", (0.0, 0.0), (1.0, 1.0)),))
     grids = np.ones((2, 2, 2))
-    res = infer(grids, graph)
-    assert res.placements == {"a": (0, 0), "b": (0, 0)}
+    for algorithm in ("naive", "distance_transform"):
+        res = infer(grids, graph, algorithm=algorithm)
+        assert res.placements == {"a": (0, 0), "b": (0, 0)}
+
+
+def test_map_tie_with_offset_on_rectangular_grid():
+    # half-pixel offsets make every child tie between two columns and two
+    # rows (penalties are exact binary fractions); the lowest row-major
+    # flat index among the tied maximisers wins at every part
+    graph = PartGraph(("a", "b", "c"),
+                      (EdgeParams("a", "b", (1.5, 0.5), (1.0, 2.0)),
+                       EdgeParams("b", "c", (-0.5, 0.5), (1.0, 2.0))))
+    grids = np.ones((3, 3, 4))
+    for algorithm in ("naive", "distance_transform"):
+        res = infer(grids, graph, algorithm=algorithm)
+        assert res.placements == {"a": (0, 0), "b": (1, 0), "c": (0, 0)}
+        assert res.log_score == -0.375
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +246,26 @@ def test_map_matches_enumeration_random():
             res = infer(grids, graph, algorithm=algorithm)
             assert abs(res.log_score - expect_score) < 1e-9
             assert res.placements == expect_placements
+
+
+@pytest.mark.parametrize("H, W", [(6, 9), (11, 7), (1, 5), (4, 1)])
+def test_separable_max_message_matches_naive(H, W):
+    rng = np.random.default_rng(100 + H * W)
+    parent_flat = np.arange(H * W).reshape(H, W)
+    for _ in range(10):
+        edge = EdgeParams("p", "c", tuple(rng.uniform(-4, 4, size=2)),
+                          tuple(rng.uniform(0.3, 5.0, size=2)))
+        beta = _log_unary(_random_grids(rng, 1, H, W, zero_rate=0.2)[0])
+        msg, bestx, besty = _dt_max_message(beta, edge, (H, W))
+        expect, _ = _naive_max_message(beta, edge, (H, W))
+        assert np.abs(msg - expect).max() < 1e-12
+        # decoding y* = besty[yp, xp], x* = bestx[y*, xp] lands on a
+        # maximiser of the full pairwise table
+        xstar = bestx[besty, np.arange(W)[None, :]]
+        child_flat = besty * W + xstar
+        table = beta.ravel()[:, None] + _pairwise_table(edge, H, W)
+        reached = table[child_flat, parent_flat]
+        assert np.abs(reached - expect).max() < 1e-12
 
 
 def test_naive_and_dt_agree_with_zeros_and_deep_trees():
@@ -257,6 +341,20 @@ def test_marginals_match_enumeration():
             axes = tuple(k for k in range(P) if k != i)
             expect = joint.sum(axis=axes).reshape(H, W)
             assert np.abs(res.posteriors[part] - expect).max() < 1e-10
+
+
+@pytest.mark.parametrize("H, W", [(6, 9), (11, 7)])
+def test_marginals_match_full_pairwise_oracle(H, W):
+    rng = np.random.default_rng(H * W)
+    for _ in range(8):
+        P = int(rng.integers(2, 6))
+        graph = _random_tree(rng, P)
+        grids = _random_grids(rng, P, H, W, zero_rate=0.2)
+        expect = _sum_product_oracle(grids, graph)
+        res = infer(grids, graph, mode="marginal")
+        for part in graph.parts:
+            assert res.posteriors[part].shape == (H, W)
+            assert np.abs(res.posteriors[part] - expect[part]).max() < 1e-10
 
 
 def test_marginals_sum_to_one():
