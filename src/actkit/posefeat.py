@@ -11,6 +11,9 @@ windows by two feature families:
   arm joints, four exponential frequency-band energies, ten cepstral
   coefficients, the spectral entropy and the spectral energy.
 
+Each window is computed with array operations over its joints, distance
+pairs, angle triples and trajectories, not one of them at a time.
+
 Each sub-feature gets its own k-means codebook with k = 2 x dimension;
 windows of several lengths are quantized separately and the
 per-(length, sub-feature) histograms are concatenated, L1-normalized
@@ -133,49 +136,69 @@ class JointTrackSet:
         return self.positions[PARTS.index(name)]
 
 
+# PARTS rows of the distance pairs, angle triples and arm joints
+_PAIR_IDX = np.array([[PARTS.index(n) for n in pair]
+                      for pair in DISTANCE_PAIRS]).T     # (2, 16)
+_TRIPLE_IDX = np.array([[PARTS.index(n) for n in triple]
+                        for triple in ANGLE_TRIPLES]).T  # (3, 6)
+_ARM_IDX = np.array([PARTS.index(n) for n in ARM_JOINTS])
+
+
+class _WindowOutOfRange(ValueError):
+    """A window that leaves the track's frame range."""
+
+
 def _window(tracks: JointTrackSet, center_frame: int, length: int) -> np.ndarray:
     start = center_frame - length // 2
     stop = start + length
     first, last = tracks.frame_range
     if start < first or stop - 1 > last:
-        raise ValueError(
+        raise _WindowOutOfRange(
             f"window [{start}, {stop}) exceeds frame range [{first}, {last}]")
     off = start - first
     return tracks.positions[:, off:off + length]
 
 
-def _direction_hist(vectors: np.ndarray) -> np.ndarray:
-    """8-bin direction histogram weighted by vector magnitude.
+def _offset_hist(bins: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """8-bin weighted histogram of each row of (rows, n) bin indices,
+    concatenated row by row."""
+    rows = bins.shape[0]
+    flat = (bins + 8 * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=8 * rows)
+
+
+def _direction_hists(vectors: np.ndarray) -> np.ndarray:
+    """8-bin direction histogram of each row of (rows, n, 2) vectors,
+    weighted by vector magnitude.
 
     Bin 0 is centered on the +x axis, bins advance counter-clockwise in
     45 degree sectors.  Zero vectors carry zero weight.
     """
-    mags = np.linalg.norm(vectors, axis=-1)
-    hist = np.zeros(8)
-    nz = mags > 0
-    if nz.any():
-        theta = np.arctan2(vectors[nz, 1], vectors[nz, 0])
-        bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
-        np.add.at(hist, bins, mags[nz])
-    return hist
+    theta = np.arctan2(vectors[..., 1], vectors[..., 0])
+    bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
+    return _offset_hist(bins, np.linalg.norm(vectors, axis=-1))
 
 
-def _stats(x: np.ndarray) -> np.ndarray:
-    return np.array([x.mean(), np.median(x), x.std(), x.min(), x.max()])
+def _row_stats(x: np.ndarray) -> np.ndarray:
+    """Mean, median, std, min and max of each row, concatenated."""
+    s = np.sort(x, axis=1)
+    n = x.shape[1]
+    median = (s[:, (n - 1) // 2] + s[:, n // 2]) / 2
+    return np.stack([x.mean(axis=1), median, x.std(axis=1),
+                     s[:, 0], s[:, -1]], axis=1).ravel()
 
 
-def _angle(inner, end_a, end_b) -> np.ndarray:
-    """Angle at the inner joint between its two segments, in [0, pi].
+def _angles(inner, end_a, end_b) -> np.ndarray:
+    """Angle at each inner joint between its two segments, in [0, pi].
     Frames where a segment degenerates to zero length get angle 0."""
     va = end_a - inner
     vb = end_b - inner
     na = np.linalg.norm(va, axis=-1)
     nb = np.linalg.norm(vb, axis=-1)
     ok = (na > 0) & (nb > 0)
-    ang = np.zeros(inner.shape[0])
-    if ok.any():
-        cosv = (va[ok] * vb[ok]).sum(axis=-1) / (na[ok] * nb[ok])
-        ang[ok] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    ang = np.zeros(inner.shape[:-1])
+    cosv = (va[ok] * vb[ok]).sum(axis=-1) / (na[ok] * nb[ok])
+    ang[ok] = np.arccos(np.clip(cosv, -1.0, 1.0))
     return ang
 
 
@@ -191,9 +214,11 @@ def bm_feature(tracks: JointTrackSet, center_frame: int,
                length: int) -> list:
     """Body-model statistics of the window [center - L/2, center + L/2).
 
-    Returns the sub-features listed in BM_SUBFEATURES, in that order.
-    Raises when the window leaves the track's frame range or has fewer
-    than three frames (second differences need them).
+    Returns the sub-features listed in BM_SUBFEATURES, in that order,
+    each computed with array operations over all joints, distance pairs
+    or angle triples at once.  Raises when the window leaves the track's
+    frame range or has fewer than three frames (second differences need
+    them).
     """
     if length < 3:
         raise ValueError("bm windows need at least three frames")
@@ -201,40 +226,22 @@ def bm_feature(tracks: JointTrackSet, center_frame: int,
 
     vel = np.diff(pos, axis=1)                    # (10, L-1, 2)
     acc = np.diff(vel, axis=1)                    # (10, L-2, 2)
-    vel_hist = np.concatenate([_direction_hist(vel[j]) for j in range(len(PARTS))])
-    acc_hist = np.concatenate([_direction_hist(acc[j]) for j in range(len(PARTS))])
 
-    dist_stats, dist_rate = [], []
-    for a, b in DISTANCE_PAIRS:
-        d = np.linalg.norm(tracks_part(pos, a) - tracks_part(pos, b), axis=-1)
-        dist_stats.append(_stats(d))
-        deltas = np.diff(d)
-        hist = np.zeros(8)
-        if deltas.size:
-            bins = np.searchsorted(RATE_EDGES[1:-1], deltas, side="right")
-            np.add.at(hist, bins, np.abs(deltas))
-        dist_rate.append(hist)
+    dist = np.linalg.norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]], axis=-1)
+    deltas = np.diff(dist, axis=1)                # (16, L-1)
+    rate_bins = np.searchsorted(RATE_EDGES[1:-1], deltas, side="right")
 
-    ang_stats, ang_speed_stats = [], []
-    for inner, ea, eb in ANGLE_TRIPLES:
-        ang = _angle(tracks_part(pos, inner), tracks_part(pos, ea),
-                     tracks_part(pos, eb))
-        ang_stats.append(_stats(ang))
-        ang_speed_stats.append(_stats(np.abs(np.diff(ang))))
+    ang = _angles(*pos[_TRIPLE_IDX])              # (6, L)
 
     return [
-        SubFeature("velocity-hist", vel_hist),
-        SubFeature("acceleration-hist", acc_hist),
-        SubFeature("distance-stats", np.concatenate(dist_stats)),
-        SubFeature("distance-rate-hist", np.concatenate(dist_rate)),
-        SubFeature("angle-stats", np.concatenate(ang_stats)),
-        SubFeature("angle-speed-stats", np.concatenate(ang_speed_stats)),
+        SubFeature("velocity-hist", _direction_hists(vel)),
+        SubFeature("acceleration-hist", _direction_hists(acc)),
+        SubFeature("distance-stats", _row_stats(dist)),
+        SubFeature("distance-rate-hist",
+                   _offset_hist(rate_bins, np.abs(deltas))),
+        SubFeature("angle-stats", _row_stats(ang)),
+        SubFeature("angle-speed-stats", _row_stats(np.abs(np.diff(ang, axis=1)))),
     ]
-
-
-def tracks_part(pos: np.ndarray, name: str) -> np.ndarray:
-    """Rows of a (10, L, 2) window for one named part."""
-    return pos[PARTS.index(name)]
 
 
 def fft_feature(tracks: JointTrackSet, center_frame: int,
@@ -246,36 +253,28 @@ def fft_feature(tracks: JointTrackSet, center_frame: int,
     [8,16) in DFT bins), ten cepstral coefficients (inverse transform of
     the log magnitude spectrum), the spectral entropy of the
     L1-normalized power spectrum, and the spectral energy.  Constant
-    trajectories yield zero bands, zero energy and zero entropy.
+    trajectories yield zero bands, zero energy and zero entropy.  All 16
+    trajectories go through one transform each way, joint-major, x
+    before y.
     """
     if length < 2:
         raise ValueError("fft windows need at least two frames")
     pos = _window(tracks, center_frame, length)
-    bands, cepstra, entropies, energies = [], [], [], []
-    for joint in ARM_JOINTS:
-        traj2 = tracks_part(pos, joint)
-        for axis in (0, 1):
-            x = traj2[:, axis]
-            x = x - x.mean()
-            mag = np.abs(np.fft.rfft(x))
-            power = mag ** 2
-            for lo, hi in FFT_BANDS:
-                bands.append(power[lo:hi].sum())
-            cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length)
-            cepstra.extend(cep[:FFT_NUM_CEPSTRA])
-            total = power.sum()
-            if total > 0:
-                p = power / total
-                nz = p > 0
-                entropies.append(float(-(p[nz] * np.log(p[nz])).sum()))
-            else:
-                entropies.append(0.0)
-            energies.append(power[1:].sum())
+    x = pos[_ARM_IDX].transpose(0, 2, 1).reshape(-1, length)  # (16, L)
+    x = x - x.mean(axis=1, keepdims=True)
+    mag = np.abs(np.fft.rfft(x, axis=1))
+    power = mag ** 2
+    bands = np.stack([power[:, lo:hi].sum(axis=1) for lo, hi in FFT_BANDS],
+                     axis=1)
+    cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length, axis=1)
+    total = power.sum(axis=1, keepdims=True)
+    p = np.divide(power, total, out=np.zeros_like(power), where=total > 0)
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
     return [
-        SubFeature("fft-bands", np.array(bands)),
-        SubFeature("fft-cepstrum", np.array(cepstra)),
-        SubFeature("fft-entropy", np.array(entropies)),
-        SubFeature("fft-energy", np.array(energies)),
+        SubFeature("fft-bands", bands.ravel()),
+        SubFeature("fft-cepstrum", cep[:, :FFT_NUM_CEPSTRA].ravel()),
+        SubFeature("fft-entropy", -plogp.sum(axis=1)),
+        SubFeature("fft-energy", power[:, 1:].sum(axis=1)),
     ]
 
 
@@ -288,7 +287,8 @@ def pose_frame_features(tracks: JointTrackSet, center_frame: int,
 
     Returns {length: [SubFeature, ...]}; lengths whose window would
     leave the frame range are silently omitted, so frames near the
-    stream borders contribute only their shorter windows.
+    stream borders contribute only their shorter windows.  A length
+    below the kind's minimum raises.
     """
     fn = _FEATURE_FNS.get(kind)
     if fn is None:
@@ -297,7 +297,7 @@ def pose_frame_features(tracks: JointTrackSet, center_frame: int,
     for L in lengths:
         try:
             out[L] = fn(tracks, center_frame, L)
-        except ValueError:
+        except _WindowOutOfRange:
             continue
     return out
 
@@ -496,20 +496,27 @@ def stream_word_counts(frame_features, frames, codebook_set: CodebookSet,
     frame_features / frames: aligned lists of per-frame descriptor
     records and their frame indices.  Returns a (num_frames, dim) count
     matrix suitable for integral histograms; frames without descriptors
-    stay zero.
+    stay zero.  Descriptors are quantized once per (length, sub-feature)
+    block, which must have a codebook.
     """
-    counts = np.zeros((num_frames, codebook_set.dim))
-    layout = {(L, n): (start, stop) for (L, n, start, stop)
+    starts = {(L, n): start for (L, n, start, _)
               in codebook_set.block_layout()}
+    blocks = {}
     for record, frame in zip(frame_features, frames):
         if not 0 <= frame < num_frames:
             raise ValueError(f"frame {frame} outside the stream")
         for length, feats in record.items():
             for sf in feats:
-                start, _ = layout[(length, sf.name)]
-                idx = int(quantize(codebook_set.codebooks[(length, sf.name)],
-                                   sf.values[None, :])[0])
-                counts[frame, start + idx] += 1
+                key = (length, sf.name)
+                if key not in starts:
+                    raise ValueError(f"no codebook for block {key!r}")
+                rows, vecs = blocks.setdefault(key, ([], []))
+                rows.append(frame)
+                vecs.append(sf.values)
+    counts = np.zeros((num_frames, codebook_set.dim))
+    for key, (rows, vecs) in blocks.items():
+        idx = quantize(codebook_set.codebooks[key], np.array(vecs))
+        np.add.at(counts, (rows, starts[key] + idx), 1)
     return counts
 
 
@@ -559,7 +566,8 @@ def load_tracks_csv(path) -> JointTrackSet:
 
 def save_codebook_set(cbs: CodebookSet, path) -> None:
     """Serialize a codebook bundle as npz with a JSON block-order header
-    carrying names, dimensions and seeds."""
+    (names, dimensions, seeds) stored as a unicode string, so loading
+    needs no pickle."""
     header = [
         {"length": int(L), "sub_feature": n,
          "dim": int(cbs.codebooks[(L, n)].centers.shape[1]),
@@ -574,7 +582,7 @@ def save_codebook_set(cbs: CodebookSet, path) -> None:
 
 
 def load_codebook_set(path) -> CodebookSet:
-    with np.load(path, allow_pickle=True) as data:
+    with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         codebooks, order = {}, []
         for i, entry in enumerate(header):

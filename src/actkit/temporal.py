@@ -178,16 +178,6 @@ def score_windows(table: IntegralHistogram, scorer, video: str = "",
 # ---------------------------------------------------------------------------
 # non-maximum suppression
 
-def _overlap(a: Detection, b: Detection) -> int:
-    return min(a.end, b.end) - max(a.start, b.start) + 1
-
-
-def _iou(a: Detection, b: Detection) -> float:
-    inter = max(0, _overlap(a, b))
-    union = a.length + b.length - inter
-    return inter / union if union > 0 else 0.0
-
-
 def nms(detections, overlap_threshold: float = 0.0,
         criterion: str = "overlap") -> list:
     """Greedy non-maximum suppression.
@@ -197,25 +187,25 @@ def nms(detections, overlap_threshold: float = 0.0,
     an already kept window exceeds the threshold; the default threshold
     of zero removes anything that overlaps a kept window at all.
     criterion "overlap" measures shared frames, "iou" the
-    intersection-over-union ratio.
+    intersection-over-union ratio.  Each candidate is tested against all
+    kept windows in one array expression.
     """
     if criterion not in ("overlap", "iou"):
         raise ValueError(f"unknown suppression criterion {criterion!r}")
     order = sorted(detections,
                    key=lambda d: (-d.score, d.start, d.length))
+    starts = np.empty(len(order), dtype=np.int64)
+    ends = np.empty(len(order), dtype=np.int64)
     kept = []
     for cand in order:
-        ok = True
-        for k in kept:
-            if criterion == "overlap":
-                if _overlap(cand, k) > overlap_threshold:
-                    ok = False
-                    break
-            else:
-                if _iou(cand, k) > overlap_threshold:
-                    ok = False
-                    break
-        if ok:
+        n = len(kept)
+        overlap = (np.minimum(ends[:n], cand.end)
+                   - np.maximum(starts[:n], cand.start) + 1)
+        if criterion == "iou":
+            inter = np.maximum(overlap, 0)
+            overlap = inter / (ends[:n] - starts[:n] + 1 + cand.length - inter)
+        if not (overlap > overlap_threshold).any():
+            starts[n], ends[n] = cand.start, cand.end
             kept.append(cand)
     return kept
 

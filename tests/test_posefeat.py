@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from actkit.posefeat import (
+    ANGLE_TRIPLES,
     ARM_JOINTS,
     BM_DIM,
     BM_SUBFEATURES,
@@ -13,6 +14,11 @@ from actkit.posefeat import (
     FFT_SUBFEATURES,
     JointTrackSet,
     PARTS,
+    RATE_EDGES,
+    FFT_BANDS,
+    FFT_LOG_EPS,
+    FFT_NUM_CEPSTRA,
+    SubFeature,
     bm_feature,
     bow_dim,
     build_codebook,
@@ -222,6 +228,156 @@ def test_pose_frame_features_skips_overlong_windows():
         pose_frame_features(tracks, 15, kind="nope")
 
 
+def test_pose_frame_features_rejects_short_lengths():
+    tracks = _random_walk_tracks(30, seed=5)
+    with pytest.raises(ValueError, match="at least three"):
+        pose_frame_features(tracks, 25, (2, 1, 0, -5), "bm")
+    with pytest.raises(ValueError, match="at least two"):
+        pose_frame_features(tracks, 25, (1, 0), "fft")
+    # a short length raises even where its window would leave the range
+    with pytest.raises(ValueError):
+        pose_frame_features(tracks, 0, (20, 2), "bm")
+    assert set(pose_frame_features(tracks, 25, (3, 2), "fft")) == {3, 2}
+
+
+# ---------------------------------------------------------------------------
+# per-window oracles: one joint, pair, triple or trajectory at a time
+
+def _oracle_window(tracks, center_frame, length):
+    start = center_frame - length // 2 - tracks.first_frame
+    assert 0 <= start and start + length <= tracks.num_frames
+    return tracks.positions[:, start:start + length]
+
+
+def _oracle_part(pos, name):
+    return pos[PARTS.index(name)]
+
+
+def _direction_hist(vectors):
+    mags = np.linalg.norm(vectors, axis=-1)
+    hist = np.zeros(8)
+    nz = mags > 0
+    if nz.any():
+        theta = np.arctan2(vectors[nz, 1], vectors[nz, 0])
+        bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
+        np.add.at(hist, bins, mags[nz])
+    return hist
+
+
+def _stats(x):
+    return np.array([x.mean(), np.median(x), x.std(), x.min(), x.max()])
+
+
+def _angle(inner, end_a, end_b):
+    va = end_a - inner
+    vb = end_b - inner
+    na = np.linalg.norm(va, axis=-1)
+    nb = np.linalg.norm(vb, axis=-1)
+    ok = (na > 0) & (nb > 0)
+    ang = np.zeros(inner.shape[0])
+    if ok.any():
+        cosv = (va[ok] * vb[ok]).sum(axis=-1) / (na[ok] * nb[ok])
+        ang[ok] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    return ang
+
+
+def _oracle_bm(tracks, center_frame, length):
+    pos = _oracle_window(tracks, center_frame, length)
+    vel = np.diff(pos, axis=1)
+    acc = np.diff(vel, axis=1)
+    vel_hist = np.concatenate([_direction_hist(v) for v in vel])
+    acc_hist = np.concatenate([_direction_hist(a) for a in acc])
+    dist_stats, dist_rate = [], []
+    for a, b in DISTANCE_PAIRS:
+        d = np.linalg.norm(_oracle_part(pos, a) - _oracle_part(pos, b),
+                           axis=-1)
+        dist_stats.append(_stats(d))
+        deltas = np.diff(d)
+        hist = np.zeros(8)
+        bins = np.searchsorted(RATE_EDGES[1:-1], deltas, side="right")
+        np.add.at(hist, bins, np.abs(deltas))
+        dist_rate.append(hist)
+    ang_stats, ang_speed_stats = [], []
+    for inner, ea, eb in ANGLE_TRIPLES:
+        ang = _angle(_oracle_part(pos, inner), _oracle_part(pos, ea),
+                     _oracle_part(pos, eb))
+        ang_stats.append(_stats(ang))
+        ang_speed_stats.append(_stats(np.abs(np.diff(ang))))
+    return [vel_hist, acc_hist, np.concatenate(dist_stats),
+            np.concatenate(dist_rate), np.concatenate(ang_stats),
+            np.concatenate(ang_speed_stats)]
+
+
+def _oracle_fft(tracks, center_frame, length):
+    pos = _oracle_window(tracks, center_frame, length)
+    bands, cepstra, entropies, energies = [], [], [], []
+    for joint in ARM_JOINTS:
+        for axis in (0, 1):
+            x = _oracle_part(pos, joint)[:, axis]
+            x = x - x.mean()
+            mag = np.abs(np.fft.rfft(x))
+            power = mag ** 2
+            for lo, hi in FFT_BANDS:
+                bands.append(power[lo:hi].sum())
+            cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length)
+            cepstra.extend(cep[:FFT_NUM_CEPSTRA])
+            total = power.sum()
+            if total > 0:
+                p = power / total
+                nz = p > 0
+                entropies.append(float(-(p[nz] * np.log(p[nz])).sum()))
+            else:
+                entropies.append(0.0)
+            energies.append(power[1:].sum())
+    return [np.array(bands), np.array(cepstra), np.array(entropies),
+            np.array(energies)]
+
+
+def _oracle_tracks(num_frames=110, first_frame=37):
+    """Seeded random walk with a static head and a right hand that sits
+    on the right wrist for a stretch (a zero-length segment)."""
+    tracks = _random_walk_tracks(num_frames, seed=21, first_frame=first_frame)
+    pos = tracks.positions
+    pos[PARTS.index("head")] = pos[PARTS.index("head"), :1]
+    pos[PARTS.index("r_hand"), 30:70] = pos[PARTS.index("r_wrist"), 30:70]
+    return tracks
+
+
+@pytest.mark.parametrize("kind,lengths", [("bm", (3, 20, 50, 100)),
+                                          ("fft", (2, 3, 20, 50, 100))])
+def test_descriptors_match_per_window_oracle(kind, lengths):
+    tracks = _oracle_tracks()
+    oracle = {"bm": _oracle_bm, "fft": _oracle_fft}[kind]
+    first, last = tracks.frame_range
+    checked = 0
+    for center in range(first, last + 1):
+        rec = pose_frame_features(tracks, center, lengths, kind)
+        for L in lengths:
+            fits = (center - L // 2 >= first
+                    and center - L // 2 + L - 1 <= last)
+            assert (L in rec) == fits
+            if not fits:
+                continue
+            names = BM_SUBFEATURES if kind == "bm" else FFT_SUBFEATURES
+            assert [sf.name for sf in rec[L]] == [n for n, _ in names]
+            for sf, want in zip(rec[L], oracle(tracks, center, L)):
+                assert sf.values.shape == want.shape
+                np.testing.assert_allclose(sf.values, want, rtol=1e-12,
+                                           atol=1e-12, err_msg=sf.name)
+            checked += 1
+    assert checked == sum(len(tracks.positions[0]) - L + 1 for L in lengths)
+
+
+def test_descriptor_oracle_covers_degenerate_geometry():
+    tracks = _oracle_tracks()
+    pos = _oracle_window(tracks, 37 + 50, 20)
+    # static head: no velocity mass; zero-length r_wrist-r_hand segment
+    assert np.all(bm_feature(tracks, 37 + 50, 20)[0].values[:8] == 0)
+    assert np.all(_oracle_part(pos, "r_hand") == _oracle_part(pos, "r_wrist"))
+    r_wrist_angle = bm_feature(tracks, 37 + 50, 20)[4].values[4 * 5:5 * 5]
+    assert np.all(r_wrist_angle == 0)
+
+
 # ---------------------------------------------------------------------------
 # codebooks and encoding
 
@@ -336,6 +492,58 @@ def test_stream_word_counts():
         stream_word_counts(feats, [2, 99], cbs, num_frames=8)
 
 
+def _per_row_word_counts(frame_features, frames, cbs, num_frames):
+    """One quantize call per frame and sub-feature."""
+    starts = {(L, n): start for (L, n, start, _) in cbs.block_layout()}
+    counts = np.zeros((num_frames, cbs.dim))
+    for record, frame in zip(frame_features, frames):
+        for length, feats in record.items():
+            for sf in feats:
+                key = (length, sf.name)
+                idx = int(quantize(cbs.codebooks[key], sf.values[None, :])[0])
+                counts[frame, starts[key] + idx] += 1
+    return counts
+
+
+def test_stream_word_counts_match_per_row_quantize():
+    tracks = _oracle_tracks(90, first_frame=0)
+    lengths = (3, 20, 50)
+    records = []
+    for f in range(tracks.num_frames):
+        rec = pose_frame_features(tracks, f, lengths, "bm")
+        for L, feats in pose_frame_features(tracks, f, lengths, "fft").items():
+            rec.setdefault(L, []).extend(feats)
+        records.append(rec)
+    samples = {}
+    for rec in records:
+        for L, feats in rec.items():
+            for sf in feats:
+                samples.setdefault((L, sf.name), []).append(sf.values)
+    # small codebooks: every block has far more samples than centers
+    cbs = CodebookSet({key: build_codebook(key[1], np.array(v), seed=i, size=5)
+                       for i, (key, v) in enumerate(samples.items())},
+                      tuple(samples))
+    # frames visited out of order and one frame listed twice
+    frames = list(range(tracks.num_frames))[::-1] + [40]
+    records = records[::-1] + [records[40]]
+    got = stream_word_counts(records, frames, cbs, tracks.num_frames + 3)
+    want = _per_row_word_counts(records, frames, cbs, tracks.num_frames + 3)
+    assert np.array_equal(got, want)
+    assert got[40].sum() == 2 * sum(len(f) for f in records[-1].values())
+    assert np.all(got[tracks.num_frames:] == 0)
+
+
+def test_stream_word_counts_missing_codebook_matches_encode_bow():
+    cbs = _toy_codebook_set()
+    feats = [{20: [SubFeature("toy", np.array([0.1]))]},
+             {20: [SubFeature("other", np.array([1.0]))]}]
+    with pytest.raises(ValueError, match="no codebook for block") as enc:
+        encode_bow(feats, cbs)
+    with pytest.raises(ValueError, match="no codebook for block") as swc:
+        stream_word_counts(feats, [0, 1], cbs, num_frames=2)
+    assert str(swc.value) == str(enc.value)
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 
@@ -375,3 +583,25 @@ def test_codebook_set_round_trip(tmp_path):
                               cbs.codebooks[key].centers)
         assert loaded.codebooks[key].seed == cbs.codebooks[key].seed
     assert loaded.block_layout() == cbs.block_layout()
+
+
+def test_codebook_set_loads_without_pickle(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    cbs = build_codebook_set({(20, "a"): rng.normal(size=(10, 2))}, seed=2)
+    save_codebook_set(cbs, tmp_path / "cb.npz")
+    with np.load(tmp_path / "cb.npz", allow_pickle=False) as data:
+        assert data["header"].dtype.kind == "U"
+    real_load = np.load
+    seen = []
+
+    def load_no_pickle(path, *args, **kwargs):
+        seen.append(kwargs.get("allow_pickle"))
+        kwargs["allow_pickle"] = False
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", load_no_pickle)
+    loaded = load_codebook_set(tmp_path / "cb.npz")
+    assert seen == [False]
+    assert loaded.order == cbs.order
+    assert np.array_equal(loaded.codebooks[(20, "a")].centers,
+                          cbs.codebooks[(20, "a")].centers)

@@ -203,6 +203,45 @@ def test_nms_properties_random():
         assert nms(kept) == kept
 
 
+def _nested_loop_nms(detections, overlap_threshold=0.0, criterion="overlap"):
+    """Greedy suppression testing each candidate against one kept
+    window at a time."""
+    def overlap(a, b):
+        return min(a.end, b.end) - max(a.start, b.start) + 1
+
+    def iou(a, b):
+        inter = max(0, overlap(a, b))
+        union = a.length + b.length - inter
+        return inter / union if union > 0 else 0.0
+
+    measure = overlap if criterion == "overlap" else iou
+    kept = []
+    for cand in sorted(detections, key=lambda d: (-d.score, d.start, d.length)):
+        if not any(measure(cand, k) > overlap_threshold for k in kept):
+            kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("criterion", ["overlap", "iou"])
+def test_nms_matches_nested_loop_oracle(criterion):
+    rng = np.random.default_rng(43)
+    for trial in range(120):
+        n = int(rng.integers(0, 40))
+        dets = []
+        for _ in range(n):
+            s = int(rng.integers(0, 80))
+            e = s + int(rng.integers(0, 25))
+            # few distinct scores, so ties are common
+            dets.append(_det(s, e, float(rng.integers(0, 4)) / 2))
+        for thr in (-0.5, 0, 0.3, 0.5, 1, 3, 30):
+            assert nms(dets, thr, criterion) \
+                == _nested_loop_nms(dets, thr, criterion)
+    # thresholds above any possible overlap keep everything
+    assert nms(dets, 30, criterion) == sorted(
+        dets, key=lambda d: (-d.score, d.start, d.length))
+    assert nms([], 0, criterion) == []
+
+
 # ---------------------------------------------------------------------------
 # segmentation
 
