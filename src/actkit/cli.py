@@ -170,7 +170,10 @@ def _cmd_classify_composites(args):
     if args.segment_threshold is not None:
         cfg["segment_threshold"] = args.segment_threshold
     if args.pst_config:
-        p = load_pst_config(args.pst_config)
+        try:
+            p = load_pst_config(args.pst_config)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         cfg["pst"] = {"alpha": p.alpha, "gamma": p.gamma,
                       "delta": p.delta, "k": p.k}
     report = run_experiment(cfg)

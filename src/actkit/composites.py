@@ -12,7 +12,8 @@ attribute scores.  On those pooled vectors the module offers:
 - label propagation: script scores seed a label matrix that is
   diffused over a k-nearest-neighbour graph of the pooled features
   (normalized graph Laplacian smoothing with a retention parameter
-  alpha).
+  alpha).  The diffusion's fixed point is solved for directly, after
+  Zhou et al., Learning with Local and Global Consistency (NIPS 2004).
 """
 
 from __future__ import annotations
@@ -67,23 +68,18 @@ def classify_svm(train_features, train_composites, test_features,
     return scores, universe, report
 
 
-def classify_nn(train_features, train_composites, test_feature,
-                sequence_ids=None):
+def classify_nn(train_features, train_composites, test_feature):
     """Nearest training sequence under plain L2 distance.
 
-    Ties prefer the lowest sequence id.  Returns (predicted composite,
+    Ties prefer the lowest training row.  Returns (predicted composite,
     distances to every training sequence in input order).
     """
     X = np.asarray(train_features, dtype=float)
     g = np.asarray(test_feature, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need at least one training sequence")
-    train_composites = list(train_composites)
-    ids = list(sequence_ids) if sequence_ids is not None \
-        else list(range(len(train_composites)))
     dists = np.linalg.norm(X - g[None, :], axis=1)
-    best = min(range(len(dists)), key=lambda j: (dists[j], ids[j]))
-    return train_composites[best], dists
+    return list(train_composites)[int(np.argmin(dists))], dists
 
 
 def script_score(pooled, weights: WeightMatrix) -> np.ndarray:
@@ -100,14 +96,15 @@ def script_score(pooled, weights: WeightMatrix) -> np.ndarray:
 
 
 def nn_script_classify(test_feature, train_features, train_composites,
-                       weights: WeightMatrix, sequence_ids=None):
+                       weights: WeightMatrix):
     """Weight-aware nearest neighbour.
 
     The distance to a training sequence of composite z is
     sqrt(sum_i w_{z,i} (g_test_i - g_train_i)^2) with binarized,
     row-normalized weights.  Training sequences whose composite has an
     all-zero weight row cannot be compared; they are excluded and
-    reported.  Raises if that removes every training sequence.
+    reported.  Raises if that removes every training sequence.  Ties
+    prefer the lowest training row.
 
     Returns (predicted composite, distance, excluded composite tuple).
     """
@@ -116,8 +113,6 @@ def nn_script_classify(test_feature, train_features, train_composites,
     g = np.asarray(test_feature, dtype=float)
     X = np.asarray(train_features, dtype=float)
     train_composites = list(train_composites)
-    ids = list(sequence_ids) if sequence_ids is not None \
-        else list(range(len(train_composites)))
     excluded = []
     candidates = []
     for j, z in enumerate(train_composites):
@@ -126,7 +121,7 @@ def nn_script_classify(test_feature, train_features, train_composites,
             excluded.append(z)
             continue
         d = math.sqrt(float(w @ ((g - X[j]) ** 2)))
-        candidates.append((d, ids[j], train_composites[j]))
+        candidates.append((d, j, z))
     if not candidates:
         raise ValueError("every training composite has an all-zero weight row")
     d, _, z = min(candidates)
@@ -150,8 +145,6 @@ class PstConfig:
     delta: float = 0.5
     k: int = 5
     alpha: float = 0.75
-    tol: float = 1e-12
-    max_iters: int = 100000
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -162,17 +155,19 @@ class PstConfig:
             raise ValueError("k must be a positive integer")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol and max_iters must be positive")
 
 
 def save_pst_config(cfg: PstConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key in ("gamma", "delta", "k", "alpha", "tol", "max_iters"):
+        for key in ("gamma", "delta", "k", "alpha"):
             fh.write(f"{key} = {getattr(cfg, key)}\n")
 
 
 def load_pst_config(path) -> PstConfig:
+    """Read a file written by save_pst_config; errors name the file.
+
+    tol and max_iters lines, written before propagation was solved in
+    closed form, are ignored."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
@@ -182,13 +177,18 @@ def load_pst_config(path) -> PstConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key in ("k", "max_iters"):
-                values[key] = int(raw)
-            elif key in ("gamma", "delta", "alpha", "tol"):
-                values[key] = float(raw)
-            else:
+            if key in ("tol", "max_iters"):
+                continue
+            if key not in ("gamma", "delta", "k", "alpha"):
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-    return PstConfig(**values)
+            try:
+                values[key] = int(raw) if key == "k" else float(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+    try:
+        return PstConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def pst_init(script_scores, labels, cfg: PstConfig,
@@ -237,30 +237,25 @@ class NeighborGraph:
 
     weights: np.ndarray
     sigma: float
-    ids: tuple = ()
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         D = self.weights.shape[0]
         if self.weights.shape != (D, D):
             raise ValueError("graph weights must be square")
-        if not self.ids:
-            self.ids = tuple(range(D))
         if np.any(np.diag(self.weights) != 0):
             raise ValueError("graph must not contain self loops")
         if not np.allclose(self.weights, self.weights.T):
             raise ValueError("graph weights must be symmetric")
 
 
-def build_knn_graph(features, k: int, ids=None, sigma_mode="nearest",
-                    squared: bool = False) -> NeighborGraph:
+def build_knn_graph(features, k: int) -> NeighborGraph:
     """Union-symmetrized k-NN graph with exponentially decaying weights.
 
-    The bandwidth sigma is the mean distance to the single nearest
-    neighbour (sigma_mode="nearest") or the mean over all k neighbour
-    distances (sigma_mode="knn").  Edge weights are
-    exp(-0.5 * sqrt(sigma) * dist); the squared flag substitutes the
-    squared distance.  Requires more sequences than k.
+    features: (D, n), one row per sequence.  The bandwidth sigma is the
+    mean distance to each sequence's single nearest neighbour; edge
+    weights are exp(-0.5 * sqrt(sigma) * dist).  Neighbour ties go to
+    the lower row.  Requires more sequences than k.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -268,54 +263,44 @@ def build_knn_graph(features, k: int, ids=None, sigma_mode="nearest",
     D = X.shape[0]
     if k >= D:
         raise ValueError(f"k = {k} needs at least {k + 1} sequences, got {D}")
-    if sigma_mode not in ("nearest", "knn"):
-        raise ValueError(f"unknown sigma mode {sigma_mode!r}")
     dist = cdist(X, X)
     np.fill_diagonal(dist, np.inf)
     neigh = np.argsort(dist, axis=1, kind="stable")[:, :k]
     knn_dists = np.take_along_axis(dist, neigh, axis=1)
-    sigma = float(knn_dists[:, 0].mean()) if sigma_mode == "nearest" \
-        else float(knn_dists.mean())
+    sigma = float(knn_dists[:, 0].mean())
     mask = np.zeros((D, D), dtype=bool)
     rows = np.repeat(np.arange(D), k)
     mask[rows, neigh.ravel()] = True
     mask |= mask.T
     np.fill_diagonal(dist, 0.0)
-    arg = dist ** 2 if squared else dist
-    W = np.where(mask, np.exp(-0.5 * math.sqrt(sigma) * arg), 0.0)
+    W = np.where(mask, np.exp(-0.5 * math.sqrt(sigma) * dist), 0.0)
     np.fill_diagonal(W, 0.0)
-    return NeighborGraph(W, sigma, tuple(ids) if ids is not None else ())
+    return NeighborGraph(W, sigma)
 
 
 def propagate(graph: NeighborGraph, init, cfg: PstConfig) -> np.ndarray:
-    """Diffuse seed scores over the graph until convergence.
+    """Diffuse seed scores over the graph: the fixed point of
+    F <- alpha * S F + (1 - alpha) * Y.
 
-    init: (D, C) node-major seed matrix Y.  Iterates
-    F <- alpha * S F + (1 - alpha) * Y with the symmetrically normalized
-    adjacency S; isolated nodes have zero rows in S and settle at
-    (1 - alpha) * Y.  Stops when the largest absolute change drops below
-    tol.  alpha = 0 returns Y exactly.
+    init: (D, C) node-major seed matrix Y, or a (D,) vector.  S is the
+    symmetrically normalized adjacency D^-1/2 W D^-1/2.  The fixed point
+    is found by one linear solve of (I - alpha S) F = (1 - alpha) Y,
+    which is non-singular because S has spectral radius at most 1 and
+    alpha < 1.  Isolated nodes have zero rows in S and settle at
+    (1 - alpha) * Y; alpha = 0 returns Y exactly.  A non-finite result
+    (say, from a NaN seed) raises ValueError.
     """
     Y = np.asarray(init, dtype=float)
-    squeeze = Y.ndim == 1
-    if squeeze:
-        Y = Y[:, None]
     W = graph.weights
     if Y.shape[0] != W.shape[0]:
         raise ValueError("seed matrix does not match the graph size")
     deg = W.sum(axis=1)
     dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     S = W * dinv[:, None] * dinv[None, :]
-    F = Y.copy()
-    for _ in range(cfg.max_iters):
-        F_new = cfg.alpha * (S @ F) + (1.0 - cfg.alpha) * Y
-        delta = float(np.abs(F_new - F).max())
-        F = F_new
-        if delta < cfg.tol:
-            break
+    F = np.linalg.solve(np.eye(len(W)) - cfg.alpha * S, (1.0 - cfg.alpha) * Y)
     if not np.isfinite(F).all():
-        raise ValueError("propagation diverged to non-finite values")
-    return F[:, 0] if squeeze else F
+        raise ValueError("propagation produced non-finite values")
+    return F
 
 
 def pst_scores(script_score_table, labels, pooled_features,

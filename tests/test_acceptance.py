@@ -133,7 +133,7 @@ def test_criterion_04_propagation_closed_form():
             graph = build_knn_graph(feats, int(rng.integers(1, n)))
             alpha = float(rng.uniform(0.05, 0.95))
             Y = rng.normal(size=(n, num_classes))
-            F = propagate(graph, Y, PstConfig(alpha=alpha, tol=1e-14))
+            F = propagate(graph, Y, PstConfig(alpha=alpha))
             W = graph.weights
             deg = W.sum(axis=1)
             inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1)),

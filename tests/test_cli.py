@@ -221,6 +221,39 @@ def test_classify_composites_pst_config_file(score_bundle, tmp_path):
     assert (out / "pst.conf").exists()
 
 
+def test_classify_composites_iterative_solver_pst_config(score_bundle,
+                                                        tmp_path):
+    # pst.conf as the former iterative solver wrote it
+    conf = tmp_path / "pst.conf"
+    conf.write_text("gamma = 0.5\ndelta = 1.0\nk = 5\nalpha = 0.5\n"
+                    "tol = 1e-12\nmax_iters = 100000\n")
+    out = tmp_path / "pstcc"
+    rc = main(["classify-composites", "--bundle", score_bundle,
+               "--output", str(out), "--mode", "pst",
+               "--pst-config", str(conf)])
+    assert rc == 0
+    assert "tol" not in (out / "pst.conf").read_text()
+
+
+@pytest.mark.parametrize("text, words", [
+    ("alpha = 2\n", "alpha must lie in [0, 1)"),
+    ("k = abc\n", "pst.conf:1: invalid literal"),
+    ("flux = 1\n", "pst.conf:1: unknown key 'flux'"),
+    ("gamma 0.5\n", "pst.conf:1: expected key = value"),
+])
+def test_classify_composites_bad_pst_config_exit_1(score_bundle, tmp_path,
+                                                   capsys, text, words):
+    conf = tmp_path / "pst.conf"
+    conf.write_text(text)
+    out = tmp_path / "pstcc"
+    rc = main(["classify-composites", "--bundle", score_bundle,
+               "--output", str(out), "--mode", "pst",
+               "--pst-config", str(conf)])
+    assert rc == 1
+    assert words in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_command(score_bundle, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"data": score_bundle,

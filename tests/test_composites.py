@@ -107,11 +107,9 @@ def test_classify_nn_picks_closest():
 
 def test_classify_nn_tie_prefers_lowest_id():
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    pred, _ = classify_nn(X, ["right", "left"], np.zeros(2),
-                          sequence_ids=[5, 2])
+    pred, _ = classify_nn(X[::-1], ["left", "right"], np.zeros(2))
     assert pred == "left"
-    pred, _ = classify_nn(X, ["right", "left"], np.zeros(2),
-                          sequence_ids=[2, 5])
+    pred, _ = classify_nn(X, ["right", "left"], np.zeros(2))
     assert pred == "right"
 
 
@@ -167,6 +165,15 @@ def test_nn_script_excludes_zero_rows():
     # the mute row would win on raw distance but cannot be scored
     assert pred == "ok"
     assert excluded == ("mute",)
+
+
+def test_nn_script_tie_prefers_lowest_row():
+    W = _weights([[1.0, 1.0], [1.0, 1.0]], ["right", "left"], ["a", "b"])
+    X = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    pred, _, _ = nn_script_classify(np.zeros(2), X[::-1], ["left", "right"], W)
+    assert pred == "left"
+    pred, _, _ = nn_script_classify(np.zeros(2), X, ["right", "left"], W)
+    assert pred == "right"
 
 
 def test_nn_script_all_rows_zero_error():
@@ -271,12 +278,6 @@ def test_knn_graph_two_node_weight_oracle():
     assert graph.weights[0, 0] == 0.0
 
 
-def test_knn_graph_squared_variant():
-    X = np.array([[0.0], [4.0]])
-    graph = build_knn_graph(X, k=1, squared=True)
-    assert graph.weights[0, 1] == pytest.approx(math.exp(-0.5 * 2.0 * 16.0))
-
-
 def test_knn_graph_union_symmetrization():
     # middle point is nearest to both ends but its own k = 1 list only
     # holds one of them; union keeps both edges
@@ -294,13 +295,9 @@ def test_knn_graph_k_too_large():
 
 def test_knn_graph_sigma_knn_mode():
     X = np.array([[0.0], [1.0], [3.0]])
-    g1 = build_knn_graph(X, k=2, sigma_mode="nearest")
-    g2 = build_knn_graph(X, k=2, sigma_mode="knn")
-    # nearest: mean of (1, 1, 2); knn: mean of all six neighbour dists
+    g1 = build_knn_graph(X, k=2)
+    # sigma is the mean nearest-neighbour distance, of (1, 1, 2)
     assert g1.sigma == pytest.approx((1 + 1 + 2) / 3)
-    assert g2.sigma == pytest.approx((1 + 3 + 1 + 2 + 2 + 3) / 6)
-    with pytest.raises(ValueError):
-        build_knn_graph(X, k=1, sigma_mode="median")
 
 
 def test_neighbor_graph_validation():
@@ -334,7 +331,7 @@ def test_propagate_matches_closed_form():
         graph = _random_graph(rng, n)
         Y = rng.normal(size=(n, int(rng.integers(1, 4))))
         alpha = float(rng.choice([0.1, 0.5, 0.9]))
-        cfg = PstConfig(alpha=alpha, tol=1e-14)
+        cfg = PstConfig(alpha=alpha)
         W = graph.weights
         deg = W.sum(axis=1)
         dinv = np.where(deg > 0, deg, 1.0) ** -0.5 * (deg > 0)
@@ -357,13 +354,72 @@ def test_propagate_isolated_node_settles():
 
 def test_propagate_vector_seed():
     graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=1.0)
-    cfg = PstConfig(alpha=0.5, tol=1e-14)
+    cfg = PstConfig(alpha=0.5)
     F = propagate(graph, np.array([1.0, 0.0]), cfg)
     assert F.shape == (2,)
     closed = 0.5 * np.linalg.solve(
         np.eye(2) - 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]),
         np.array([1.0, 0.0]))
     assert F == pytest.approx(closed)
+
+
+def _iterated_propagation(graph, Y, alpha, tol=1e-14, max_iters=5000):
+    """The former solver: iterate F <- alpha S F + (1 - alpha) Y until
+    the largest change drops below tol.
+
+    Near alpha = 1 rounding noise can hold the change just above tol.
+    The iterate is then accepted if the contraction bound (the spectral
+    norm of S is at most 1) puts it within 1e-10 of the fixed point.
+    """
+    Y = np.asarray(Y, dtype=float)
+    W = graph.weights
+    deg = W.sum(axis=1)
+    dinv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    S = W * dinv[:, None] * dinv[None, :]
+    F = Y.copy()
+    for _ in range(max_iters):
+        F_new = alpha * (S @ F) + (1.0 - alpha) * Y
+        change = float(np.abs(F_new - F).max())
+        F = F_new
+        if change < tol:
+            break
+    bound = change * math.sqrt(len(W)) * alpha / (1.0 - alpha)
+    assert bound < 1e-10, "oracle did not converge"
+    return F
+
+
+def _with_isolated_node(graph, rng):
+    """The graph plus one node without edges, inserted at a random row."""
+    n = graph.weights.shape[0]
+    keep = np.delete(np.arange(n + 1), int(rng.integers(0, n + 1)))
+    W = np.zeros((n + 1, n + 1))
+    W[np.ix_(keep, keep)] = graph.weights
+    return NeighborGraph(W, graph.sigma)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.99])
+def test_propagate_matches_iterated_oracle(alpha):
+    rng = np.random.default_rng(int(alpha * 100) + 11)
+    cfg = PstConfig(alpha=alpha)
+    for trial in range(40):
+        graph = _random_graph(rng, int(rng.integers(2, 10)))
+        if trial % 2:
+            graph = _with_isolated_node(graph, rng)
+        n = graph.weights.shape[0]
+        Y = rng.normal(size=(n, int(rng.integers(1, 4))))
+        oracle = _iterated_propagation(graph, Y, alpha)
+        F = propagate(graph, Y, cfg)
+        assert F.shape == Y.shape
+        assert np.abs(F - oracle).max() < 1e-9
+        f = propagate(graph, Y[:, 0], cfg)      # a 1-D seed stays 1-D
+        assert f.shape == (n,)
+        assert np.abs(f - oracle[:, 0]).max() < 1e-9
+
+
+def test_propagate_nan_seed_raises():
+    graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=1.0)
+    with pytest.raises(ValueError):
+        propagate(graph, np.array([[1.0], [np.nan]]), PstConfig(alpha=0.5))
 
 
 def test_propagate_size_mismatch():
@@ -412,11 +468,19 @@ def test_pst_config_validation():
 
 
 def test_pst_config_round_trip(tmp_path):
-    cfg = PstConfig(gamma=0.25, delta=0.1, k=3, alpha=0.9, tol=1e-10,
-                    max_iters=500)
+    cfg = PstConfig(gamma=0.25, delta=0.1, k=3, alpha=0.9)
     path = tmp_path / "pst.conf"
     save_pst_config(cfg, path)
     assert load_pst_config(path) == cfg
+
+
+def test_pst_config_loads_iterative_solver_format(tmp_path):
+    # the file the former solver wrote, with its tol and max_iters lines
+    path = tmp_path / "pst.conf"
+    path.write_text("gamma = 0.25\ndelta = 0.1\nk = 3\nalpha = 0.9\n"
+                    "tol = 1e-12\nmax_iters = 100000\n")
+    assert load_pst_config(path) == PstConfig(gamma=0.25, delta=0.1, k=3,
+                                              alpha=0.9)
 
 
 def test_pst_config_file_errors(tmp_path):
@@ -426,6 +490,9 @@ def test_pst_config_file_errors(tmp_path):
         load_pst_config(path)
     path.write_text("flux = 1\n")
     with pytest.raises(ValueError):
+        load_pst_config(path)
+    path.write_text("alpha = 0.5\nk = abc\n")
+    with pytest.raises(ValueError, match=r"bad\.conf:2: "):
         load_pst_config(path)
 
 
