@@ -29,15 +29,13 @@ class TrainConfig:
     lam is the L2 regularization strength, the learning rate at epoch t
     is 1 / (lam * t).  The descent starts from zero and draws no random
     numbers, so the seed only travels with the config and saved models
-    as provenance.  floor is the score assigned to attributes that could
-    not be trained, in z-normalized score units.
+    as provenance.  Scores are always z-normalized, and attributes that
+    could not be trained score DEFAULT_FLOOR.
     """
 
     lam: float = 0.01
     epochs: int = 200
     seed: int = 0
-    znorm: bool = True
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -176,22 +174,19 @@ def train_linear_ova(features, labels, attribute_labels,
     return LinearModelSet(models, attrs, skipped, cfg, X.shape[1])
 
 
-def score_intervals(model_set: LinearModelSet, features,
-                    interval_ids=None) -> ScoreMatrix:
+def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
     """Score intervals with every model; one row per attribute label.
 
-    Scores are z-normalized with the stored training statistics when the
-    training config enabled it.  Rows of skipped attributes are filled
-    with the configured floor value and flagged.
+    Scores are z-normalized with the stored training statistics.  Rows
+    of skipped attributes are filled with DEFAULT_FLOOR and flagged.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model_set.feature_dim:
         raise ValueError("features do not match the trained dimension")
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
-    cfg = model_set.config
     n, T = len(model_set.labels), X.shape[0]
-    values = np.full((n, T), cfg.floor, dtype=float)
+    values = np.full((n, T), DEFAULT_FLOOR, dtype=float)
     floored = []
     for i, a in enumerate(model_set.labels):
         model = model_set.models.get(a)
@@ -199,11 +194,8 @@ def score_intervals(model_set: LinearModelSet, features,
             floored.append(a)
             continue
         s = X @ model.weights + model.bias
-        if cfg.znorm:
-            s = (s - model.score_mean) / model.score_std
-        values[i] = s
-    ids = tuple(interval_ids) if interval_ids is not None else tuple(range(T))
-    return ScoreMatrix(values, model_set.labels, ids, tuple(floored))
+        values[i] = (s - model.score_mean) / model.score_std
+    return ScoreMatrix(values, model_set.labels, floored_rows=tuple(floored))
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +239,17 @@ def _stack_parts(mode):
     return use_base, use_con, use_coocc
 
 
-def _context_block(S, floor):
+def _context_block(S):
     """context_feature of every interval of an (n, T) sequence as (T, n)
     rows: the row maximum, or at the row's argmax the runner-up."""
     n, T = S.shape
     if T <= 1:
-        return np.full((T, n), floor)
+        return np.full((T, n), DEFAULT_FLOOR)
     second, first = np.partition(S, T - 2, axis=1)[:, -2:].T
     return np.where(np.arange(T)[:, None] == S.argmax(axis=1), second, first)
 
 
-def _stacked_design(score_mats, feats, use_base, use_con, use_coocc, floor):
+def _stacked_design(score_mats, feats, use_base, use_con, use_coocc):
     """One design for all attributes: the rows of every interval, laid out
     [base | context | cooccurrence], and the (D + 1, n) 0/1 weight mask
     that removes attribute i's own co-occurrence column from its model."""
@@ -267,8 +259,7 @@ def _stacked_design(score_mats, feats, use_base, use_con, use_coocc, floor):
             raise ValueError("base features do not match the score intervals")
         blocks.append(np.concatenate(feats))
     if use_con:
-        blocks.append(np.concatenate([_context_block(S, floor)
-                                      for S in score_mats]))
+        blocks.append(np.concatenate([_context_block(S) for S in score_mats]))
     if use_coocc:
         blocks.append(np.concatenate([S.T for S in score_mats]))
     X = np.hstack(blocks)
@@ -315,13 +306,13 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
     P = _membership(flat_labels, labels)
     ok = P.any(axis=0) & ~P.all(axis=0)
     floored = tuple(a for a, k in zip(labels, ok) if not k)
-    Xtr, mask = _stacked_design(S_train, train_features, *parts, cfg.floor)
+    Xtr, mask = _stacked_design(S_train, train_features, *parts)
     W, mean, std, _ = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
     del Xtr
-    Xev, _ = _stacked_design(S_eval, eval_features, *parts, cfg.floor)
+    Xev, _ = _stacked_design(S_eval, eval_features, *parts)
     s = Xev @ W[:-1] + W[-1]
-    values = np.full((len(labels), Xev.shape[0]), cfg.floor)
-    values[ok] = ((s - mean) / std if cfg.znorm else s).T
+    values = np.full((len(labels), Xev.shape[0]), DEFAULT_FLOOR)
+    values[ok] = ((s - mean) / std).T
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
     return [ScoreMatrix(V, labels, E.interval_ids, floored)
             for V, E in zip(np.split(values, bounds, axis=1), eval_scores)]
@@ -357,29 +348,6 @@ def load_scores_csv(path) -> ScoreMatrix:
     return ScoreMatrix(np.array(rows), tuple(labels), ids)
 
 
-def save_scores_npz(scores: ScoreMatrix, path, vocab_hash: str = "") -> None:
-    """Binary score matrix with (n, T, vocab hash) header information."""
-    np.savez(path,
-             values=scores.values,
-             labels=np.array(scores.labels, dtype=object),
-             interval_ids=np.array([str(i) for i in scores.interval_ids],
-                                   dtype=object),
-             n=np.array(scores.values.shape[0]),
-             t=np.array(scores.values.shape[1]),
-             vocab_hash=np.array(vocab_hash))
-
-
-def load_scores_npz(path, expect_vocab_hash: str | None = None) -> ScoreMatrix:
-    with np.load(path, allow_pickle=True) as data:
-        stored = str(data["vocab_hash"])
-        if expect_vocab_hash is not None and stored != expect_vocab_hash:
-            raise ValueError(
-                f"{path}: vocabulary hash {stored!r} does not match expected")
-        return ScoreMatrix(data["values"],
-                           tuple(data["labels"].tolist()),
-                           tuple(data["interval_ids"].tolist()))
-
-
 def save_models_npz(model_set: LinearModelSet, path) -> None:
     arrays = {
         "labels": np.array(model_set.labels, dtype=object),
@@ -388,8 +356,6 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
             "lam": model_set.config.lam,
             "epochs": model_set.config.epochs,
             "seed": model_set.config.seed,
-            "znorm": model_set.config.znorm,
-            "floor": model_set.config.floor,
         })),
         "skipped": np.array(json.dumps(list(model_set.skipped))),
     }
@@ -405,6 +371,15 @@ def load_models_npz(path) -> LinearModelSet:
     with np.load(path, allow_pickle=True) as data:
         labels = tuple(data["labels"].tolist())
         cfg_raw = json.loads(str(data["config"]))
+        # older files also record the then-optional score settings; they
+        # load only if they hold the behaviour that is now fixed
+        znorm = cfg_raw.pop("znorm", True)
+        floor = cfg_raw.pop("floor", DEFAULT_FLOOR)
+        if znorm is not True or floor != DEFAULT_FLOOR:
+            raise ValueError(
+                f"{path}: models saved with znorm={znorm!r}, "
+                f"floor={floor!r}; only z-normalized scores with floor "
+                f"{DEFAULT_FLOOR} are supported")
         cfg = TrainConfig(**cfg_raw)
         skipped = tuple(tuple(s) for s in json.loads(str(data["skipped"])))
         models = {}

@@ -182,17 +182,12 @@ def _cmd_classify_composites(args):
 
 
 def _cmd_pose_infer(args):
-    algorithm = args.algorithm
-    if algorithm is None:
-        algorithm = "naive" if args.mode == "marginal" else "distance_transform"
-    elif args.mode == "marginal" and algorithm != "naive":
-        raise ConfigError("marginal mode requires --algorithm naive")
     try:
         graph = default_part_graph(scale=args.scale)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grids = load_grids(args.grids)
-    result = infer(grids, graph, mode=args.mode, algorithm=algorithm)
+    result = infer(grids, graph, mode=args.mode)
     if args.mode == "map":
         save_placements_csv(result.placements, args.output)
         print(f"MAP layout (log score {result.log_score:.4f}) "
@@ -320,16 +315,12 @@ def _build_parser():
     p.set_defaults(func=_cmd_classify_composites)
 
     p = sub.add_parser("pose-infer",
-                       help="infer a part layout from likelihood grids")
+                       help="infer a part layout from likelihood grids "
+                            "with the separable message kernel")
     p.add_argument("--grids", required=True, help="(P, H, W) .npy file")
     p.add_argument("--output", required=True)
-    p.add_argument("--mode", choices=("map", "marginal"), default="map")
-    p.add_argument("--algorithm",
-                   choices=("naive", "distance_transform"),
-                   default=None,
-                   help="MAP message pass: distance_transform (separable "
-                        "kernel, the default) or naive (full pairwise); "
-                        "marginals take only naive")
+    p.add_argument("--mode", choices=("map", "marginal"), default="map",
+                   help="MAP layout (CSV) or per-part posterior maps (NPZ)")
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=_cmd_pose_infer)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attributes import TrainConfig, _fit_ova, _membership
+from .attributes import DEFAULT_FLOOR, TrainConfig, _fit_ova, _membership
 from .corpus import WeightMatrix
 
 
@@ -44,7 +44,7 @@ def classify_svm(train_features, train_composites, test_features,
     Returns (scores (M, Z), composite label tuple, report dict).  The
     label universe defaults to the composites present in training.
     Composites without a positive training sequence are reported and
-    scored at the configured floor; a composite whose rest class is
+    scored at DEFAULT_FLOOR; a composite whose rest class is
     empty (single-composite training) is still trained on its one-class
     data and flagged in the report.
     """
@@ -63,8 +63,8 @@ def classify_svm(train_features, train_composites, test_features,
                   z for z, k in zip(universe, P.all(axis=0) & has_pos) if k]}
     W, mean, std, _ = _fit_ova(X, P[:, has_pos], cfg)
     s = Xt @ W[:-1] + W[-1]
-    scores = np.full((Xt.shape[0], len(universe)), cfg.floor)
-    scores[:, has_pos] = (s - mean) / std if cfg.znorm else s
+    scores = np.full((Xt.shape[0], len(universe)), DEFAULT_FLOOR)
+    scores[:, has_pos] = (s - mean) / std
     return scores, universe, report
 
 

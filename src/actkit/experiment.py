@@ -54,8 +54,8 @@ DEFAULT_PST_GRID = {
     "k": (3, 5, 10),
 }
 
-_DEFAULTS = {"weights": "mined", "match_mode": "literal", "stack": None,
-             "segment_threshold": None, "lam": 0.01, "epochs": 200, "seed": 0}
+_DEFAULTS = {"weights": "mined", "stack": None, "segment_threshold": None,
+             "lam": 0.01, "epochs": 200, "seed": 0}
 _KNOWN_KEYS = {"data", "output", "mode", "pst", "grid", *_DEFAULTS}
 _PST_KEYS = {"alpha", "gamma", "delta", "k"}
 SCORE_FLOOR = -1e30
@@ -107,8 +107,6 @@ def _validate(cfg: dict) -> dict:
     if out["weights"] not in ("mined", "planted"):
         raise ConfigError(f"weights must be 'mined' or 'planted', "
                           f"got {out['weights']!r}")
-    if out["match_mode"] not in ("literal", "synonym"):
-        raise ConfigError(f"unknown match_mode {out['match_mode']!r}")
     if out["stack"] is not None and out["stack"] not in STACK_MODES:
         raise ConfigError(f"unknown stack mode {out['stack']!r}")
     if out["segment_threshold"] is not None:
@@ -147,7 +145,7 @@ def _resolve_weights(bundle, cfg):
     if cfg["weights"] == "planted":
         return bundle.true_weights
     docs = build_documents(bundle.corpus)
-    mined = tfidf_weights(docs, bundle.vocab, mode=cfg["match_mode"])
+    mined = tfidf_weights(docs, bundle.vocab)
     return normalize_l1(mined)
 
 

@@ -16,6 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _ranked_ap(scores, hits, P) -> float:
+    """AP of 0/1 float hits ranked by descending score (stable), over P
+    positives."""
+    hits = hits[np.argsort(-scores, kind="stable")]
+    precision = np.cumsum(hits) / np.arange(1, len(hits) + 1)
+    return float((precision * hits).sum() / P)
+
+
 def average_precision(scores, labels) -> float:
     """AP of a ranked list: (1/P) * sum of precision@k over positive ranks.
 
@@ -29,11 +37,7 @@ def average_precision(scores, labels) -> float:
     P = int((y == 1).sum())
     if P == 0:
         raise ValueError("average precision undefined without positives")
-    order = np.argsort(-s, kind="stable")
-    hits = (y[order] == 1).astype(float)
-    ranks = np.arange(1, len(s) + 1)
-    precision = np.cumsum(hits) / ranks
-    return float((precision * hits).sum() / P)
+    return _ranked_ap(s, (y == 1).astype(float), P)
 
 
 def mean_average_precision(per_label) -> tuple:
@@ -155,14 +159,11 @@ def eval_detection(detections, annotations, criterion="midpoint",
             tp, order = match_detections(vdets, vgts, criterion, iou_threshold)
             flags.extend(tp)
             scores.extend(vdets[i][2] for i in order)
-        P = len(gts)
         if not flags:
             aps[a] = 0.0
             continue
-        order2 = np.argsort(-np.asarray(scores), kind="stable")
-        hits = np.asarray(flags, dtype=float)[order2]
-        precision = np.cumsum(hits) / np.arange(1, len(hits) + 1)
-        aps[a] = float((precision * hits).sum() / P)
+        aps[a] = _ranked_ap(np.asarray(scores, dtype=float),
+                            np.asarray(flags, dtype=float), len(gts))
     if not aps:
         raise ValueError("no attribute had ground-truth intervals")
     return float(np.mean(list(aps.values()))), aps, tuple(excluded)

@@ -11,9 +11,9 @@ with (dx, dy) the expected child-minus-parent offset.  It factorises
 over the two axes, so a message is one separable kernel: a reduction
 over the child's x axis with a (W, W) table, then over its y axis with
 an (H, H) table, O(HW(H+W)) per edge.  MAP layouts are found by
-max-product belief propagation, with messages either from that kernel
-("distance_transform") or by a full broadcast over all location pairs
-("naive").  The two MAP paths are deliberately independent
+max-product belief propagation, with messages from that kernel
+("distance_transform", the default) or by a full broadcast over all
+location pairs ("naive").  The two MAP paths are deliberately independent
 implementations of the same quantity.  Exact per-part posterior
 marginals run sum-product through the same kernel, with logsumexp in
 place of max.
@@ -225,23 +225,22 @@ def _dt_max_message(beta, edge, shape):
 @dataclass
 class InferenceResult:
     mode: str
-    algorithm: str
     placements: dict | None = None      # part -> (x, y)
     log_score: float | None = None
     posteriors: dict | None = None      # part -> (H, W), sums to one
 
 
 def infer(grids, graph: PartGraph, mode: str = "map",
-          algorithm: str = "naive") -> InferenceResult:
+          algorithm: str = "distance_transform") -> InferenceResult:
     """Run tree inference over per-part likelihood grids.
 
     grids: (P, H, W) non-negative unaries ordered like graph.parts.
     mode "map" returns the highest scoring layout and its joint log
     score; mode "marginal" returns per-part posterior location maps.
-    algorithm picks the MAP message pass: "distance_transform" uses the
-    separable kernel, "naive" the full pairwise broadcast.  Marginals
-    always use the separable sum-product kernel and accept only the
-    default "naive" name.
+    algorithm picks the MAP message pass: "distance_transform" (the
+    default) uses the separable kernel, "naive" the full pairwise
+    broadcast, which holds (H*W)^2 floats per edge.  Marginals always
+    use the separable sum-product kernel and accept either name.
     """
     G = np.asarray(grids, dtype=float)
     if G.ndim != 3 or G.shape[0] != len(graph.parts):
@@ -252,8 +251,6 @@ def infer(grids, graph: PartGraph, mode: str = "map",
         raise ValueError(f"unknown inference mode {mode!r}")
     if algorithm not in ("naive", "distance_transform"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if mode == "marginal" and algorithm == "distance_transform":
-        raise ValueError("marginal mode requires the naive algorithm")
     shape = G.shape[1:]
     logphi = {part: _log_unary(G[i]) for i, part in enumerate(graph.parts)}
     order = graph.topo_order()
@@ -295,7 +292,7 @@ def _infer_map(logphi, graph, order, shape, algorithm):
             ystar = int(besty[py, px])
             locs[part] = (ystar, int(bestx[ystar, px]))
     placements = {part: (x, y) for part, (y, x) in locs.items()}
-    return InferenceResult("map", algorithm, placements=placements,
+    return InferenceResult("map", placements=placements,
                            log_score=float(root_beta.flat[flat]))
 
 
@@ -325,7 +322,7 @@ def _infer_marginal(logphi, graph, order, shape):
                     minus += up[other]
             tx, ty = _axis_tables(graph.parent_edge(ch), shape)
             down[ch] = _separable_message(minus, tx.T, ty.T, False)[0]
-    return InferenceResult("marginal", "naive", posteriors=posteriors)
+    return InferenceResult("marginal", posteriors=posteriors)
 
 
 # ---------------------------------------------------------------------------

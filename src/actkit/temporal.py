@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 BASE_WINDOW = 30
 BASE_STEP = 6
@@ -250,15 +247,13 @@ def merge_adjacent(items, similarity, combine, threshold: float) -> list:
 
 
 def segment_agglomerative(table: IntegralHistogram, threshold: float,
-                          span: int = SEGMENT_SPAN, layout=None,
-                          rescore=None) -> list:
+                          span: int = SEGMENT_SPAN, layout=None) -> list:
     """Merge adjacent spans whose histograms agree.
 
     Starts from uniform spans and repeatedly merges the adjacent pair
     with the highest cosine similarity, while that similarity is at or
-    above the threshold (leftmost pair on ties).  With a rescore
-    callback each final segment is scored on its own histogram;
-    without one scores stay zero.
+    above the threshold (leftmost pair on ties).  Segment scores stay
+    zero.
     """
     segs = uniform_intervals(table.num_frames, span)
 
@@ -272,45 +267,7 @@ def segment_agglomerative(table: IntegralHistogram, threshold: float,
             Segment(a[0].start, b[0].end),
             hist(Segment(a[0].start, b[0].end))),
         threshold=threshold)
-    if rescore is not None:
-        return [Segment(s.start, s.end, float(rescore(h))) for s, h in items]
     return [s for s, _ in items]
-
-
-def pool_segment_scores(segment_scores, segment_lengths) -> float:
-    """Length-weighted mean used as the fallback sequence score."""
-    scores = np.asarray(segment_scores, dtype=float)
-    lengths = np.asarray(segment_lengths, dtype=float)
-    if scores.shape != lengths.shape or scores.size == 0:
-        raise ValueError("need matching non-empty score and length arrays")
-    return float((scores * lengths).sum() / lengths.sum())
-
-
-def filter_background(segments, histograms, model, threshold: float = 0.0,
-                      floor: float = -10.0):
-    """Drop segments a background model scores above the threshold.
-
-    model maps a histogram to a scalar background score.  Returns
-    (kept segments, kept histograms, flagged segments).  If everything
-    is flagged the caller still needs a pooled vector, so the first
-    histogram's shape is reused for a floor vector and a warning is
-    logged.
-    """
-    segments = list(segments)
-    histograms = [np.asarray(h, dtype=float) for h in histograms]
-    if len(segments) != len(histograms):
-        raise ValueError("segments and histograms must align")
-    kept, kept_h, flagged = [], [], []
-    for seg, h in zip(segments, histograms):
-        if float(model(h)) > threshold:
-            flagged.append(seg)
-        else:
-            kept.append(seg)
-            kept_h.append(h)
-    if not kept and segments:
-        log.warning("filter_background: every segment flagged as background")
-        kept_h = [np.full_like(histograms[0], floor)]
-    return kept, kept_h, flagged
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from actkit.attributes import (
+    DEFAULT_FLOOR,
     STACK_MODES,
     LinearModel,
     LinearModelSet,
@@ -13,11 +17,9 @@ from actkit.attributes import (
     load_annotations,
     load_models_npz,
     load_scores_csv,
-    load_scores_npz,
     save_annotations,
     save_models_npz,
     save_scores_csv,
-    save_scores_npz,
     score_intervals,
     train_and_score_stacked,
     train_linear_ova,
@@ -84,7 +86,7 @@ def test_score_intervals_fills_floor_for_skipped():
     ms = train_linear_ova(X, labels, ["wash", "ghost"])
     S = score_intervals(ms, X)
     assert S.floored_rows == ("ghost",)
-    assert np.all(S.values[1] == ms.config.floor)
+    assert np.all(S.values[1] == DEFAULT_FLOOR)
 
 
 def test_score_znorm_uses_training_statistics():
@@ -94,19 +96,6 @@ def test_score_znorm_uses_training_statistics():
     # z-normalized training scores have zero mean, unit variance
     assert S.values[0].mean() == pytest.approx(0.0, abs=1e-9)
     assert S.values[0].std() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_score_affine_equivariance_without_znorm():
-    # fixed model with zero bias: scaling features scales raw scores
-    cfg = TrainConfig(znorm=False)
-    model = LinearModel(np.array([2.0, -1.0]), 0.0)
-    ms = LinearModelSet({"a": model}, ("a",), (), cfg, 2)
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(7, 2))
-    for c in (0.5, 3.0):
-        s1 = score_intervals(ms, X).values[0]
-        s2 = score_intervals(ms, c * X).values[0]
-        assert np.allclose(s2, c * s1)
 
 
 def test_score_dimension_mismatch():
@@ -204,7 +193,7 @@ def test_stacked_all_mode_feature_dimension():
     feats = [np.ones((m.values.shape[1], 7)) for m in mats]
     from actkit.attributes import _stacked_design
     X, mask = _stacked_design([m.values for m in mats[:2]], feats[:2],
-                              True, True, True, -10.0)
+                              True, True, True)
     assert X.shape[1] == 7 + 3 + 3
     assert mask.shape == (X.shape[1] + 1, 3)
     assert np.all(mask[:-1].sum(axis=0) == 7 + 3 + 2)
@@ -271,7 +260,7 @@ def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
             for t in range(M.values.shape[1]):
                 parts = [feats[d][t]] if use_base else []
                 if use_con:
-                    parts.append(context_feature(M.values, t, cfg.floor))
+                    parts.append(context_feature(M.values, t, DEFAULT_FLOOR))
                 if use_coocc:
                     parts.append(cooccurrence_feature(M.values[:, t], i))
                 rows.append(np.concatenate(parts))
@@ -279,7 +268,7 @@ def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
 
     flat = [s for seq in labels for s in seq]
     out = np.full((len(train[0].labels),
-                   sum(M.values.shape[1] for M in evals)), cfg.floor)
+                   sum(M.values.shape[1] for M in evals)), DEFAULT_FLOOR)
     floored = []
     for i, a in enumerate(train[0].labels):
         y = np.array([1.0 if a in s else -1.0 for s in flat])
@@ -340,7 +329,7 @@ def test_batched_ova_matches_per_label_reference():
         tr = X @ w + b
         ref = (Xt @ w + b - tr.mean()) / tr.std()
         assert np.max(np.abs(scores[:, z] - ref)) <= 1e-12
-    assert np.all(scores[:, 3] == cfg.floor)
+    assert np.all(scores[:, 3] == DEFAULT_FLOOR)
 
 
 def test_context_block_equals_context_feature_exactly():
@@ -349,9 +338,9 @@ def test_context_block_equals_context_feature_exactly():
     for _ in range(200):
         n, T = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         S = rng.integers(-2, 3, size=(n, T)).astype(float)   # many ties
-        C = _context_block(S, -7.0)
+        C = _context_block(S)
         for t in range(T):
-            assert np.array_equal(C[t], context_feature(S, t, -7.0))
+            assert np.array_equal(C[t], context_feature(S, t))
 
 
 def test_score_matrix_validation():
@@ -374,15 +363,6 @@ def test_scores_csv_round_trip(tmp_path):
     assert np.allclose(loaded.values, S.values, rtol=1e-8)
 
 
-def test_scores_npz_round_trip_and_hash_check(tmp_path):
-    S = ScoreMatrix(np.array([[1.0, 2.0]]), ("a0",))
-    save_scores_npz(S, tmp_path / "s.npz", vocab_hash="abc")
-    loaded = load_scores_npz(tmp_path / "s.npz", expect_vocab_hash="abc")
-    assert np.array_equal(loaded.values, S.values)
-    with pytest.raises(ValueError):
-        load_scores_npz(tmp_path / "s.npz", expect_vocab_hash="other")
-
-
 def test_models_npz_round_trip(tmp_path):
     X, labels = _separable_1d()
     ms = train_linear_ova(X, labels, ["wash", "ghost"])
@@ -395,6 +375,52 @@ def test_models_npz_round_trip(tmp_path):
     S1 = score_intervals(ms, X)
     S2 = score_intervals(loaded, X)
     assert np.allclose(S1.values, S2.values)
+
+
+def _models_npz_with_score_settings(ms, path, znorm, floor):
+    """A model file laid out as earlier versions wrote it: the config
+    also records the then-optional znorm and floor settings."""
+    arrays = {
+        "labels": np.array(ms.labels, dtype=object),
+        "feature_dim": np.array(ms.feature_dim),
+        "config": np.array(json.dumps({
+            "lam": ms.config.lam, "epochs": ms.config.epochs,
+            "seed": ms.config.seed, "znorm": znorm, "floor": floor})),
+        "skipped": np.array(json.dumps(list(ms.skipped))),
+    }
+    for a, m in ms.models.items():
+        idx = ms.labels.index(a)
+        arrays[f"w_{idx}"] = m.weights
+        arrays[f"meta_{idx}"] = np.array(
+            [m.bias, m.score_mean, m.score_std, float(m.constant_scores)])
+    np.savez(path, **arrays)
+
+
+def test_models_npz_earlier_format_scores_identically(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 3))
+    labels = [{a for a in ("a0", "a1") if rng.random() < 0.5}
+              for _ in range(40)]
+    ms = train_linear_ova(X, labels, ["a0", "a1", "ghost"],
+                          TrainConfig(epochs=50, seed=4))
+    path = tmp_path / "old.npz"
+    _models_npz_with_score_settings(ms, path, True, -10.0)
+    loaded = load_models_npz(path)
+    assert loaded.config == ms.config
+    S1, S2 = score_intervals(ms, X), score_intervals(loaded, X)
+    assert np.array_equal(S1.values, S2.values)
+    assert S2.floored_rows == S1.floored_rows == ("ghost",)
+
+
+@pytest.mark.parametrize("znorm, floor", [(False, -10.0), (True, -5.0),
+                                          (False, 0.0)])
+def test_models_npz_other_score_settings_rejected(tmp_path, znorm, floor):
+    X, labels = _separable_1d()
+    path = tmp_path / "old.npz"
+    _models_npz_with_score_settings(train_linear_ova(X, labels, ["wash"]),
+                                    path, znorm, floor)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_models_npz(path)
 
 
 def test_annotations_round_trip(tmp_path):

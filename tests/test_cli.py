@@ -272,6 +272,17 @@ def test_run_unknown_key_exit_1(score_bundle, tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["literal", "synonym"])
+def test_run_match_mode_key_exit_1(score_bundle, tmp_path, capsys, value):
+    cfg = tmp_path / "mm.json"
+    cfg.write_text(json.dumps({"data": score_bundle,
+                               "output": str(tmp_path / "o"),
+                               "mode": "script", "match_mode": value}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "match_mode" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("bad, words", [
     ({"lam": -1}, "lam must be positive"),
     ({"lam": "0.1"}, "lam must be a finite number"),
@@ -323,7 +334,6 @@ def test_pose_infer_marginal(tmp_path):
     rng = np.random.default_rng(4)
     np.save(tmp_path / "g.npy", rng.uniform(0.1, 1.0, size=(10, 5, 5)))
     out = tmp_path / "post.npz"
-    # the algorithm default follows the mode, so this just works
     rc = main(["pose-infer", "--grids", str(tmp_path / "g.npy"),
                "--output", str(out), "--mode", "marginal",
                "--scale", "0.05"])
@@ -332,14 +342,6 @@ def test_pose_infer_marginal(tmp_path):
     assert len(data.files) == 10
     for part in data.files:
         assert data[part].sum() == pytest.approx(1.0)
-
-
-def test_pose_infer_marginal_rejects_explicit_dt(tmp_path):
-    np.save(tmp_path / "g.npy", np.ones((10, 4, 4)))
-    rc = main(["pose-infer", "--grids", str(tmp_path / "g.npy"),
-               "--output", str(tmp_path / "p.npz"), "--mode", "marginal",
-               "--algorithm", "distance_transform"])
-    assert rc == 1
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])

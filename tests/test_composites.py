@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from actkit.attributes import TrainConfig
 from actkit.composites import (NeighborGraph, PstConfig, build_knn_graph,
                                classify_nn, classify_svm, load_pst_config,
                                load_predictions_csv, nn_script_classify,
@@ -86,9 +85,8 @@ def test_classify_svm_single_composite_flagged():
 def test_classify_svm_universe_without_positives_floored():
     X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
     ytr = ["a", "a", "b", "b"]
-    cfg = TrainConfig(floor=-10.0)
     scores, universe, report = classify_svm(
-        X, ytr, X, composites=("a", "b", "ghost"), config=cfg)
+        X, ytr, X, composites=("a", "b", "ghost"))
     assert report["skipped"] == ["ghost"]
     assert np.all(scores[:, universe.index("ghost")] == -10.0)
 

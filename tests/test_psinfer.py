@@ -292,6 +292,26 @@ def test_fractional_offsets_agree():
     assert res_n.placements == res_d.placements
 
 
+def test_default_map_is_distance_transform(monkeypatch):
+    import actkit.psinfer as psinfer
+
+    def no_pairwise_table(*args):
+        raise AssertionError("default MAP built the full pairwise table")
+
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        P = int(rng.integers(1, 6))
+        H, W = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        graph = _random_tree(rng, P)
+        grids = _random_grids(rng, P, H, W, zero_rate=0.2)
+        dt = infer(grids, graph, algorithm="distance_transform")
+        with monkeypatch.context() as m:
+            m.setattr(psinfer, "_naive_max_message", no_pairwise_table)
+            res = infer(grids, graph)
+        assert res.placements == dt.placements
+        assert res.log_score == dt.log_score
+
+
 def test_default_graph_both_algorithms():
     rng = np.random.default_rng(8)
     graph = default_part_graph(scale=0.05)
@@ -378,11 +398,18 @@ def test_marginals_scale_invariant():
                            atol=1e-12)
 
 
-def test_marginal_requires_naive():
-    graph = PartGraph(("a",), ())
-    with pytest.raises(ValueError):
-        infer(np.ones((1, 2, 2)), graph, mode="marginal",
-              algorithm="distance_transform")
+def test_marginals_identical_under_either_algorithm_name():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        P = int(rng.integers(2, 5))
+        graph = _random_tree(rng, P)
+        grids = _random_grids(rng, P, 5, 7, zero_rate=0.2)
+        base = infer(grids, graph, mode="marginal")
+        for algorithm in ("naive", "distance_transform"):
+            res = infer(grids, graph, mode="marginal", algorithm=algorithm)
+            for part in graph.parts:
+                assert np.array_equal(res.posteriors[part],
+                                      base.posteriors[part])
 
 
 def test_infer_validation():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from actkit.temporal import (Detection, IntegralHistogram, Segment,
-                             build_integral, filter_background,
-                             load_detections_csv, load_segments_jsonl, nms,
-                             pool_segment_scores, save_detections_csv,
+                             build_integral, load_detections_csv,
+                             load_segments_jsonl, nms, save_detections_csv,
                              save_segments_jsonl, score_windows,
                              segment_agglomerative, uniform_intervals,
                              window_counts, window_histogram,
@@ -307,43 +306,6 @@ def test_segment_agglomerative_zero_norm_cosine_is_zero():
     # first span is all zero; cosine with anything is 0 < threshold
     segs = segment_agglomerative(table, threshold=0.5, span=3)
     assert len(segs) == 2
-
-
-def test_segment_agglomerative_rescore():
-    counts = np.tile([2.0, 0.0], (6, 1))
-    table = build_integral(counts)
-    segs = segment_agglomerative(table, threshold=0.5, span=3,
-                                 rescore=lambda h: float(h[0]) * 10)
-    assert segs[0].score == pytest.approx(10.0)
-
-
-def test_pool_segment_scores_length_weighted():
-    assert pool_segment_scores([1.0, 3.0], [60, 20]) == \
-        pytest.approx((60 + 60) / 80)
-    with pytest.raises(ValueError):
-        pool_segment_scores([], [])
-
-
-def test_filter_background_drops_flagged():
-    segs = [Segment(0, 59), Segment(60, 119)]
-    hists = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    kept, kept_h, flagged = filter_background(
-        segs, hists, model=lambda h: h[1], threshold=0.5)
-    assert kept == [segs[0]]
-    assert flagged == [segs[1]]
-    assert len(kept_h) == 1
-
-
-def test_filter_background_all_flagged_floor(caplog):
-    segs = [Segment(0, 59)]
-    hists = [np.array([1.0, 1.0])]
-    with caplog.at_level("WARNING"):
-        kept, kept_h, flagged = filter_background(
-            segs, hists, model=lambda h: 5.0, threshold=0.0, floor=-10.0)
-    assert kept == []
-    assert flagged == segs
-    assert np.array_equal(kept_h[0], [-10.0, -10.0])
-    assert any("background" in r.message for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
