@@ -350,7 +350,7 @@ def load_scores_csv(path) -> ScoreMatrix:
 
 def save_models_npz(model_set: LinearModelSet, path) -> None:
     arrays = {
-        "labels": np.array(model_set.labels, dtype=object),
+        "labels": np.array(json.dumps(list(model_set.labels))),
         "feature_dim": np.array(model_set.feature_dim),
         "config": np.array(json.dumps({
             "lam": model_set.config.lam,
@@ -368,19 +368,22 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
 
 
 def load_models_npz(path) -> LinearModelSet:
-    with np.load(path, allow_pickle=True) as data:
-        labels = tuple(data["labels"].tolist())
-        cfg_raw = json.loads(str(data["config"]))
-        # older files also record the then-optional score settings; they
-        # load only if they hold the behaviour that is now fixed
-        znorm = cfg_raw.pop("znorm", True)
-        floor = cfg_raw.pop("floor", DEFAULT_FLOOR)
-        if znorm is not True or floor != DEFAULT_FLOOR:
-            raise ValueError(
-                f"{path}: models saved with znorm={znorm!r}, "
-                f"floor={floor!r}; only z-normalized scores with floor "
-                f"{DEFAULT_FLOOR} are supported")
-        cfg = TrainConfig(**cfg_raw)
+    """Read a model file written by save_models_npz.
+
+    Labels, config and skipped labels are JSON strings and everything
+    else is numeric, so loading needs no pickle.  Older files stored the
+    labels as a pickled object array; they raise ValueError naming the
+    path, and the models must be retrained to rewrite them.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        try:
+            raw_labels = data["labels"]
+        except ValueError:
+            raise ValueError(f"{path}: model file in the older format "
+                             "whose labels need pickle to load; retrain "
+                             "the models to rewrite it") from None
+        labels = tuple(json.loads(str(raw_labels)))
+        cfg = TrainConfig(**json.loads(str(data["config"])))
         skipped = tuple(tuple(s) for s in json.loads(str(data["skipped"])))
         models = {}
         for idx, a in enumerate(labels):

@@ -76,17 +76,8 @@ class AttributeVocab:
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.entries)
 
-    def kind_of(self, label: str) -> str:
-        for lab, kind in self.entries:
-            if lab == label:
-                return kind
-        raise KeyError(label)
-
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def of_kind(self, kind: str) -> tuple:
-        return tuple(label for label, k in self.entries if k == kind)
 
     def content_hash(self) -> str:
         joined = "\n".join(f"{l}\t{k}" for l, k in self.entries)

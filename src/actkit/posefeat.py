@@ -17,7 +17,8 @@ pairs, angle triples and trajectories, not one of them at a time.
 Each sub-feature gets its own k-means codebook with k = 2 x dimension;
 windows of several lengths are quantized separately and the
 per-(length, sub-feature) histograms are concatenated, L1-normalized
-per block.
+per block.  stream_word_counts is the one place that groups descriptors
+by block and quantizes them; encode_bow sums its rows.
 
 Dimension accounting, frozen here and bound by the tests:
 
@@ -131,9 +132,6 @@ class JointTrackSet:
     @property
     def frame_range(self) -> tuple:
         return (self.first_frame, self.first_frame + self.num_frames - 1)
-
-    def part(self, name: str) -> np.ndarray:
-        return self.positions[PARTS.index(name)]
 
 
 # PARTS rows of the distance pairs, angle triples and arm joints
@@ -462,30 +460,23 @@ class BowHistogram:
 
 
 def encode_bow(per_frame_features, codebook_set: CodebookSet) -> BowHistogram:
-    """Quantize per-frame window descriptors and histogram them.
+    """Bag-of-words histogram of per-frame window descriptors.
 
     per_frame_features: iterable over pose frames of {length:
-    [SubFeature, ...]} as produced by pose_frame_features.  Every
-    (length, sub-feature) pair must have a codebook.  An empty input
-    yields the all-zero histogram.
+    [SubFeature, ...]} as produced by pose_frame_features.  The
+    histogram is the column sum of stream_word_counts over these frames,
+    L1-normalized per block, so every (length, sub-feature) pair must
+    have a codebook.  An empty input yields the all-zero histogram.
     """
+    records = list(per_frame_features)
+    counts = stream_word_counts(records, range(len(records)), codebook_set,
+                                len(records)).sum(axis=0)
     layout = codebook_set.block_layout()
     values = np.zeros(codebook_set.dim)
-    samples = {key: [] for key in codebook_set.order}
-    for frame_record in per_frame_features:
-        for length, feats in frame_record.items():
-            for sf in feats:
-                key = (length, sf.name)
-                if key not in samples:
-                    raise ValueError(f"no codebook for block {key!r}")
-                samples[key].append(sf.values)
-    for (length, name, start, stop) in layout:
-        vecs = samples[(length, name)]
-        if not vecs:
-            continue
-        idx = quantize(codebook_set.codebooks[(length, name)], np.array(vecs))
-        counts = np.bincount(idx, minlength=stop - start).astype(float)
-        values[start:stop] = counts / counts.sum()
+    for (_, _, start, stop) in layout:
+        total = counts[start:stop].sum()
+        if total > 0:
+            values[start:stop] = counts[start:stop] / total
     return BowHistogram(values, layout)
 
 

@@ -370,35 +370,62 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
 
 
 def load_bundle(path) -> SyntheticBundle:
-    with open(os.path.join(path, "config.json"), encoding="utf-8") as fh:
+    """Read a bundle written by save_bundle.
+
+    Raises ValueError naming the file (and the sequence) when weights
+    and vocab labels differ, the observation rows are not the vocab size
+    (scores mode) or feature_dim, the sequences do not tile the
+    observation columns, or a sequence's annotations are not its
+    intervals."""
+    def file(name):
+        return os.path.join(path, name)
+
+    with open(file("config.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
     cfg = SyntheticConfig(**raw)
-    vocab = load_vocab(os.path.join(path, "vocab.csv"))
-    weights = normalize_l1(load_weights_csv(os.path.join(path, "weights.csv")))
-    corpus = load_script_corpus(os.path.join(path, "corpus"))
-    with open(os.path.join(path, "sequences.json"), encoding="utf-8") as fh:
+    vocab = load_vocab(file("vocab.csv"))
+    weights = normalize_l1(load_weights_csv(file("weights.csv")))
+    if weights.attributes != vocab.labels:
+        raise ValueError(f"{file('weights.csv')}: attributes differ from "
+                         "the vocab labels")
+    corpus = load_script_corpus(file("corpus"))
+    with open(file("sequences.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
-    obs = np.load(os.path.join(path, "observations.npy"))
-    ann = load_annotations(os.path.join(path, "annotations.jsonl"))
+    obs = np.load(file("observations.npy"))
+    rows = len(vocab) if cfg.mode == "scores" else cfg.feature_dim
+    if obs.ndim != 2 or obs.shape[0] != rows:
+        raise ValueError(f"{file('observations.npy')}: shape {obs.shape}, "
+                         f"expected {rows} rows in {cfg.mode} mode")
+    ann = load_annotations(file("annotations.jsonl"))
     by_video = {}
     for rec in ann:
         by_video.setdefault(rec["video"], []).append(rec)
     sequences = []
+    offset = 0
     for m in meta:
-        T = m["num_intervals"]
-        block = obs[:, m["offset"]:m["offset"] + T]
-        recs = sorted(by_video[m["sequence_id"]],
-                      key=lambda r: r["start_frame"])
-        attrs = tuple(tuple(r["attributes"]) for r in recs)
+        sid, T = m["sequence_id"], m["num_intervals"]
+        if m["offset"] != offset or offset + T > obs.shape[1]:
+            raise ValueError(f"{file('sequences.json')}: sequence {sid!r} "
+                             f"covers columns [{m['offset']}, "
+                             f"{m['offset'] + T}), expected to start at "
+                             f"{offset} within {obs.shape[1]}")
+        block = obs[:, offset:offset + T]
+        offset += T
+        recs = sorted(by_video.get(sid, []), key=lambda r: r["start_frame"])
         intervals = tuple(tuple(iv) for iv in m["intervals"])
-        if cfg.mode == "scores":
-            sequences.append(SequenceData(m["sequence_id"], m["composite"],
-                                          m["split"], intervals, attrs,
-                                          scores=block.copy()))
-        else:
-            sequences.append(SequenceData(m["sequence_id"], m["composite"],
-                                          m["split"], intervals, attrs,
-                                          features=block.T.copy()))
+        if len(recs) != T or tuple((r["start_frame"], r["end_frame"])
+                                   for r in recs) != intervals:
+            raise ValueError(f"{file('annotations.jsonl')}: sequence "
+                             f"{sid!r} has {len(recs)} annotations that do "
+                             f"not match its {T} intervals")
+        attrs = tuple(tuple(r["attributes"]) for r in recs)
+        data = {"scores": block.copy()} if cfg.mode == "scores" \
+            else {"features": block.T.copy()}
+        sequences.append(SequenceData(sid, m["composite"], m["split"],
+                                      intervals, attrs, **data))
+    if offset != obs.shape[1]:
+        raise ValueError(f"{file('observations.npy')}: {obs.shape[1]} "
+                         f"columns, but the sequences cover {offset}")
     composites = weights.composites
     return SyntheticBundle(cfg, vocab, composites, weights, corpus,
                            tuple(sequences))

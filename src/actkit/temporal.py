@@ -110,10 +110,6 @@ class IntegralHistogram:
     def num_frames(self) -> int:
         return self.prefix.shape[0] - 1
 
-    @property
-    def num_bins(self) -> int:
-        return self.prefix.shape[1]
-
 
 def build_integral(counts) -> IntegralHistogram:
     """Cumulative table over per-frame word counts (T, B)."""
@@ -132,32 +128,23 @@ def window_counts(table: IntegralHistogram, start: int, end: int) -> np.ndarray:
     return table.prefix[end + 1] - table.prefix[start]
 
 
-def window_histogram(table: IntegralHistogram, start: int, end: int,
-                     layout=None) -> np.ndarray:
-    """Window counts normalized to unit L1 mass.
-
-    With a block layout (as produced by a codebook set) each block is
-    normalized on its own; otherwise the whole vector is.  Empty blocks
-    stay zero.
-    """
+def window_histogram(table: IntegralHistogram, start: int,
+                     end: int) -> np.ndarray:
+    """Window counts normalized to unit L1 mass; an empty window stays
+    zero.  Per-block normalization of bag-of-words histograms lives in
+    posefeat.encode_bow."""
     raw = window_counts(table, start, end)
-    out = raw.copy()
-    blocks = [(s, e) for _, _, s, e in layout] if layout is not None \
-        else [(0, raw.size)]
-    for s, e in blocks:
-        total = out[s:e].sum()
-        if total > 0:
-            out[s:e] /= total
-    return out
+    total = raw.sum()
+    return raw / total if total > 0 else raw
 
 
 def score_windows(table: IntegralHistogram, scorer, video: str = "",
-                  attribute: str = "", schedule=None, layout=None) -> list:
+                  attribute: str = "", schedule=None) -> list:
     """Slide every schedule level over the stream and score each window.
 
-    scorer maps a histogram vector to a float.  Windows are placed at
-    offsets 0, step, 2*step, ... while offset + size <= T.  Returns
-    Detection records in scan order.
+    scorer maps a window_histogram vector (unit L1 mass) to a float.
+    Windows are placed at offsets 0, step, 2*step, ... while offset +
+    size <= T.  Returns Detection records in scan order.
     """
     sched = schedule if schedule is not None else window_schedule()
     T = table.num_frames
@@ -166,7 +153,7 @@ def score_windows(table: IntegralHistogram, scorer, video: str = "",
         if size > T:
             continue
         for start in range(0, T - size + 1, step):
-            hist = window_histogram(table, start, start + size - 1, layout)
+            hist = window_histogram(table, start, start + size - 1)
             out.append(Detection(video, attribute, start, start + size - 1,
                                  float(scorer(hist))))
     return out
@@ -247,18 +234,18 @@ def merge_adjacent(items, similarity, combine, threshold: float) -> list:
 
 
 def segment_agglomerative(table: IntegralHistogram, threshold: float,
-                          span: int = SEGMENT_SPAN, layout=None) -> list:
+                          span: int = SEGMENT_SPAN) -> list:
     """Merge adjacent spans whose histograms agree.
 
     Starts from uniform spans and repeatedly merges the adjacent pair
-    with the highest cosine similarity, while that similarity is at or
-    above the threshold (leftmost pair on ties).  Segment scores stay
-    zero.
+    whose window_histogram vectors have the highest cosine similarity,
+    while that similarity is at or above the threshold (leftmost pair on
+    ties).  Segment scores stay zero.
     """
     segs = uniform_intervals(table.num_frames, span)
 
     def hist(seg):
-        return window_histogram(table, seg.start, seg.end, layout)
+        return window_histogram(table, seg.start, seg.end)
 
     items = merge_adjacent(
         [(s, hist(s)) for s in segs],

@@ -377,15 +377,16 @@ def test_models_npz_round_trip(tmp_path):
     assert np.allclose(S1.values, S2.values)
 
 
-def _models_npz_with_score_settings(ms, path, znorm, floor):
-    """A model file laid out as earlier versions wrote it: the config
-    also records the then-optional znorm and floor settings."""
+def _models_npz_pickled_labels(ms, path, **settings):
+    """A model file laid out as earlier versions wrote it: labels in an
+    object array, and in still earlier files the config also records the
+    then-optional znorm and floor settings."""
     arrays = {
         "labels": np.array(ms.labels, dtype=object),
         "feature_dim": np.array(ms.feature_dim),
         "config": np.array(json.dumps({
             "lam": ms.config.lam, "epochs": ms.config.epochs,
-            "seed": ms.config.seed, "znorm": znorm, "floor": floor})),
+            "seed": ms.config.seed, **settings})),
         "skipped": np.array(json.dumps(list(ms.skipped))),
     }
     for a, m in ms.models.items():
@@ -396,31 +397,40 @@ def _models_npz_with_score_settings(ms, path, znorm, floor):
     np.savez(path, **arrays)
 
 
-def test_models_npz_earlier_format_scores_identically(tmp_path):
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(40, 3))
-    labels = [{a for a in ("a0", "a1") if rng.random() < 0.5}
-              for _ in range(40)]
-    ms = train_linear_ova(X, labels, ["a0", "a1", "ghost"],
-                          TrainConfig(epochs=50, seed=4))
-    path = tmp_path / "old.npz"
-    _models_npz_with_score_settings(ms, path, True, -10.0)
-    loaded = load_models_npz(path)
-    assert loaded.config == ms.config
-    S1, S2 = score_intervals(ms, X), score_intervals(loaded, X)
-    assert np.array_equal(S1.values, S2.values)
-    assert S2.floored_rows == S1.floored_rows == ("ghost",)
-
-
 @pytest.mark.parametrize("znorm, floor", [(False, -10.0), (True, -5.0),
                                           (False, 0.0)])
 def test_models_npz_other_score_settings_rejected(tmp_path, znorm, floor):
     X, labels = _separable_1d()
     path = tmp_path / "old.npz"
-    _models_npz_with_score_settings(train_linear_ova(X, labels, ["wash"]),
-                                    path, znorm, floor)
+    _models_npz_pickled_labels(train_linear_ova(X, labels, ["wash"]),
+                               path, znorm=znorm, floor=floor)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_models_npz(path)
+
+
+@pytest.mark.parametrize("settings", [{}, {"znorm": True, "floor": -10.0}])
+def test_models_npz_pickled_labels_rejected(tmp_path, settings):
+    X, labels = _separable_1d()
+    path = tmp_path / "old.npz"
+    _models_npz_pickled_labels(train_linear_ova(X, labels, ["wash"]),
+                               path, **settings)
+    with pytest.raises(ValueError, match="retrain") as err:
+        load_models_npz(path)
+    assert str(path) in str(err.value)
+
+
+def test_models_npz_holds_no_pickled_array(tmp_path):
+    X, labels = _separable_1d()
+    ms = train_linear_ova(X, labels, ["wash", "ghost"])
+    save_models_npz(ms, tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz", allow_pickle=False) as data:
+        assert all(data[key].dtype != object for key in data.files)
+        assert json.loads(str(data["labels"])) == ["wash", "ghost"]
+    loaded = load_models_npz(tmp_path / "m.npz")
+    assert loaded.labels == ms.labels
+    assert loaded.config == ms.config
+    assert np.array_equal(score_intervals(loaded, X).values,
+                          score_intervals(ms, X).values)
 
 
 def test_annotations_round_trip(tmp_path):

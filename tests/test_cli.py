@@ -310,6 +310,37 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
 
+def test_run_misaligned_bundle_exit_2(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-synthetic", "--output", str(bundle), "--seed", "3"]) == 0
+    ann = bundle / "annotations.jsonl"
+    lines = ann.read_text().splitlines(keepends=True)
+    sid = json.loads(lines[1])["video"]
+    ann.write_text("".join(lines[:1] + lines[2:]))
+    cfg = tmp_path / "svm.json"
+    cfg.write_text(json.dumps({"data": str(bundle),
+                               "output": str(tmp_path / "o"),
+                               "mode": "svm"}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(ann) in err and repr(sid) in err
+    assert not (tmp_path / "o" / "predictions.csv").exists()
+
+
+def test_models_in_pickled_format_exit_2(feature_bundle, tmp_path, capsys):
+    models = tmp_path / "old.npz"
+    with np.load(_hist_models(tmp_path / "m.npz")) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["labels"] = np.array(json.loads(str(arrays["labels"])),
+                                dtype=object)
+    np.savez(models, **arrays)
+    rc = main(["score", "--bundle", feature_bundle, "--models", str(models),
+               "--output", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(models) in err and "retrain" in err
+
+
 def test_bad_subcommand_usage_exits():
     with pytest.raises(SystemExit):
         main(["classify-composites"])      # missing required flags

@@ -505,24 +505,33 @@ def _per_row_word_counts(frame_features, frames, cbs, num_frames):
     return counts
 
 
-def test_stream_word_counts_match_per_row_quantize():
-    tracks = _oracle_tracks(90, first_frame=0)
-    lengths = (3, 20, 50)
+def _track_records(tracks, lengths=(3, 20, 50)):
+    """bm and fft descriptors at every frame of the track."""
     records = []
     for f in range(tracks.num_frames):
         rec = pose_frame_features(tracks, f, lengths, "bm")
         for L, feats in pose_frame_features(tracks, f, lengths, "fft").items():
             rec.setdefault(L, []).extend(feats)
         records.append(rec)
+    return records
+
+
+def _small_codebooks(records):
+    """Codebooks of 5 centers: every block has far more samples."""
     samples = {}
     for rec in records:
         for L, feats in rec.items():
             for sf in feats:
                 samples.setdefault((L, sf.name), []).append(sf.values)
-    # small codebooks: every block has far more samples than centers
-    cbs = CodebookSet({key: build_codebook(key[1], np.array(v), seed=i, size=5)
-                       for i, (key, v) in enumerate(samples.items())},
-                      tuple(samples))
+    return CodebookSet({key: build_codebook(key[1], np.array(v), seed=i, size=5)
+                        for i, (key, v) in enumerate(samples.items())},
+                       tuple(samples))
+
+
+def test_stream_word_counts_match_per_row_quantize():
+    tracks = _oracle_tracks(90, first_frame=0)
+    records = _track_records(tracks)
+    cbs = _small_codebooks(records)
     # frames visited out of order and one frame listed twice
     frames = list(range(tracks.num_frames))[::-1] + [40]
     records = records[::-1] + [records[40]]
@@ -531,6 +540,74 @@ def test_stream_word_counts_match_per_row_quantize():
     assert np.array_equal(got, want)
     assert got[40].sum() == 2 * sum(len(f) for f in records[-1].values())
     assert np.all(got[tracks.num_frames:] == 0)
+
+
+def _former_encode_bow(per_frame_features, codebook_set):
+    """encode_bow as it was before it summed stream_word_counts: its own
+    grouping by block and one quantize call per block."""
+    layout = codebook_set.block_layout()
+    values = np.zeros(codebook_set.dim)
+    samples = {key: [] for key in codebook_set.order}
+    for frame_record in per_frame_features:
+        for length, feats in frame_record.items():
+            for sf in feats:
+                key = (length, sf.name)
+                if key not in samples:
+                    raise ValueError(f"no codebook for block {key!r}")
+                samples[key].append(sf.values)
+    for (length, name, start, stop) in layout:
+        vecs = samples[(length, name)]
+        if not vecs:
+            continue
+        idx = quantize(codebook_set.codebooks[(length, name)], np.array(vecs))
+        counts = np.bincount(idx, minlength=stop - start).astype(float)
+        values[start:stop] = counts / counts.sum()
+    return BowHistogram(values, layout)
+
+
+def test_encode_bow_matches_former_per_block_code():
+    tracks = _oracle_tracks(90, first_frame=0)
+    records = _track_records(tracks)
+    cbs = _small_codebooks(records)
+    # a block that no record reaches, placed between the others
+    ghost = (7, "velocity-hist")
+    rng = np.random.default_rng(14)
+    books = dict(cbs.codebooks)
+    books[ghost] = Codebook(ghost[1], rng.normal(size=(4, 80)), 0)
+    cbs = CodebookSet(books, cbs.order[:3] + (ghost,) + cbs.order[3:])
+    chunks = [
+        records,
+        records[::-1],                            # frames out of order
+        records[10:40] + [records[25]],           # one frame given twice
+        [records[5], records[3], records[5]],     # only length-3 windows
+        records[60:61],
+    ]
+    for chunk in chunks:
+        got = encode_bow(chunk, cbs)
+        want = _former_encode_bow(chunk, cbs)
+        assert got.layout == want.layout
+        assert np.array_equal(got.values, want.values)
+        assert not got.block(*ghost).any()
+        assert np.array_equal(encode_bow(iter(chunk), cbs).values,
+                              want.values)
+    short = encode_bow(chunks[3], cbs)
+    assert not short.block(20, "velocity-hist").any()
+    assert short.block(3, "velocity-hist").sum() == 1.0
+
+
+def test_encode_bow_counts_through_module_attributes(monkeypatch):
+    import actkit.posefeat as pf
+    calls = []
+    swc, q = pf.stream_word_counts, pf.quantize
+    monkeypatch.setattr(pf, "stream_word_counts",
+                        lambda *a, **k: calls.append("counts") or swc(*a, **k))
+    monkeypatch.setattr(pf, "quantize",
+                        lambda *a, **k: calls.append("quantize") or q(*a, **k))
+    frames = [{20: [SubFeature("toy", np.array([0.2]))],
+               50: [SubFeature("toy", np.array([4.9]))]},
+              {20: [SubFeature("toy", np.array([9.7]))]}]
+    pf.encode_bow(frames, _toy_codebook_set())
+    assert calls == ["counts", "quantize", "quantize"]
 
 
 def test_stream_word_counts_missing_codebook_matches_encode_bow():

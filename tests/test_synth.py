@@ -1,3 +1,7 @@
+import json
+import re
+import shutil
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -206,6 +210,102 @@ def test_bundle_round_trip(tmp_path):
                 assert np.array_equal(sa.scores, sb.scores)
             else:
                 assert np.array_equal(sa.features, sb.features)
+
+
+@pytest.fixture(scope="module")
+def saved_bundles(tmp_path_factory):
+    out = {}
+    for mode in ("scores", "features"):
+        path = tmp_path_factory.mktemp("bundles") / mode
+        save_bundle(gen_synthetic(SyntheticConfig(seed=3, mode=mode,
+                                                  feature_dim=8)), path)
+        out[mode] = path
+    return out
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+def _edit_sequences(path, edit=None):
+    meta = json.loads((path / "sequences.json").read_text())
+    if edit is not None:
+        edit(meta)
+        (path / "sequences.json").write_text(json.dumps(meta))
+    return meta
+
+
+def _drop_annotation(path):
+    _edit_lines(path / "annotations.jsonl", lambda ls: ls[:1] + ls[2:])
+    return "annotations.jsonl", json.loads(
+        (path / "annotations.jsonl").read_text().splitlines()[0])["video"]
+
+
+def _drop_sequence_annotations(path):
+    sid = _edit_sequences(path)[4]["sequence_id"]
+    _edit_lines(path / "annotations.jsonl",
+                lambda ls: [ln for ln in ls
+                            if json.loads(ln)["video"] != sid])
+    return "annotations.jsonl", sid
+
+
+def _shift_annotation_frame(path):
+    def edit(lines):
+        rec = json.loads(lines[3])
+        rec["end_frame"] += 1
+        lines[3] = json.dumps(rec) + "\n"
+        return lines
+    _edit_lines(path / "annotations.jsonl", edit)
+    return "annotations.jsonl", json.loads(
+        (path / "annotations.jsonl").read_text().splitlines()[3])["video"]
+
+
+def _shift_offset(path):
+    meta = _edit_sequences(path,
+                           lambda m: m[2].update(offset=m[2]["offset"] + 1))
+    return "sequences.json", meta[2]["sequence_id"]
+
+
+def _overrun_columns(path):
+    def edit(meta):
+        meta[-1]["num_intervals"] += 1
+        meta[-1]["intervals"].append([0, 59])
+    meta = _edit_sequences(path, edit)
+    return "sequences.json", meta[-1]["sequence_id"]
+
+
+def _extra_column(path):
+    obs = np.load(path / "observations.npy")
+    np.save(path / "observations.npy", np.hstack([obs, obs[:, :1]]))
+    return "observations.npy", None
+
+
+def _drop_row(path):
+    obs = np.load(path / "observations.npy")
+    np.save(path / "observations.npy", obs[:-1])
+    return "observations.npy", None
+
+
+def _swap_vocab(path):
+    _edit_lines(path / "vocab.csv", lambda ls: [ls[1], ls[0]] + ls[2:])
+    return "weights.csv", None
+
+
+@pytest.mark.parametrize("mode", ["scores", "features"])
+@pytest.mark.parametrize("corrupt", [
+    _drop_annotation, _drop_sequence_annotations, _shift_annotation_frame,
+    _shift_offset, _overrun_columns, _extra_column, _drop_row, _swap_vocab])
+def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
+                                              corrupt):
+    path = tmp_path / "bundle"
+    shutil.copytree(saved_bundles[mode], path)
+    load_bundle(path)
+    name, sid = corrupt(path)
+    with pytest.raises(ValueError, match=re.escape(str(path / name))) as err:
+        load_bundle(path)
+    if sid is not None:
+        assert repr(sid) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

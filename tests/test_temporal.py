@@ -78,12 +78,22 @@ def test_window_histogram_unit_mass():
     assert hist == pytest.approx([0.25, 0.5, 0.25])
 
 
-def test_window_histogram_blockwise():
-    counts = np.array([[2.0, 2.0, 0.0, 3.0]])
+def test_window_histogram_is_plain_l1_of_counts():
+    rng = np.random.default_rng(12)
+    counts = rng.integers(0, 3, size=(24, 5)).astype(float)
+    counts[8:12] = 0                    # windows inside are all-zero
     table = build_integral(counts)
-    layout = (("a", "x", 0, 2), ("b", "y", 2, 4))
-    hist = window_histogram(table, 0, 0, layout)
-    assert hist == pytest.approx([0.5, 0.5, 0.0, 1.0])
+    zero_windows = 0
+    for start in range(24):
+        for end in range(start, 24):
+            c = counts[start:end + 1].sum(axis=0)
+            got = window_histogram(table, start, end)
+            if c.sum() == 0:
+                zero_windows += 1
+                assert np.array_equal(got, np.zeros(5))
+            else:
+                assert np.array_equal(got, c / c.sum())
+    assert zero_windows == 10
 
 
 def test_window_histogram_empty_stays_zero():
