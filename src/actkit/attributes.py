@@ -415,13 +415,24 @@ def save_annotations(records, path) -> None:
 
 
 def load_annotations(path) -> list:
+    """Read annotation JSON lines; blank lines are skipped.
+
+    Every error (a line that is not JSON, not an object, lacks a field
+    or ends before it starts) is a ValueError prefixed with path:line.
+    """
     required = {"video", "start_frame", "end_frame", "attributes", "composite"}
     records = []
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{ln}: expected a JSON object, "
+                                 f"got {type(rec).__name__}")
             missing = required - rec.keys()
             if missing:
                 raise ValueError(f"{path}:{ln}: missing fields {sorted(missing)}")

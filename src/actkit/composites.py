@@ -303,14 +303,32 @@ def propagate(graph: NeighborGraph, init, cfg: PstConfig) -> np.ndarray:
     return F
 
 
+def pst_grid_scores(script_score_table, labels, pooled_features, configs,
+                    zero_shot: bool = False):
+    """Propagated score tables for a sequence of configs.
+
+    Yields (cfg, F) in input order, F being the (Z, D) table that
+    pst_scores gives for cfg.  The kNN graph over the pooled features
+    is built once per distinct cfg.k and reused by every config that
+    shares it; each config still gets its own seed matrix and solve.
+    """
+    graphs = {}
+    for cfg in configs:
+        Y = pst_init(script_score_table, labels, cfg, zero_shot=zero_shot)
+        if cfg.k not in graphs:
+            graphs[cfg.k] = build_knn_graph(pooled_features, cfg.k)
+        yield cfg, propagate(graphs[cfg.k], Y.T, cfg).T
+
+
 def pst_scores(script_score_table, labels, pooled_features,
                cfg: PstConfig, zero_shot: bool = False) -> np.ndarray:
     """Full propagation pipeline: seed from script scores, build the
     graph over pooled features, propagate.  Returns a (Z, D) score
-    table aligned with the input."""
-    Y = pst_init(script_score_table, labels, cfg, zero_shot=zero_shot)
-    graph = build_knn_graph(pooled_features, cfg.k)
-    return propagate(graph, Y.T, cfg).T
+    table aligned with the input; the one-config case of
+    pst_grid_scores."""
+    [(_, F)] = pst_grid_scores(script_score_table, labels, pooled_features,
+                               [cfg], zero_shot=zero_shot)
+    return F
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,10 @@ def match_count(label, tokens, lexicon=None, mode="literal", kind=None) -> int:
     object -> noun) are counted too, longest pattern first, with every
     token position consumed at most once.  A label absent from the
     lexicon degrades to literal matching.
+
+    Only positions holding some pattern's first token can start a
+    match, so they are found with list.index and walked in order; the
+    count equals that of trying every pattern at every position.
     """
     if mode not in ("literal", "synonym"):
         raise ValueError(f"unknown match mode {mode!r}")
@@ -194,17 +198,30 @@ def match_count(label, tokens, lexicon=None, mode="literal", kind=None) -> int:
                     patterns.append(toks)
     # longest first so multi-word synonyms are preferred over their prefixes
     patterns.sort(key=lambda p: (-len(p), p))
-    toks = list(tokens)
+    by_first = {}
+    for pat in patterns:
+        by_first.setdefault(pat[0], []).append(list(pat))
+    toks = tokens if isinstance(tokens, list) else list(tokens)
+    starts = []
+    for first in by_first:
+        i = -1
+        try:
+            while True:
+                i = toks.index(first, i + 1)
+                starts.append(i)
+        except ValueError:
+            pass
+    starts.sort()
     count = 0
-    i = 0
-    while i < len(toks):
-        for pat in patterns:
-            if tuple(toks[i : i + len(pat)]) == pat:
+    cursor = 0
+    for i in starts:
+        if i < cursor:
+            continue
+        for pat in by_first[toks[i]]:
+            if toks[i : i + len(pat)] == pat:
                 count += 1
-                i += len(pat)
+                cursor = i + len(pat)
                 break
-        else:
-            i += 1
     return count
 
 

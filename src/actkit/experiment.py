@@ -30,7 +30,7 @@ from .attributes import (ScoreMatrix, TrainConfig, save_models_npz,
                          train_linear_ova)
 from .attributes import STACK_MODES, _stack_parts
 from .composites import (PstConfig, classify_nn, classify_svm,
-                         nn_script_classify, pst_scores,
+                         nn_script_classify, pst_grid_scores, pst_scores,
                          save_predictions_csv, save_pst_config, script_score,
                          seq_feature)
 from .corpus import (build_documents, normalize_l1, save_weights_csv,
@@ -238,6 +238,7 @@ def _classify_pst(bundle, cfg, weights, pooled, out_dir, zero_shot):
     if fixed is not None:
         best = PstConfig(**{k: (int(v) if k == "k" else float(v))
                             for k, v in fixed.items()})
+        F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
     else:
         val_idx = [d for d, s in enumerate(bundle.sequences)
                    if s.split == "val"]
@@ -245,23 +246,21 @@ def _classify_pst(bundle, cfg, weights, pooled, out_dir, zero_shot):
             raise ConfigError("propagation grid search needs a validation "
                               "split; give fixed 'pst' parameters instead")
         val_truth = [bundle.sequences[d].composite for d in val_idx]
-        best, best_acc = None, -1.0
-        for pcfg in _pst_grid(cfg, zero_shot):
-            if pcfg.k >= len(order):
-                continue
-            F = pst_scores(S, labels, G, pcfg, zero_shot=zero_shot)
-            preds = [comps[int(np.argmax(F[:, d]))] for d in val_idx]
-            acc = accuracy(preds, val_truth)
-            if acc > best_acc:
-                best, best_acc = pcfg, acc
-        if best is None:
+        feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(order)]
+        if not feasible:
             raise ConfigError("no feasible grid point: every k was at least "
                               "the number of sequences")
+        best_acc = -1.0
+        for pcfg, Fp in pst_grid_scores(S, labels, G, feasible,
+                                        zero_shot=zero_shot):
+            preds = [comps[int(np.argmax(Fp[:, d]))] for d in val_idx]
+            acc = accuracy(preds, val_truth)
+            if acc > best_acc:
+                best, best_acc, F = pcfg, acc, Fp
         extra["val_accuracy"] = best_acc
     extra.update({"alpha": best.alpha, "gamma": best.gamma,
                   "delta": best.delta, "k": best.k})
     save_pst_config(best, os.path.join(out_dir, "pst.conf"))
-    F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
     test_idx = [d for d, s in enumerate(bundle.sequences)
                 if s.split == "test"]
     scores = F[:, test_idx].T                       # (M_test, Z)

@@ -375,8 +375,8 @@ def load_bundle(path) -> SyntheticBundle:
     Raises ValueError naming the file (and the sequence) when weights
     and vocab labels differ, the observation rows are not the vocab size
     (scores mode) or feature_dim, the sequences do not tile the
-    observation columns, or a sequence's annotations are not its
-    intervals."""
+    observation columns, a sequence's annotations are not its
+    intervals, or an annotation names a video that is not a sequence."""
     def file(name):
         return os.path.join(path, name)
 
@@ -423,6 +423,11 @@ def load_bundle(path) -> SyntheticBundle:
             else {"features": block.T.copy()}
         sequences.append(SequenceData(sid, m["composite"], m["split"],
                                       intervals, attrs, **data))
+    known = {m["sequence_id"] for m in meta}
+    unknown = [video for video in by_video if video not in known]
+    if unknown:
+        raise ValueError(f"{file('annotations.jsonl')}: video "
+                         f"{unknown[0]!r} is not in sequences.json")
     if offset != obs.shape[1]:
         raise ValueError(f"{file('observations.npy')}: {obs.shape[1]} "
                          f"columns, but the sequences cover {offset}")

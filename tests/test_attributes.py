@@ -455,3 +455,20 @@ def test_annotations_validation(tmp_path):
         '"attributes": [], "composite": "c"}\n')
     with pytest.raises(ValueError):
         load_annotations(tmp_path / "bad2.jsonl")
+
+
+_GOOD_LINE = ('{"video": "v", "start_frame": 0, "end_frame": 1, '
+              '"attributes": [], "composite": "c"}\n')
+
+
+@pytest.mark.parametrize("line, words", [
+    ("not json", "Expecting value"),
+    ("[1]", "expected a JSON object, got list"),
+    ('"v"', "expected a JSON object, got str"),
+])
+def test_annotations_bad_line_names_file_and_line(tmp_path, line, words):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(_GOOD_LINE + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")) as err:
+        load_annotations(path)
+    assert words in str(err.value)

@@ -327,6 +327,30 @@ def test_run_misaligned_bundle_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "predictions.csv").exists()
 
 
+def _ghost(first):
+    return json.dumps({**json.loads(first), "video": "ghost"})
+
+
+@pytest.mark.parametrize("line, where", [
+    (lambda first: "not json", "{ann}:{ln}: "),
+    (lambda first: "[1]", "{ann}:{ln}: "),
+    (_ghost, "{ann}: video 'ghost'"),
+])
+def test_run_bad_annotation_line_exit_2(tmp_path, capsys, line, where):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-synthetic", "--output", str(bundle), "--seed", "3"]) == 0
+    ann = bundle / "annotations.jsonl"
+    lines = ann.read_text().splitlines()
+    ann.write_text("\n".join(lines + [line(lines[0])]) + "\n")
+    cfg = tmp_path / "svm.json"
+    cfg.write_text(json.dumps({"data": str(bundle),
+                               "output": str(tmp_path / "o"),
+                               "mode": "svm"}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert where.format(ann=ann, ln=len(lines) + 1) in \
+        capsys.readouterr().err
+
+
 def test_models_in_pickled_format_exit_2(feature_bundle, tmp_path, capsys):
     models = tmp_path / "old.npz"
     with np.load(_hist_models(tmp_path / "m.npz")) as data:

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from actkit import composites
 from actkit.composites import (NeighborGraph, PstConfig, build_knn_graph,
                                classify_nn, classify_svm, load_pst_config,
                                load_predictions_csv, nn_script_classify,
-                               propagate, pst_init, pst_scores,
-                               save_pst_config, save_predictions_csv,
-                               script_score, seq_feature)
+                               propagate, pst_grid_scores, pst_init,
+                               pst_scores, save_pst_config,
+                               save_predictions_csv, script_score,
+                               seq_feature)
 from actkit.corpus import WeightMatrix, binarize_weights, normalize_l1
 
 
@@ -446,6 +449,41 @@ def test_pst_scores_shape():
     out = pst_scores(S, labels, G, PstConfig(k=3))
     assert out.shape == (4, 9)
     assert np.isfinite(out).all()
+
+
+def _pst_problem(seed):
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(size=(4, 12))
+    labels = np.full((4, 12), -1)
+    labels[:, :4] = 0
+    labels[np.arange(4), np.arange(4)] = 1
+    return S, labels, rng.normal(size=(12, 5))
+
+
+def test_pst_scores_is_one_config_of_the_grid():
+    S, labels, G = _pst_problem(11)
+    cfg = PstConfig(alpha=0.9, gamma=0.25, delta=0.5, k=4)
+    [(got_cfg, F)] = pst_grid_scores(S, labels, G, [cfg])
+    assert got_cfg is cfg
+    assert np.array_equal(F, pst_scores(S, labels, G, cfg))
+
+
+@pytest.mark.parametrize("zero_shot", [False, True])
+def test_pst_grid_scores_match_pst_scores_per_config(monkeypatch, zero_shot):
+    S, labels, G = _pst_problem(12)
+    grid = [PstConfig(alpha=a, gamma=g, delta=d, k=k)
+            for a, g, d, k in itertools.product(
+                (0.0, 0.5, 0.99), (0.25, 1.0), (0.1, 1.0), (1, 3, 7))]
+    builds = []
+    build = composites.build_knn_graph
+    monkeypatch.setattr(composites, "build_knn_graph",
+                        lambda X, k: builds.append(k) or build(X, k))
+    out = list(pst_grid_scores(S, labels, G, grid, zero_shot=zero_shot))
+    assert builds == [1, 3, 7]
+    assert [cfg for cfg, _ in out] == grid
+    for cfg, F in out:
+        assert np.array_equal(
+            F, pst_scores(S, labels, G, cfg, zero_shot=zero_shot))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,81 @@ def test_match_count_literal_at_most_synonym():
             assert lit <= syn
 
 
+def _scan_match_count(label, tokens, lexicon=None, mode="literal",
+                      kind=None):
+    """Oracle: try every pattern, longest first, at every position."""
+    patterns = [tuple(corpus.normalize_label(label).split())]
+    if mode == "synonym" and lexicon is not None:
+        pos = {"activity": "verb", "object": "noun"}.get(kind)
+        if pos is not None:
+            for syn in lexicon.synonyms(label, pos):
+                toks = tuple(corpus.normalize_label(syn).split())
+                if toks and toks not in patterns:
+                    patterns.append(toks)
+    patterns.sort(key=lambda p: (-len(p), p))
+    toks = list(tokens)
+    count = 0
+    i = 0
+    while i < len(toks):
+        for pat in patterns:
+            if tuple(toks[i : i + len(pat)]) == pat:
+                count += 1
+                i += len(pat)
+                break
+        else:
+            i += 1
+    return count
+
+
+# synonyms that overlap each other ("cut up" / "up the"), are prefixes of
+# one another ("cut" / "cut up" / "cut up the"), share a first token with
+# the label ("cut board" / "cut"), or equal the label
+_ORACLE_LEXICON = SynonymLexicon({
+    ("cut", "verb"): ("cut up", "cut up the", "up the", "slice", "cut"),
+    ("cut board", "noun"): ("cut", "board", "cutting board", "board cut"),
+    ("the board", "noun"): ("board the", "the", "board"),
+    ("board", "verb"): ("pan",),
+})
+_ORACLE_LABELS = [("cut", "activity"), ("cut board", "object"),
+                  ("the board", "object"), ("board", "activity"),
+                  ("cut up the", "activity"), ("slice", "object"),
+                  ("up", "activity")]
+
+
+@pytest.mark.parametrize("mode", ["literal", "synonym"])
+def test_match_count_equals_scan_oracle(mode):
+    rng = random.Random(5)
+    alphabet = ["cut", "up", "the", "board", "slice", "cutting", "pan", "x"]
+    docs = [[], ["cut"], ["cut", "up", "the"], ["the", "board", "the"]]
+    docs += [[rng.choice(alphabet) for _ in range(rng.randrange(0, 40))]
+             for _ in range(300)]
+    for toks in docs:
+        for label, kind in _ORACLE_LABELS:
+            want = _scan_match_count(label, toks, _ORACLE_LEXICON, mode, kind)
+            assert match_count(label, toks, _ORACLE_LEXICON, mode,
+                               kind) == want, (label, mode, toks)
+            assert match_count(label, iter(toks), _ORACLE_LEXICON, mode,
+                               kind) == want
+
+
+def test_match_count_scan_oracle_edge_cases():
+    lex = _ORACLE_LEXICON
+    cases = [
+        ("cut", ["x", "cut", "up"], 1),            # match at the very end
+        ("cut", ["cut", "up", "the", "up", "the"], 2),
+        ("cut", ["up", "cut", "up", "the"], 1),
+        ("cut board", ["cutting", "board", "cut"], 2),
+        ("the board", ["board", "the", "board"], 2),
+        ("the board", [], 0),
+    ]
+    for label, toks, want in cases:
+        kind = dict(_ORACLE_LABELS)[label]
+        assert _scan_match_count(label, toks, lex, "synonym", kind) == want
+        assert match_count(label, toks, lex, "synonym", kind) == want
+        assert match_count(label, (t for t in toks), lex, "synonym",
+                           kind) == want
+
+
 def _toy_documents():
     # three composites; "board" appears in two documents
     corpus_obj = ScriptCorpus({

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from actkit import composites, corpus
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
 from actkit.composites import load_predictions_csv
 from actkit.metrics import load_report
-from actkit.synth import SyntheticConfig, gen_synthetic, save_bundle
+from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
+    save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,41 @@ def test_pst_zero_shot_alpha_zero_matches_script(score_bundle, tmp_path):
     assert [(r[0], r[1]) for r in rows_s] == [(r[0], r[1]) for r in rows_z]
     for a, b in zip(rows_s, rows_z):
         assert a[2] == pytest.approx(b[2], abs=1e-9)
+
+
+def test_zero_shot_grid_counts_match_the_benchmark_counters(
+        score_bundle, tmp_path, monkeypatch):
+    # the traced benchmark counts these calls by module attribute
+    # (corpus.match_calls, composites.graph_builds)
+    calls = {"match": 0, "knn": []}
+    match, knn = corpus.match_count, composites.build_knn_graph
+
+    def counting_match(*args, **kwargs):
+        calls["match"] += 1
+        return match(*args, **kwargs)
+
+    def counting_knn(*args, **kwargs):
+        calls["knn"].append(args[1])
+        return knn(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "match_count", counting_match)
+    monkeypatch.setattr(composites, "build_knn_graph", counting_knn)
+    bundle = load_bundle(score_bundle)
+    out = tmp_path / "grid"
+    report = run_experiment(_cfg(score_bundle, out, "pst-zero-shot",
+                                 grid={"alpha": [0.5, 0.9],
+                                       "delta": [0.25, 1.0],
+                                       "k": [5, 3, len(bundle.sequences)]}))
+    assert calls["match"] == len(bundle.corpus.scenarios) * len(bundle.vocab)
+    assert sorted(calls["knn"]) == [3, 5]
+    # the grid's best table is the one a fixed run of that point gives
+    fixed = {key: report.extra[key]
+             for key in ("alpha", "gamma", "delta", "k")}
+    run_experiment(_cfg(score_bundle, tmp_path / "fixed", "pst-zero-shot",
+                        pst=fixed))
+    for name in ("predictions.csv", "pst.conf"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "fixed" / name).read_bytes()
 
 
 def test_planted_weights_are_exact_when_noiseless(tmp_path):

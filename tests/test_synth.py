@@ -261,6 +261,15 @@ def _shift_annotation_frame(path):
         (path / "annotations.jsonl").read_text().splitlines()[3])["video"]
 
 
+def _ghost_annotation(path):
+    def edit(lines):
+        rec = json.loads(lines[0])
+        rec["video"] = "ghost"
+        return lines + [json.dumps(rec) + "\n"]
+    _edit_lines(path / "annotations.jsonl", edit)
+    return "annotations.jsonl", "ghost"
+
+
 def _shift_offset(path):
     meta = _edit_sequences(path,
                            lambda m: m[2].update(offset=m[2]["offset"] + 1))
@@ -295,7 +304,8 @@ def _swap_vocab(path):
 @pytest.mark.parametrize("mode", ["scores", "features"])
 @pytest.mark.parametrize("corrupt", [
     _drop_annotation, _drop_sequence_annotations, _shift_annotation_frame,
-    _shift_offset, _overrun_columns, _extra_column, _drop_row, _swap_vocab])
+    _ghost_annotation, _shift_offset, _overrun_columns, _extra_column,
+    _drop_row, _swap_vocab])
 def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
                                               corrupt):
     path = tmp_path / "bundle"
