@@ -217,16 +217,6 @@ def context_feature(scores, t: int, floor: float = DEFAULT_FLOOR) -> np.ndarray:
     return rest.max(axis=1)
 
 
-def cooccurrence_feature(score_vector, i: int) -> np.ndarray:
-    """The interval's score vector with entry i removed."""
-    s = np.asarray(score_vector, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("expected a single score vector")
-    if not 0 <= i < s.shape[0]:
-        raise IndexError(f"attribute index {i} out of range")
-    return np.delete(s, i)
-
-
 STACK_MODES = ("context", "cooccurrence", "base+context", "base+cooccurrence", "all")
 
 

@@ -8,6 +8,7 @@ codes: 0 on success, 1 for configuration problems, 2 for anything else.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -153,6 +154,9 @@ def _cmd_detect(args):
 
 
 def _cmd_segment(args):
+    if not math.isfinite(args.threshold) or args.span < 1:
+        raise ConfigError(f"--threshold must be finite and --span positive, "
+                          f"got {args.threshold!r} and {args.span}")
     counts = np.load(args.counts)
     table = build_integral(counts)
     segs = segment_agglomerative(table, args.threshold, span=args.span)

@@ -14,6 +14,9 @@ attribute scores.  On those pooled vectors the module offers:
   (normalized graph Laplacian smoothing with a retention parameter
   alpha).  The diffusion's fixed point is solved for directly, after
   Zhou et al., Learning with Local and Global Consistency (NIPS 2004).
+
+The SVM and both nearest-neighbour classifiers return (M, Z) score
+tables for a whole test split.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from scipy.spatial.distance import cdist
 
 from .attributes import DEFAULT_FLOOR, TrainConfig, _fit_ova, _membership
 from .corpus import WeightMatrix
+
+# Score of a composite that no training sequence can be compared with.
+SCORE_FLOOR = -1e30
 
 
 def seq_feature(scores) -> np.ndarray:
@@ -68,18 +74,42 @@ def classify_svm(train_features, train_composites, test_features,
     return scores, universe, report
 
 
-def classify_nn(train_features, train_composites, test_feature):
+def _nearest_tables(train_features, train_composites, test_features,
+                    composites, distances):
+    """(scores (M, Z), preds) of a nearest-neighbour rule.  distances(X, g)
+    gives the (N,) distances from test row g to the training rows X, inf
+    where a training row cannot be compared."""
+    X = np.asarray(train_features, dtype=float)
+    G = np.asarray(test_features, dtype=float)
+    if X.ndim != 2 or not 0 < len(X) == len(train_composites) \
+            or G.ndim != 2 or G.shape[1] != X.shape[1]:
+        raise ValueError("need (N, n) training features for N > 0 "
+                         "composite labels and (M, n) test features")
+    dist = np.empty((len(G), len(X)))
+    for m, g in enumerate(G):
+        dist[m] = distances(X, g)
+    rows = np.asarray(train_composites)
+    scores = np.full((len(G), len(composites)), SCORE_FLOOR)
+    for z, c in enumerate(composites):
+        own = rows == c
+        if own.any():
+            nearest = dist[:, own].min(axis=1)
+            scores[:, z] = np.where(np.isinf(nearest), SCORE_FLOOR, -nearest)
+    return scores, [train_composites[j] for j in dist.argmin(axis=1)]
+
+
+def classify_nn(train_features, train_composites, test_features, composites):
     """Nearest training sequence under plain L2 distance.
 
-    Ties prefer the lowest training row.  Returns (predicted composite,
-    distances to every training sequence in input order).
+    Returns (scores (M, Z), preds).  scores[m, z] is minus the distance
+    from test row m to its nearest training sequence of composites[z],
+    or SCORE_FLOOR when composites[z] has none.  preds[m] is the
+    composite of the nearest training sequence; ties prefer the lowest
+    training row.
     """
-    X = np.asarray(train_features, dtype=float)
-    g = np.asarray(test_feature, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need at least one training sequence")
-    dists = np.linalg.norm(X - g[None, :], axis=1)
-    return list(train_composites)[int(np.argmin(dists))], dists
+    return _nearest_tables(train_features, list(train_composites),
+                           test_features, composites,
+                           lambda X, g: np.linalg.norm(X - g, axis=1))
 
 
 def script_score(pooled, weights: WeightMatrix) -> np.ndarray:
@@ -95,37 +125,36 @@ def script_score(pooled, weights: WeightMatrix) -> np.ndarray:
     return weights.values @ G.T
 
 
-def nn_script_classify(test_feature, train_features, train_composites,
-                       weights: WeightMatrix):
+def nn_script_classify(train_features, train_composites, test_features,
+                       weights: WeightMatrix, composites):
     """Weight-aware nearest neighbour.
 
-    The distance to a training sequence of composite z is
-    sqrt(sum_i w_{z,i} (g_test_i - g_train_i)^2) with binarized,
-    row-normalized weights.  Training sequences whose composite has an
-    all-zero weight row cannot be compared; they are excluded and
-    reported.  Raises if that removes every training sequence.  Ties
-    prefer the lowest training row.
+    The distance from test row g to a training sequence x of composite z
+    is sqrt(sum_i w_{z,i} (g_i - x_i)^2) with z's row of the given
+    normalized weight matrix (binarize_weights gives the binarized rows
+    the method is defined with).  Training sequences whose composite has
+    an all-zero weight row cannot be compared; they are excluded and
+    reported.  Raises if that removes every training sequence.
 
-    Returns (predicted composite, distance, excluded composite tuple).
+    Returns (scores (M, Z), preds, excluded composite tuple), with
+    scores and preds as in classify_nn under this distance; a composite
+    without a comparable training sequence scores SCORE_FLOOR.
     """
     if not weights.normalized:
         raise ValueError("nn_script_classify expects normalized weights")
-    g = np.asarray(test_feature, dtype=float)
-    X = np.asarray(train_features, dtype=float)
     train_composites = list(train_composites)
-    excluded = []
-    candidates = []
-    for j, z in enumerate(train_composites):
-        w = weights.row(z)
-        if not w.any():
-            excluded.append(z)
-            continue
-        d = math.sqrt(float(w @ ((g - X[j]) ** 2)))
-        candidates.append((d, j, z))
-    if not candidates:
+    W = weights.values[[weights.composites.index(z)
+                        for z in train_composites]]            # (N, n)
+    ok = W.any(axis=1)
+    if not ok.any():
         raise ValueError("every training composite has an all-zero weight row")
-    d, _, z = min(candidates)
-    return z, d, tuple(sorted(set(excluded)))
+    scores, preds = _nearest_tables(
+        train_features, train_composites, test_features, composites,
+        lambda X, g: np.where(
+            ok, np.sqrt(np.einsum("ij,ij->i", W, (X - g) ** 2)), np.inf))
+    excluded = tuple(sorted({z for z, k in zip(train_composites, ok)
+                             if not k}))
+    return scores, preds, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +338,19 @@ def pst_grid_scores(script_score_table, labels, pooled_features, configs,
 
     Yields (cfg, F) in input order, F being the (Z, D) table that
     pst_scores gives for cfg.  The kNN graph over the pooled features
-    is built once per distinct cfg.k and reused by every config that
-    shares it; each config still gets its own seed matrix and solve.
+    is built once per distinct cfg.k and the seed matrix once per
+    distinct (cfg.gamma, cfg.delta); each config still gets its own
+    solve.
     """
-    graphs = {}
+    graphs, seeds = {}, {}
     for cfg in configs:
-        Y = pst_init(script_score_table, labels, cfg, zero_shot=zero_shot)
+        seed = (cfg.gamma, cfg.delta)
+        if seed not in seeds:
+            seeds[seed] = pst_init(script_score_table, labels, cfg,
+                                   zero_shot=zero_shot)
         if cfg.k not in graphs:
             graphs[cfg.k] = build_knn_graph(pooled_features, cfg.k)
-        yield cfg, propagate(graphs[cfg.k], Y.T, cfg).T
+        yield cfg, propagate(graphs[cfg.k], seeds[seed].T, cfg).T
 
 
 def pst_scores(script_score_table, labels, pooled_features,

@@ -58,7 +58,6 @@ _DEFAULTS = {"weights": "mined", "stack": None, "segment_threshold": None,
              "lam": 0.01, "epochs": 200, "seed": 0}
 _KNOWN_KEYS = {"data", "output", "mode", "pst", "grid", *_DEFAULTS}
 _PST_KEYS = {"alpha", "gamma", "delta", "k"}
-SCORE_FLOOR = -1e30
 
 
 def load_config(path) -> dict:
@@ -110,10 +109,8 @@ def _validate(cfg: dict) -> dict:
     if out["stack"] is not None and out["stack"] not in STACK_MODES:
         raise ConfigError(f"unknown stack mode {out['stack']!r}")
     if out["segment_threshold"] is not None:
-        try:
-            out["segment_threshold"] = float(out["segment_threshold"])
-        except (TypeError, ValueError):
-            raise ConfigError("segment_threshold must be a number") from None
+        _number("segment_threshold", out["segment_threshold"], False, float)
+        out["segment_threshold"] = float(out["segment_threshold"])
     for key in ("pst", "grid"):
         block = out.get(key)
         if block is None:
@@ -228,11 +225,9 @@ def _classify_pst(bundle, cfg, weights, pooled, out_dir, zero_shot):
     G = np.stack([pooled[sid] for sid in order])
     S = script_score(G, weights)
     comps = list(bundle.composites)
-    labels = np.full((len(comps), len(order)), -1, dtype=int)
-    for d, seq in enumerate(bundle.sequences):
-        if seq.split == "train":
-            for z, c in enumerate(comps):
-                labels[z, d] = 1 if seq.composite == c else 0
+    truth = np.array([s.composite for s in bundle.sequences])
+    train = np.array([s.split == "train" for s in bundle.sequences])
+    labels = np.where(train, np.array(comps)[:, None] == truth, -1)
     fixed = cfg.get("pst")
     extra = {}
     if fixed is not None:
@@ -308,39 +303,16 @@ def run_experiment(config) -> EvalReport:
         if rep["skipped"] or rep["trained_without_negatives"]:
             extra["svm"] = rep
     elif mode == "nn":
-        scores = np.full((len(test), len(comps)), SCORE_FLOOR)
-        preds = []
-        for m, seq in enumerate(test):
-            pred, dists = classify_nn(Xtr, ytr, pooled[seq.sequence_id])
-            preds.append(pred)
-            for z, c in enumerate(comps):
-                mine = [d for d, cc in zip(dists, ytr) if cc == c]
-                if mine:
-                    scores[m, z] = -min(mine)
+        scores, preds = classify_nn(Xtr, ytr, Xte, comps)
     elif mode == "script":
         table = script_score(Xte, weights)          # (Z, M_test)
         scores = table.T
         preds = [comps[int(np.argmax(col))] for col in scores]
     elif mode == "nn-script":
-        scores = np.full((len(test), len(comps)), SCORE_FLOOR)
-        preds = []
-        excluded_rows = set()
-        for m, seq in enumerate(test):
-            pred, _, excl = nn_script_classify(
-                pooled[seq.sequence_id], Xtr, ytr, weights)
-            preds.append(pred)
-            excluded_rows.update(excl)
-            for z, c in enumerate(comps):
-                w = weights.row(c)
-                if not w.any():
-                    continue
-                ds = [np.sqrt(float(w @ ((pooled[seq.sequence_id]
-                                          - Xtr[j]) ** 2)))
-                      for j, cc in enumerate(ytr) if cc == c]
-                if ds:
-                    scores[m, z] = -min(ds)
-        if excluded_rows:
-            extra["excluded_weight_rows"] = sorted(excluded_rows)
+        scores, preds, excluded = nn_script_classify(Xtr, ytr, Xte, weights,
+                                                     comps)
+        if excluded:
+            extra["excluded_weight_rows"] = list(excluded)
     else:   # pst / pst-zero-shot
         scores, preds, pst_extra = _classify_pst(
             bundle, cfg, weights, pooled, out_dir,

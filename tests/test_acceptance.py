@@ -163,7 +163,8 @@ def test_criterion_05_weighted_nn():
             X = rng.normal(size=(m, n))
             zs = [comps[int(rng.integers(0, 3))] for _ in range(m)]
             g = rng.normal(size=n)
-            pred, dist, excluded = nn_script_classify(g, X, zs, weights)
+            scores, preds, excluded = nn_script_classify(
+                X, zs, g[None, :], weights, comps)
             assert excluded == ()
             best = None
             for j, z in enumerate(zs):
@@ -171,13 +172,15 @@ def test_criterion_05_weighted_nn():
                 d = math.sqrt(float(w @ (g - X[j]) ** 2))
                 if best is None or (d, j) < best[:2]:
                     best = (d, j, z)
-            assert pred == best[2]
-            assert dist == pytest.approx(best[0], abs=1e-12)
+            assert preds[0] == best[2]
+            assert -scores[0, comps.index(preds[0])] == \
+                pytest.approx(best[0], abs=1e-12)
             # uniform weights reduce to plain nearest neighbour
             uniform = binarize_weights(
                 WeightMatrix(np.ones((3, n)), comps, weights.attributes))
-            pred_u, _, _ = nn_script_classify(g, X, zs, uniform)
-            pred_plain, _ = classify_nn(X, zs, g)
+            _, pred_u, _ = nn_script_classify(X, zs, g[None, :], uniform,
+                                              comps)
+            _, pred_plain = classify_nn(X, zs, g[None, :], comps)
             assert pred_u == pred_plain
 
 

@@ -12,7 +12,6 @@ from actkit.attributes import (
     ScoreMatrix,
     TrainConfig,
     context_feature,
-    cooccurrence_feature,
     hinge_objective,
     load_annotations,
     load_models_npz,
@@ -133,22 +132,6 @@ def test_context_feature_dominates_other_columns():
         assert np.all((con[:, None] == others).any(axis=1))
 
 
-def test_cooccurrence_feature():
-    s = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(cooccurrence_feature(s, 1), [1.0, 3.0])
-
-
-def test_cooccurrence_reconstruction():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 10))
-        s = rng.normal(size=n)
-        i = int(rng.integers(0, n))
-        rest = cooccurrence_feature(s, i)
-        rebuilt = np.insert(rest, i, s[i])
-        assert np.array_equal(rebuilt, s)
-
-
 def _stacking_data(seed=0, n_seq=6, T=8):
     """Score matrices where attribute a1 is noisy but always co-occurs
     with the cleanly scored a0."""
@@ -262,7 +245,7 @@ def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
                 if use_con:
                     parts.append(context_feature(M.values, t, DEFAULT_FLOOR))
                 if use_coocc:
-                    parts.append(cooccurrence_feature(M.values[:, t], i))
+                    parts.append(np.delete(M.values[:, t], i))
                 rows.append(np.concatenate(parts))
         return np.array(rows)
 

@@ -197,6 +197,22 @@ def test_segment_command(tmp_path):
     assert [(s.start, s.end) for s in segs] == [(0, 119), (120, 239)]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--threshold", "nan"],
+    ["--threshold", "inf"],
+    ["--threshold", "0.9", "--span", "0"],
+    ["--threshold", "0.9", "--span", "-5"],
+])
+def test_segment_bad_flags_exit_1(tmp_path, capsys, flags):
+    np.save(tmp_path / "c.npy", np.ones((240, 2)))
+    out = tmp_path / "segs.jsonl"
+    rc = main(["segment", "--counts", str(tmp_path / "c.npy"),
+               "--output", str(out), *flags])
+    assert rc == 1
+    assert flags[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # composite classification and experiments
 
@@ -208,6 +224,18 @@ def test_classify_composites_command(score_bundle, tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
     report = load_report(out / "report.json")
     assert report.accuracy >= 0.9
+
+
+def test_classify_composites_nan_segment_threshold_exit_1(score_bundle,
+                                                         tmp_path, capsys):
+    out = tmp_path / "cc"
+    rc = main(["classify-composites", "--bundle", score_bundle,
+               "--output", str(out), "--mode", "script",
+               "--segment-threshold", "nan"])
+    assert rc == 1
+    assert "segment_threshold must be a finite number" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_composites_pst_config_file(score_bundle, tmp_path):
@@ -295,6 +323,10 @@ def test_run_match_mode_key_exit_1(score_bundle, tmp_path, capsys, value):
     ({"mode": "pst", "pst": {"k": "5"}}, "pst.k must be an integer"),
     ({"mode": "pst", "grid": {"delta": [0.5, 0]}}, "grid.delta"),
     ({"mode": "pst", "grid": {"gamma": [0.5, None]}}, "grid.gamma"),
+    ({"segment_threshold": float("nan")}, "segment_threshold must be a"),
+    ({"segment_threshold": float("inf")}, "segment_threshold must be a"),
+    ({"segment_threshold": "0.9"}, "segment_threshold must be a"),
+    ({"segment_threshold": True}, "segment_threshold must be a"),
 ])
 def test_run_bad_config_values_exit_1(score_bundle, tmp_path, capsys,
                                       bad, words):

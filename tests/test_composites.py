@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from actkit import composites
-from actkit.composites import (NeighborGraph, PstConfig, build_knn_graph,
-                               classify_nn, classify_svm, load_pst_config,
+from actkit.composites import (SCORE_FLOOR, NeighborGraph, PstConfig,
+                               build_knn_graph, classify_nn, classify_svm, load_pst_config,
                                load_predictions_csv, nn_script_classify,
                                propagate, pst_grid_scores, pst_init,
                                pst_scores, save_pst_config,
@@ -101,22 +101,36 @@ def test_classify_svm_alignment_error():
 
 def test_classify_nn_picks_closest():
     X = np.array([[0.0, 0.0], [10.0, 0.0]])
-    pred, dists = classify_nn(X, ["near", "far"], np.array([1.0, 0.0]))
-    assert pred == "near"
-    assert dists == pytest.approx([1.0, 9.0])
+    scores, preds = classify_nn(X, ["near", "far"], np.array([[1.0, 0.0]]),
+                                ["near", "far"])
+    assert preds == ["near"]
+    assert scores == pytest.approx(np.array([[-1.0, -9.0]]))
 
 
 def test_classify_nn_tie_prefers_lowest_id():
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    pred, _ = classify_nn(X[::-1], ["left", "right"], np.zeros(2))
-    assert pred == "left"
-    pred, _ = classify_nn(X, ["right", "left"], np.zeros(2))
-    assert pred == "right"
+    _, preds = classify_nn(X[::-1], ["left", "right"], np.zeros((1, 2)),
+                           ["left", "right"])
+    assert preds == ["left"]
+    _, preds = classify_nn(X, ["right", "left"], np.zeros((1, 2)),
+                           ["left", "right"])
+    assert preds == ["right"]
 
 
 def test_classify_nn_empty_error():
     with pytest.raises(ValueError):
-        classify_nn(np.zeros((0, 2)), [], np.zeros(2))
+        classify_nn(np.zeros((0, 2)), [], np.zeros((1, 2)), [])
+
+
+def test_nn_classifiers_reject_misshaped_inputs():
+    W = _weights([[1.0, 1.0]], ["c"], ["a", "b"])
+    for args in ((np.ones((2, 2)), ["c"], np.ones((1, 2))),
+                 (np.ones((1, 2)), ["c"], np.ones(2)),
+                 (np.ones((1, 2)), ["c"], np.ones((1, 3)))):
+        with pytest.raises(ValueError):
+            classify_nn(*args, ["c"])
+        with pytest.raises(ValueError):
+            nn_script_classify(*args, W, ["c"])
 
 
 # ---------------------------------------------------------------------------
@@ -151,36 +165,40 @@ def test_script_score_stacked_matches_loop():
 def test_nn_script_distance_oracle():
     # w = [0.5, 0.5]: sqrt(0.5 * (3-2)^2 + 0.5 * (1-3)^2) = sqrt(2.5)
     W = _weights([[1.0, 1.0]], ["c"], ["a", "b"])
-    pred, d, excluded = nn_script_classify(
-        np.array([3.0, 1.0]), np.array([[2.0, 3.0]]), ["c"], W)
-    assert pred == "c"
-    assert d == pytest.approx(math.sqrt(2.5))
+    scores, preds, excluded = nn_script_classify(
+        np.array([[2.0, 3.0]]), ["c"], np.array([[3.0, 1.0]]), W, ["c"])
+    assert preds == ["c"]
+    assert -scores[0, 0] == pytest.approx(math.sqrt(2.5))
     assert excluded == ()
 
 
 def test_nn_script_excludes_zero_rows():
     W = _weights([[1.0, 1.0], [0.0, 0.0]], ["ok", "mute"], ["a", "b"])
     Xtr = np.array([[5.0, 5.0], [0.1, 0.1]])
-    pred, _, excluded = nn_script_classify(
-        np.array([0.0, 0.0]), Xtr, ["ok", "mute"], W)
+    scores, preds, excluded = nn_script_classify(
+        Xtr, ["ok", "mute"], np.zeros((1, 2)), W, ["ok", "mute"])
     # the mute row would win on raw distance but cannot be scored
-    assert pred == "ok"
+    assert preds == ["ok"]
     assert excluded == ("mute",)
+    assert scores[0, 1] == SCORE_FLOOR
 
 
 def test_nn_script_tie_prefers_lowest_row():
     W = _weights([[1.0, 1.0], [1.0, 1.0]], ["right", "left"], ["a", "b"])
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    pred, _, _ = nn_script_classify(np.zeros(2), X[::-1], ["left", "right"], W)
-    assert pred == "left"
-    pred, _, _ = nn_script_classify(np.zeros(2), X, ["right", "left"], W)
-    assert pred == "right"
+    _, preds, _ = nn_script_classify(X[::-1], ["left", "right"],
+                                     np.zeros((1, 2)), W, ["left", "right"])
+    assert preds == ["left"]
+    _, preds, _ = nn_script_classify(X, ["right", "left"], np.zeros((1, 2)),
+                                     W, ["left", "right"])
+    assert preds == ["right"]
 
 
 def test_nn_script_all_rows_zero_error():
     W = _weights([[0.0, 0.0]], ["mute"], ["a", "b"])
     with pytest.raises(ValueError):
-        nn_script_classify(np.zeros(2), np.ones((1, 2)), ["mute"], W)
+        nn_script_classify(np.ones((1, 2)), ["mute"], np.zeros((1, 2)), W,
+                           ["mute"])
 
 
 def test_nn_script_uniform_weights_match_plain_nn():
@@ -192,9 +210,9 @@ def test_nn_script_uniform_weights_match_plain_nn():
     for _ in range(100):
         Xtr = rng.normal(size=(8, n))
         ytr = [comps[i % 4] for i in range(8)]
-        g = rng.normal(size=n)
-        plain, _ = classify_nn(Xtr, ytr, g)
-        weighted, _, _ = nn_script_classify(g, Xtr, ytr, W)
+        g = rng.normal(size=(1, n))
+        _, plain = classify_nn(Xtr, ytr, g, comps)
+        _, weighted, _ = nn_script_classify(Xtr, ytr, g, W, comps)
         assert weighted == plain
 
 
@@ -202,10 +220,90 @@ def test_nn_script_binarized_ignores_unmentioned():
     raw = _weights([[0.7, 0.3, 0.0]], ["c"], ["a", "b", "x"],
                    normalize=False)
     W = binarize_weights(raw)
-    g = np.array([0.0, 0.0, 100.0])
-    _, d, _ = nn_script_classify(g, np.array([[0.0, 0.0, -100.0]]), ["c"], W)
+    g = np.array([[0.0, 0.0, 100.0]])
+    scores, _, _ = nn_script_classify(np.array([[0.0, 0.0, -100.0]]), ["c"],
+                                      g, W, ["c"])
     # the third attribute has zero weight so the huge gap is invisible
-    assert d == pytest.approx(0.0)
+    assert -scores[0, 0] == pytest.approx(0.0)
+
+
+def _former_nn_tables(Xtr, ytr, Xte, comps, weights=None):
+    """The (M, Z) tables and predictions as run_experiment used to build
+    them: plain L2 with weights None, else the per-pair weighted
+    distance; one test vector and one composite at a time."""
+    scores = np.full((len(Xte), len(comps)), SCORE_FLOOR)
+    preds = []
+    for m, g in enumerate(Xte):
+        if weights is None:
+            dists = np.linalg.norm(Xtr - g[None, :], axis=1)
+            preds.append(list(ytr)[int(np.argmin(dists))])
+        else:
+            pairs = [(math.sqrt(float(weights.row(z) @ ((g - Xtr[j]) ** 2))),
+                      j, z) for j, z in enumerate(ytr)
+                     if weights.row(z).any()]
+            preds.append(min(pairs)[2])
+        for z, c in enumerate(comps):
+            if weights is None:
+                mine = [d for d, cc in zip(dists, ytr) if cc == c]
+            else:
+                w = weights.row(c)
+                if not w.any():
+                    continue
+                mine = [np.sqrt(float(w @ ((g - Xtr[j]) ** 2)))
+                        for j, cc in enumerate(ytr) if cc == c]
+            if mine:
+                scores[m, z] = -min(mine)
+    return scores, preds
+
+
+def _nn_problem(rng):
+    """Random pooled features over composites a-e; e has no training
+    sequence, d an all-zero weight row.  b and c share a weight row and
+    sometimes a training vector, so their distances tie exactly."""
+    comps = ["a", "b", "c", "d", "e"]
+    n = int(rng.integers(2, 9))
+    raw = rng.uniform(size=(5, n)) * (rng.random((5, n)) < 0.6)
+    raw[:, 0] = np.maximum(raw[:, 0], 0.1)
+    raw[2] = raw[1]
+    raw[3] = 0.0
+    W = normalize_l1(WeightMatrix(raw, tuple(comps),
+                                  tuple(f"x{i}" for i in range(n))))
+    N = int(rng.integers(3, 12))
+    ytr = ["a", "b", "c"] + [comps[int(k)] for k in rng.integers(0, 4, N - 3)]
+    Xtr = rng.normal(size=(N, n))
+    if rng.random() < 0.5:
+        Xtr[2] = Xtr[1]
+    M = 1 if rng.random() < 0.3 else int(rng.integers(2, 8))
+    Xte = rng.normal(size=(M, n))
+    if rng.random() < 0.5:          # a test vector equidistant to b and c
+        Xte[0] = Xtr[1] + rng.normal(0, 0.01, n)
+    return Xtr, ytr, Xte, comps, W
+
+
+def test_classify_nn_matches_the_former_tables_exactly():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        Xtr, ytr, Xte, comps, _ = _nn_problem(rng)
+        scores, preds = classify_nn(Xtr, ytr, Xte, comps)
+        want, want_preds = _former_nn_tables(Xtr, ytr, Xte, comps)
+        assert np.array_equal(scores, want)
+        assert preds == want_preds
+        assert (scores[:, comps.index("e")] == SCORE_FLOOR).all()
+
+
+def test_nn_script_classify_matches_the_former_tables():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        Xtr, ytr, Xte, comps, W = _nn_problem(rng)
+        scores, preds, excluded = nn_script_classify(Xtr, ytr, Xte, W, comps)
+        want, want_preds = _former_nn_tables(Xtr, ytr, Xte, comps, W)
+        floored = want == SCORE_FLOOR
+        assert np.array_equal(scores == SCORE_FLOOR, floored)
+        assert np.abs(scores[~floored] - want[~floored]).max() <= 1e-12
+        assert preds == want_preds
+        assert excluded == (("d",) if "d" in ytr else ())
+        assert (scores[:, comps.index("d")] == SCORE_FLOOR).all()
+        assert (scores[:, comps.index("e")] == SCORE_FLOOR).all()
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +572,16 @@ def test_pst_grid_scores_match_pst_scores_per_config(monkeypatch, zero_shot):
     grid = [PstConfig(alpha=a, gamma=g, delta=d, k=k)
             for a, g, d, k in itertools.product(
                 (0.0, 0.5, 0.99), (0.25, 1.0), (0.1, 1.0), (1, 3, 7))]
-    builds = []
-    build = composites.build_knn_graph
+    builds, seeds = [], []
+    build, init = composites.build_knn_graph, composites.pst_init
     monkeypatch.setattr(composites, "build_knn_graph",
                         lambda X, k: builds.append(k) or build(X, k))
+    monkeypatch.setattr(composites, "pst_init",
+                        lambda S, lab, cfg, **kw: seeds.append(
+                            (cfg.gamma, cfg.delta)) or init(S, lab, cfg, **kw))
     out = list(pst_grid_scores(S, labels, G, grid, zero_shot=zero_shot))
     assert builds == [1, 3, 7]
+    assert seeds == [(0.25, 0.1), (0.25, 1.0), (1.0, 0.1), (1.0, 1.0)]
     assert [cfg for cfg, _ in out] == grid
     for cfg, F in out:
         assert np.array_equal(

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from actkit import composites, corpus
+from actkit import composites, corpus, experiment
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
 from actkit.composites import load_predictions_csv
@@ -94,6 +94,18 @@ def test_pst_block_validation(score_bundle, tmp_path):
                             grid={"beta": [1]}))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan", "inf",
+                                   "0.9", True, [0.9]])
+def test_segment_threshold_must_be_a_finite_number(score_bundle, tmp_path,
+                                                   value):
+    # a NaN threshold would merge every sequence into one segment
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="segment_threshold"):
+        run_experiment(_cfg(score_bundle, out, "script",
+                            segment_threshold=value))
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # modes on the easy scores bundle
 
@@ -111,6 +123,25 @@ def test_supervised_and_script_modes(score_bundle, tmp_path, mode):
     assert len(preds) == 12 * 6
     loaded = load_report(out / "report.json")
     assert loaded.accuracy == report.accuracy
+
+
+@pytest.mark.parametrize("mode, name", [("nn", "classify_nn"),
+                                        ("nn-script", "nn_script_classify")])
+def test_nearest_neighbour_modes_call_their_classifier_once(
+        score_bundle, tmp_path, monkeypatch, mode, name):
+    # the traced benchmark times composites.nn_s by wrapping this module
+    # attribute; the classifier builds the whole (M, Z) table in one call
+    calls = []
+    classify = getattr(experiment, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, counting)
+    run_experiment(_cfg(score_bundle, tmp_path / mode, mode))
+    assert len(calls) == 1
+    assert calls[0][2].shape[0] == len(load_bundle(score_bundle).split("test"))
 
 
 def test_pst_fixed_parameters(score_bundle, tmp_path):
