@@ -3,10 +3,10 @@ Finding activities on the timeline
 ==================================
 
 Detection scans a multi-scale ladder of sliding windows over an
-integral histogram of per-frame codebook counts, scores each window
-with an attribute classifier, and prunes overlaps with non-maximum
-suppression.  Segmentation instead merges adjacent spans whose count
-histograms look alike.
+integral histogram of per-frame codebook counts, scores every window
+of a ladder level in one call to an attribute classifier, and prunes
+overlaps with non-maximum suppression.  Segmentation instead merges
+adjacent spans whose count histograms look alike.
 """
 
 import numpy as np
@@ -46,9 +46,10 @@ models = train_linear_ova(np.array(X), y, ("stir",),
                           TrainConfig(epochs=300, seed=0))
 
 table = build_integral(counts)
+# the scorer gets one level's window histograms as rows and returns one
+# score per row
 detections = score_windows(
-    table,
-    lambda h: float(score_intervals(models, h[None, :]).values[0, 0]),
+    table, lambda H: score_intervals(models, H).values[0],
     video="demo", attribute="stir")
 print(f"\n{len(detections)} windows scored across {len(usable)} levels")
 

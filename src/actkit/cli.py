@@ -138,13 +138,9 @@ def _cmd_detect(args):
         raise ConfigError(f"attribute {args.attribute!r} is not in the "
                           "model file")
     row = model_set.labels.index(args.attribute)
-
-    def scorer(hist):
-        return float(score_intervals(model_set,
-                                     hist[None, :]).values[row, 0])
-
-    dets = score_windows(table, scorer, video=args.video,
-                         attribute=args.attribute)
+    dets = score_windows(table,
+                         lambda H: score_intervals(model_set, H).values[row],
+                         video=args.video, attribute=args.attribute)
     kept = nms(dets, overlap_threshold=args.nms_threshold,
                criterion=args.criterion)
     save_detections_csv(kept, args.output)

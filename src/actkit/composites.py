@@ -7,8 +7,10 @@ attribute scores.  On those pooled vectors the module offers:
 - a plain nearest-neighbour classifier,
 - zero-shot script transfer: the inner product with mined (or planted)
   composite-attribute weight rows,
-- a weight-aware nearest neighbour (per-class weighted L2 distance with
-  binarized weight rows),
+- a weight-aware nearest neighbour (per-class weighted L2 distance, each
+  composite's normalized weight row weighting the attributes; the
+  experiment driver passes its L1-normalized tf-idf or planted rows,
+  and binarized rows come only from actkit mine-scripts --binarize),
 - label propagation: script scores seed a label matrix that is
   diffused over a k-nearest-neighbour graph of the pooled features
   (normalized graph Laplacian smoothing with a retention parameter
@@ -131,10 +133,11 @@ def nn_script_classify(train_features, train_composites, test_features,
 
     The distance from test row g to a training sequence x of composite z
     is sqrt(sum_i w_{z,i} (g_i - x_i)^2) with z's row of the given
-    normalized weight matrix (binarize_weights gives the binarized rows
-    the method is defined with).  Training sequences whose composite has
-    an all-zero weight row cannot be compared; they are excluded and
-    reported.  Raises if that removes every training sequence.
+    normalized weight matrix, whatever its rows hold (run_experiment
+    passes L1-normalized tf-idf or planted rows; binarize_weights gives
+    binarized ones).  Training sequences whose composite has an all-zero
+    weight row cannot be compared; they are excluded and reported.
+    Raises if that removes every training sequence.
 
     Returns (scores (M, Z), preds, excluded composite tuple), with
     scores and preds as in classify_nn under this distance; a composite
@@ -376,17 +379,3 @@ def save_predictions_csv(rows, path) -> None:
         writer.writerow(["sequence", "composite", "score"])
         for seq, comp, score in ordered:
             writer.writerow([seq, comp, f"{score:.9g}"])
-
-
-def load_predictions_csv(path) -> list:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sequence", "composite", "score"]:
-            raise ValueError(f"{path}: expected header sequence,composite,score")
-        for rec in reader:
-            if not rec:
-                continue
-            rows.append((rec[0], rec[1], float(rec[2])))
-    return rows

@@ -160,8 +160,12 @@ def _attribute_scores(bundle, tcfg, labels, out_dir):
     save_models_npz(model_set, os.path.join(out_dir, "models.npz"))
     if model_set.skipped:
         extra["skipped_attributes"] = [a for a, _ in model_set.skipped]
-    return {s.sequence_id: score_intervals(model_set, s.features).values
-            for s in bundle.sequences}, extra
+    seqs = bundle.sequences
+    S = score_intervals(model_set,
+                        np.concatenate([s.features for s in seqs], axis=0))
+    bounds = np.cumsum([s.num_intervals for s in seqs])[:-1]
+    return {s.sequence_id: V for s, V in
+            zip(seqs, np.split(S.values, bounds, axis=1))}, extra
 
 
 def _apply_stacking(bundle, cfg, tcfg, mats, labels):

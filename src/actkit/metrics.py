@@ -230,20 +230,3 @@ class EvalReport:
                 cells = " ".join(f"{int(c):>{width}}" for c in row)
                 lines.append(f"  {str(lab):<{width}}{cells}")
         return "\n".join(lines)
-
-
-def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    confusion = raw.get("confusion")
-    return EvalReport(
-        task=raw["task"],
-        mean_ap=raw.get("mean_ap"),
-        per_label_ap=raw.get("per_label_ap") or {},
-        accuracy=raw.get("accuracy"),
-        labels=tuple(raw.get("labels") or ()),
-        confusion=None if confusion is None else np.asarray(confusion),
-        excluded=tuple(raw.get("excluded") or ()),
-        config=raw.get("config") or {},
-        extra=raw.get("extra") or {},
-    )

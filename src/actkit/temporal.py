@@ -4,7 +4,8 @@ agglomerative segmentation over frame-level word count streams.
 Windows are placed on a geometric schedule (size and stride grow by
 sqrt(2) per level).  Window histograms are read from an integral
 (cumulative) table of frame word counts so each window costs O(1)
-regardless of its length.
+regardless of its length, and every window of one schedule level is
+read and scored as one batch.
 """
 
 from __future__ import annotations
@@ -121,30 +122,38 @@ def build_integral(counts) -> IntegralHistogram:
     return IntegralHistogram(prefix)
 
 
-def window_counts(table: IntegralHistogram, start: int, end: int) -> np.ndarray:
-    """Raw bin counts of the inclusive frame window [start, end]."""
-    if not 0 <= start <= end < table.num_frames:
-        raise ValueError(f"window [{start}, {end}] outside 0..{table.num_frames - 1}")
-    return table.prefix[end + 1] - table.prefix[start]
+def window_counts(table: IntegralHistogram, start, end) -> np.ndarray:
+    """Raw bin counts of the inclusive frame window [start, end].
+
+    start and end are ints (one (B,) row) or arrays of them (one row
+    per window)."""
+    s, e = np.broadcast_arrays(start, end)
+    bad = ~((0 <= s) & (s <= e) & (e < table.num_frames))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"window [{s.flat[i]}, {e.flat[i]}] outside "
+                         f"0..{table.num_frames - 1}")
+    return table.prefix[e + 1] - table.prefix[s]
 
 
-def window_histogram(table: IntegralHistogram, start: int,
-                     end: int) -> np.ndarray:
-    """Window counts normalized to unit L1 mass; an empty window stays
-    zero.  Per-block normalization of bag-of-words histograms lives in
+def window_histogram(table: IntegralHistogram, start, end) -> np.ndarray:
+    """Window counts normalized to unit L1 mass per row; an empty window
+    stays zero.  Takes one window or arrays of them, as window_counts.
+    Per-block normalization of bag-of-words histograms lives in
     posefeat.encode_bow."""
     raw = window_counts(table, start, end)
-    total = raw.sum()
-    return raw / total if total > 0 else raw
+    total = raw.sum(axis=-1, keepdims=True)
+    return np.divide(raw, total, out=np.zeros_like(raw), where=total > 0)
 
 
 def score_windows(table: IntegralHistogram, scorer, video: str = "",
                   attribute: str = "", schedule=None) -> list:
-    """Slide every schedule level over the stream and score each window.
+    """Slide every schedule level over the stream and score its windows.
 
-    scorer maps a window_histogram vector (unit L1 mass) to a float.
     Windows are placed at offsets 0, step, 2*step, ... while offset +
-    size <= T.  Returns Detection records in scan order.
+    size <= T.  scorer maps the (N, B) window_histogram rows (unit L1
+    mass) of one whole level to N scores; it is called once per level
+    that fits the stream.  Returns Detection records in scan order.
     """
     sched = schedule if schedule is not None else window_schedule()
     T = table.num_frames
@@ -152,10 +161,15 @@ def score_windows(table: IntegralHistogram, scorer, video: str = "",
     for size, step in sched:
         if size > T:
             continue
-        for start in range(0, T - size + 1, step):
-            hist = window_histogram(table, start, start + size - 1)
-            out.append(Detection(video, attribute, start, start + size - 1,
-                                 float(scorer(hist))))
+        starts = np.arange(0, T - size + 1, step)
+        scores = np.asarray(scorer(window_histogram(table, starts,
+                                                    starts + size - 1)),
+                            dtype=float)
+        if scores.shape != starts.shape:
+            raise ValueError(f"scorer returned shape {scores.shape} for "
+                             f"{len(starts)} windows of size {size}")
+        out.extend(Detection(video, attribute, s, s + size - 1, v)
+                   for s, v in zip(starts.tolist(), scores.tolist()))
     return out
 
 
@@ -221,15 +235,21 @@ def merge_adjacent(items, similarity, combine, threshold: float) -> list:
     Repeatedly merges the adjacent pair with the highest similarity
     while that similarity is at or above the threshold, preferring the
     leftmost pair on ties.  combine(a, b) produces the merged item.
-    The input list is left untouched.
+    The input list is left untouched.  After a merge only the merged
+    item's similarities to its two neighbours are recomputed.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"merge threshold must be finite, got {threshold!r}")
     out = list(items)
-    while len(out) > 1:
-        sims = [similarity(out[i], out[i + 1]) for i in range(len(out) - 1)]
+    sims = [similarity(a, b) for a, b in zip(out, out[1:])]
+    while sims:
         best = int(np.argmax(sims))
         if sims[best] < threshold:
             break
         out[best:best + 2] = [combine(out[best], out[best + 1])]
+        lo = max(best - 1, 0)
+        sims[lo:best + 2] = [similarity(out[i], out[i + 1])
+                             for i in range(lo, min(best + 1, len(out) - 1))]
     return out
 
 

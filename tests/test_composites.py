@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -6,8 +7,8 @@ import pytest
 
 from actkit import composites
 from actkit.composites import (SCORE_FLOOR, NeighborGraph, PstConfig,
-                               build_knn_graph, classify_nn, classify_svm, load_pst_config,
-                               load_predictions_csv, nn_script_classify,
+                               build_knn_graph, classify_nn, classify_svm,
+                               load_pst_config, nn_script_classify,
                                propagate, pst_grid_scores, pst_init,
                                pst_scores, save_pst_config,
                                save_predictions_csv, script_score,
@@ -638,9 +639,8 @@ def test_predictions_csv_round_trip(tmp_path):
     rows = [("seq2", "c0", 0.25), ("seq1", "c1", -0.5), ("seq1", "c0", 1.0)]
     path = tmp_path / "preds.csv"
     save_predictions_csv(rows, path)
-    loaded = load_predictions_csv(path)
-    assert loaded == [("seq1", "c0", 1.0), ("seq1", "c1", -0.5),
-                      ("seq2", "c0", 0.25)]
-    path.write_text("sequence,score\n")
-    with pytest.raises(ValueError):
-        load_predictions_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        loaded = list(csv.reader(fh))
+    assert loaded == [["sequence", "composite", "score"],
+                      ["seq1", "c0", "1"], ["seq1", "c1", "-0.5"],
+                      ["seq2", "c0", "0.25"]]

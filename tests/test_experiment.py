@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -7,8 +8,6 @@ import pytest
 from actkit import composites, corpus, experiment
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
-from actkit.composites import load_predictions_csv
-from actkit.metrics import load_report
 from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
     save_bundle
 
@@ -26,6 +25,14 @@ def feature_bundle(tmp_path_factory):
     cfg = SyntheticConfig(seed=12, mode="features", feature_dim=24)
     save_bundle(gen_synthetic(cfg), path)
     return str(path)
+
+
+def _predictions(path):
+    """Rows (sequence, composite, score) of a predictions.csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["sequence", "composite", "score"]
+        return [(seq, comp, float(score)) for seq, comp, score in reader]
 
 
 def _cfg(data, out, mode, **kw):
@@ -118,11 +125,11 @@ def test_supervised_and_script_modes(score_bundle, tmp_path, mode):
     assert report.mean_ap >= 0.9
     assert (out / "report.json").exists()
     assert (out / "weights.csv").exists()
-    preds = load_predictions_csv(out / "predictions.csv")
+    preds = _predictions(out / "predictions.csv")
     # 12 test sequences x 6 composites
     assert len(preds) == 12 * 6
-    loaded = load_report(out / "report.json")
-    assert loaded.accuracy == report.accuracy
+    with open(out / "report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["accuracy"] == report.accuracy
 
 
 @pytest.mark.parametrize("mode, name", [("nn", "classify_nn"),
@@ -184,8 +191,8 @@ def test_pst_zero_shot_alpha_zero_matches_script(score_bundle, tmp_path):
         score_bundle, tmp_path / "z", "pst-zero-shot",
         pst={"alpha": 0.0, "delta": 1.0, "k": 3, "gamma": 0.5}))
     assert pst.accuracy == script.accuracy
-    rows_s = load_predictions_csv(tmp_path / "s" / "predictions.csv")
-    rows_z = load_predictions_csv(tmp_path / "z" / "predictions.csv")
+    rows_s = _predictions(tmp_path / "s" / "predictions.csv")
+    rows_z = _predictions(tmp_path / "z" / "predictions.csv")
     assert [(r[0], r[1]) for r in rows_s] == [(r[0], r[1]) for r in rows_z]
     for a, b in zip(rows_s, rows_z):
         assert a[2] == pytest.approx(b[2], abs=1e-9)
@@ -270,6 +277,33 @@ def test_feature_bundle_full_pipeline(feature_bundle, tmp_path):
     report = run_experiment(_cfg(feature_bundle, out, "svm"))
     assert (out / "models.npz").exists()
     assert report.accuracy >= 0.8
+
+
+def test_feature_mode_scores_every_sequence_in_one_call(
+        feature_bundle, tmp_path, monkeypatch):
+    # the traced benchmark counts attributes.score_calls by wrapping this
+    # module attribute; all sequences' intervals are scored as one batch
+    calls = []
+    score = experiment.score_intervals
+
+    def counting(model_set, features):
+        S = score(model_set, features)
+        calls.append((model_set, features, S))
+        return S
+
+    monkeypatch.setattr(experiment, "score_intervals", counting)
+    run_experiment(_cfg(feature_bundle, tmp_path / "o", "svm"))
+    assert len(calls) == 1
+    model_set, X, S = calls[0]
+    seqs = load_bundle(feature_bundle).sequences
+    assert np.array_equal(X, np.concatenate([s.features for s in seqs]))
+    start = 0
+    for s in seqs:
+        own = score(model_set, s.features).values
+        assert np.abs(S.values[:, start:start + s.num_intervals]
+                      - own).max() <= 1e-12
+        start += s.num_intervals
+    assert start == S.values.shape[1]
 
 
 def test_feature_bundle_base_stacking_allowed(feature_bundle, tmp_path):

@@ -1,13 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from actkit import experiment, temporal
+from actkit.attributes import TrainConfig, score_intervals, train_linear_ova
 from actkit.temporal import (Detection, IntegralHistogram, Segment,
                              build_integral, load_detections_csv,
-                             load_segments_jsonl, nms, save_detections_csv,
-                             save_segments_jsonl, score_windows,
-                             segment_agglomerative, uniform_intervals,
-                             window_counts, window_histogram,
-                             window_schedule)
+                             load_segments_jsonl, merge_adjacent, nms,
+                             save_detections_csv, save_segments_jsonl,
+                             score_windows, segment_agglomerative,
+                             uniform_intervals, window_counts,
+                             window_histogram, window_schedule)
 
 EXPECTED_SIZES = [30, 42, 60, 85, 120, 170, 240, 339, 480, 679, 960, 1358]
 EXPECTED_STEPS = [6, 8, 12, 17, 24, 34, 48, 68, 96, 136, 192, 272]
@@ -71,6 +75,15 @@ def test_window_counts_bounds():
         window_counts(table, 3, 2)
 
 
+def test_window_counts_bounds_name_the_window_in_a_batch():
+    table = build_integral(np.ones((5, 2)))
+    with pytest.raises(ValueError, match=r"window \[3, 5\] outside 0\.\.4"):
+        window_counts(table, np.array([0, 3, 1]), np.array([2, 5, 0]))
+    with pytest.raises(ValueError, match=r"window \[1, 0\]"):
+        window_counts(table, np.array([0, 1]), np.array([2, 0]))
+    assert window_counts(table, np.array([0, 2]), 4).shape == (2, 2)
+
+
 def test_window_histogram_unit_mass():
     counts = np.array([[2, 0, 2], [0, 4, 0]])
     table = build_integral(counts)
@@ -99,6 +112,26 @@ def test_window_histogram_is_plain_l1_of_counts():
 def test_window_histogram_empty_stays_zero():
     table = build_integral(np.zeros((4, 3)))
     assert np.array_equal(window_histogram(table, 0, 3), np.zeros(3))
+    assert np.array_equal(window_histogram(table, np.arange(3), 3),
+                          np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bins", [1, 5, 256])
+def test_window_histogram_rows_equal_scalar_calls(bins):
+    rng = np.random.default_rng(bins)
+    counts = rng.poisson(0.7, size=(300, bins)).astype(float)
+    counts[40:90] = 0                   # windows inside are all-zero
+    table = build_integral(counts)
+    starts = rng.integers(0, 300, size=400)
+    ends = np.minimum(starts + rng.integers(0, 60, size=400), 299)
+    starts[:20], ends[:20] = 45, 80
+    H = window_histogram(table, starts, ends)
+    assert H.shape == (400, bins)
+    for row, s, e in zip(H, starts.tolist(), ends.tolist()):
+        assert np.array_equal(row, window_histogram(table, s, e))
+        assert np.array_equal(window_counts(table, s, e),
+                              counts[s:e + 1].sum(axis=0))
+    assert not H[:20].any()
 
 
 def test_integral_validation():
@@ -114,13 +147,14 @@ def test_integral_validation():
 def test_score_windows_offsets():
     # stream of 36 frames, single level (30, 6): starts 0 and 6
     table = build_integral(np.ones((36, 2)))
-    dets = score_windows(table, lambda h: 1.0, schedule=[(30, 6)])
+    dets = score_windows(table, lambda H: np.ones(len(H)), schedule=[(30, 6)])
     assert [(d.start, d.end) for d in dets] == [(0, 29), (6, 35)]
 
 
 def test_score_windows_skips_oversized_levels():
     table = build_integral(np.ones((40, 1)))
-    dets = score_windows(table, lambda h: 0.0, schedule=[(30, 6), (60, 12)])
+    dets = score_windows(table, lambda H: np.zeros(len(H)),
+                         schedule=[(30, 6), (60, 12)])
     assert all(d.length == 30 for d in dets)
 
 
@@ -129,20 +163,86 @@ def test_score_windows_scorer_sees_normalized():
     counts[:, 0] = 3.0
     table = build_integral(counts)
     seen = []
-    score_windows(table, lambda h: seen.append(h.copy()) or 0.0,
+    score_windows(table, lambda H: seen.append(H.copy()) or np.zeros(len(H)),
                   schedule=[(30, 6)])
-    assert seen[0] == pytest.approx([1.0, 0.0])
+    assert seen[0] == pytest.approx(np.array([[1.0, 0.0]]))
 
 
 def test_score_windows_full_schedule_counts():
     T = 500
     table = build_integral(np.ones((T, 1)))
-    dets = score_windows(table, lambda h: 0.0)
+    dets = score_windows(table, lambda H: np.zeros(len(H)))
     expected = 0
     for size, step in window_schedule():
         if size <= T:
             expected += (T - size) // step + 1
     assert len(dets) == expected
+
+
+def test_score_windows_one_scorer_call_per_level():
+    table = build_integral(np.ones((100, 2)))
+    sizes = []
+    score_windows(table, lambda H: sizes.append(H.shape) or np.zeros(len(H)),
+                  schedule=[(30, 6), (60, 12), (120, 24)])
+    assert sizes == [(12, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("scorer", [
+    lambda H: 0.0,                          # a scalar
+    lambda H: np.zeros((len(H), 1)),        # a column
+    lambda H: np.zeros(len(H) - 1),         # one short
+    lambda H: np.zeros((1, len(H))),        # a row matrix
+])
+def test_score_windows_rejects_misshapen_scores(scorer):
+    table = build_integral(np.ones((40, 2)))
+    with pytest.raises(ValueError, match="scorer returned shape"):
+        score_windows(table, scorer, schedule=[(30, 6)])
+
+
+def _per_window_detections(table, scorer, video="", attribute="",
+                           schedule=None):
+    """The former scan: one window_histogram and one scorer call per
+    window, the scorer mapping a (B,) histogram to a float."""
+    sched = schedule if schedule is not None else window_schedule()
+    T = table.num_frames
+    out = []
+    for size, step in sched:
+        if size > T:
+            continue
+        for start in range(0, T - size + 1, step):
+            hist = window_histogram(table, start, start + size - 1)
+            out.append(Detection(video, attribute, start, start + size - 1,
+                                 float(scorer(hist))))
+    return out
+
+
+def test_score_windows_match_per_window_oracle():
+    rng = np.random.default_rng(5)
+    B = 6
+    X = rng.dirichlet(np.ones(B), size=80)
+    labels = [{"a"} if x[0] > 0.3 else set() for x in X]
+    models = train_linear_ova(X, labels, ("a", "ghost"),
+                              TrainConfig(epochs=50))
+    for row in range(2):                     # a trained and a floored row
+        for trial in range(4):
+            T = int(rng.integers(30, 700))
+            counts = rng.poisson(0.5, size=(T, B)).astype(float)
+            gap = int(rng.integers(0, T - 29))
+            counts[gap:gap + 90] = 0         # some windows are all-zero
+            table = build_integral(counts)
+            got = score_windows(
+                table, lambda H: score_intervals(models, H).values[row],
+                video="v", attribute="a")
+            want = _per_window_detections(
+                table,
+                lambda h: score_intervals(models, h[None, :]).values[row, 0],
+                video="v", attribute="a")
+            assert [(d.video, d.attribute, d.start, d.end) for d in got] \
+                == [(d.video, d.attribute, d.start, d.end) for d in want]
+            assert all(type(d.start) is int and type(d.end) is int
+                       and type(d.score) is float for d in got)
+            diff = max(abs(a.score - b.score) for a, b in zip(got, want))
+            assert diff <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +416,95 @@ def test_segment_agglomerative_zero_norm_cosine_is_zero():
     # first span is all zero; cosine with anything is 0 < threshold
     segs = segment_agglomerative(table, threshold=0.5, span=3)
     assert len(segs) == 2
+
+
+def test_merge_adjacent_rejects_non_finite_threshold():
+    items = [np.ones(2)] * 3
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            merge_adjacent(items, temporal._cosine, np.add, bad)
+    table = build_integral(np.random.default_rng(0).poisson(
+        1.0, size=(600, 8)).astype(float))
+    with pytest.raises(ValueError, match="finite"):
+        segment_agglomerative(table, float("nan"))
+    assert len(segment_agglomerative(table, 1.5)) == 10
+
+
+def _former_merge_adjacent(items, similarity, combine, threshold):
+    """The former agglomeration: every adjacent similarity is recomputed
+    after each merge."""
+    out = list(items)
+    while len(out) > 1:
+        sims = [similarity(out[i], out[i + 1]) for i in range(len(out) - 1)]
+        best = int(np.argmax(sims))
+        if sims[best] < threshold:
+            break
+        out[best:best + 2] = [combine(out[best], out[best + 1])]
+    return out
+
+
+def _tied_columns(rng, n, dim):
+    """n rows drawn from three coordinate permutations of one integer
+    vector, the all-ones vector and zero, never the same one twice in a
+    row.  Their dot products and norms are exact, so mathematically equal
+    cosines are equal floats, and which of two tied pairs merges first
+    changes the result."""
+    base = np.arange(dim, dtype=float)
+    patterns = np.stack([rng.permutation(base) for _ in range(3)]
+                        + [np.ones(dim), np.zeros(dim)])
+    picks = [int(rng.integers(0, 5))]
+    for _ in range(n - 1):
+        picks.append((picks[-1] + int(rng.integers(1, 5))) % 5)
+    return patterns[picks]
+
+
+def test_segment_agglomerative_matches_former_merge(monkeypatch):
+    rng = np.random.default_rng(8)
+    merged = 0
+    for trial in range(25):
+        span = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 40))
+        rows = np.repeat(_tied_columns(rng, n, 3), span, axis=0)
+        table = build_integral(rows[:n * span - int(rng.integers(0, span))])
+        for threshold in (-1.0, 0.0, 0.5, 0.8, 0.95, 1.0, 1.5):
+            got = segment_agglomerative(table, threshold, span)
+            with monkeypatch.context() as m:
+                m.setattr(temporal, "merge_adjacent", _former_merge_adjacent)
+                want = segment_agglomerative(table, threshold, span)
+            assert got == want
+            merged += len(got) < len(uniform_intervals(table.num_frames,
+                                                       span))
+    assert merged > 50
+
+
+def test_experiment_segmentation_matches_former_merge(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    seqs, mats = [], {}
+    for i in range(30):
+        T = int(rng.integers(1, 25))
+        sid = f"s{i}"
+        seqs.append(SimpleNamespace(
+            sequence_id=sid, intervals=[(10 * t, 10 * t + 9)
+                                        for t in range(T)]))
+        mats[sid] = _tied_columns(rng, T, 4).T
+    bundle = SimpleNamespace(sequences=seqs)
+    merged = 0
+    for threshold in (-1.0, 0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0):
+        cfg = {"segment_threshold": threshold}
+        got = experiment._apply_segmentation(bundle, cfg, mats,
+                                             tmp_path / "new")
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "merge_adjacent", _former_merge_adjacent)
+            want = experiment._apply_segmentation(bundle, cfg, mats,
+                                                  tmp_path / "old")
+        for s in seqs:
+            sid = s.sequence_id
+            assert np.array_equal(got[sid], want[sid])
+            name = f"segments/{sid}.jsonl"
+            assert (tmp_path / "new" / name).read_bytes() \
+                == (tmp_path / "old" / name).read_bytes()
+            merged += got[sid].shape[1] < mats[sid].shape[1]
+    assert merged > 50
 
 
 # ---------------------------------------------------------------------------
