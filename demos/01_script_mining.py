@@ -72,13 +72,14 @@ for z, comp in enumerate(W.composites):
 # An attribute used in every scenario would get weight zero no matter
 # how often it is mentioned.
 
-# Synonym matching lets "rinse" count as "wash" and "heat" as "boil".
+# A lexicon turns on synonym matching: "rinse" counts as "wash" and
+# "heat" as "boil".
 lexicon = SynonymLexicon({
     ("wash", "verb"): ("rinse",),
     ("boil", "verb"): ("heat",),
     ("cup", "noun"): ("mug",),
 })
-W_syn = tfidf_weights(documents, vocab, lexicon=lexicon, mode="synonym")
+W_syn = tfidf_weights(documents, vocab, lexicon=lexicon)
 i_wash = W.attributes.index("wash")
 z_salad = W.composites.index("cucumber-salad")
 print(f"\n'wash' weight, literal matching: {W.values[z_salad, i_wash]:.3f}")

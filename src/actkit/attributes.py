@@ -13,11 +13,12 @@ interval itself with the target attribute removed).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_json_lines, write_table
 
 DEFAULT_FLOOR = -10.0
 
@@ -75,7 +76,6 @@ class ScoreMatrix:
 
     values: np.ndarray
     labels: tuple
-    interval_ids: tuple = ()
     floored_rows: tuple = ()
 
     def __post_init__(self):
@@ -84,10 +84,6 @@ class ScoreMatrix:
             raise ValueError("score matrix must be 2-D")
         if self.values.shape[0] != len(self.labels):
             raise ValueError("score matrix row count does not match labels")
-        if not self.interval_ids:
-            self.interval_ids = tuple(range(self.values.shape[1]))
-        if len(self.interval_ids) != self.values.shape[1]:
-            raise ValueError("interval id count does not match columns")
         if not np.isfinite(self.values).all():
             raise ValueError("score matrix contains non-finite values")
 
@@ -304,38 +300,18 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
     values = np.full((len(labels), Xev.shape[0]), DEFAULT_FLOOR)
     values[ok] = ((s - mean) / std).T
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
-    return [ScoreMatrix(V, labels, E.interval_ids, floored)
-            for V, E in zip(np.split(values, bounds, axis=1), eval_scores)]
+    return [ScoreMatrix(V, labels, floored)
+            for V in np.split(values, bounds, axis=1)]
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 def save_scores_csv(scores: ScoreMatrix, path) -> None:
-    """CSV with attribute labels as rows and interval ids as columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute"] + [str(i) for i in scores.interval_ids])
-        for label, row in zip(scores.labels, scores.values):
-            writer.writerow([label] + [f"{v:.9g}" for v in row])
-
-
-def load_scores_csv(path) -> ScoreMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: missing score matrix header")
-        ids = tuple(header[1:])
-        labels, rows = [], []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise ValueError(f"{path}: row {rec[0]!r} has wrong column count")
-            labels.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
-    return ScoreMatrix(np.array(rows), tuple(labels), ids)
+    """CSV with attribute labels as rows and interval indices as columns."""
+    write_table(path, ([label] + row for label, row
+                       in zip(scores.labels, scores.values.tolist())),
+                ["attribute", *range(scores.values.shape[1])])
 
 
 def save_models_npz(model_set: LinearModelSet, path) -> None:
@@ -410,23 +386,10 @@ def load_annotations(path) -> list:
     Every error (a line that is not JSON, not an object, lacks a field
     or ends before it starts) is a ValueError prefixed with path:line.
     """
-    required = {"video", "start_frame", "end_frame", "attributes", "composite"}
+    required = ("video", "start_frame", "end_frame", "attributes", "composite")
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}:{ln}: expected a JSON object, "
-                                 f"got {type(rec).__name__}")
-            missing = required - rec.keys()
-            if missing:
-                raise ValueError(f"{path}:{ln}: missing fields {sorted(missing)}")
-            if rec["end_frame"] < rec["start_frame"]:
-                raise ValueError(f"{path}:{ln}: end_frame before start_frame")
-            records.append(rec)
+    for ln, rec in read_json_lines(path, required):
+        if rec["end_frame"] < rec["start_frame"]:
+            raise ValueError(f"{path}:{ln}: end_frame before start_frame")
+        records.append(rec)
     return records

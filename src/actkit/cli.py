@@ -45,7 +45,7 @@ def _cmd_mine_scripts(args):
     vocab = load_vocab(args.vocab)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     docs = build_documents(corpus)
-    weights = tfidf_weights(docs, vocab, lexicon, args.match_mode)
+    weights = tfidf_weights(docs, vocab, lexicon)
     weights = binarize_weights(weights) if args.binarize \
         else normalize_l1(weights)
     save_weights_csv(weights, args.output)
@@ -233,9 +233,8 @@ def _build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--match-mode", choices=("literal", "synonym"),
-                   default="literal")
+    p.add_argument("--lexicon",
+                   help="synonym lexicon TSV; synonyms count when given")
     p.add_argument("--binarize", action="store_true")
     p.set_defaults(func=_cmd_mine_scripts)
 

@@ -23,7 +23,6 @@ tables for a whole test split.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from scipy.spatial.distance import cdist
 
 from .attributes import DEFAULT_FLOOR, TrainConfig, _fit_ova, _membership
 from .corpus import WeightMatrix
+from .tables import write_table
 
 # Score of a composite that no training sequence can be compared with.
 SCORE_FLOOR = -1e30
@@ -374,8 +374,4 @@ def save_predictions_csv(rows, path) -> None:
     """Write per-sequence composite scores as CSV sequence,composite,score
     sorted by sequence id and descending score."""
     ordered = sorted(rows, key=lambda r: (str(r[0]), -float(r[2]), str(r[1])))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "composite", "score"])
-        for seq, comp, score in ordered:
-            writer.writerow([seq, comp, f"{score:.9g}"])
+    write_table(path, ordered, ("sequence", "composite", "score"))

@@ -10,7 +10,6 @@ composites to attributes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 import math
@@ -18,6 +17,8 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .tables import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -170,26 +171,24 @@ def _label_tokens(label: str) -> tuple:
     return tuple(normalize_label(label).split())
 
 
-def match_count(label, tokens, lexicon=None, mode="literal", kind=None) -> int:
+def match_count(label, tokens, lexicon=None, kind=None) -> int:
     """Count non-overlapping occurrences of an attribute label in tokens.
 
     Multi-word labels match as contiguous token n-grams; the scan is
-    greedy left to right.  In synonym mode the lexicon synonyms whose
+    greedy left to right.  When a lexicon is given, its synonyms whose
     part of speech matches the attribute kind (activity -> verb,
     object -> noun) are counted too, longest pattern first, with every
-    token position consumed at most once.  A label absent from the
-    lexicon degrades to literal matching.
+    token position consumed at most once.  Without a lexicon, or for a
+    label absent from it, matching is literal.
 
     Only positions holding some pattern's first token can start a
     match, so they are found with list.index and walked in order; the
     count equals that of trying every pattern at every position.
     """
-    if mode not in ("literal", "synonym"):
-        raise ValueError(f"unknown match mode {mode!r}")
     patterns = [_label_tokens(label)]
     if not patterns[0]:
         raise ValueError("empty attribute label")
-    if mode == "synonym" and lexicon is not None:
+    if lexicon is not None:
         pos = _KIND_POS.get(kind)
         if pos is not None:
             for syn in lexicon.synonyms(label, pos):
@@ -237,27 +236,28 @@ def build_documents(corpus: ScriptCorpus) -> dict:
     return docs
 
 
-def freq_weights(documents, vocab: AttributeVocab, lexicon=None,
-                 mode="literal") -> WeightMatrix:
-    """Raw attribute match counts per document (unnormalized weights)."""
+def freq_weights(documents, vocab: AttributeVocab,
+                 lexicon=None) -> WeightMatrix:
+    """Raw attribute match counts per document (unnormalized weights);
+    lexicon synonyms count when a lexicon is given."""
     comps = tuple(documents.keys())
     values = np.zeros((len(comps), len(vocab)), dtype=float)
     for z, cid in enumerate(comps):
         doc = documents[cid]
         for i, (label, kind) in enumerate(vocab):
-            values[z, i] = match_count(label, doc, lexicon, mode, kind)
+            values[z, i] = match_count(label, doc, lexicon, kind)
     return WeightMatrix(values, comps, vocab.labels)
 
 
-def tfidf_weights(documents, vocab: AttributeVocab, lexicon=None,
-                  mode="literal") -> WeightMatrix:
+def tfidf_weights(documents, vocab: AttributeVocab,
+                  lexicon=None) -> WeightMatrix:
     """tf*idf weights: count times ln(num documents / document frequency).
 
     The document frequency of an attribute is the number of documents
-    where it matches at least once (same matching mode).  Attributes
+    where it matches at least once (same lexicon).  Attributes
     matching nowhere get weight zero instead of a division by zero.
     """
-    freq = freq_weights(documents, vocab, lexicon, mode)
+    freq = freq_weights(documents, vocab, lexicon)
     num_docs = len(freq.composites)
     df = (freq.values > 0).sum(axis=0)
     idf = np.zeros(len(vocab))
@@ -344,58 +344,37 @@ def load_lexicon(path) -> SynonymLexicon:
     return SynonymLexicon(rows)
 
 
-def save_lexicon(lexicon: SynonymLexicon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (head, pos), syns in lexicon.rows.items():
-            fh.write(f"{head}\t{pos}\t{','.join(syns)}\n")
-
-
 def save_weights_csv(weights: WeightMatrix, path) -> None:
     """Write a weight matrix as CSV: header row of attribute labels, one
     row per composite with the composite id in the first column.  Values
     carry 9 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["composite"] + list(weights.attributes))
-        for cid, row in zip(weights.composites, weights.values):
-            writer.writerow([cid] + [f"{v:.9g}" for v in row])
+    write_table(path, ([cid] + row for cid, row
+                       in zip(weights.composites, weights.values.tolist())),
+                ["composite", *weights.attributes])
 
 
 def load_weights_csv(path) -> WeightMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise ValueError(f"{path}: missing weight matrix header")
-        attributes = tuple(header[1:])
-        comps, rows = [], []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise ValueError(f"{path}: row {rec[0]!r} has wrong column count")
-            comps.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
-    if not comps:
+    """Read a weight matrix CSV; a composite id may appear once."""
+    header, rows = read_table(path, (str, float, ...), ("composite",), key=1)
+    if not rows:
         raise ValueError(f"{path}: weight matrix has no rows")
-    return WeightMatrix(np.array(rows), tuple(comps), attributes)
+    return WeightMatrix([row[1:] for row in rows],
+                        tuple(row[0] for row in rows), tuple(header[1:]))
+
+
+def _kind(cell):
+    kind = cell.strip()
+    if kind not in KINDS:
+        raise ValueError(f"unknown attribute kind {kind!r}")
+    return kind
 
 
 def load_vocab(path) -> AttributeVocab:
-    """Load an attribute vocabulary CSV with rows label,kind."""
-    pairs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for ln, rec in enumerate(csv.reader(fh), 1):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise ValueError(f"{path}:{ln}: expected label,kind")
-            pairs.append((rec[0], rec[1].strip()))
-    return AttributeVocab.from_pairs(pairs)
+    """Load an attribute vocabulary CSV with rows label,kind; labels are
+    normalized and may appear once."""
+    _, rows = read_table(path, (normalize_label, _kind), key=1)
+    return AttributeVocab(tuple(rows))
 
 
 def save_vocab(vocab: AttributeVocab, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for label, kind in vocab:
-            writer.writerow([label, kind])
+    write_table(path, vocab)

@@ -35,11 +35,12 @@ dimensions.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_table, write_table
 
 PARTS = ("head", "torso", "r_shoulder", "l_shoulder", "r_elbow", "l_elbow",
          "r_wrist", "l_wrist", "r_hand", "l_hand")
@@ -514,37 +515,29 @@ def stream_word_counts(frame_features, frames, codebook_set: CodebookSet,
 # ---------------------------------------------------------------------------
 # file formats
 
+_TRACK_HEADER = ("frame", "part", "x", "y")
+
+
 def save_tracks_csv(tracks: JointTrackSet, path) -> None:
     """Write tracks as CSV rows frame,part,x,y (header included)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "part", "x", "y"])
-        first, _ = tracks.frame_range
-        for f in range(tracks.num_frames):
-            for p, part in enumerate(PARTS):
-                x, y = tracks.positions[p, f]
-                writer.writerow([first + f, part, f"{x:.9g}", f"{y:.9g}"])
+    first, _ = tracks.frame_range
+    pos = tracks.positions.tolist()
+    write_table(path, ([first + f, part, *pos[p][f]]
+                       for f in range(tracks.num_frames)
+                       for p, part in enumerate(PARTS)), _TRACK_HEADER)
 
 
 def load_tracks_csv(path) -> JointTrackSet:
-    """Read a frame,part,x,y CSV; every part must cover the same
-    contiguous frame range."""
+    """Read a frame,part,x,y CSV; each (frame, part) appears once and
+    every part must cover the same contiguous frame range."""
+    _, table = read_table(path, (int, str, float, float), _TRACK_HEADER,
+                          key=2)
     rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame", "part", "x", "y"]:
-            raise ValueError(f"{path}: expected header frame,part,x,y")
-        for rec in reader:
-            if not rec:
-                continue
-            frame, part, x, y = int(rec[0]), rec[1], float(rec[2]), float(rec[3])
-            if part not in PARTS:
-                raise ValueError(f"{path}: unknown part {part!r}")
-            rows.setdefault(part, {})[frame] = (x, y)
+    for frame, part, x, y in table:
+        rows.setdefault(part, {})[frame] = (x, y)
     if set(rows) != set(PARTS):
-        missing = sorted(set(PARTS) - set(rows))
-        raise ValueError(f"{path}: missing parts {missing}")
+        odd = sorted(set(rows) ^ set(PARTS))
+        raise ValueError(f"{path}: missing or unknown parts {odd}")
     frames = sorted(rows[PARTS[0]])
     if frames != list(range(frames[0], frames[-1] + 1)):
         raise ValueError(f"{path}: frames are not contiguous")

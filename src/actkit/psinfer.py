@@ -21,13 +21,13 @@ place of max.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .posefeat import PARTS
+from .tables import read_table, write_table
 
 LOG_FLOOR = -1e30
 
@@ -419,46 +419,22 @@ def load_grids(path) -> np.ndarray:
 
 
 def save_hand_hypotheses_csv(hypotheses: HandHypothesisSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "score"])
-        for (x, y), s in zip(hypotheses.points, hypotheses.scores):
-            writer.writerow([f"{x:.9g}", f"{y:.9g}", f"{s:.9g}"])
+    rows = np.column_stack([hypotheses.points, hypotheses.scores]).tolist()
+    write_table(path, rows, ("x", "y", "score"))
 
 
 def load_hand_hypotheses_csv(path) -> HandHypothesisSet:
-    points, scores = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "score"]:
-            raise ValueError(f"{path}: expected header x,y,score")
-        for rec in reader:
-            if not rec:
-                continue
-            points.append((float(rec[0]), float(rec[1])))
-            scores.append(float(rec[2]))
-    return HandHypothesisSet(np.asarray(points).reshape(-1, 2),
-                             np.asarray(scores))
+    _, rows = read_table(path, (float, float, float), ("x", "y", "score"))
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return HandHypothesisSet(table[:, :2], table[:, 2])
 
 
 def save_placements_csv(placements, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["part", "x", "y"])
-        for part, (x, y) in placements.items():
-            writer.writerow([part, x, y])
+    write_table(path, ([part, x, y] for part, (x, y) in placements.items()),
+                ("part", "x", "y"))
 
 
 def load_placements_csv(path) -> dict:
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["part", "x", "y"]:
-            raise ValueError(f"{path}: expected header part,x,y")
-        for rec in reader:
-            if not rec:
-                continue
-            out[rec[0]] = (int(rec[1]), int(rec[2]))
-    return out
+    """Read part,x,y rows; a part may appear once."""
+    _, rows = read_table(path, (str, int, int), ("part", "x", "y"), key=1)
+    return {part: (x, y) for part, x, y in rows}

@@ -10,12 +10,13 @@ read and scored as one batch.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_json_lines, read_table, write_table
 
 BASE_WINDOW = 30
 BASE_STEP = 6
@@ -280,28 +281,17 @@ def segment_agglomerative(table: IntegralHistogram, threshold: float,
 # ---------------------------------------------------------------------------
 # file formats
 
+_DETECTION_HEADER = ("video", "attribute", "start", "end", "score")
+
+
 def save_detections_csv(detections, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video", "attribute", "start", "end", "score"])
-        for d in detections:
-            writer.writerow([d.video, d.attribute, d.start, d.end,
-                             f"{d.score:.9g}"])
+    write_table(path, ([d.video, d.attribute, d.start, d.end, d.score]
+                       for d in detections), _DETECTION_HEADER)
 
 
 def load_detections_csv(path) -> list:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["video", "attribute", "start", "end", "score"]:
-            raise ValueError(f"{path}: bad detection header")
-        for rec in reader:
-            if not rec:
-                continue
-            out.append(Detection(rec[0], rec[1], int(rec[2]), int(rec[3]),
-                                 float(rec[4])))
-    return out
+    _, rows = read_table(path, (str, str, int, int, float), _DETECTION_HEADER)
+    return [Detection(*row) for row in rows]
 
 
 def save_segments_jsonl(segments, path) -> None:
@@ -312,16 +302,12 @@ def save_segments_jsonl(segments, path) -> None:
 
 
 def load_segments_jsonl(path) -> list:
+    """Read segment JSON lines; errors are prefixed with path:line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            try:
-                out.append(Segment(int(rec["start"]), int(rec["end"]),
-                                   float(rec.get("score", 0.0))))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{ln}: missing field {exc}") from exc
+    for ln, rec in read_json_lines(path, ("start", "end")):
+        try:
+            out.append(Segment(int(rec["start"]), int(rec["end"]),
+                               float(rec.get("score", 0.0))))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     return out

@@ -15,10 +15,8 @@ from actkit.attributes import (
     hinge_objective,
     load_annotations,
     load_models_npz,
-    load_scores_csv,
     save_annotations,
     save_models_npz,
-    save_scores_csv,
     score_intervals,
     train_and_score_stacked,
     train_linear_ova,
@@ -335,16 +333,6 @@ def test_score_matrix_validation():
 
 # ---------------------------------------------------------------------------
 # file round trips
-
-def test_scores_csv_round_trip(tmp_path):
-    S = ScoreMatrix(np.array([[1.25, -2.5], [0.0, 3.75]]), ("a0", "a1"),
-                    ("iv0", "iv1"))
-    save_scores_csv(S, tmp_path / "s.csv")
-    loaded = load_scores_csv(tmp_path / "s.csv")
-    assert loaded.labels == S.labels
-    assert loaded.interval_ids == ("iv0", "iv1")
-    assert np.allclose(loaded.values, S.values, rtol=1e-8)
-
 
 def test_models_npz_round_trip(tmp_path):
     X, labels = _separable_1d()

@@ -83,6 +83,24 @@ def test_mine_scripts_binarize(score_bundle, tmp_path):
             assert np.allclose(nz, nz[0])
 
 
+def test_mine_scripts_lexicon_counts_synonyms(tmp_path):
+    for sid, text in [("salad", "rinse the cucumber\n"),
+                      ("tea", "boil water\n")]:
+        (tmp_path / "corpus" / sid).mkdir(parents=True)
+        (tmp_path / "corpus" / sid / "seq0.txt").write_text(text)
+    (tmp_path / "vocab.csv").write_text("wash,activity\nboil,activity\n"
+                                        "cucumber,object\nwater,object\n")
+    (tmp_path / "lex.tsv").write_text("wash\tverb\trinse\n")
+    args = ["mine-scripts", "--corpus", str(tmp_path / "corpus"),
+            "--vocab", str(tmp_path / "vocab.csv")]
+    assert main(args + ["--output", str(tmp_path / "lit.csv")]) == 0
+    assert main(args + ["--output", str(tmp_path / "syn.csv"),
+                        "--lexicon", str(tmp_path / "lex.tsv")]) == 0
+    # the lexicon alone switches synonym matching on
+    assert load_weights_csv(tmp_path / "lit.csv").row("salad")[0] == 0
+    assert load_weights_csv(tmp_path / "syn.csv").row("salad")[0] > 0
+
+
 def test_mine_scripts_missing_corpus_exit_2(tmp_path, capsys):
     rc = main(["mine-scripts", "--corpus", str(tmp_path / "nope"),
                "--vocab", str(tmp_path / "nope.csv"),
@@ -480,3 +498,18 @@ def test_eval_command(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["mean_ap"] == pytest.approx(1.0)
     assert "mean AP" in capsys.readouterr().out
+
+
+def test_eval_short_detection_row_exit_2(tmp_path, capsys):
+    dets = tmp_path / "dets.csv"
+    dets.write_text("video,attribute,start,end,score\nv,a0,0,29,2.0\n"
+                    "v,a0,200,229\n")
+    save_annotations([{"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c"}],
+                     tmp_path / "ann.jsonl")
+    rc = main(["eval", "--detections", str(dets),
+               "--annotations", str(tmp_path / "ann.jsonl"),
+               "--output", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert f"{dets}:3: expected 5 cells, got 4" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -19,7 +19,6 @@ from actkit.corpus import (
     load_weights_csv,
     match_count,
     normalize_l1,
-    save_lexicon,
     save_script_corpus,
     save_vocab,
     save_weights_csv,
@@ -61,33 +60,28 @@ def test_match_count_ngram_non_overlapping():
 def test_match_count_synonym_mode():
     lex = SynonymLexicon({("wash", "verb"): ("rinse",)})
     toks = ["rinse", "then", "wash"]
-    assert match_count("wash", toks, lex, mode="synonym", kind="activity") == 2
-    # literal mode ignores the lexicon
-    assert match_count("wash", toks, lex, mode="literal", kind="activity") == 1
+    assert match_count("wash", toks, lex, kind="activity") == 2
+    # no lexicon means literal matching
+    assert match_count("wash", toks, kind="activity") == 1
 
 
 def test_match_count_synonym_pos_must_match_kind():
     lex = SynonymLexicon({("wash", "noun"): ("rinse",)})
     toks = ["rinse", "then", "wash"]
     # "wash" as activity looks up verbs only, so the noun row is ignored
-    assert match_count("wash", toks, lex, mode="synonym", kind="activity") == 1
+    assert match_count("wash", toks, lex, kind="activity") == 1
 
 
 def test_match_count_token_positions_counted_once():
     # synonym equal to the label must not double count
     lex = SynonymLexicon({("wash", "verb"): ("wash", "rinse")})
-    assert match_count("wash", ["wash"], lex, mode="synonym", kind="activity") == 1
+    assert match_count("wash", ["wash"], lex, kind="activity") == 1
 
 
 def test_match_count_label_missing_from_lexicon_degrades_to_literal():
     lex = SynonymLexicon({("stir", "verb"): ("mix",)})
     toks = ["mix", "and", "wash"]
-    assert match_count("wash", toks, lex, mode="synonym", kind="activity") == 1
-
-
-def test_match_count_bad_mode():
-    with pytest.raises(ValueError):
-        match_count("wash", ["wash"], mode="fuzzy")
+    assert match_count("wash", toks, lex, kind="activity") == 1
 
 
 def test_match_count_monotone_under_appending():
@@ -99,8 +93,8 @@ def test_match_count_monotone_under_appending():
         extra = [rng.choice(alphabet + ["rinse", "clean", "up"])
                  for _ in range(rng.randrange(0, 6))]
         for label, kind in [("wash", "activity"), ("cut board", "object")]:
-            before = match_count(label, toks, lex, "synonym", kind)
-            after = match_count(label, toks + extra, lex, "synonym", kind)
+            before = match_count(label, toks, lex, kind)
+            after = match_count(label, toks + extra, lex, kind)
             assert after >= before
 
 
@@ -111,16 +105,15 @@ def test_match_count_literal_at_most_synonym():
     for _ in range(200):
         toks = [rng.choice(words) for _ in range(rng.randrange(0, 15))]
         for label, kind in [("wash", "activity"), ("pan", "object")]:
-            lit = match_count(label, toks, lex, "literal", kind)
-            syn = match_count(label, toks, lex, "synonym", kind)
+            lit = match_count(label, toks, None, kind)
+            syn = match_count(label, toks, lex, kind)
             assert lit <= syn
 
 
-def _scan_match_count(label, tokens, lexicon=None, mode="literal",
-                      kind=None):
+def _scan_match_count(label, tokens, lexicon=None, kind=None):
     """Oracle: try every pattern, longest first, at every position."""
     patterns = [tuple(corpus.normalize_label(label).split())]
-    if mode == "synonym" and lexicon is not None:
+    if lexicon is not None:
         pos = {"activity": "verb", "object": "noun"}.get(kind)
         if pos is not None:
             for syn in lexicon.synonyms(label, pos):
@@ -164,13 +157,13 @@ def test_match_count_equals_scan_oracle(mode):
     docs = [[], ["cut"], ["cut", "up", "the"], ["the", "board", "the"]]
     docs += [[rng.choice(alphabet) for _ in range(rng.randrange(0, 40))]
              for _ in range(300)]
+    lex = _ORACLE_LEXICON if mode == "synonym" else None
     for toks in docs:
         for label, kind in _ORACLE_LABELS:
-            want = _scan_match_count(label, toks, _ORACLE_LEXICON, mode, kind)
-            assert match_count(label, toks, _ORACLE_LEXICON, mode,
-                               kind) == want, (label, mode, toks)
-            assert match_count(label, iter(toks), _ORACLE_LEXICON, mode,
-                               kind) == want
+            want = _scan_match_count(label, toks, lex, kind)
+            assert match_count(label, toks, lex, kind) == want, \
+                (label, mode, toks)
+            assert match_count(label, iter(toks), lex, kind) == want
 
 
 def test_match_count_scan_oracle_edge_cases():
@@ -185,10 +178,9 @@ def test_match_count_scan_oracle_edge_cases():
     ]
     for label, toks, want in cases:
         kind = dict(_ORACLE_LABELS)[label]
-        assert _scan_match_count(label, toks, lex, "synonym", kind) == want
-        assert match_count(label, toks, lex, "synonym", kind) == want
-        assert match_count(label, (t for t in toks), lex, "synonym",
-                           kind) == want
+        assert _scan_match_count(label, toks, lex, kind) == want
+        assert match_count(label, toks, lex, kind) == want
+        assert match_count(label, (t for t in toks), lex, kind) == want
 
 
 def _toy_documents():
@@ -362,7 +354,8 @@ def test_load_script_corpus_rejects_empty(tmp_path):
 def test_lexicon_round_trip(tmp_path):
     lex = SynonymLexicon({("wash", "verb"): ("rinse", "clean"),
                           ("pan", "noun"): ("skillet",)})
-    save_lexicon(lex, tmp_path / "lex.tsv")
+    (tmp_path / "lex.tsv").write_text("wash\tverb\trinse,clean\n"
+                                      "pan\tnoun\tskillet\n")
     loaded = load_lexicon(tmp_path / "lex.tsv")
     assert loaded.rows == lex.rows
 

@@ -645,6 +645,10 @@ def test_tracks_csv_validation(tmp_path):
     p2.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         load_tracks_csv(p2)
+    p3 = tmp_path / "neck.csv"
+    p3.write_text("\n".join(lines[:11] + ["0,neck,1.0,2.0"]) + "\n")
+    with pytest.raises(ValueError, match=r"unknown parts \['neck'\]"):
+        load_tracks_csv(p3)
 
 
 def test_codebook_set_round_trip(tmp_path):
