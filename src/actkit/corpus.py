@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import read_table, write_table
+from .tables import finite_float, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -353,9 +353,18 @@ def save_weights_csv(weights: WeightMatrix, path) -> None:
                 ["composite", *weights.attributes])
 
 
+def _weight(cell) -> float:
+    v = finite_float(cell)
+    if v < 0:
+        raise ValueError(f"negative weight {cell!r}")
+    return v
+
+
 def load_weights_csv(path) -> WeightMatrix:
-    """Read a weight matrix CSV; a composite id may appear once."""
-    header, rows = read_table(path, (str, float, ...), ("composite",), key=1)
+    """Read a weight matrix CSV; a composite id may appear once and
+    every weight is finite and non-negative."""
+    header, rows = read_table(path, (str, _weight, ...), ("composite",),
+                              key=1)
     if not rows:
         raise ValueError(f"{path}: weight matrix has no rows")
     return WeightMatrix([row[1:] for row in rows],

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_table, write_table
+from .tables import finite_float, read_table, write_table
 
 PARTS = ("head", "torso", "r_shoulder", "l_shoulder", "r_elbow", "l_elbow",
          "r_wrist", "l_wrist", "r_hand", "l_hand")
@@ -329,24 +329,36 @@ def _pairwise_sq(X, C) -> np.ndarray:
 
 
 def _kmeans_pp_init(samples, k, rng):
+    """k-means++ seeding.  Each centre is drawn as Generator.choice(n,
+    p=d2 / d2.sum()) draws it (same cdf, same single uniform), without
+    choice's per-call checks of p."""
     n = samples.shape[0]
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
     d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+    diff = np.empty_like(samples)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[j] = samples[rng.integers(n)]
             continue
-        centers[j] = samples[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((samples - centers[j]) ** 2).sum(axis=1))
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centers[j] = samples[cdf.searchsorted(rng.random(), side="right")]
+        np.subtract(samples, centers[j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.minimum(d2, diff.sum(axis=1), out=d2)
     return centers
 
 
 def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
     """Seeded Lloyd iterations; empty clusters are re-seeded from the
     sample farthest from its assigned center.  Returns (centers,
-    inertia history after each assignment)."""
+    inertia history after each assignment).
+
+    A live cluster's new center is its rows summed in row order from
+    +0.0 and divided by its count: the same bits as samples[assign ==
+    j].mean(axis=0) for samples of two or more columns."""
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(samples, k, rng)
     history = []
@@ -363,8 +375,11 @@ def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
             far = int(taken.argmax())
             centers[j] = samples[far]
             taken[far] = -1.0
-        for j in np.flatnonzero(counts > 0):
-            centers[j] = samples[assign == j].mean(axis=0)
+        sums = np.zeros_like(centers)
+        for i, j in enumerate(assign.tolist()):
+            sums[j] += samples[i]
+        live = counts > 0
+        centers[live] = sums[live] / counts[live, None]
         if prev is not None and prev > 0 and (prev - inertia) / prev < tol:
             break
         prev = inertia
@@ -529,9 +544,10 @@ def save_tracks_csv(tracks: JointTrackSet, path) -> None:
 
 def load_tracks_csv(path) -> JointTrackSet:
     """Read a frame,part,x,y CSV; each (frame, part) appears once and
-    every part must cover the same contiguous frame range."""
-    _, table = read_table(path, (int, str, float, float), _TRACK_HEADER,
-                          key=2)
+    every part must cover the same contiguous frame range and positions
+    are finite."""
+    _, table = read_table(path, (int, str, finite_float, finite_float),
+                          _TRACK_HEADER, key=2)
     rows = {}
     for frame, part, x, y in table:
         rows.setdefault(part, {})[frame] = (x, y)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -82,6 +83,14 @@ def read_table(path, types, header=None, key=0):
                                  f"{','.join(map(str, k))} (first on line "
                                  f"{seen[k]})")
     return names, list(zip(*cols))
+
+
+def finite_float(cell) -> float:
+    """read_table converter for a float cell that must be finite."""
+    v = float(cell)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {cell!r}")
+    return v
 
 
 def read_json_lines(path, fields):

@@ -119,7 +119,9 @@ def build_integral(counts) -> IntegralHistogram:
     if C.ndim != 2:
         raise ValueError("counts must be (T, B)")
     prefix = np.zeros((C.shape[0] + 1, C.shape[1]))
-    np.cumsum(C, axis=0, out=prefix[1:])
+    # in-place accumulate beats cumsum into a view; same top-down sums
+    prefix[1:] = C
+    np.add.accumulate(prefix[1:], axis=0, out=prefix[1:])
     return IntegralHistogram(prefix)
 
 
@@ -179,33 +181,40 @@ def score_windows(table: IntegralHistogram, scorer, video: str = "",
 
 def nms(detections, overlap_threshold: float = 0.0,
         criterion: str = "overlap") -> list:
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression, suppress-the-rest form.
 
-    Candidates are visited by descending score (ties: earlier start,
-    then shorter window).  A candidate is dropped when its overlap with
-    an already kept window exceeds the threshold; the default threshold
-    of zero removes anything that overlaps a kept window at all.
-    criterion "overlap" measures shared frames, "iou" the
-    intersection-over-union ratio.  Each candidate is tested against all
-    kept windows in one array expression.
+    Candidates are ranked by descending score (ties: earlier start,
+    then shorter window, then input order).  The best live candidate is
+    kept and every later candidate whose overlap with it exceeds the
+    threshold is dropped in one array expression; this repeats until no
+    candidate is live, so the loop runs once per kept window.  The
+    default threshold of zero removes anything that overlaps a kept
+    window at all.  criterion "overlap" measures shared frames, "iou"
+    the intersection-over-union ratio.  Both are symmetric, so the kept
+    list is the one a candidate-by-candidate greedy pass keeps.  A NaN
+    score has no rank and raises ValueError.
     """
     if criterion not in ("overlap", "iou"):
         raise ValueError(f"unknown suppression criterion {criterion!r}")
-    order = sorted(detections,
-                   key=lambda d: (-d.score, d.start, d.length))
-    starts = np.empty(len(order), dtype=np.int64)
-    ends = np.empty(len(order), dtype=np.int64)
+    dets = list(detections)
+    scores = np.array([d.score for d in dets], dtype=float)
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise ValueError(f"detection {dets[nan[0]]} has a NaN score")
+    starts = np.array([d.start for d in dets], dtype=np.int64)
+    ends = np.array([d.end for d in dets], dtype=np.int64)
+    rest = np.lexsort((ends - starts, starts, -scores))
+    S, E = starts[rest], ends[rest]
     kept = []
-    for cand in order:
-        n = len(kept)
-        overlap = (np.minimum(ends[:n], cand.end)
-                   - np.maximum(starts[:n], cand.start) + 1)
+    while rest.size:
+        kept.append(dets[rest[0]])
+        overlap = np.minimum(E, E[0]) - np.maximum(S, S[0]) + 1
         if criterion == "iou":
             inter = np.maximum(overlap, 0)
-            overlap = inter / (ends[:n] - starts[:n] + 1 + cand.length - inter)
-        if not (overlap > overlap_threshold).any():
-            starts[n], ends[n] = cand.start, cand.end
-            kept.append(cand)
+            overlap = inter / (E - S + 1 + E[0] - S[0] + 1 - inter)
+        live = ~(overlap > overlap_threshold)
+        live[0] = False
+        rest, S, E = rest[live], S[live], E[live]
     return kept
 
 
@@ -291,7 +300,14 @@ def save_detections_csv(detections, path) -> None:
 
 def load_detections_csv(path) -> list:
     _, rows = read_table(path, (str, str, int, int, float), _DETECTION_HEADER)
-    return [Detection(*row) for row in rows]
+    out = []
+    for row in rows:
+        try:
+            out.append(Detection(*row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {','.join(map(str, row))}: "
+                             f"{exc}") from None
+    return out
 
 
 def save_segments_jsonl(segments, path) -> None:

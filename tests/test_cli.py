@@ -513,3 +513,19 @@ def test_eval_short_detection_row_exit_2(tmp_path, capsys):
     assert rc == 2
     assert f"{dets}:3: expected 5 cells, got 4" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_backwards_detection_row_exit_2(tmp_path, capsys):
+    dets = tmp_path / "dets.csv"
+    dets.write_text("video,attribute,start,end,score\nv,a0,0,29,2.0\n"
+                    "v,a0,9,3,1.0\n")
+    save_annotations([{"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c"}],
+                     tmp_path / "ann.jsonl")
+    rc = main(["eval", "--detections", str(dets),
+               "--annotations", str(tmp_path / "ann.jsonl"),
+               "--output", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert f"{dets}: row v,a0,9,3,1.0: detection must end at or after " \
+        "its start" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -416,6 +416,97 @@ def test_kmeans_inertia_non_increasing():
             assert b <= a * (1 + 1e-9) + 1e-9
 
 
+def _former_kmeans_pp_init(samples, k, rng):
+    """k-means++ seeding as it was written with Generator.choice."""
+    n = samples.shape[0]
+    centers = np.empty((k, samples.shape[1]))
+    centers[0] = samples[rng.integers(n)]
+    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = samples[rng.integers(n)]
+            continue
+        centers[j] = samples[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((samples - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _former_kmeans(samples, k, seed, max_iter=100, tol=1e-6):
+    """Lloyd iterations as they were written, one masked mean per live
+    cluster: the oracle of posefeat._kmeans."""
+    from actkit.posefeat import _pairwise_sq
+    rng = np.random.default_rng(seed)
+    centers = _former_kmeans_pp_init(samples, k, rng)
+    history = []
+    prev = None
+    for _ in range(max_iter):
+        d2 = _pairwise_sq(samples, centers)
+        assign = d2.argmin(axis=1)
+        mind2 = d2[np.arange(len(samples)), assign]
+        inertia = float(mind2.sum())
+        history.append(inertia)
+        counts = np.bincount(assign, minlength=k)
+        taken = mind2.copy()
+        for j in np.flatnonzero(counts == 0):
+            far = int(taken.argmax())
+            centers[j] = samples[far]
+            taken[far] = -1.0
+        for j in np.flatnonzero(counts > 0):
+            centers[j] = samples[assign == j].mean(axis=0)
+        if prev is not None and prev > 0 and (prev - inertia) / prev < tol:
+            break
+        prev = inertia
+    return centers, history
+
+
+def _kmeans_blocks():
+    # samples of two or more columns: a one-column mean sums its column
+    # pairwise, so only there may the last bit differ (every pose
+    # sub-feature has at least two columns)
+    rng = np.random.default_rng(10)
+    for trial in range(12):
+        n, d = int(rng.integers(8, 80)), int(rng.integers(2, 9))
+        yield f"random-{trial}", rng.normal(size=(n, d)), n // 3
+    # many repeated rows: clusters empty and are re-seeded
+    base = rng.normal(size=(5, 4))
+    yield "duplicates", base[rng.integers(0, 5, 60)], 12
+    for trial in range(4):
+        X = rng.normal(size=(40, 3))
+        X[rng.random(X.shape) < 0.4] = -0.0
+        X[:, 0] = -0.0                    # a whole column of negative zeros
+        yield f"negative-zeros-{trial}", X, 10
+    # all points on 2 sites: after two centres every distance is zero
+    yield "zero-distance", np.repeat(rng.normal(size=(2, 3)), 10, axis=0), 6
+    X = rng.normal(size=(15, 4))
+    yield "n-equals-k", X, 15
+    # pose-block shape: sparse non-negative histograms, k = 2 x dim
+    X = rng.random((90, 24))
+    X[X < 0.6] = 0.0
+    yield "sparse-histograms", X, 48
+
+
+@pytest.mark.parametrize("name, samples, k", list(_kmeans_blocks()))
+def test_kmeans_matches_former_bit_for_bit(name, samples, k):
+    from actkit.posefeat import _kmeans
+    for seed in range(3):
+        new_c, new_h = _kmeans(samples, k, seed)
+        old_c, old_h = _former_kmeans(samples, k, seed)
+        # tobytes: the sign of zero counts too
+        assert new_c.tobytes() == old_c.tobytes()
+        assert new_h == old_h
+
+
+def test_kmeans_pp_init_draws_as_choice():
+    from actkit.posefeat import _kmeans_pp_init
+    for name, samples, k in _kmeans_blocks():
+        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        assert _kmeans_pp_init(samples, k, rng_new).tobytes() \
+            == _former_kmeans_pp_init(samples, k, rng_old).tobytes(), name
+        # the same number of draws came off both streams
+        assert rng_new.random() == rng_old.random()
+
+
 def test_quantize_matches_brute_force():
     rng = np.random.default_rng(9)
     cb = Codebook("toy", rng.normal(size=(6, 3)), seed=0)

@@ -117,6 +117,17 @@ LOADERS = {
               "stir,verb", "WASH,activity"),
 }
 
+# rows whose cells parse as floats but hold values the table forbids
+BAD_VALUES = {
+    "weights": [("c2,nan,0.5", "non-finite value 'nan'"),
+                ("c2,0.5,inf", "non-finite value 'inf'"),
+                ("c2,-inf,0.5", "non-finite value '-inf'"),
+                ("c2,0.5,-0.25", "negative weight '-0.25'")],
+    "tracks": [("1,head,nan,2", "non-finite value 'nan'"),
+               ("1,head,1.5,inf", "non-finite value 'inf'"),
+               ("1,head,-inf,2", "non-finite value '-inf'")],
+}
+
 
 def _malformed_cases():
     for name, (load, header, rows, bad_cell, dup) in LOADERS.items():
@@ -133,6 +144,8 @@ def _malformed_cases():
             cases["missing header"] = (rows, "expected header")
         if dup:
             cases["duplicate key"] = (head + rows + [dup], "duplicate")
+        for i, (row, words) in enumerate(BAD_VALUES.get(name, ())):
+            cases[f"bad value {i}"] = (head + rows + [row], words)
         for case, (lines, words) in cases.items():
             bad_line = 1 if "header" in case else len(lines)
             yield pytest.param(load, head + rows, lines, bad_line, words,

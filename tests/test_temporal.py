@@ -134,6 +134,17 @@ def test_window_histogram_rows_equal_scalar_calls(bins):
     assert not H[:20].any()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (300, 17)])
+def test_build_integral_matches_cumsum_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    counts = rng.gamma(0.7, 3.0, size=shape)      # non-integer counts
+    counts[rng.random(shape) < 0.2] = 0.0
+    want = np.cumsum(counts, axis=0)
+    prefix = build_integral(counts).prefix
+    assert not prefix[0].any()
+    assert prefix[1:].tobytes() == want.tobytes()
+
+
 def test_integral_validation():
     with pytest.raises(ValueError):
         IntegralHistogram(np.array([[1.0, 0.0], [2.0, 1.0]]))
@@ -349,6 +360,40 @@ def test_nms_matches_nested_loop_oracle(criterion):
     assert nms(dets, 30, criterion) == sorted(
         dets, key=lambda d: (-d.score, d.start, d.length))
     assert nms([], 0, criterion) == []
+
+
+def _scored_stream(T=3000, B=16, seed=12):
+    """Every schedule level of one scored stream, as actkit detect
+    produces it."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(0.4, size=(T, B)).astype(float)
+    for start in rng.integers(0, T - 200, 6):
+        counts[start:start + 150, int(rng.integers(B))] += 3.0
+    w = rng.normal(size=B)
+    return score_windows(build_integral(counts), lambda H: H @ w, "v", "a")
+
+
+@pytest.mark.parametrize("thr, criterion",
+                         [(0, "overlap"), (0.3, "iou"), (0.5, "iou")])
+def test_nms_matches_nested_loop_oracle_on_scored_stream(thr, criterion):
+    dets = _scored_stream()
+    assert len(dets) > 1000
+    kept = nms(dets, thr, criterion)
+    assert 0 < len(kept) < len(dets)
+    assert kept == _nested_loop_nms(dets, thr, criterion)
+    # coarse scores: many ties, broken by start, length, then input order
+    tied = [Detection(d.video, d.attribute, d.start, d.end,
+                      round(d.score, 1)) for d in dets]
+    assert nms(tied, thr, criterion) == _nested_loop_nms(tied, thr, criterion)
+    assert nms([], thr, criterion) == []
+
+
+def test_nms_rejects_nan_scores_keeps_infinities():
+    dets = [_det(0, 9, 1.0), _det(5, 14, float("nan"))]
+    with pytest.raises(ValueError, match="NaN score"):
+        nms(dets)
+    dets = [_det(0, 9, -np.inf), _det(5, 14, np.inf), _det(20, 29, 0.0)]
+    assert [d.start for d in nms(dets)] == [5, 20]
 
 
 # ---------------------------------------------------------------------------
