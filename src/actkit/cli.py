@@ -8,7 +8,6 @@ codes: 0 on success, 1 for configuration problems, 2 for anything else.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ from . import __version__
 from .attributes import (load_annotations, load_models_npz, save_models_npz,
                          save_scores_csv, score_intervals,
                          train_and_score_stacked, train_linear_ova,
-                         ScoreMatrix, STACK_MODES)
+                         ScoreMatrix, STACK_MODES, TrainConfig)
 from .composites import load_pst_config
 from .corpus import (binarize_weights, build_documents, load_lexicon,
                      load_script_corpus, load_vocab, normalize_l1,
@@ -28,16 +27,22 @@ from .metrics import EvalReport, eval_detection
 from .psinfer import (default_part_graph, infer, load_grids,
                       save_placements_csv)
 from .synth import SyntheticConfig, gen_synthetic, load_bundle, save_bundle
+from .tables import finite_float
 from .temporal import (build_integral, load_detections_csv, nms,
                        save_detections_csv, save_segments_jsonl,
                        score_windows, segment_agglomerative)
 
 
-def _int_pair(text, name):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{name} must be two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _ints(text):
+    """Comma-separated integers, such as 3,1,2, as a tuple."""
+    return tuple(int(v) for v in text.split(","))
 
 
 def _cmd_mine_scripts(args):
@@ -58,10 +63,8 @@ def _cmd_gen_synthetic(args):
     try:
         cfg = SyntheticConfig(
             num_composites=args.composites, num_activities=args.activities,
-            num_objects=args.objects,
-            videos_per_composite=tuple(int(v)
-                                       for v in args.videos.split(",")),
-            t_range=_int_pair(args.t_range, "--t-range"),
+            num_objects=args.objects, videos_per_composite=args.videos,
+            t_range=args.t_range,
             signal=args.signal, noise=args.noise, seed=args.seed,
             mode=args.data_mode, background_rate=args.background_rate)
     except ValueError as exc:
@@ -150,9 +153,8 @@ def _cmd_detect(args):
 
 
 def _cmd_segment(args):
-    if not math.isfinite(args.threshold) or args.span < 1:
-        raise ConfigError(f"--threshold must be finite and --span positive, "
-                          f"got {args.threshold!r} and {args.span}")
+    if args.span < 1:
+        raise ConfigError(f"--span must be positive, got {args.span}")
     counts = np.load(args.counts)
     table = build_integral(counts)
     segs = segment_agglomerative(table, args.threshold, span=args.span)
@@ -222,7 +224,7 @@ def _cmd_run(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="actkit",
         description="composite activity recognition toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -241,27 +243,30 @@ def _build_parser():
     p = sub.add_parser("gen-synthetic",
                        help="generate a synthetic benchmark bundle")
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = SyntheticConfig
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--data-mode", choices=("scores", "features"),
-                   default="scores")
-    p.add_argument("--composites", type=int, default=6)
-    p.add_argument("--activities", type=int, default=8)
-    p.add_argument("--objects", type=int, default=12)
-    p.add_argument("--videos", default="3,1,2",
+                   default=defaults.mode)
+    p.add_argument("--composites", type=int, default=defaults.num_composites)
+    p.add_argument("--activities", type=int, default=defaults.num_activities)
+    p.add_argument("--objects", type=int, default=defaults.num_objects)
+    p.add_argument("--videos", type=_ints,
+                   default=defaults.videos_per_composite,
                    help="train,val,test videos per composite")
-    p.add_argument("--t-range", default="8,12")
-    p.add_argument("--signal", type=float, default=3.0)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--background-rate", type=float, default=0.0)
+    p.add_argument("--t-range", type=_ints, default=defaults.t_range)
+    p.add_argument("--signal", type=float, default=defaults.signal)
+    p.add_argument("--noise", type=float, default=defaults.noise)
+    p.add_argument("--background-rate", type=float,
+                   default=defaults.background_rate)
     p.set_defaults(func=_cmd_gen_synthetic)
 
     p = sub.add_parser("train-attributes",
                        help="train interval attribute classifiers")
     p.add_argument("--bundle", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--lam", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lam", type=float, default=TrainConfig.lam)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=_cmd_train_attributes)
 
     p = sub.add_parser("score",
@@ -276,9 +281,9 @@ def _build_parser():
     p.add_argument("--bundle", required=True)
     p.add_argument("--mode", required=True, choices=STACK_MODES)
     p.add_argument("--output", required=True)
-    p.add_argument("--lam", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lam", type=float, default=TrainConfig.lam)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=_cmd_stack)
 
     p = sub.add_parser("detect",
@@ -288,7 +293,7 @@ def _build_parser():
     p.add_argument("--attribute", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--video", default="video")
-    p.add_argument("--nms-threshold", type=float, default=0.0)
+    p.add_argument("--nms-threshold", type=finite_float, default=0.0)
     p.add_argument("--criterion", choices=("overlap", "iou"),
                    default="overlap")
     p.set_defaults(func=_cmd_detect)
@@ -296,7 +301,7 @@ def _build_parser():
     p = sub.add_parser("segment",
                        help="agglomerative segmentation of a count stream")
     p.add_argument("--counts", required=True)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=finite_float, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--span", type=int, default=60)
     p.set_defaults(func=_cmd_segment)
@@ -329,7 +334,7 @@ def _build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--criterion", choices=("midpoint", "iou"),
                    default="midpoint")
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=finite_float, default=0.5)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="run an experiment from a JSON config")
@@ -340,9 +345,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return int(args.func(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,8 @@ DEFAULT_PST_GRID = {
 }
 
 _DEFAULTS = {"weights": "mined", "stack": None, "segment_threshold": None,
-             "lam": 0.01, "epochs": 200, "seed": 0}
+             "lam": TrainConfig.lam, "epochs": TrainConfig.epochs,
+             "seed": TrainConfig.seed}
 _KNOWN_KEYS = {"data", "output", "mode", "pst", "grid", *_DEFAULTS}
 _PST_KEYS = {"alpha", "gamma", "delta", "k"}
 

@@ -10,13 +10,13 @@ is, in log space,
 with (dx, dy) the expected child-minus-parent offset.  It factorises
 over the two axes, so a message is one separable kernel: a reduction
 over the child's x axis with a (W, W) table, then over its y axis with
-an (H, H) table, O(HW(H+W)) per edge.  MAP layouts are found by
-max-product belief propagation, with messages from that kernel
-("distance_transform", the default) or by a full broadcast over all
-location pairs ("naive").  The two MAP paths are deliberately independent
-implementations of the same quantity.  Exact per-part posterior
-marginals run sum-product through the same kernel, with logsumexp in
-place of max.
+an (H, H) table, O(HW(H+W)) per edge.  MAP and marginal inference share
+one leaves-to-root pass.  MAP layouts come from max-product with that
+kernel ("distance_transform", the default) or a full broadcast over all
+location pairs ("naive"), two deliberately independent implementations
+whose decode tables both give the best child row and column per parent
+cell, ties to the lowest flat (row-major) index.  Exact per-part
+posterior marginals use the same kernel with logsumexp in place of max.
 """
 
 from __future__ import annotations
@@ -166,12 +166,13 @@ def _log_pairwise(edge: EdgeParams, shape) -> np.ndarray:
 def _naive_max_message(beta, edge, shape):
     """Max-product message by brute force over all location pairs.
 
-    Returns (message (H, W) on the parent grid, argmax table of flat
-    child indices).  Ties go to the lowest flat (row-major) index.
+    Returns (message, ystar, xstar), all (H, W) on the parent grid:
+    ystar and xstar are the best child row and column for each parent
+    cell.  Ties go to the lowest flat (row-major) child index.
     """
     M = beta.ravel()[:, None] + _log_pairwise(edge, shape)
-    return (M.max(axis=0).reshape(shape),
-            M.argmax(axis=0).reshape(shape))
+    ystar, xstar = np.divmod(M.argmax(axis=0).reshape(shape), shape[1])
+    return M.max(axis=0).reshape(shape), ystar, xstar
 
 
 def _axis_tables(edge, shape):
@@ -209,14 +210,15 @@ def _separable_message(f, tx, ty, maximize):
 def _dt_max_message(beta, edge, shape):
     """Max-product message via the separable kernel.
 
-    Returns (message, bestx, besty); decoding reads y* = besty[yp, xp],
-    x* = bestx[y*, xp].  Ties go to the lowest row on the y pass, then
+    Returns (message, ystar, xstar) in the same format as
+    _naive_max_message.  Ties go to the lowest row on the y pass, then
     to the lowest column within that row on the x pass, which is the
     lowest flat (row-major) child index among exact maximisers.
     """
     msg, bestx, besty = _separable_message(beta, *_axis_tables(edge, shape),
                                            True)
-    return msg, bestx, besty.T
+    ystar = besty.T
+    return msg, ystar, np.take_along_axis(bestx, ystar, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,6 @@ def _dt_max_message(beta, edge, shape):
 
 @dataclass
 class InferenceResult:
-    mode: str
     placements: dict | None = None      # part -> (x, y)
     log_score: float | None = None
     posteriors: dict | None = None      # part -> (H, W), sums to one
@@ -259,53 +260,40 @@ def infer(grids, graph: PartGraph, mode: str = "map",
     return _infer_marginal(logphi, graph, order, shape)
 
 
-def _infer_map(logphi, graph, order, shape, algorithm):
-    H, W = shape
-    up = {}
-    decode = {}
+def _upward(logphi, graph, order, message):
+    """Leaves-to-root pass: a part's belief is its log unary plus its
+    children's messages, in children_of order.  message(beta, edge)
+    returns the message to the parent, then tables kept per part.
+    Returns (root belief, {part: message}, {part: tables})."""
+    up, tables = {}, {}
     for part in reversed(order):
         beta = logphi[part].copy()
         for ch in graph.children_of(part):
             beta += up[ch]
         if part == graph.root:
-            root_beta = beta
-            continue
-        edge = graph.parent_edge(part)
-        if algorithm == "naive":
-            msg, arg = _naive_max_message(beta, edge, shape)
-            decode[part] = (arg,)
-        else:
-            msg, bestx, besty = _dt_max_message(beta, edge, shape)
-            decode[part] = (bestx, besty)
-        up[part] = msg
+            return beta, up, tables
+        up[part], *tables[part] = message(beta, graph.parent_edge(part))
+
+
+def _infer_map(logphi, graph, order, shape, algorithm):
+    kernel = _naive_max_message if algorithm == "naive" else _dt_max_message
+    root_beta, _, decode = _upward(
+        logphi, graph, order, lambda beta, edge: kernel(beta, edge, shape))
     flat = int(np.argmax(root_beta))
-    locs = {graph.root: divmod(flat, W)}
-    for part in order:
-        if part == graph.root:
-            continue
+    locs = {graph.root: divmod(flat, shape[1])}
+    for part in order[1:]:
         py, px = locs[graph.parent_edge(part).parent]
-        tables = decode[part]
-        if len(tables) == 1:
-            locs[part] = divmod(int(tables[0][py, px]), W)
-        else:
-            bestx, besty = tables
-            ystar = int(besty[py, px])
-            locs[part] = (ystar, int(bestx[ystar, px]))
+        ystar, xstar = decode[part]
+        locs[part] = (int(ystar[py, px]), int(xstar[py, px]))
     placements = {part: (x, y) for part, (y, x) in locs.items()}
-    return InferenceResult("map", placements=placements,
+    return InferenceResult(placements=placements,
                            log_score=float(root_beta.flat[flat]))
 
 
 def _infer_marginal(logphi, graph, order, shape):
-    up = {}
-    for part in reversed(order):
-        b = logphi[part].copy()
-        for ch in graph.children_of(part):
-            b += up[ch]
-        if part == graph.root:
-            continue
-        tables = _axis_tables(graph.parent_edge(part), shape)
-        up[part] = _separable_message(b, *tables, False)[0]
+    _, up, _ = _upward(
+        logphi, graph, order, lambda beta, edge: _separable_message(
+            beta, *_axis_tables(edge, shape), False))
     down = {graph.root: np.zeros(shape)}
     posteriors = {}
     for part in order:
@@ -322,7 +310,7 @@ def _infer_marginal(logphi, graph, order, shape):
                     minus += up[other]
             tx, ty = _axis_tables(graph.parent_edge(ch), shape)
             down[ch] = _separable_message(minus, tx.T, ty.T, False)[0]
-    return InferenceResult("marginal", posteriors=posteriors)
+    return InferenceResult(posteriors=posteriors)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class SyntheticConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.videos_per_composite) != 3:
             raise ValueError("videos_per_composite must be (train, val, test)")
+        if len(self.t_range) != 2:
+            raise ValueError("t_range must be (t_min, t_max)")
         if self.videos_per_composite[0] < 1 or self.videos_per_composite[2] < 1:
             raise ValueError("need at least one train and one test video")
         if min(self.videos_per_composite) < 0:
@@ -95,10 +97,10 @@ class SyntheticConfig:
         if self.support_objects > MAX_OBJECTS_PER_INTERVAL * self.support_activities:
             raise ValueError("support objects cannot be covered at three per "
                              "coverage interval")
-        if self.signal <= 0:
-            raise ValueError("signal must be positive")
-        if self.noise < 0:
-            raise ValueError("noise cannot be negative")
+        if not (np.isfinite(self.signal) and self.signal > 0):
+            raise ValueError("signal must be finite and positive")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("noise must be finite and non-negative")
         if not 0.0 <= self.filler_rate < 1.0:
             raise ValueError("filler_rate must lie in [0, 1)")
         if not 0.0 <= self.background_rate < 1.0:
@@ -373,10 +375,11 @@ def load_bundle(path) -> SyntheticBundle:
     """Read a bundle written by save_bundle.
 
     Raises ValueError naming the file (and the sequence) when weights
-    and vocab labels differ, the observation rows are not the vocab size
-    (scores mode) or feature_dim, the sequences do not tile the
-    observation columns, a sequence's annotations are not its
-    intervals, or an annotation names a video that is not a sequence."""
+    and vocab labels differ, the observations are not finite or their
+    rows are not the vocab size (scores mode) or feature_dim, the
+    sequences do not tile the observation columns, a sequence's
+    annotations are not its intervals, or an annotation names a video
+    that is not a sequence."""
     def file(name):
         return os.path.join(path, name)
 
@@ -396,6 +399,8 @@ def load_bundle(path) -> SyntheticBundle:
     if obs.ndim != 2 or obs.shape[0] != rows:
         raise ValueError(f"{file('observations.npy')}: shape {obs.shape}, "
                          f"expected {rows} rows in {cfg.mode} mode")
+    if not np.isfinite(obs).all():
+        raise ValueError(f"{file('observations.npy')}: non-finite values")
     ann = load_annotations(file("annotations.jsonl"))
     by_video = {}
     for rec in ann:

@@ -86,7 +86,7 @@ def read_table(path, types, header=None, key=0):
 
 
 def finite_float(cell) -> float:
-    """read_table converter for a float cell that must be finite."""
+    """read_table and argparse converter for a float that must be finite."""
     v = float(cell)
     if not math.isfinite(v):
         raise ValueError(f"non-finite value {cell!r}")

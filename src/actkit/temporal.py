@@ -192,10 +192,12 @@ def nms(detections, overlap_threshold: float = 0.0,
     window at all.  criterion "overlap" measures shared frames, "iou"
     the intersection-over-union ratio.  Both are symmetric, so the kept
     list is the one a candidate-by-candidate greedy pass keeps.  A NaN
-    score has no rank and raises ValueError.
+    score (no rank) or threshold (no suppression) raises ValueError.
     """
     if criterion not in ("overlap", "iou"):
         raise ValueError(f"unknown suppression criterion {criterion!r}")
+    if math.isnan(overlap_threshold):
+        raise ValueError("overlap_threshold cannot be NaN")
     dets = list(detections)
     scores = np.array([d.score for d in dets], dtype=float)
     nan = np.flatnonzero(np.isnan(scores))
@@ -298,8 +300,16 @@ def save_detections_csv(detections, path) -> None:
                        for d in detections), _DETECTION_HEADER)
 
 
+def _score(cell) -> float:
+    """read_table converter for a detection score: ±inf rank, NaN not."""
+    v = float(cell)
+    if math.isnan(v):
+        raise ValueError(f"NaN score {cell!r}")
+    return v
+
+
 def load_detections_csv(path) -> list:
-    _, rows = read_table(path, (str, str, int, int, float), _DETECTION_HEADER)
+    _, rows = read_table(path, (str, str, int, int, _score), _DETECTION_HEADER)
     out = []
     for row in rows:
         try:

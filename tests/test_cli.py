@@ -52,6 +52,14 @@ def test_gen_synthetic_roundtrip(tmp_path):
     assert len(bundle.sequences) == 6 * 6
 
 
+@pytest.mark.parametrize("flags", [["--signal", "nan"], ["--noise", "inf"]])
+def test_gen_synthetic_non_finite_flags_exit_1(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert main(["gen-synthetic", "--output", str(out), *flags]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_synthetic_infeasible_config_exit_1(tmp_path, capsys):
     rc = main(["gen-synthetic", "--output", str(tmp_path / "x"),
                "--composites", "6", "--activities", "5"])
@@ -225,6 +233,20 @@ def test_detect_unknown_attribute_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_detect_non_finite_nms_threshold_exit_1(tmp_path, capsys, value):
+    models = _hist_models(tmp_path / "m.npz")
+    np.save(tmp_path / "c.npy", np.ones((60, 3)))
+    out = tmp_path / "d.csv"
+    rc = main(["detect", "--counts", str(tmp_path / "c.npy"),
+               "--models", str(models), "--attribute", "a0",
+               "--output", str(out), f"--nms-threshold={value}"])
+    assert rc == 1
+    assert "argument --nms-threshold: invalid finite_float value" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_command(tmp_path):
     counts = np.zeros((240, 2))
     counts[:120, 0] = 1.0
@@ -241,6 +263,7 @@ def test_segment_command(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--threshold", "nan"],
     ["--threshold", "inf"],
+    ["--threshold", "abc"],
     ["--threshold", "0.9", "--span", "0"],
     ["--threshold", "0.9", "--span", "-5"],
 ])
@@ -439,8 +462,27 @@ def test_models_in_pickled_format_exit_2(feature_bundle, tmp_path, capsys):
 
 
 def test_bad_subcommand_usage_exits():
-    with pytest.raises(SystemExit):
-        main(["classify-composites"])      # missing required flags
+    assert main(["classify-composites"]) == 1      # missing required flags
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--detections", "d.csv", "--annotations", "a.jsonl",
+      "--output", "r.json", "--criterion", "area"], "invalid choice: 'area'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +540,38 @@ def test_eval_command(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["mean_ap"] == pytest.approx(1.0)
     assert "mean AP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_non_finite_iou_exit_1(tmp_path, capsys, value):
+    save_detections_csv([Detection("v", "a0", 0, 29, 2.0)],
+                        tmp_path / "dets.csv")
+    save_annotations([{"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c"}],
+                     tmp_path / "ann.jsonl")
+    out = tmp_path / "report.json"
+    rc = main(["eval", "--detections", str(tmp_path / "dets.csv"),
+               "--annotations", str(tmp_path / "ann.jsonl"),
+               "--output", str(out), "--criterion", "iou", "--iou", value])
+    assert rc == 1
+    assert "argument --iou: invalid finite_float value" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_nan_score_row_exit_2(tmp_path, capsys):
+    dets = tmp_path / "dets.csv"
+    dets.write_text("video,attribute,start,end,score\nv,a0,0,29,nan\n"
+                    "v,a0,200,229,1.0\n")
+    save_annotations([{"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c"}],
+                     tmp_path / "ann.jsonl")
+    rc = main(["eval", "--detections", str(dets),
+               "--annotations", str(tmp_path / "ann.jsonl"),
+               "--output", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert f"{dets}:2: NaN score 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_eval_short_detection_row_exit_2(tmp_path, capsys):

@@ -256,16 +256,48 @@ def test_separable_max_message_matches_naive(H, W):
         edge = EdgeParams("p", "c", tuple(rng.uniform(-4, 4, size=2)),
                           tuple(rng.uniform(0.3, 5.0, size=2)))
         beta = _log_unary(_random_grids(rng, 1, H, W, zero_rate=0.2)[0])
-        msg, bestx, besty = _dt_max_message(beta, edge, (H, W))
-        expect, _ = _naive_max_message(beta, edge, (H, W))
+        msg, ystar, xstar = _dt_max_message(beta, edge, (H, W))
+        expect, _, _ = _naive_max_message(beta, edge, (H, W))
         assert np.abs(msg - expect).max() < 1e-12
-        # decoding y* = besty[yp, xp], x* = bestx[y*, xp] lands on a
-        # maximiser of the full pairwise table
-        xstar = bestx[besty, np.arange(W)[None, :]]
-        child_flat = besty * W + xstar
+        # the decoded child (ystar, xstar) of every parent cell lands on
+        # a maximiser of the full pairwise table
+        child_flat = ystar * W + xstar
         table = beta.ravel()[:, None] + _pairwise_table(edge, H, W)
         reached = table[child_flat, parent_flat]
         assert np.abs(reached - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("H, W", [(6, 9), (11, 7), (1, 5), (4, 1)])
+def test_kernels_decode_the_same_unique_maximiser(H, W):
+    # continuous random unaries and offsets make every maximiser unique
+    rng = np.random.default_rng(200 + H * W)
+    for _ in range(10):
+        edge = EdgeParams("p", "c", tuple(rng.uniform(-4, 4, size=2)),
+                          tuple(rng.uniform(0.3, 5.0, size=2)))
+        beta = _log_unary(_random_grids(rng, 1, H, W)[0])
+        _, ys_n, xs_n = _naive_max_message(beta, edge, (H, W))
+        _, ys_d, xs_d = _dt_max_message(beta, edge, (H, W))
+        assert ys_n.shape == xs_n.shape == (H, W)
+        assert np.array_equal(ys_n, ys_d)
+        assert np.array_equal(xs_n, xs_d)
+
+
+@pytest.mark.parametrize("kernel", [_naive_max_message, _dt_max_message])
+@pytest.mark.parametrize("mean", [(0.5, 0.5), (1.5, -0.5), (-2.5, 2.5)])
+def test_tied_decode_attains_the_message(kernel, mean):
+    # constant unaries with half-pixel offsets tie two or more children
+    # exactly at most parent cells (penalties are binary fractions); each
+    # kernel's decoded child reaches the message value and is the lowest
+    # row-major maximiser
+    H, W = 5, 6
+    edge = EdgeParams("p", "c", mean, (1.0, 2.0))
+    beta = np.zeros((H, W))
+    msg, ystar, xstar = kernel(beta, edge, (H, W))
+    table = beta.ravel()[:, None] + _pairwise_table(edge, H, W)
+    reached = table[ystar * W + xstar, np.arange(H * W).reshape(H, W)]
+    assert np.array_equal(reached, msg)
+    first = np.argmax(table == table.max(axis=0), axis=0).reshape(H, W)
+    assert np.array_equal(ystar * W + xstar, first)
 
 
 def test_naive_and_dt_agree_with_zeros_and_deep_trees():

@@ -55,6 +55,12 @@ def test_config_rejects_infeasible_combinations():
         SyntheticConfig(noise=-0.1)
     with pytest.raises(ValueError):
         SyntheticConfig(filler_rate=1.0)
+    with pytest.raises(ValueError, match="t_range must be"):
+        SyntheticConfig(t_range=(8, 10, 12))
+    for field in ("signal", "noise"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SyntheticConfig(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +302,20 @@ def _drop_row(path):
     return "observations.npy", None
 
 
+def _nan_observation(path):
+    obs = np.load(path / "observations.npy")
+    obs[1, 2] = np.nan
+    np.save(path / "observations.npy", obs)
+    return "observations.npy", None
+
+
+def _inf_observation(path):
+    obs = np.load(path / "observations.npy")
+    obs[0, -1] = -np.inf
+    np.save(path / "observations.npy", obs)
+    return "observations.npy", None
+
+
 def _swap_vocab(path):
     _edit_lines(path / "vocab.csv", lambda ls: [ls[1], ls[0]] + ls[2:])
     return "weights.csv", None
@@ -305,7 +325,7 @@ def _swap_vocab(path):
 @pytest.mark.parametrize("corrupt", [
     _drop_annotation, _drop_sequence_annotations, _shift_annotation_frame,
     _ghost_annotation, _shift_offset, _overrun_columns, _extra_column,
-    _drop_row, _swap_vocab])
+    _drop_row, _nan_observation, _inf_observation, _swap_vocab])
 def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
                                               corrupt):
     path = tmp_path / "bundle"

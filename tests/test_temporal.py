@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -396,6 +397,13 @@ def test_nms_rejects_nan_scores_keeps_infinities():
     assert [d.start for d in nms(dets)] == [5, 20]
 
 
+@pytest.mark.parametrize("criterion", ["overlap", "iou"])
+def test_nms_rejects_nan_threshold(criterion):
+    dets = [_det(0, 9, 1.0), _det(5, 14, 0.5)]
+    with pytest.raises(ValueError, match="overlap_threshold cannot be NaN"):
+        nms(dets, float("nan"), criterion)
+
+
 # ---------------------------------------------------------------------------
 # segmentation
 
@@ -568,6 +576,17 @@ def test_detections_csv_round_trip(tmp_path):
     assert load_detections_csv(path) == dets
     path.write_text("video,start,end,score\n")
     with pytest.raises(ValueError):
+        load_detections_csv(path)
+
+
+def test_detections_csv_rejects_nan_keeps_infinities(tmp_path):
+    path = tmp_path / "dets.csv"
+    dets = [_det(0, 29, np.inf), _det(6, 35, -np.inf)]
+    save_detections_csv(dets, path)
+    assert load_detections_csv(path) == dets
+    path.write_text("video,attribute,start,end,score\nv,a,0,29,1.0\n"
+                    "v,a,6,35,nan\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: NaN"):
         load_detections_csv(path)
 
 
