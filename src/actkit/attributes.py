@@ -102,12 +102,19 @@ def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
     of the (m, A) +-1 targets Y at once.  The bias is an extra always-one
     feature, so W is (D + 1, A) and all of it follows the 1/(lam*t)
     schedule.  A 0/1 mask shaped like W zeroes gradient entries; as the
-    descent starts from zero, masked weights stay exactly 0."""
+    descent starts from zero, masked weights stay exactly 0.  The (m, A)
+    margin and violator buffers are allocated once and reused every
+    epoch."""
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     W = np.zeros((Xa.shape[1], Y.shape[1]))
+    M = np.empty(Y.shape)
+    cond = np.empty(Y.shape, dtype=bool)
     for t in range(1, epochs + 1):
-        viol = np.where(Y * (Xa @ W) < 1.0, Y, 0.0)
-        W -= (lam * W - Xa.T @ viol / len(Y)) * mask / (lam * t)
+        np.matmul(Xa, W, out=M)
+        np.multiply(Y, M, out=M)
+        np.less(M, 1.0, out=cond)
+        np.multiply(Y, cond, out=M)         # the violators' targets, else 0
+        W -= (lam * W - Xa.T @ M / len(Y)) * mask / (lam * t)
     return W
 
 

@@ -342,18 +342,33 @@ def pst_grid_scores(script_score_table, labels, pooled_features, configs,
     Yields (cfg, F) in input order, F being the (Z, D) table that
     pst_scores gives for cfg.  The kNN graph over the pooled features
     is built once per distinct cfg.k and the seed matrix once per
-    distinct (cfg.gamma, cfg.delta); each config still gets its own
-    solve.
+    distinct (cfg.gamma, cfg.delta).  There is one solve per distinct
+    (cfg.alpha, cfg.k): the seeds of that group's configs go side by
+    side as its right-hand sides, and each config's table is sliced
+    back out of the result.
     """
-    graphs, seeds = {}, {}
-    for cfg in configs:
-        seed = (cfg.gamma, cfg.delta)
-        if seed not in seeds:
-            seeds[seed] = pst_init(script_score_table, labels, cfg,
-                                   zero_shot=zero_shot)
-        if cfg.k not in graphs:
-            graphs[cfg.k] = build_knn_graph(pooled_features, cfg.k)
-        yield cfg, propagate(graphs[cfg.k], seeds[seed].T, cfg).T
+    configs = list(configs)
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.alpha, cfg.k), []).append(i)
+    graphs, seeds, tables = {}, {}, {}
+
+    def seed(cfg):
+        key = cfg.gamma, cfg.delta
+        if key not in seeds:
+            seeds[key] = pst_init(script_score_table, labels, cfg,
+                                  zero_shot=zero_shot)
+        return seeds[key]
+
+    for i, cfg in enumerate(configs):
+        if i not in tables:
+            members = groups[cfg.alpha, cfg.k]
+            Y = np.hstack([seed(configs[j]).T for j in members])
+            if cfg.k not in graphs:
+                graphs[cfg.k] = build_knn_graph(pooled_features, cfg.k)
+            F = propagate(graphs[cfg.k], Y, cfg).T
+            tables.update(zip(members, np.split(F, len(members))))
+        yield cfg, tables.pop(i)
 
 
 def pst_scores(script_score_table, labels, pooled_features,

@@ -11,6 +11,7 @@ ground-truth interval, greedily in score order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +102,10 @@ def match_detections(dets, gts, criterion="midpoint", iou_threshold=0.5):
     truth; among candidates the one with the highest interval IoU wins
     (ties: earlier start).  Returns a list of booleans (true positive
     flags) aligned with the visiting order and that order's indices.
+    A non-finite iou_threshold raises ValueError.
     """
+    if not math.isfinite(iou_threshold):
+        raise ValueError(f"iou_threshold {iou_threshold} is not finite")
     order = sorted(range(len(dets)),
                    key=lambda i: (-dets[i][2], dets[i][0], dets[i][1] - dets[i][0]))
     matched = [False] * len(gts)

@@ -374,18 +374,21 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
 def load_bundle(path) -> SyntheticBundle:
     """Read a bundle written by save_bundle.
 
-    Raises ValueError naming the file (and the sequence) when weights
-    and vocab labels differ, the observations are not finite or their
-    rows are not the vocab size (scores mode) or feature_dim, the
-    sequences do not tile the observation columns, a sequence's
-    annotations are not its intervals, or an annotation names a video
-    that is not a sequence."""
+    Raises ValueError naming the file (and the sequence) when the config
+    is not a valid SyntheticConfig, weights and vocab labels differ, the
+    observations are not finite or their rows are not the vocab size
+    (scores mode) or feature_dim, the sequences do not tile the
+    observation columns, a sequence's annotations are not its intervals,
+    or an annotation names a video that is not a sequence."""
     def file(name):
         return os.path.join(path, name)
 
     with open(file("config.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
-    cfg = SyntheticConfig(**raw)
+    try:
+        cfg = SyntheticConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{file('config.json')}: {exc}") from None
     vocab = load_vocab(file("vocab.csv"))
     weights = normalize_l1(load_weights_csv(file("weights.csv")))
     if weights.attributes != vocab.labels:

@@ -313,6 +313,56 @@ def test_batched_ova_matches_per_label_reference():
     assert np.all(scores[:, 3] == DEFAULT_FLOOR)
 
 
+def _hinge_descent_reference(X, Y, lam, epochs, mask=1.0):
+    """The trainer's former epoch loop, which allocated its margins and
+    violators afresh every epoch."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    W = np.zeros((Xa.shape[1], Y.shape[1]))
+    for t in range(1, epochs + 1):
+        viol = np.where(Y * (Xa @ W) < 1.0, Y, 0.0)
+        W -= (lam * W - Xa.T @ viol / len(Y)) * mask / (lam * t)
+    return W
+
+
+def _cooccurrence_mask(D, A):
+    """Ones, except each label's own score among the last A features."""
+    mask = np.ones((D + 1, A))
+    mask[D - A + np.arange(A), np.arange(A)] = 0.0
+    return mask
+
+
+@pytest.mark.parametrize("m, D, A, lam, epochs, masked", [
+    (1, 3, 1, 0.01, 20, False),         # one row, one label
+    (40, 6, 1, 0.01, 30, False),        # one label
+    (5, 12, 4, 0.01, 25, False),        # more weights than rows
+    (60, 9, 7, 0.01, 40, True),         # co-occurrence-style mask
+    (30, 5, 3, 1.0, 15, True),          # lam = 1
+    (30, 5, 3, 0.1, 1, False),          # one epoch
+    (200, 16, 11, 0.05, 50, True),
+])
+def test_hinge_descent_batch_matches_the_former_loop_bitwise(
+        m, D, A, lam, epochs, masked):
+    from actkit.attributes import _hinge_descent_batch
+    rng = np.random.default_rng(m * 1000 + D * 10 + A)
+    X = rng.normal(size=(m, D))
+    Y = np.where(rng.random((m, A)) < 0.4, 1.0, -1.0)
+    mask = _cooccurrence_mask(D, A) if masked else 1.0
+    got = _hinge_descent_batch(X, Y, lam, epochs, mask)
+    assert got.tobytes() == \
+        _hinge_descent_reference(X, Y, lam, epochs, mask).tobytes()
+
+
+def test_hinge_descent_batch_margin_of_one_is_no_violation():
+    # after one epoch at lam = 1 the bias alone gives margins of exactly
+    # 1.0, which must not count as violations in the second epoch
+    from actkit.attributes import _hinge_descent_batch
+    X = np.zeros((2, 1))
+    Y = np.array([[1.0, -1.0], [1.0, -1.0]])
+    got = _hinge_descent_batch(X, Y, 1.0, 2)
+    assert got.tobytes() == _hinge_descent_reference(X, Y, 1.0, 2).tobytes()
+    assert np.array_equal(got, [[0.0, 0.0], [0.5, -0.5]])
+
+
 def test_context_block_equals_context_feature_exactly():
     from actkit.attributes import _context_block
     rng = np.random.default_rng(13)

@@ -423,6 +423,24 @@ def test_run_misaligned_bundle_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("edit, words", [
+    ({"signal": float("nan")}, "signal must be finite and positive"),
+    ({"flux": 1.0}, "'flux'")])
+def test_run_bad_bundle_config_exit_2_names_the_file(tmp_path, capsys,
+                                                     edit, words):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-synthetic", "--output", str(bundle), "--seed", "3"]) == 0
+    config = bundle / "config.json"
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), **edit)))
+    cfg = tmp_path / "script.json"
+    cfg.write_text(json.dumps({"data": str(bundle),
+                               "output": str(tmp_path / "o"),
+                               "mode": "script"}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and words in err
+
+
 def _ghost(first):
     return json.dumps({**json.loads(first), "video": "ghost"})
 

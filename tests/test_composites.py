@@ -589,6 +589,44 @@ def test_pst_grid_scores_match_pst_scores_per_config(monkeypatch, zero_shot):
             F, pst_scores(S, labels, G, cfg, zero_shot=zero_shot))
 
 
+def _pst_grid_oracle(S, labels, G, configs, zero_shot=False):
+    """The former grid loop: one seed, one graph and one solve per
+    config."""
+    for cfg in configs:
+        seed = pst_init(S, labels, cfg, zero_shot=zero_shot)
+        graph = build_knn_graph(G, cfg.k)
+        yield cfg, propagate(graph, seed.T, cfg).T
+
+
+def _interleaved_grid():
+    """(alpha, k) groups out of order and interleaved, alpha = 0 among
+    them and one config given twice."""
+    grid = [PstConfig(alpha=a, gamma=g, delta=d, k=k)
+            for a, g, d, k in itertools.product(
+                (0.9, 0.0, 0.5), (0.25, 1.0), (0.1, 1.0), (7, 1, 3))]
+    grid = grid[1::2] + grid[::2][::-1]
+    return grid[:5] + [grid[2]] + grid[5:]
+
+
+@pytest.mark.parametrize("zero_shot", [False, True])
+def test_pst_grid_scores_match_the_per_config_oracle(monkeypatch, zero_shot):
+    S, labels, G = _pst_problem(13)
+    grid = _interleaved_grid()
+    calls = []
+    solve = composites.propagate
+    monkeypatch.setattr(composites, "propagate",
+                        lambda graph, Y, cfg: calls.append(
+                            (cfg.alpha, cfg.k)) or solve(graph, Y, cfg))
+    out = list(pst_grid_scores(S, labels, G, grid, zero_shot=zero_shot))
+    assert [cfg for cfg, _ in out] == grid
+    assert all(got is cfg for (got, _), cfg in zip(out, grid))
+    assert sorted(calls) == sorted({(c.alpha, c.k) for c in grid})
+    oracle = _pst_grid_oracle(S, labels, G, grid, zero_shot=zero_shot)
+    for (cfg, F), (_, ref) in zip(out, oracle):
+        assert F.shape == ref.shape
+        assert np.max(np.abs(F - ref)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # config and prediction files
 

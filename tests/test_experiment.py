@@ -233,6 +233,22 @@ def test_zero_shot_grid_counts_match_the_benchmark_counters(
             (tmp_path / "fixed" / name).read_bytes()
 
 
+def test_zero_shot_grid_solves_once_per_alpha_and_k(score_bundle, tmp_path,
+                                                    monkeypatch):
+    # composites.propagate_calls in the traced benchmark counts these
+    calls = []
+    solve = composites.propagate
+    monkeypatch.setattr(composites, "propagate",
+                        lambda graph, Y, cfg: calls.append(
+                            (cfg.alpha, cfg.k)) or solve(graph, Y, cfg))
+    run_experiment(_cfg(score_bundle, tmp_path / "z", "pst-zero-shot"))
+    D = len(load_bundle(score_bundle).sequences)
+    feasible = {(a, k) for a in DEFAULT_PST_GRID["alpha"]
+                for k in DEFAULT_PST_GRID["k"] if k < D}
+    assert len(feasible) == 12
+    assert sorted(calls) == sorted(feasible)
+
+
 def test_planted_weights_are_exact_when_noiseless(tmp_path):
     data = tmp_path / "clean"
     save_bundle(gen_synthetic(SyntheticConfig(seed=15, noise=0.0)), data)

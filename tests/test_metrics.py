@@ -71,3 +71,15 @@ def test_eval_detection_matches_reference_bitwise():
             scores.extend(vd[i][2] for i in order)
         _, aps, _ = eval_detection(dets, anns)
         assert aps["x"] == _ap_reference(scores, flags, len(anns))
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_eval_detection_rejects_non_finite_iou_threshold(threshold):
+    anns = [_ann("v", 0, 29, ["a0"])]
+    dets = [Detection("v", "a0", 0, 29, 2.0)]
+    assert eval_detection(dets, anns, criterion="iou",
+                          iou_threshold=0.5) == (1.0, {"a0": 1.0}, ())
+    with pytest.raises(ValueError, match="iou_threshold"):
+        eval_detection(dets, anns, criterion="iou", iou_threshold=threshold)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        match_detections([(0, 29, 2.0)], [(0, 29)], "iou", threshold)

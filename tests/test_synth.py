@@ -321,11 +321,30 @@ def _swap_vocab(path):
     return "weights.csv", None
 
 
+def _edit_config(path, edit):
+    raw = json.loads((path / "config.json").read_text())
+    (path / "config.json").write_text(json.dumps(edit(raw)))
+    return "config.json", None
+
+
+def _nan_signal(path):
+    return _edit_config(path, lambda raw: dict(raw, signal=float("nan")))
+
+
+def _extra_config_key(path):
+    return _edit_config(path, lambda raw: dict(raw, flux=1.0))
+
+
+def _config_not_object(path):
+    return _edit_config(path, lambda raw: list(raw.items()))
+
+
 @pytest.mark.parametrize("mode", ["scores", "features"])
 @pytest.mark.parametrize("corrupt", [
     _drop_annotation, _drop_sequence_annotations, _shift_annotation_frame,
     _ghost_annotation, _shift_offset, _overrun_columns, _extra_column,
-    _drop_row, _nan_observation, _inf_observation, _swap_vocab])
+    _drop_row, _nan_observation, _inf_observation, _swap_vocab,
+    _nan_signal, _extra_config_key, _config_not_object])
 def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
                                               corrupt):
     path = tmp_path / "bundle"
