@@ -46,24 +46,18 @@ class TrainConfig:
 
 
 @dataclass
-class LinearModel:
-    weights: np.ndarray
-    bias: float
-    score_mean: float = 0.0
-    score_std: float = 1.0
-    constant_scores: bool = False
-
-
-@dataclass
 class LinearModelSet:
-    """One linear model per trainable attribute.
+    """The fitted one-vs-all table of a list of attributes.
 
-    models maps attribute label -> LinearModel in vocabulary order;
-    skipped lists (label, reason) pairs for attributes without both a
-    positive and a negative training example.
+    models holds one row [weights | bias, score mean, score std,
+    constant] per trained attribute, in label order: the descent table
+    and the training score statistics of _fit_ova.  trained marks the
+    labels that have a row; skipped lists (label, reason) pairs for
+    attributes without both a positive and a negative training example.
     """
 
-    models: dict
+    models: np.ndarray
+    trained: np.ndarray
     labels: tuple
     skipped: tuple
     config: TrainConfig
@@ -118,12 +112,6 @@ def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
     return W
 
 
-def _hinge_descent(X, y, lam, epochs):
-    """The one-label case of _hinge_descent_batch: returns (w, b)."""
-    W = _hinge_descent_batch(X, np.asarray(y, dtype=float)[:, None], lam, epochs)
-    return W[:-1, 0], float(W[-1, 0])
-
-
 def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
     """Train a label per column of the boolean positives P; returns W and
     the training score mean, std (1 where constant) and constant flags."""
@@ -132,6 +120,15 @@ def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
     std = scores.std(axis=0)
     constant = std < 1e-12
     return W, scores.mean(axis=0), np.where(constant, 1.0, std), constant
+
+
+def _ova_scores(X, W, mean, std, trained):
+    """Apply a table fitted by _fit_ova to the rows of X: the
+    (len(trained), m) z-normalized scores, DEFAULT_FLOOR in the rows of
+    labels whose trained flag is False."""
+    values = np.full((len(trained), X.shape[0]), DEFAULT_FLOOR)
+    values[trained] = ((X @ W[:-1] + W[-1] - mean) / std).T
+    return values
 
 
 def _membership(label_sets, names) -> np.ndarray:
@@ -170,11 +167,8 @@ def train_linear_ova(features, labels, attribute_labels,
     skipped = tuple((a, f"{p} positive / {len(P) - p} negative intervals")
                     for a, p, k in zip(attrs, n_pos, ok) if not k)
     W, mean, std, constant = _fit_ova(X, P[:, ok], cfg)
-    trained = [a for a, k in zip(attrs, ok) if k]
-    models = {a: LinearModel(W[:-1, j].copy(), float(W[-1, j]), float(mean[j]),
-                             float(std[j]), bool(constant[j]))
-              for j, a in enumerate(trained)}
-    return LinearModelSet(models, attrs, skipped, cfg, X.shape[1])
+    return LinearModelSet(np.column_stack([W.T, mean, std, constant]), ok,
+                          attrs, skipped, cfg, X.shape[1])
 
 
 def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
@@ -188,17 +182,12 @@ def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
         raise ValueError("features do not match the trained dimension")
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
-    n, T = len(model_set.labels), X.shape[0]
-    values = np.full((n, T), DEFAULT_FLOOR, dtype=float)
-    floored = []
-    for i, a in enumerate(model_set.labels):
-        model = model_set.models.get(a)
-        if model is None:
-            floored.append(a)
-            continue
-        s = X @ model.weights + model.bias
-        values[i] = (s - model.score_mean) / model.score_std
-    return ScoreMatrix(values, model_set.labels, floored_rows=tuple(floored))
+    table, D = model_set.models, model_set.feature_dim
+    values = _ova_scores(X, table[:, :D + 1].T, table[:, D + 1],
+                         table[:, D + 2], model_set.trained)
+    floored = tuple(a for a, k in zip(model_set.labels, model_set.trained)
+                    if not k)
+    return ScoreMatrix(values, model_set.labels, floored_rows=floored)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +292,7 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
     W, mean, std, _ = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
     del Xtr
     Xev, _ = _stacked_design(S_eval, eval_features, *parts)
-    s = Xev @ W[:-1] + W[-1]
-    values = np.full((len(labels), Xev.shape[0]), DEFAULT_FLOOR)
-    values[ok] = ((s - mean) / std).T
+    values = _ova_scores(Xev, W, mean, std, ok)
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
     return [ScoreMatrix(V, labels, floored)
             for V in np.split(values, bounds, axis=1)]
@@ -322,6 +309,8 @@ def save_scores_csv(scores: ScoreMatrix, path) -> None:
 
 
 def save_models_npz(model_set: LinearModelSet, path) -> None:
+    """Write each row of the table as w_<i> = weights and meta_<i> =
+    [bias, mean, std, constant], i being the label's index."""
     arrays = {
         "labels": np.array(json.dumps(list(model_set.labels))),
         "feature_dim": np.array(model_set.feature_dim),
@@ -332,11 +321,9 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
         })),
         "skipped": np.array(json.dumps(list(model_set.skipped))),
     }
-    for a, m in model_set.models.items():
-        idx = model_set.labels.index(a)
-        arrays[f"w_{idx}"] = m.weights
-        arrays[f"meta_{idx}"] = np.array(
-            [m.bias, m.score_mean, m.score_std, float(m.constant_scores)])
+    D = model_set.feature_dim
+    for idx, row in zip(np.flatnonzero(model_set.trained), model_set.models):
+        arrays[f"w_{idx}"], arrays[f"meta_{idx}"] = row[:D], row[D:]
     np.savez(path, **arrays)
 
 
@@ -346,7 +333,8 @@ def load_models_npz(path) -> LinearModelSet:
     Labels, config and skipped labels are JSON strings and everything
     else is numeric, so loading needs no pickle.  Older files stored the
     labels as a pickled object array; they raise ValueError naming the
-    path, and the models must be retrained to rewrite them.
+    path, and the models must be retrained to rewrite them.  So does a
+    w_<i> that is not feature_dim long or a missing or malformed meta_<i>.
     """
     with np.load(path, allow_pickle=False) as data:
         try:
@@ -358,16 +346,18 @@ def load_models_npz(path) -> LinearModelSet:
         labels = tuple(json.loads(str(raw_labels)))
         cfg = TrainConfig(**json.loads(str(data["config"])))
         skipped = tuple(tuple(s) for s in json.loads(str(data["skipped"])))
-        models = {}
-        for idx, a in enumerate(labels):
-            key = f"w_{idx}"
-            if key not in data:
-                continue
-            bias, mean, std, const = data[f"meta_{idx}"]
-            models[a] = LinearModel(data[key], float(bias), float(mean),
-                                    float(std), bool(const))
-        return LinearModelSet(models, labels, skipped, cfg,
-                              int(data["feature_dim"]))
+        D = int(data["feature_dim"])
+        trained = np.array([f"w_{i}" in data for i in range(len(labels))],
+                           dtype=bool)
+        rows = []
+        for idx in np.flatnonzero(trained):
+            w, meta = data[f"w_{idx}"], data.get(f"meta_{idx}")
+            if w.shape != (D,) or meta is None or meta.shape != (4,):
+                raise ValueError(f"{path}: w_{idx} must hold {D} weights "
+                                 f"and meta_{idx} 4 values")
+            rows.append(np.concatenate([w, meta]))
+    return LinearModelSet(np.array(rows).reshape(len(rows), D + 4), trained,
+                          labels, skipped, cfg, D)
 
 
 def save_annotations(records, path) -> None:

@@ -141,6 +141,10 @@ def _cmd_detect(args):
         raise ConfigError(f"attribute {args.attribute!r} is not in the "
                           "model file")
     row = model_set.labels.index(args.attribute)
+    if not model_set.trained[row]:
+        reason = dict(model_set.skipped).get(args.attribute, "no model")
+        raise ConfigError(f"attribute {args.attribute!r} was skipped in "
+                          f"training: {reason}")
     dets = score_windows(table,
                          lambda H: score_intervals(model_set, H).values[row],
                          video=args.video, attribute=args.attribute)

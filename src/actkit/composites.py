@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attributes import DEFAULT_FLOOR, TrainConfig, _fit_ova, _membership
+from .attributes import TrainConfig, _fit_ova, _membership, _ova_scores
 from .corpus import WeightMatrix
 from .tables import write_table
 
@@ -70,10 +70,7 @@ def classify_svm(train_features, train_composites, test_features,
               "trained_without_negatives": [
                   z for z, k in zip(universe, P.all(axis=0) & has_pos) if k]}
     W, mean, std, _ = _fit_ova(X, P[:, has_pos], cfg)
-    s = Xt @ W[:-1] + W[-1]
-    scores = np.full((Xt.shape[0], len(universe)), DEFAULT_FLOOR)
-    scores[:, has_pos] = (s - mean) / std
-    return scores, universe, report
+    return _ova_scores(Xt, W, mean, std, has_pos).T, universe, report
 
 
 def _nearest_tables(train_features, train_composites, test_features,

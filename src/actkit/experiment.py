@@ -122,7 +122,10 @@ def _validate(cfg: dict) -> dict:
         if bad:
             raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
         for name, vals in block.items():
-            for v in (np.atleast_1d(vals) if key == "grid" else [vals]):
+            values = np.atleast_1d(vals) if key == "grid" else [vals]
+            if len(values) == 0:
+                raise ConfigError(f"grid.{name} lists no values")
+            for v in values:
                 _number(f"{key}.{name}", v, name == "k",
                         lambda x: PstConfig(**{name: x}))
     train_config(out["lam"], out["epochs"], out["seed"])
@@ -238,6 +241,9 @@ def _classify_pst(bundle, cfg, weights, pooled, out_dir, zero_shot):
     if fixed is not None:
         best = PstConfig(**{k: (int(v) if k == "k" else float(v))
                             for k, v in fixed.items()})
+        if best.k >= len(order):
+            raise ConfigError(f"pst.k = {best.k} needs more than {best.k} "
+                              f"sequences, the bundle has {len(order)}")
         F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
     else:
         val_idx = [d for d, s in enumerate(bundle.sequences)

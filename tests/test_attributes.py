@@ -1,5 +1,6 @@
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ import pytest
 from actkit.attributes import (
     DEFAULT_FLOOR,
     STACK_MODES,
-    LinearModel,
-    LinearModelSet,
     ScoreMatrix,
     TrainConfig,
     context_feature,
@@ -23,6 +22,20 @@ from actkit.attributes import (
 )
 
 
+def _hinge_descent(X, y, lam, epochs):
+    """The trainer on one label: returns (w, b)."""
+    from actkit.attributes import _hinge_descent_batch
+    W = _hinge_descent_batch(X, np.asarray(y, dtype=float)[:, None], lam,
+                             epochs)
+    return W[:-1, 0], float(W[-1, 0])
+
+
+def _rows(ms):
+    """(weights, bias, mean, std, constant) of each row of a fitted table."""
+    D = ms.feature_dim
+    return [(r[:D], r[D], r[D + 1], r[D + 2], r[D + 3]) for r in ms.models]
+
+
 def _separable_1d():
     X = np.array([[1.0], [1.2], [-1.0], [-1.2]])
     labels = [{"wash"}, {"wash"}, set(), set()]
@@ -32,10 +45,10 @@ def _separable_1d():
 def test_train_separable_positive_weight():
     X, labels = _separable_1d()
     ms = train_linear_ova(X, labels, ["wash"])
-    model = ms.models["wash"]
-    assert model.weights[0] > 0
+    w, b, *_ = _rows(ms)[0]
+    assert w[0] > 0
     # every training margin has the right sign
-    scores = X @ model.weights + model.bias
+    scores = X @ w + b
     y = np.array([1, 1, -1, -1])
     assert np.all(y * scores > 0)
 
@@ -46,14 +59,14 @@ def test_train_deterministic():
     labels = [{"a"} if x[0] > 0 else set() for x in X]
     m1 = train_linear_ova(X, labels, ["a"])
     m2 = train_linear_ova(X, labels, ["a"])
-    assert np.array_equal(m1.models["a"].weights, m2.models["a"].weights)
-    assert m1.models["a"].bias == m2.models["a"].bias
+    assert m1.models.tobytes() == m2.models.tobytes()
 
 
 def test_train_skips_single_class_attributes():
     X, labels = _separable_1d()
     ms = train_linear_ova(X, labels, ["wash", "ghost"])
-    assert "ghost" not in ms.models
+    assert ms.trained.tolist() == [True, False]
+    assert len(ms.models) == 1
     assert ms.skipped[0][0] == "ghost"
 
 
@@ -69,7 +82,6 @@ def test_objective_non_increasing_after_first_epoch():
     X = np.array([[1.0], [1.2], [-1.0], [-1.2]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     lam = 2.0
-    from actkit.attributes import _hinge_descent
     values = []
     for epochs in range(1, 30):
         w, b = _hinge_descent(X, y, lam, epochs)
@@ -96,8 +108,8 @@ def test_score_znorm_uses_training_statistics():
 
 
 def test_score_dimension_mismatch():
-    cfg = TrainConfig()
-    ms = LinearModelSet({"a": LinearModel(np.zeros(3), 0.0)}, ("a",), (), cfg, 3)
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    ms = train_linear_ova(X, [{"a"}, set()], ["a"], TrainConfig(epochs=5))
     with pytest.raises(ValueError):
         score_intervals(ms, np.zeros((2, 4)))
 
@@ -232,7 +244,7 @@ def _ragged_stacking_case(seed=11, n=5, N=4):
 
 def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
     """Per-label reference: one design and one descent per attribute."""
-    from actkit.attributes import _hinge_descent, _stack_parts
+    from actkit.attributes import _stack_parts
     use_base, use_con, use_coocc = _stack_parts(mode)
 
     def design(mats, feats, i):
@@ -279,7 +291,6 @@ def test_stacked_matches_per_label_reference(mode):
 
 
 def test_batched_ova_matches_per_label_reference():
-    from actkit.attributes import _hinge_descent
     from actkit.composites import classify_svm
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 4))
@@ -289,15 +300,16 @@ def test_batched_ova_matches_per_label_reference():
     cfg = TrainConfig(epochs=80)
     ms = train_linear_ova(X, sets, names, cfg)
     assert [a for a, _ in ms.skipped] == ["none", "all"]
-    for a in names[:3]:
+    assert ms.trained.tolist() == [True, True, True, False, False]
+    for a, (w_, b_, mean, std, constant) in zip(names, _rows(ms)):
         y = np.array([1.0 if a in s else -1.0 for s in sets])
         w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
         tr = X @ w + b
-        m = ms.models[a]
-        assert np.max(np.abs(m.weights - w)) <= 1e-12
-        assert abs(m.bias - b) <= 1e-12
-        assert abs(m.score_mean - tr.mean()) <= 1e-12
-        assert abs(m.score_std - tr.std()) <= 1e-12
+        assert np.max(np.abs(w_ - w)) <= 1e-12
+        assert abs(b_ - b) <= 1e-12
+        assert abs(mean - tr.mean()) <= 1e-12
+        assert abs(std - tr.std()) <= 1e-12
+        assert constant == 0.0
 
     comps = [sorted(s - {"all"})[0] if s != {"all"} else "a0" for s in sets]
     Xt = rng.normal(size=(9, 4))
@@ -391,31 +403,126 @@ def test_models_npz_round_trip(tmp_path):
     loaded = load_models_npz(tmp_path / "m.npz")
     assert loaded.labels == ms.labels
     assert loaded.skipped == ms.skipped
-    assert np.array_equal(loaded.models["wash"].weights,
-                          ms.models["wash"].weights)
+    assert np.array_equal(loaded.models, ms.models)
+    assert np.array_equal(loaded.trained, ms.trained)
     S1 = score_intervals(ms, X)
     S2 = score_intervals(loaded, X)
     assert np.allclose(S1.values, S2.values)
 
 
-def _models_npz_pickled_labels(ms, path, **settings):
-    """A model file laid out as earlier versions wrote it: labels in an
-    object array, and in still earlier files the config also records the
-    then-optional znorm and floor settings."""
+def _models_npz_former(ms, path, labels=None, **settings):
+    """A model file as the former per-label writer laid it out: one
+    contiguous weight vector and one [bias, mean, std, constant] array of
+    Python floats per trained label.  labels replaces the JSON label
+    string: earlier versions stored an object array, and in still earlier
+    files the config also records the then-optional znorm and floor
+    settings."""
     arrays = {
-        "labels": np.array(ms.labels, dtype=object),
+        "labels": np.array(json.dumps(list(ms.labels))) if labels is None
+        else labels,
         "feature_dim": np.array(ms.feature_dim),
         "config": np.array(json.dumps({
             "lam": ms.config.lam, "epochs": ms.config.epochs,
             "seed": ms.config.seed, **settings})),
         "skipped": np.array(json.dumps(list(ms.skipped))),
     }
-    for a, m in ms.models.items():
-        idx = ms.labels.index(a)
-        arrays[f"w_{idx}"] = m.weights
-        arrays[f"meta_{idx}"] = np.array(
-            [m.bias, m.score_mean, m.score_std, float(m.constant_scores)])
+    for idx, (w, *meta) in zip(np.flatnonzero(ms.trained), _rows(ms)):
+        arrays[f"w_{idx}"] = w.copy()
+        arrays[f"meta_{idx}"] = np.array([float(v) for v in meta])
     np.savez(path, **arrays)
+
+
+def _random_model_set(seed, n_labels, trained, D=6, m=40):
+    """A set over n_labels labels; the first `trained` of them occur in
+    some but not all rows, the rest in none (so they are skipped)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, D))
+    names = [f"a{i}" for i in range(n_labels)]
+    sets = [{a for a in names[:trained] if rng.random() < 0.4}
+            for _ in range(m)]
+    sets[0] |= set(names[:trained])
+    sets[1] = set()
+    return train_linear_ova(X, sets, names, TrainConfig(epochs=30))
+
+
+def _per_label_scores(ms, X):
+    """The former scoring loop: one matrix-vector product per trained
+    label, DEFAULT_FLOOR rows for the others."""
+    out = np.full((len(ms.labels), len(X)), DEFAULT_FLOOR)
+    for i, (w, b, mean, std, _) in zip(np.flatnonzero(ms.trained),
+                                       _rows(ms)):
+        out[i] = (X @ w.copy() + float(b) - float(mean)) / float(std)
+    return out
+
+
+@pytest.mark.parametrize("n_labels, trained", [(3, 0), (5, 5), (7, 4),
+                                               (0, 0), (1, 1)])
+@pytest.mark.parametrize("rows", [1, 2, 33])
+def test_score_intervals_matches_the_per_label_formula(n_labels, trained,
+                                                       rows):
+    ms = _random_model_set(n_labels * 10 + trained, n_labels, trained)
+    assert len(ms.models) == int(ms.trained.sum()) == trained
+    X = np.random.default_rng(rows).normal(size=(rows, ms.feature_dim))
+    S = score_intervals(ms, X)
+    assert S.values.shape == (n_labels, rows)
+    assert np.max(np.abs(S.values - _per_label_scores(ms, X)),
+                  initial=0.0) <= 1e-12
+    assert np.all(S.values[trained:] == DEFAULT_FLOOR)
+    assert S.floored_rows == ms.labels[trained:]
+
+
+def _constant_score_set():
+    """All-zero features: every trained label scores a constant."""
+    ms = train_linear_ova(np.zeros((4, 2)), [{"a"}, set(), {"a"}, {"b"}],
+                          ["a", "b", "c"], TrainConfig(epochs=7))
+    assert [row[-1] for row in _rows(ms)] == [1.0, 1.0]
+    return ms
+
+
+@pytest.mark.parametrize("make", [lambda: _random_model_set(3, 5, 3),
+                                  _constant_score_set],
+                         ids=["random", "constant"])
+def test_models_npz_matches_the_former_writer(tmp_path, make):
+    ms = make()
+    save_models_npz(ms, tmp_path / "new.npz")
+    _models_npz_former(ms, tmp_path / "old.npz")
+    with zipfile.ZipFile(tmp_path / "new.npz") as new, \
+            zipfile.ZipFile(tmp_path / "old.npz") as old:
+        assert new.namelist() == old.namelist()
+        for name in new.namelist():
+            assert new.read(name) == old.read(name), name
+    loaded = load_models_npz(tmp_path / "old.npz")
+    assert loaded.models.tobytes() == ms.models.tobytes()
+    assert loaded.trained.tobytes() == ms.trained.tobytes()
+    assert (loaded.labels, loaded.skipped, loaded.config,
+            loaded.feature_dim) == (ms.labels, ms.skipped, ms.config,
+                                    ms.feature_dim)
+    X = np.random.default_rng(0).normal(size=(9, ms.feature_dim))
+    assert score_intervals(loaded, X).values.tobytes() == \
+        score_intervals(ms, X).values.tobytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("w_0", lambda a: a[:5]),             # truncated weights
+    ("w_0", lambda a: np.append(a, 1.0)),
+    ("w_2", lambda a: a[None, :]),
+    ("meta_0", None),                     # missing
+    ("meta_2", lambda a: a[:3]),
+    ("meta_0", lambda a: np.append(a, 0.0)),
+])
+def test_models_npz_malformed_table_rejected(tmp_path, key, value):
+    ms = _random_model_set(4, 3, 3, D=32)
+    save_models_npz(ms, tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value(arrays[key])
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        load_models_npz(path)
 
 
 @pytest.mark.parametrize("znorm, floor", [(False, -10.0), (True, -5.0),
@@ -423,8 +530,9 @@ def _models_npz_pickled_labels(ms, path, **settings):
 def test_models_npz_other_score_settings_rejected(tmp_path, znorm, floor):
     X, labels = _separable_1d()
     path = tmp_path / "old.npz"
-    _models_npz_pickled_labels(train_linear_ova(X, labels, ["wash"]),
-                               path, znorm=znorm, floor=floor)
+    ms = train_linear_ova(X, labels, ["wash"])
+    _models_npz_former(ms, path, np.array(ms.labels, dtype=object),
+                       znorm=znorm, floor=floor)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_models_npz(path)
 
@@ -433,8 +541,9 @@ def test_models_npz_other_score_settings_rejected(tmp_path, znorm, floor):
 def test_models_npz_pickled_labels_rejected(tmp_path, settings):
     X, labels = _separable_1d()
     path = tmp_path / "old.npz"
-    _models_npz_pickled_labels(train_linear_ova(X, labels, ["wash"]),
-                               path, **settings)
+    ms = train_linear_ova(X, labels, ["wash"])
+    _models_npz_former(ms, path, np.array(ms.labels, dtype=object),
+                       **settings)
     with pytest.raises(ValueError, match="retrain") as err:
         load_models_npz(path)
     assert str(path) in str(err.value)

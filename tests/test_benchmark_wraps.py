@@ -6,20 +6,40 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_benchmark_wrap_resolves(monkeypatch):
+def _tracing(monkeypatch):
+    """perfbench's tracing module, imported without leaving it or its
+    sibling workloads module in sys.modules."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     try:
-        wraps = importlib.import_module("tracing").WRAPS
+        return importlib.import_module("tracing")
     finally:
         for name in ("tracing", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_every_benchmark_wrap_resolves(monkeypatch):
+    wraps = _tracing(monkeypatch).WRAPS
     assert wraps
     missing = [f"actkit.{mod}.{attr}" for mod, attr, *_ in wraps
                if not callable(getattr(importlib.import_module(
                    f"actkit.{mod}"), attr, None))]
     assert not missing, f"benchmark wraps missing functions: {missing}"
+
+
+def test_models_trained_counts_the_trained_labels(monkeypatch):
+    # the traced run reads the trained-label count off the returned set
+    tracer = _tracing(monkeypatch).Tracer()
+    from actkit import attributes
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.9, 0.2]])
+    sets = [{"a0"}, {"a1"}, {"a0", "a1"}, set()]
+    with tracer.install():
+        model_set = attributes.train_linear_ova(X, sets, ("a0", "a1", "ghost"))
+    assert [a for a, _ in model_set.skipped] == ["ghost"]
+    assert tracer.counts["attributes.models_trained"] == 2

@@ -233,6 +233,37 @@ def test_detect_unknown_attribute_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_detect_skipped_attribute_exit_1(tmp_path, capsys):
+    # "ghost" is in the model file but had no positive training interval
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.1]])
+    model_set = train_linear_ova(X, [{"a0"}, set(), {"a0"}], ("a0", "ghost"),
+                                 TrainConfig(epochs=20))
+    save_models_npz(model_set, tmp_path / "m.npz")
+    np.save(tmp_path / "c.npy", np.ones((60, 2)))
+    out = tmp_path / "d.csv"
+    rc = main(["detect", "--counts", str(tmp_path / "c.npy"),
+               "--models", str(tmp_path / "m.npz"), "--attribute", "ghost",
+               "--output", str(out)])
+    assert rc == 1
+    assert "'ghost' was skipped in training: 0 positive / 3 negative " \
+        "intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_truncated_weights_exit_2(tmp_path, capsys):
+    with np.load(_hist_models(tmp_path / "m.npz")) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["w_0"] = arrays["w_0"][:2]
+    models = tmp_path / "bad.npz"
+    np.savez(models, **arrays)
+    np.save(tmp_path / "c.npy", np.ones((60, 3)))
+    rc = main(["detect", "--counts", str(tmp_path / "c.npy"),
+               "--models", str(models), "--attribute", "a0",
+               "--output", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert f"{models}: w_0 must hold 3 weights" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_detect_non_finite_nms_threshold_exit_1(tmp_path, capsys, value):
     models = _hist_models(tmp_path / "m.npz")
@@ -346,6 +377,18 @@ def test_classify_composites_bad_pst_config_exit_1(score_bundle, tmp_path,
     assert not out.exists()
 
 
+def test_classify_composites_pst_k_too_large_exit_1(score_bundle, tmp_path,
+                                                   capsys):
+    conf = tmp_path / "pst.conf"
+    conf.write_text("alpha = 0.5\ngamma = 0.5\ndelta = 1.0\nk = 500\n")
+    rc = main(["classify-composites", "--bundle", score_bundle,
+               "--output", str(tmp_path / "pstcc"), "--mode", "pst",
+               "--pst-config", str(conf)])
+    assert rc == 1
+    assert "pst.k = 500 needs more than 500 sequences" in \
+        capsys.readouterr().err
+
+
 def test_run_command(score_bundle, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"data": score_bundle,
@@ -391,6 +434,10 @@ def test_run_match_mode_key_exit_1(score_bundle, tmp_path, capsys, value):
     ({"segment_threshold": float("inf")}, "segment_threshold must be a"),
     ({"segment_threshold": "0.9"}, "segment_threshold must be a"),
     ({"segment_threshold": True}, "segment_threshold must be a"),
+    ({"mode": "pst", "grid": {"alpha": []}}, "grid.alpha lists no values"),
+    ({"mode": "pst", "pst": {"k": 500}}, "pst.k = 500 needs more than 500 "
+                                         "sequences, the bundle has 36"),
+    ({"mode": "pst", "pst": {"k": 36}}, "pst.k = 36 needs more than 36"),
 ])
 def test_run_bad_config_values_exit_1(score_bundle, tmp_path, capsys,
                                       bad, words):
