@@ -193,22 +193,6 @@ def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
 # ---------------------------------------------------------------------------
 # score-derived features
 
-def context_feature(scores, t: int, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Element-wise maximum over all intervals except t.
-
-    For single-interval sequences there is no context; the feature is a
-    constant floor vector.
-    """
-    S = np.asarray(scores, dtype=float)
-    n, T = S.shape
-    if not 0 <= t < T:
-        raise IndexError(f"interval {t} out of range for T={T}")
-    if T == 1:
-        return np.full(n, floor)
-    rest = np.delete(S, t, axis=1)
-    return rest.max(axis=1)
-
-
 STACK_MODES = ("context", "cooccurrence", "base+context", "base+cooccurrence", "all")
 
 
@@ -222,8 +206,9 @@ def _stack_parts(mode):
 
 
 def _context_block(S):
-    """context_feature of every interval of an (n, T) sequence as (T, n)
-    rows: the row maximum, or at the row's argmax the runner-up."""
+    """Leave-one-out row maxima of an (n, T) sequence as (T, n) rows, the
+    context feature of each interval: the row maximum, or at the row's
+    argmax the runner-up.  One interval has no context: DEFAULT_FLOOR."""
     n, T = S.shape
     if T <= 1:
         return np.full((T, n), DEFAULT_FLOOR)

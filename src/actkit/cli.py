@@ -1,13 +1,15 @@
 """Command line front end.
 
-Each subcommand is a thin wrapper over one library entry point and
-talks through the package's file formats (CSV, JSONL, npy/npz).  Exit
-codes: 0 on success, 1 for configuration problems, 2 for anything else.
+Each subcommand is a thin wrapper over one library entry point (run's
+own attribute stages for train-attributes, score and stack) and talks
+through the package's file formats (CSV, JSONL, npy/npz).  Exit codes:
+0 on success, 1 for configuration problems, 2 for anything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -15,14 +17,15 @@ import numpy as np
 
 from . import __version__
 from .attributes import (load_annotations, load_models_npz, save_models_npz,
-                         save_scores_csv, score_intervals,
-                         train_and_score_stacked, train_linear_ova,
-                         ScoreMatrix, STACK_MODES, TrainConfig)
+                         save_scores_csv, score_intervals, ScoreMatrix,
+                         STACK_MODES, TrainConfig)
 from .composites import load_pst_config
 from .corpus import (binarize_weights, build_documents, load_lexicon,
                      load_script_corpus, load_vocab, normalize_l1,
                      save_weights_csv, tfidf_weights)
-from .experiment import ConfigError, MODES, run_experiment, train_config
+from .experiment import (ConfigError, MODES, run_experiment,
+                         score_attributes, stack_attributes, train_attributes,
+                         train_config)
 from .metrics import EvalReport, eval_detection
 from .psinfer import (default_part_graph, infer, load_grids,
                       save_placements_csv)
@@ -76,17 +79,18 @@ def _cmd_gen_synthetic(args):
     return 0
 
 
+def _save_score_dir(bundle, mats, out_dir):
+    """One scores CSV per sequence, <sequence_id>.csv, into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    labels = bundle.true_weights.attributes
+    for seq, V in zip(bundle.sequences, mats):
+        save_scores_csv(ScoreMatrix(V, labels),
+                        os.path.join(out_dir, f"{seq.sequence_id}.csv"))
+
+
 def _cmd_train_attributes(args):
     cfg = train_config(args.lam, args.epochs, args.seed)
-    bundle = load_bundle(args.bundle)
-    if bundle.config.mode != "features":
-        raise ConfigError("training needs a bundle generated in features "
-                          "mode; this one carries precomputed scores")
-    train = bundle.split("train")
-    X = np.concatenate([s.features for s in train], axis=0)
-    labels = [set(a) for s in train for a in s.interval_attributes]
-    model_set = train_linear_ova(X, labels,
-                                 bundle.true_weights.attributes, cfg)
+    model_set = train_attributes(load_bundle(args.bundle), cfg)
     save_models_npz(model_set, args.output)
     trained = len(model_set.labels) - len(model_set.skipped)
     print(f"trained {trained} attribute models "
@@ -100,11 +104,13 @@ def _cmd_score(args):
         raise ConfigError("scoring applies trained models to a features "
                           "mode bundle")
     model_set = load_models_npz(args.models)
-    os.makedirs(args.output, exist_ok=True)
-    for seq in bundle.sequences:
-        S = score_intervals(model_set, seq.features)
-        save_scores_csv(S, os.path.join(args.output,
-                                        f"{seq.sequence_id}.csv"))
+    pairs = itertools.zip_longest(model_set.labels,
+                                  bundle.true_weights.attributes)
+    for i, (have, want) in enumerate(pairs):
+        if have != want:
+            raise ConfigError(f"{args.models}: model label {i} is {have!r}, "
+                              f"but bundle attribute {i} is {want!r}")
+    _save_score_dir(bundle, score_attributes(bundle, model_set), args.output)
     print(f"scored {len(bundle.sequences)} sequences -> {args.output}")
     return 0
 
@@ -115,21 +121,10 @@ def _cmd_stack(args):
     if bundle.config.mode != "scores":
         raise ConfigError("the stack command refines precomputed score "
                           "bundles; use 'run' for feature bundles")
-    if args.mode not in ("context", "cooccurrence"):
-        raise ConfigError("stacking from scores supports modes 'context' "
-                          "and 'cooccurrence' only")
-    labels = bundle.true_weights.attributes
-    train = bundle.split("train")
-    train_scores = [ScoreMatrix(s.scores, labels) for s in train]
-    train_labels = [[set(a) for a in s.interval_attributes] for s in train]
-    eval_scores = [ScoreMatrix(s.scores, labels) for s in bundle.sequences]
-    refined = train_and_score_stacked(train_scores, train_labels,
-                                      eval_scores, args.mode, config=cfg)
-    os.makedirs(args.output, exist_ok=True)
-    for seq, S in zip(bundle.sequences, refined):
-        save_scores_csv(S, os.path.join(args.output,
-                                        f"{seq.sequence_id}.csv"))
-    print(f"stacked ({args.mode}) {len(refined)} sequences -> {args.output}")
+    mats = stack_attributes(bundle, args.mode, cfg,
+                            [s.scores for s in bundle.sequences])
+    _save_score_dir(bundle, mats, args.output)
+    print(f"stacked ({args.mode}) {len(mats)} sequences -> {args.output}")
     return 0
 
 
@@ -170,11 +165,8 @@ def _cmd_segment(args):
 
 def _cmd_classify_composites(args):
     cfg = {"data": args.bundle, "output": args.output, "mode": args.mode,
-           "weights": args.weights}
-    if args.stack:
-        cfg["stack"] = args.stack
-    if args.segment_threshold is not None:
-        cfg["segment_threshold"] = args.segment_threshold
+           "weights": args.weights, "stack": args.stack,
+           "segment_threshold": args.segment_threshold}
     if args.pst_config:
         try:
             p = load_pst_config(args.pst_config)
@@ -283,7 +275,8 @@ def _build_parser():
     p = sub.add_parser("stack",
                        help="refine attribute scores with context features")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--mode", required=True, choices=STACK_MODES)
+    p.add_argument("--mode", required=True,
+                   choices=("context", "cooccurrence"))
     p.add_argument("--output", required=True)
     p.add_argument("--lam", type=float, default=TrainConfig.lam)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)

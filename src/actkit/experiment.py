@@ -7,7 +7,9 @@ per-interval attribute scores (directly, or by training classifiers on
 interval features), optionally refines them by stacking and merges
 similar adjacent intervals, pools each sequence to a single vector and
 classifies the test split.  Intermediates and an evaluation report are
-written to the output directory.
+written to the output directory.  The CLI shares the attribute stages:
+train_attributes returns a model set, and score_attributes and
+stack_attributes return per-sequence arrays in bundle order.
 
 Modes: "svm" and "nn" are supervised, "script" and "nn-script" transfer
 from the weight matrix, "pst" propagates script scores over a sequence
@@ -25,9 +27,9 @@ import os
 
 import numpy as np
 
-from .attributes import (ScoreMatrix, TrainConfig, save_models_npz,
-                         score_intervals, train_and_score_stacked,
-                         train_linear_ova)
+from .attributes import (LinearModelSet, ScoreMatrix, TrainConfig,
+                         save_models_npz, score_intervals,
+                         train_and_score_stacked, train_linear_ova)
 from .attributes import STACK_MODES, _stack_parts
 from .composites import (PstConfig, classify_nn, classify_svm,
                          nn_script_classify, pst_grid_scores, pst_scores,
@@ -150,44 +152,43 @@ def _resolve_weights(bundle, cfg):
     return normalize_l1(mined)
 
 
-def _attribute_scores(bundle, tcfg, labels, out_dir):
-    """Per-sequence (n_attrs, T) score matrices, training models if needed."""
-    extra = {}
-    if bundle.config.mode == "scores":
-        return {s.sequence_id: np.asarray(s.scores, dtype=float)
-                for s in bundle.sequences}, extra
+def train_attributes(bundle, tcfg) -> LinearModelSet:
+    """Attribute models, one row per bundle attribute, trained on the
+    train-split intervals of a features bundle."""
+    if bundle.config.mode != "features":
+        raise ConfigError("training needs a bundle generated in features "
+                          "mode; this one carries precomputed scores")
     train = bundle.split("train")
     X = np.concatenate([s.features for s in train], axis=0)
-    interval_labels = [set(attrs) for s in train
-                       for attrs in s.interval_attributes]
-    model_set = train_linear_ova(X, interval_labels, labels, tcfg)
-    save_models_npz(model_set, os.path.join(out_dir, "models.npz"))
-    if model_set.skipped:
-        extra["skipped_attributes"] = [a for a, _ in model_set.skipped]
+    labels = [set(a) for s in train for a in s.interval_attributes]
+    return train_linear_ova(X, labels, bundle.true_weights.attributes, tcfg)
+
+
+def score_attributes(bundle, model_set) -> list:
+    """(n_attrs, T) score matrices of a features bundle's sequences, in
+    bundle order, from one score_intervals product over all intervals."""
     seqs = bundle.sequences
     S = score_intervals(model_set,
                         np.concatenate([s.features for s in seqs], axis=0))
-    bounds = np.cumsum([s.num_intervals for s in seqs])[:-1]
-    return {s.sequence_id: V for s, V in
-            zip(seqs, np.split(S.values, bounds, axis=1))}, extra
+    return np.split(S.values, np.cumsum([s.num_intervals for s in seqs])[:-1],
+                    axis=1)
 
 
-def _apply_stacking(bundle, cfg, tcfg, mats, labels):
-    order = [s.sequence_id for s in bundle.sequences]
-    train = bundle.split("train")
-    if bundle.config.mode == "scores" and _stack_parts(cfg["stack"])[0]:
-        raise ConfigError(f"stack mode {cfg['stack']!r} needs interval "
-                          "features, but the bundle only carries scores")
-    train_scores = [ScoreMatrix(mats[s.sequence_id], labels) for s in train]
-    eval_scores = [ScoreMatrix(mats[sid], labels) for sid in order]
-    train_labels = [[set(a) for a in s.interval_attributes] for s in train]
-    kwargs = {}
-    if bundle.config.mode == "features":
-        kwargs = {"train_features": [s.features for s in train],
-                  "eval_features": [s.features for s in bundle.sequences]}
-    refined = train_and_score_stacked(train_scores, train_labels, eval_scores,
-                                      cfg["stack"], config=tcfg, **kwargs)
-    return {sid: R.values for sid, R in zip(order, refined)}
+def stack_attributes(bundle, mode, tcfg, mats) -> list:
+    """The per-sequence score matrices mats (bundle order) refined by
+    stacking classifiers of the given mode, trained on the train split."""
+    if bundle.config.mode == "scores" and _stack_parts(mode)[0]:
+        raise ConfigError(f"stack mode {mode!r} needs interval features, "
+                          "but the bundle only carries scores")
+    labels = bundle.true_weights.attributes
+    seqs = bundle.sequences
+    train = [d for d, s in enumerate(seqs) if s.split == "train"]
+    refined = train_and_score_stacked(
+        [ScoreMatrix(mats[d], labels) for d in train],
+        [[set(a) for a in seqs[d].interval_attributes] for d in train],
+        [ScoreMatrix(V, labels) for V in mats], mode,
+        [seqs[d].features for d in train], [s.features for s in seqs], tcfg)
+    return [R.values for R in refined]
 
 
 def _apply_segmentation(bundle, cfg, mats, out_dir):
@@ -199,16 +200,15 @@ def _apply_segmentation(bundle, cfg, mats, out_dir):
     threshold = cfg["segment_threshold"]
     seg_dir = os.path.join(out_dir, "segments")
     os.makedirs(seg_dir, exist_ok=True)
-    out = {}
-    for seq in bundle.sequences:
-        V = mats[seq.sequence_id]
+    out = []
+    for seq, V in zip(bundle.sequences, mats):
         items = [([t], V[:, t].copy()) for t in range(V.shape[1])]
         merged = merge_adjacent(
             items, lambda a, b: _cosine(a[1], b[1]),
             lambda a, b: (a[0] + b[0], a[1] + b[1]),
             threshold)
         cols = [vec / len(idx) for idx, vec in merged]
-        out[seq.sequence_id] = np.stack(cols, axis=1)
+        out.append(np.stack(cols, axis=1))
         segs = [Segment(seq.intervals[idx[0]][0], seq.intervals[idx[-1]][1])
                 for idx, _ in merged]
         save_segments_jsonl(segs, os.path.join(
@@ -228,48 +228,42 @@ def _pst_grid(cfg, zero_shot):
                         delta=float(delta), k=int(k))
 
 
-def _classify_pst(bundle, cfg, weights, pooled, out_dir, zero_shot):
-    order = [s.sequence_id for s in bundle.sequences]
-    G = np.stack([pooled[sid] for sid in order])
+def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
     S = script_score(G, weights)
     comps = list(bundle.composites)
     truth = np.array([s.composite for s in bundle.sequences])
-    train = np.array([s.split == "train" for s in bundle.sequences])
-    labels = np.where(train, np.array(comps)[:, None] == truth, -1)
+    labels = np.where(splits == "train", np.array(comps)[:, None] == truth,
+                      -1)
     fixed = cfg.get("pst")
     extra = {}
     if fixed is not None:
         best = PstConfig(**{k: (int(v) if k == "k" else float(v))
                             for k, v in fixed.items()})
-        if best.k >= len(order):
+        if best.k >= len(G):
             raise ConfigError(f"pst.k = {best.k} needs more than {best.k} "
-                              f"sequences, the bundle has {len(order)}")
+                              f"sequences, the bundle has {len(G)}")
         F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
     else:
-        val_idx = [d for d, s in enumerate(bundle.sequences)
-                   if s.split == "val"]
-        if not val_idx:
+        val = splits == "val"
+        if not val.any():
             raise ConfigError("propagation grid search needs a validation "
                               "split; give fixed 'pst' parameters instead")
-        val_truth = [bundle.sequences[d].composite for d in val_idx]
-        feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(order)]
+        feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(G)]
         if not feasible:
             raise ConfigError("no feasible grid point: every k was at least "
                               "the number of sequences")
         best_acc = -1.0
         for pcfg, Fp in pst_grid_scores(S, labels, G, feasible,
                                         zero_shot=zero_shot):
-            preds = [comps[int(np.argmax(Fp[:, d]))] for d in val_idx]
-            acc = accuracy(preds, val_truth)
+            preds = [comps[z] for z in Fp[:, val].argmax(axis=0)]
+            acc = accuracy(preds, truth[val])
             if acc > best_acc:
                 best, best_acc, F = pcfg, acc, Fp
         extra["val_accuracy"] = best_acc
     extra.update({"alpha": best.alpha, "gamma": best.gamma,
                   "delta": best.delta, "k": best.k})
     save_pst_config(best, os.path.join(out_dir, "pst.conf"))
-    test_idx = [d for d, s in enumerate(bundle.sequences)
-                if s.split == "test"]
-    scores = F[:, test_idx].T                       # (M_test, Z)
+    scores = F[:, splits == "test"].T               # (M_test, Z)
     preds = [comps[int(np.argmax(row))] for row in scores]
     return scores, preds, extra
 
@@ -288,23 +282,29 @@ def run_experiment(config) -> EvalReport:
     os.makedirs(out_dir, exist_ok=True)
     bundle = load_bundle(cfg["data"])
     comps = list(bundle.composites)
-    attr_labels = bundle.true_weights.attributes
     weights = _resolve_weights(bundle, cfg)
     save_weights_csv(weights, os.path.join(out_dir, "weights.csv"))
 
     tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
-    mats, extra = _attribute_scores(bundle, tcfg, attr_labels, out_dir)
+    extra = {}
+    if bundle.config.mode == "scores":
+        mats = [s.scores for s in bundle.sequences]
+    else:
+        model_set = train_attributes(bundle, tcfg)
+        save_models_npz(model_set, os.path.join(out_dir, "models.npz"))
+        if model_set.skipped:
+            extra["skipped_attributes"] = [a for a, _ in model_set.skipped]
+        mats = score_attributes(bundle, model_set)
     if cfg["stack"] is not None:
-        mats = _apply_stacking(bundle, cfg, tcfg, mats, attr_labels)
+        mats = stack_attributes(bundle, cfg["stack"], tcfg, mats)
     if cfg["segment_threshold"] is not None:
         mats = _apply_segmentation(bundle, cfg, mats, out_dir)
-    pooled = {sid: seq_feature(V) for sid, V in mats.items()}
+    pooled = np.stack([seq_feature(V) for V in mats])
 
-    train = bundle.split("train")
+    splits = np.array([s.split for s in bundle.sequences])
+    Xtr, Xte = pooled[splits == "train"], pooled[splits == "test"]
+    ytr = [s.composite for s in bundle.split("train")]
     test = bundle.split("test")
-    Xtr = np.stack([pooled[s.sequence_id] for s in train])
-    ytr = [s.composite for s in train]
-    Xte = np.stack([pooled[s.sequence_id] for s in test])
     truth = [s.composite for s in test]
 
     if mode == "svm":
@@ -326,7 +326,7 @@ def run_experiment(config) -> EvalReport:
             extra["excluded_weight_rows"] = list(excluded)
     else:   # pst / pst-zero-shot
         scores, preds, pst_extra = _classify_pst(
-            bundle, cfg, weights, pooled, out_dir,
+            bundle, cfg, weights, pooled, splits, out_dir,
             zero_shot=(mode == "pst-zero-shot"))
         extra.update(pst_extra)
 

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from actkit.attributes import ScoreMatrix, context_feature, \
+from actkit.attributes import ScoreMatrix, _context_block, \
     train_and_score_stacked
 from actkit.composites import PstConfig, build_knn_graph, classify_nn, \
     nn_script_classify, propagate, seq_feature
@@ -106,14 +106,14 @@ def test_criterion_03_pooling_invariants():
             assert np.all(g[:, None] >= S - 1e-15)
             t = int(rng.integers(0, T))
             if T > 1:
-                assert np.all(g >= context_feature(S, t))
+                assert np.all(g >= _context_block(S)[t])
             # permutation invariance
             perm = rng.permutation(T)
             assert np.array_equal(seq_feature(S[:, perm]), g)
             if T > 1:
                 where = int(np.argwhere(perm == t)[0][0])
-                assert np.array_equal(context_feature(S[:, perm], where),
-                                      context_feature(S, t))
+                assert np.array_equal(_context_block(S[:, perm])[where],
+                                      _context_block(S)[t])
             # monotonicity: raising one entry never lowers the pool
             S2 = S.copy()
             S2[rng.integers(0, n), rng.integers(0, T)] += rng.uniform(0, 5)

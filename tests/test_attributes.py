@@ -10,7 +10,6 @@ from actkit.attributes import (
     STACK_MODES,
     ScoreMatrix,
     TrainConfig,
-    context_feature,
     hinge_objective,
     load_annotations,
     load_models_npz,
@@ -20,6 +19,23 @@ from actkit.attributes import (
     train_and_score_stacked,
     train_linear_ova,
 )
+
+
+def context_feature(scores, t: int, floor: float = DEFAULT_FLOOR) -> np.ndarray:
+    """Element-wise maximum over all intervals except t, the oracle of
+    attributes._context_block.
+
+    For single-interval sequences there is no context; the feature is a
+    constant floor vector.
+    """
+    S = np.asarray(scores, dtype=float)
+    n, T = S.shape
+    if not 0 <= t < T:
+        raise IndexError(f"interval {t} out of range for T={T}")
+    if T == 1:
+        return np.full(n, floor)
+    rest = np.delete(S, t, axis=1)
+    return rest.max(axis=1)
 
 
 def _hinge_descent(X, y, lam, epochs):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from actkit import cli
+from actkit import cli, experiment
 from actkit.attributes import (TrainConfig, save_annotations,
                                save_models_npz, train_linear_ova)
 from actkit.cli import main
@@ -151,6 +151,58 @@ def test_stack_base_mode_rejected_for_scores(score_bundle, tmp_path):
     rc = main(["stack", "--bundle", score_bundle, "--mode", "base+context",
                "--output", str(tmp_path / "s")])
     assert rc == 1
+
+
+def test_score_makes_one_score_intervals_call(feature_bundle, tmp_path,
+                                             monkeypatch):
+    models = tmp_path / "models.npz"
+    assert main(["train-attributes", "--bundle", feature_bundle,
+                 "--output", str(models), "--epochs", "20"]) == 0
+    calls = []
+    score = experiment.score_intervals
+
+    def counting(model_set, features):
+        calls.append(len(features))
+        return score(model_set, features)
+
+    monkeypatch.setattr(experiment, "score_intervals", counting)
+    assert main(["score", "--bundle", feature_bundle, "--models", str(models),
+                 "--output", str(tmp_path / "scores")]) == 0
+    bundle = load_bundle(feature_bundle)
+    assert calls == [sum(s.num_intervals for s in bundle.sequences)]
+
+
+def test_score_rejects_models_of_other_attributes(tmp_path, capsys):
+    def bundle(name, activities):
+        path = tmp_path / name
+        save_bundle(gen_synthetic(SyntheticConfig(
+            seed=5, mode="features", num_activities=activities,
+            num_objects=6)), path)
+        return str(path)
+
+    models = tmp_path / "models.npz"
+    assert main(["train-attributes", "--bundle", bundle("small", 8),
+                 "--output", str(models), "--epochs", "5"]) == 0
+    out = tmp_path / "scores"
+    rc = main(["score", "--bundle", bundle("large", 10),
+               "--models", str(models), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{models}: model label 8 is 'obj00', but bundle attribute 8 " \
+        "is 'act08'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["base+context", "all"])
+def test_stack_offers_only_the_score_modes(score_bundle, tmp_path, capsys,
+                                           mode):
+    rc = main(["stack", "--bundle", score_bundle, "--mode", mode,
+               "--output", str(tmp_path / "s")])
+    assert rc == 1
+    assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["stack", "--help"])
+    assert "--mode {context,cooccurrence}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["train-attributes", "stack"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from actkit import composites, corpus, experiment
+from actkit.attributes import TrainConfig, score_intervals
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
 from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
@@ -320,6 +321,26 @@ def test_feature_mode_scores_every_sequence_in_one_call(
                       - own).max() <= 1e-12
         start += s.num_intervals
     assert start == S.values.shape[1]
+
+
+def test_score_attributes_splits_one_product_in_bundle_order(
+        feature_bundle):
+    bundle = load_bundle(feature_bundle)
+    model_set = experiment.train_attributes(bundle, TrainConfig(epochs=20))
+    mats = experiment.score_attributes(bundle, model_set)
+    assert len(mats) == len(bundle.sequences)
+    for s, V in zip(bundle.sequences, mats):
+        own = score_intervals(model_set, s.features).values
+        assert V.shape == own.shape
+        assert np.abs(V - own).max() <= 1e-12
+
+
+def test_stack_attributes_returns_bundle_order(score_bundle):
+    bundle = load_bundle(score_bundle)
+    mats = [s.scores for s in bundle.sequences]
+    got = experiment.stack_attributes(bundle, "context",
+                                      TrainConfig(epochs=20), mats)
+    assert [V.shape for V in got] == [V.shape for V in mats]
 
 
 def test_feature_bundle_base_stacking_allowed(feature_bundle, tmp_path):

@@ -532,14 +532,13 @@ def test_segment_agglomerative_matches_former_merge(monkeypatch):
 
 def test_experiment_segmentation_matches_former_merge(tmp_path, monkeypatch):
     rng = np.random.default_rng(9)
-    seqs, mats = [], {}
+    seqs, mats = [], []
     for i in range(30):
         T = int(rng.integers(1, 25))
-        sid = f"s{i}"
         seqs.append(SimpleNamespace(
-            sequence_id=sid, intervals=[(10 * t, 10 * t + 9)
-                                        for t in range(T)]))
-        mats[sid] = _tied_columns(rng, T, 4).T
+            sequence_id=f"s{i}", intervals=[(10 * t, 10 * t + 9)
+                                            for t in range(T)]))
+        mats.append(_tied_columns(rng, T, 4).T)
     bundle = SimpleNamespace(sequences=seqs)
     merged = 0
     for threshold in (-1.0, 0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0):
@@ -550,13 +549,12 @@ def test_experiment_segmentation_matches_former_merge(tmp_path, monkeypatch):
             m.setattr(experiment, "merge_adjacent", _former_merge_adjacent)
             want = experiment._apply_segmentation(bundle, cfg, mats,
                                                   tmp_path / "old")
-        for s in seqs:
-            sid = s.sequence_id
-            assert np.array_equal(got[sid], want[sid])
-            name = f"segments/{sid}.jsonl"
+        for d, s in enumerate(seqs):
+            assert np.array_equal(got[d], want[d])
+            name = f"segments/{s.sequence_id}.jsonl"
             assert (tmp_path / "new" / name).read_bytes() \
                 == (tmp_path / "old" / name).read_bytes()
-            merged += got[sid].shape[1] < mats[sid].shape[1]
+            merged += got[d].shape[1] < mats[d].shape[1]
     assert merged > 50
 
 
