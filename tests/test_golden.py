@@ -3,7 +3,11 @@
 The seeded CLI runs in RUNS must write exactly the files whose sha256
 golden_manifest.json holds, at one and at two BLAS threads.  A
 report.json is hashed with config.data and config.output removed, as
-those hold absolute paths.  The BLAS thread count is fixed when numpy
+those hold absolute paths.  The CLI writes scores at 9 significant
+digits, so the same worker also saves full-precision .npy arrays under
+arrays/ (see _write_arrays): the pose chain, which no command runs,
+and the raw integral table and interval scores behind detect, segment
+and score.  One ulp anywhere in them moves a hash.  The BLAS thread count is fixed when numpy
 loads, so each thread count runs the list in a fresh interpreter, with
 this file as the script:
 
@@ -11,11 +15,13 @@ this file as the script:
                                           must not exist) and print the
                                           hashes and the numpy, scipy
                                           and BLAS versions as JSON
-    python tests/test_golden.py --write   run the list at one BLAS thread
-                                          and rewrite the manifest
+    python tests/test_golden.py --write   run the list at one BLAS thread,
+                                          print the moved, new and missing
+                                          files against the committed
+                                          manifest and rewrite it
 
 A change that moves outputs on purpose rewrites the manifest and records
-which files moved and why.  A numpy, scipy or BLAS version other than
+which files moved (the list --write prints) and why.  A numpy, scipy or BLAS version other than
 the manifest's fails the test rather than skipping it: check the
 outputs under the new versions, then rewrite the manifest.
 """
@@ -97,6 +103,64 @@ def _write_inputs():
             json.dump({**job, "output": f"run-{name}"}, fh, sort_keys=True)
 
 
+def _pose_tracks(num_frames=360):
+    """Seeded random walk with a static head and a right hand that sits
+    on the right wrist for a stretch (a zero-length segment)."""
+    from actkit.posefeat import PARTS, JointTrackSet
+
+    rng = np.random.default_rng(SEED)
+    start = rng.uniform(0, 100, (len(PARTS), 1, 2))
+    steps = rng.normal(0, 2.0, (len(PARTS), num_frames - 1, 2))
+    pos = np.concatenate([start, start + steps.cumsum(axis=1)], axis=1)
+    pos[PARTS.index("head")] = pos[PARTS.index("head"), :1]
+    pos[PARTS.index("r_hand"), 100:200] = pos[PARTS.index("r_wrist"), 100:200]
+    return JointTrackSet(pos)
+
+
+def _write_arrays():
+    """Full-precision arrays, run after RUNS in the same directory.
+
+    The pose chain at window length 20 (the 340 frames whose window fits
+    give every codebook its 2 x dim samples): the stacked bm and fft
+    descriptors, every codebook's centres and the word-count matrix.
+    Then the integral table of counts.npy and the raw interval scores of
+    models.npz on the features bundle."""
+    from actkit.attributes import load_models_npz, score_intervals
+    from actkit.posefeat import (build_codebook_set, pose_frame_features,
+                                 stream_word_counts)
+    from actkit.synth import load_bundle
+    from actkit.temporal import build_integral
+
+    tracks = _pose_tracks()
+    frames = range(tracks.num_frames)
+    os.mkdir("arrays")
+    records = [{} for _ in frames]
+    samples = {}
+    for kind in ("bm", "fft"):
+        rows = []
+        for f in frames:
+            for length, feats in pose_frame_features(tracks, f, (20,),
+                                                     kind).items():
+                records[f].setdefault(length, []).extend(feats)
+                rows.append(np.concatenate([sf.values for sf in feats]))
+                for sf in feats:
+                    samples.setdefault((length, sf.name), []).append(
+                        sf.values)
+        np.save(f"arrays/{kind}.npy", np.stack(rows))
+    books = build_codebook_set({key: np.array(v)
+                                for key, v in samples.items()}, seed=SEED)
+    for i, key in enumerate(books.order):
+        np.save(f"arrays/centers-{i:02d}-{key[1]}.npy",
+                books.codebooks[key].centers)
+    np.save("arrays/word_counts.npy",
+            stream_word_counts(records, frames, books, tracks.num_frames))
+    np.save("arrays/integral.npy", build_integral(np.load("counts.npy")).prefix)
+    seqs = load_bundle("features").sequences
+    np.save("arrays/interval_scores.npy", score_intervals(
+        load_models_npz("models.npz"),
+        np.concatenate([s.features for s in seqs], axis=0)).values)
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "report.json":
@@ -122,6 +186,7 @@ def run_list(workdir) -> dict:
                 code = main(argv)
             if code != 0:
                 raise RuntimeError(f"actkit {' '.join(argv)} exited {code}")
+        _write_arrays()
     finally:
         os.chdir(cwd)
     return {p.relative_to(work).as_posix(): _digest(p)
@@ -139,6 +204,13 @@ def worker(workdir, threads, src) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"golden worker failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def changes(want, files) -> tuple:
+    """(moved, missing, new) file names of files against want."""
+    return (sorted(k for k in files.keys() & want.keys() if files[k] != want[k]),
+            sorted(want.keys() - files.keys()),
+            sorted(files.keys() - want.keys()))
 
 
 @pytest.fixture(scope="module")
@@ -159,10 +231,7 @@ def test_outputs_match_manifest(runs, threads):
     assert not versions, ("library versions differ: " + "; ".join(versions)
                           + "; check the outputs, then run "
                           "python tests/test_golden.py --write")
-    files, want = got["files"], manifest["files"]
-    moved = sorted(k for k in files.keys() & want.keys() if files[k] != want[k])
-    missing = sorted(want.keys() - files.keys())
-    new = sorted(files.keys() - want.keys())
+    moved, missing, new = changes(manifest["files"], got["files"])
     assert not (moved or missing or new), (
         f"at {threads} BLAS thread(s): moved {moved}, missing {missing}, "
         f"new {new}")
@@ -174,11 +243,24 @@ def test_train_attributes_writes_the_models_run_trains(runs):
         == files["run-svm-base-context-segment/models.npz"]
 
 
+def test_changes_names_moved_missing_and_new():
+    want = {"a": "1", "b": "2", "c": "3"}
+    assert changes(want, {"a": "1", "b": "9", "d": "4"}) \
+        == (["b"], ["c"], ["d"])
+    assert changes(want, dict(want)) == ([], [], [])
+
+
 def main(argv) -> int:
     if argv == ["--write"]:
         src = Path(__file__).resolve().parents[1] / "src"
         with tempfile.TemporaryDirectory() as tmp:
             got = worker(Path(tmp) / "work", 1, src)
+        old = (json.loads(MANIFEST.read_text(encoding="utf-8"))["files"]
+               if MANIFEST.exists() else {})
+        for kind, names in zip(("moved", "missing", "new"),
+                               changes(old, got["files"])):
+            for name in names:
+                print(f"{kind} {name}")
         MANIFEST.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
         print(f"{len(got['files'])} files -> {MANIFEST}")
