@@ -128,9 +128,17 @@ def _cmd_stack(args):
     return 0
 
 
+def _load_integral(path):
+    """The integral table of a (T, B) .npy count file; a bad count raises
+    ValueError naming the file."""
+    try:
+        return build_integral(np.load(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_detect(args):
-    counts = np.load(args.counts)
-    table = build_integral(counts)
+    table = _load_integral(args.counts)
     model_set = load_models_npz(args.models)
     if args.attribute not in model_set.labels:
         raise ConfigError(f"attribute {args.attribute!r} is not in the "
@@ -154,8 +162,7 @@ def _cmd_detect(args):
 def _cmd_segment(args):
     if args.span < 1:
         raise ConfigError(f"--span must be positive, got {args.span}")
-    counts = np.load(args.counts)
-    table = build_integral(counts)
+    table = _load_integral(args.counts)
     segs = segment_agglomerative(table, args.threshold, span=args.span)
     save_segments_jsonl(segs, args.output)
     print(f"{table.num_frames} frames -> {len(segs)} segments "

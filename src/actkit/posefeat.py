@@ -14,6 +14,14 @@ windows by two feature families:
 Each window is computed with array operations over its joints, distance
 pairs, angle triples and trajectories, not one of them at a time.
 
+The kernels are written for speed but keep the bits of the plain numpy
+expressions they replace: _norm is np.linalg.norm's own sum of squares
+for real input, slices subtract as np.diff does, and _row_stats sums
+each row once with the reductions and divisions of x.mean and x.std.
+The codebook k-means keeps its draws and sums (see _kmeans_pp_init and
+_kmeans), so descriptors, codebooks and word counts are bit-identical
+to the straightforward code, which the tests hold as oracles.
+
 Each sub-feature gets its own k-means codebook with k = 2 x dimension;
 windows of several lengths are quantized separately and the
 per-(length, sub-feature) histograms are concatenated, L1-normalized
@@ -97,6 +105,7 @@ FFT_LOG_EPS = 1e-8
 
 # signed px/frame rate-of-change bin edges for distance trajectories
 RATE_EDGES = (-np.inf, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, np.inf)
+_RATE_INNER = np.array(RATE_EDGES[1:-1])
 
 
 def bow_dim(feature_dim: int, num_lengths: int = len(WINDOW_LENGTHS)) -> int:
@@ -158,6 +167,12 @@ def _window(tracks: JointTrackSet, center_frame: int, length: int) -> np.ndarray
     return tracks.positions[:, off:off + length]
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis: np.linalg.norm(v, axis=-1)'s
+    own expression for real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _offset_hist(bins: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """8-bin weighted histogram of each row of (rows, n) bin indices,
     concatenated row by row."""
@@ -175,16 +190,25 @@ def _direction_hists(vectors: np.ndarray) -> np.ndarray:
     """
     theta = np.arctan2(vectors[..., 1], vectors[..., 0])
     bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
-    return _offset_hist(bins, np.linalg.norm(vectors, axis=-1))
+    return _offset_hist(bins, _norm(vectors))
 
 
 def _row_stats(x: np.ndarray) -> np.ndarray:
-    """Mean, median, std, min and max of each row, concatenated."""
+    """Mean, median, std, min and max of each row, concatenated.
+
+    The mean is summed once and reused for the deviations; the sums and
+    divisions are those of x.mean(axis=1) and x.std(axis=1)."""
+    rows, n = x.shape
+    out = np.empty((rows, 5))
     s = np.sort(x, axis=1)
-    n = x.shape[1]
-    median = (s[:, (n - 1) // 2] + s[:, n // 2]) / 2
-    return np.stack([x.mean(axis=1), median, x.std(axis=1),
-                     s[:, 0], s[:, -1]], axis=1).ravel()
+    mean = np.add.reduce(x, axis=1) / n
+    dev = x - mean[:, None]
+    out[:, 0] = mean
+    out[:, 1] = (s[:, (n - 1) // 2] + s[:, n // 2]) / 2
+    out[:, 2] = np.sqrt(np.add.reduce(dev * dev, axis=1) / n)
+    out[:, 3] = s[:, 0]
+    out[:, 4] = s[:, -1]
+    return out.ravel()
 
 
 def _angles(inner, end_a, end_b) -> np.ndarray:
@@ -192,13 +216,12 @@ def _angles(inner, end_a, end_b) -> np.ndarray:
     Frames where a segment degenerates to zero length get angle 0."""
     va = end_a - inner
     vb = end_b - inner
-    na = np.linalg.norm(va, axis=-1)
-    nb = np.linalg.norm(vb, axis=-1)
+    na = _norm(va)
+    nb = _norm(vb)
     ok = (na > 0) & (nb > 0)
-    ang = np.zeros(inner.shape[:-1])
-    cosv = (va[ok] * vb[ok]).sum(axis=-1) / (na[ok] * nb[ok])
-    ang[ok] = np.arccos(np.clip(cosv, -1.0, 1.0))
-    return ang
+    cosv = np.divide(np.add.reduce(va * vb, axis=-1), na * nb,
+                     out=np.zeros_like(na), where=ok)
+    return np.where(ok, np.arccos(np.clip(cosv, -1.0, 1.0)), 0.0)
 
 
 @dataclass
@@ -223,12 +246,12 @@ def bm_feature(tracks: JointTrackSet, center_frame: int,
         raise ValueError("bm windows need at least three frames")
     pos = _window(tracks, center_frame, length)  # (10, L, 2)
 
-    vel = np.diff(pos, axis=1)                    # (10, L-1, 2)
-    acc = np.diff(vel, axis=1)                    # (10, L-2, 2)
+    vel = pos[:, 1:] - pos[:, :-1]                # (10, L-1, 2)
+    acc = vel[:, 1:] - vel[:, :-1]                # (10, L-2, 2)
 
-    dist = np.linalg.norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]], axis=-1)
-    deltas = np.diff(dist, axis=1)                # (16, L-1)
-    rate_bins = np.searchsorted(RATE_EDGES[1:-1], deltas, side="right")
+    dist = _norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]])
+    deltas = dist[:, 1:] - dist[:, :-1]           # (16, L-1)
+    rate_bins = _RATE_INNER.searchsorted(deltas, side="right")
 
     ang = _angles(*pos[_TRIPLE_IDX])              # (6, L)
 
@@ -239,7 +262,8 @@ def bm_feature(tracks: JointTrackSet, center_frame: int,
         SubFeature("distance-rate-hist",
                    _offset_hist(rate_bins, np.abs(deltas))),
         SubFeature("angle-stats", _row_stats(ang)),
-        SubFeature("angle-speed-stats", _row_stats(np.abs(np.diff(ang, axis=1)))),
+        SubFeature("angle-speed-stats",
+                   _row_stats(np.abs(ang[:, 1:] - ang[:, :-1]))),
     ]
 
 
@@ -331,12 +355,20 @@ def _pairwise_sq(X, C) -> np.ndarray:
 def _kmeans_pp_init(samples, k, rng):
     """k-means++ seeding.  Each centre is drawn as Generator.choice(n,
     p=d2 / d2.sum()) draws it (same cdf, same single uniform), without
-    choice's per-call checks of p."""
+    choice's per-call checks of p.
+
+    A row whose d2 is exactly 0 stays 0 under np.minimum, so the distance
+    update runs only over a compacted copy of the rows still above 0,
+    recompacted once a quarter of it has settled.  Each row's distance
+    is the same row sum as over all samples, and the cdf is still built
+    from the full d2, so every draw is unchanged."""
     n = samples.shape[0]
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
     d2 = ((samples - centers[0]) ** 2).sum(axis=1)
-    diff = np.empty_like(samples)
+    live = np.flatnonzero(d2)
+    rows, near = samples[live], d2[live]
+    diff = np.empty_like(rows)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -345,9 +377,15 @@ def _kmeans_pp_init(samples, k, rng):
         cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
         centers[j] = samples[cdf.searchsorted(rng.random(), side="right")]
-        np.subtract(samples, centers[j], out=diff)
+        np.subtract(rows, centers[j], out=diff)
         np.multiply(diff, diff, out=diff)
-        np.minimum(d2, diff.sum(axis=1), out=d2)
+        np.minimum(near, np.add.reduce(diff, axis=1), out=near)
+        d2[live] = near
+        settled = len(near) - np.count_nonzero(near)
+        if settled and 4 * settled >= len(near):
+            keep = near > 0
+            live, rows, near = live[keep], rows[keep], near[keep]
+            diff = diff[:len(near)]
     return centers
 
 
@@ -358,7 +396,8 @@ def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
 
     A live cluster's new center is its rows summed in row order from
     +0.0 and divided by its count: the same bits as samples[assign ==
-    j].mean(axis=0) for samples of two or more columns."""
+    j].mean(axis=0) for samples of two or more columns.  np.add.at does
+    that sum: ufunc.at is unbuffered and adds the rows in index order."""
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(samples, k, rng)
     history = []
@@ -376,8 +415,7 @@ def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
             centers[j] = samples[far]
             taken[far] = -1.0
         sums = np.zeros_like(centers)
-        for i, j in enumerate(assign.tolist()):
-            sums[j] += samples[i]
+        np.add.at(sums, assign, samples)
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
         if prev is not None and prev > 0 and (prev - inertia) / prev < tol:
@@ -501,15 +539,16 @@ def stream_word_counts(frame_features, frames, codebook_set: CodebookSet,
     """Per-frame codebook word counts for a whole stream.
 
     frame_features / frames: aligned lists of per-frame descriptor
-    records and their frame indices.  Returns a (num_frames, dim) count
-    matrix suitable for integral histograms; frames without descriptors
-    stay zero.  Descriptors are quantized once per (length, sub-feature)
+    records and their frame indices, of equal length (a length mismatch
+    raises ValueError).  Returns a (num_frames, dim) count matrix
+    suitable for integral histograms; frames without descriptors stay
+    zero.  Descriptors are quantized once per (length, sub-feature)
     block, which must have a codebook.
     """
     starts = {(L, n): start for (L, n, start, _)
               in codebook_set.block_layout()}
     blocks = {}
-    for record, frame in zip(frame_features, frames):
+    for record, frame in zip(frame_features, frames, strict=True):
         if not 0 <= frame < num_frames:
             raise ValueError(f"frame {frame} outside the stream")
         for length, feats in record.items():

@@ -113,15 +113,39 @@ class IntegralHistogram:
         return self.prefix.shape[0] - 1
 
 
+_INTEGRAL_BLOCK = 256
+
+
 def build_integral(counts) -> IntegralHistogram:
-    """Cumulative table over per-frame word counts (T, B)."""
+    """Cumulative table over per-frame word counts (T, B).
+
+    Counts must be non-negative and their column totals finite; a NaN,
+    negative or infinite count raises ValueError naming its frame and
+    bin.  Rows are accumulated in place in blocks of _INTEGRAL_BLOCK,
+    each block starting from the last prefix row of the one before, so
+    every column is summed top-down in frame order: the same bits as
+    np.cumsum(counts, axis=0), with the working block kept in cache."""
     C = np.asarray(counts, dtype=float)
     if C.ndim != 2:
         raise ValueError("counts must be (T, B)")
-    prefix = np.zeros((C.shape[0] + 1, C.shape[1]))
-    # in-place accumulate beats cumsum into a view; same top-down sums
+    if C.size and not C.min() >= 0:           # NaN fails this test too
+        f, b = np.argwhere(~(C >= 0))[0]
+        raise ValueError(f"counts must be non-negative: frame {f}, bin {b} "
+                         f"holds {C[f, b]}")
+    T = C.shape[0]
+    prefix = np.empty((T + 1, C.shape[1]))
+    prefix[0] = 0.0
     prefix[1:] = C
-    np.add.accumulate(prefix[1:], axis=0, out=prefix[1:])
+    with np.errstate(over="ignore"):          # an overflow raises below
+        for start in range(0, T, _INTEGRAL_BLOCK):
+            block = prefix[start + 1:start + 1 + _INTEGRAL_BLOCK]
+            if start:
+                block[0] += prefix[start]
+            np.add.accumulate(block, axis=0, out=block)
+    if not np.isfinite(prefix[-1]).all():
+        f, b = np.argwhere(~np.isfinite(prefix[1:]))[0]
+        raise ValueError(f"counts must have finite totals: bin {b} is "
+                         f"{prefix[f + 1, b]} from frame {f} on")
     return IntegralHistogram(prefix)
 
 

@@ -360,6 +360,28 @@ def test_segment_bad_flags_exit_1(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "counts must be non-negative: frame 7, bin 1 holds nan"),
+    (-1.0, "counts must be non-negative: frame 7, bin 1 holds -1.0"),
+    (np.inf, "counts must have finite totals: bin 1 is inf from frame 7 on"),
+])
+@pytest.mark.parametrize("command", ["detect", "segment"])
+def test_bad_counts_exit_2(tmp_path, capsys, command, value, message):
+    counts = np.ones((300, 3))
+    counts[7, 1] = value
+    counts[9, 2] = value                  # a later bad count is not named
+    path = tmp_path / "c.npy"
+    np.save(path, counts)
+    out = tmp_path / "out"
+    extra = (["--models", str(_hist_models(tmp_path / "m.npz")),
+              "--attribute", "a0"] if command == "detect"
+             else ["--threshold", "0.9"])
+    rc = main([command, "--counts", str(path), "--output", str(out), *extra])
+    assert rc == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # composite classification and experiments
 

@@ -7,9 +7,9 @@ those hold absolute paths.  The CLI writes scores at 9 significant
 digits, so the same worker also saves full-precision .npy arrays under
 arrays/ (see _write_arrays): the pose chain, which no command runs,
 and the raw integral table and interval scores behind detect, segment
-and score.  One ulp anywhere in them moves a hash.  The BLAS thread count is fixed when numpy
-loads, so each thread count runs the list in a fresh interpreter, with
-this file as the script:
+and score.  One ulp anywhere in them moves a hash.  The BLAS thread
+count is fixed when numpy loads, so each thread count runs the list in
+a fresh interpreter, with this file as the script:
 
     python tests/test_golden.py WORKDIR   run the list in WORKDIR (which
                                           must not exist) and print the
@@ -21,9 +21,10 @@ this file as the script:
                                           manifest and rewrite it
 
 A change that moves outputs on purpose rewrites the manifest and records
-which files moved (the list --write prints) and why.  A numpy, scipy or BLAS version other than
-the manifest's fails the test rather than skipping it: check the
-outputs under the new versions, then rewrite the manifest.
+which files moved (the list --write prints) and why.  A numpy, scipy or
+BLAS version other than the manifest's fails the test rather than
+skipping it: check the outputs under the new versions, then rewrite the
+manifest.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _pose_tracks(num_frames=360):
 def _write_arrays():
     """Full-precision arrays, run after RUNS in the same directory.
 
-    The pose chain at window length 20 (the 340 frames whose window fits
+    The pose chain at window length 20 (the 341 frames whose window fits
     give every codebook its 2 x dim samples): the stacked bm and fft
     descriptors, every codebook's centres and the word-count matrix.
     Then the integral table of counts.npy and the raw interval scores of
@@ -154,7 +155,8 @@ def _write_arrays():
                 books.codebooks[key].centers)
     np.save("arrays/word_counts.npy",
             stream_word_counts(records, frames, books, tracks.num_frames))
-    np.save("arrays/integral.npy", build_integral(np.load("counts.npy")).prefix)
+    np.save("arrays/integral.npy",
+            build_integral(np.load("counts.npy")).prefix)
     seqs = load_bundle("features").sequences
     np.save("arrays/interval_scores.npy", score_intervals(
         load_models_npz("models.npz"),
@@ -208,7 +210,8 @@ def worker(workdir, threads, src) -> dict:
 
 def changes(want, files) -> tuple:
     """(moved, missing, new) file names of files against want."""
-    return (sorted(k for k in files.keys() & want.keys() if files[k] != want[k]),
+    return (sorted(k for k in files.keys() & want.keys()
+                   if files[k] != want[k]),
             sorted(want.keys() - files.keys()),
             sorted(files.keys() - want.keys()))
 

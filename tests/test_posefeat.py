@@ -19,6 +19,9 @@ from actkit.posefeat import (
     FFT_LOG_EPS,
     FFT_NUM_CEPSTRA,
     SubFeature,
+    _PAIR_IDX,
+    _TRIPLE_IDX,
+    _offset_hist,
     bm_feature,
     bow_dim,
     build_codebook,
@@ -378,6 +381,69 @@ def test_descriptor_oracle_covers_degenerate_geometry():
     assert np.all(r_wrist_angle == 0)
 
 
+def _former_direction_hists(vectors):
+    theta = np.arctan2(vectors[..., 1], vectors[..., 0])
+    bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
+    return _offset_hist(bins, np.linalg.norm(vectors, axis=-1))
+
+
+def _former_row_stats(x):
+    s = np.sort(x, axis=1)
+    n = x.shape[1]
+    median = (s[:, (n - 1) // 2] + s[:, n // 2]) / 2
+    return np.stack([x.mean(axis=1), median, x.std(axis=1),
+                     s[:, 0], s[:, -1]], axis=1).ravel()
+
+
+def _former_angles(inner, end_a, end_b):
+    va = end_a - inner
+    vb = end_b - inner
+    na = np.linalg.norm(va, axis=-1)
+    nb = np.linalg.norm(vb, axis=-1)
+    ok = (na > 0) & (nb > 0)
+    ang = np.zeros(inner.shape[:-1])
+    cosv = (va[ok] * vb[ok]).sum(axis=-1) / (na[ok] * nb[ok])
+    ang[ok] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    return ang
+
+
+def _former_bm_feature(tracks, center_frame, length):
+    """bm_feature as it was written with np.diff, np.linalg.norm, np.stack,
+    x.mean and x.std: the bit-for-bit oracle of bm_feature."""
+    pos = _oracle_window(tracks, center_frame, length)
+    vel = np.diff(pos, axis=1)
+    acc = np.diff(vel, axis=1)
+    dist = np.linalg.norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]], axis=-1)
+    deltas = np.diff(dist, axis=1)
+    rate_bins = np.searchsorted(RATE_EDGES[1:-1], deltas, side="right")
+    ang = _former_angles(*pos[_TRIPLE_IDX])
+    return [_former_direction_hists(vel), _former_direction_hists(acc),
+            _former_row_stats(dist),
+            _offset_hist(rate_bins, np.abs(deltas)),
+            _former_row_stats(ang),
+            _former_row_stats(np.abs(np.diff(ang, axis=1)))]
+
+
+@pytest.mark.parametrize("tracks", [
+    _oracle_tracks(),                       # static head, zero-length segment
+    _random_walk_tracks(140, seed=3),
+    _random_walk_tracks(120, seed=4, first_frame=9),
+    _static_tracks(110),
+], ids=["oracle", "walk-3", "walk-4", "static"])
+def test_bm_feature_matches_former_bit_for_bit(tracks):
+    first, last = tracks.frame_range
+    checked = 0
+    for center in range(first, last + 1):
+        for L, feats in pose_frame_features(tracks, center,
+                                            (3, 20, 50, 100)).items():
+            for sf, want in zip(feats, _former_bm_feature(tracks, center, L)):
+                # tobytes: the sign of zero counts too
+                assert sf.values.tobytes() == want.tobytes(), (center, L,
+                                                               sf.name)
+            checked += 1
+    assert checked == sum(tracks.num_frames - L + 1 for L in (3, 20, 50, 100))
+
+
 # ---------------------------------------------------------------------------
 # codebooks and encoding
 
@@ -484,6 +550,16 @@ def _kmeans_blocks():
     X = rng.random((90, 24))
     X[X < 0.6] = 0.0
     yield "sparse-histograms", X, 48
+    # k close to n on repeated and all-zero histogram rows: most seeding
+    # rows settle at distance 0, so the seeding recompacts several times
+    base = rng.random((90, 40))
+    base[base < 0.7] = 0.0
+    base[rng.random(90) < 0.2] = 0.0
+    yield "settling-histograms", base[rng.integers(0, 90, 120)], 80
+    # a settled row is exactly 0, not merely small: the same rows at a
+    # scale where every distance is tiny
+    X = base[rng.integers(0, 90, 120)] * 1e-5
+    yield "settling-tiny", X, 80
 
 
 @pytest.mark.parametrize("name, samples, k", list(_kmeans_blocks()))
@@ -581,6 +657,15 @@ def test_stream_word_counts():
     assert counts[5, 1] == 1 and counts[5, 3] == 1 and counts[5].sum() == 2
     with pytest.raises(ValueError):
         stream_word_counts(feats, [2, 99], cbs, num_frames=8)
+
+
+@pytest.mark.parametrize("num_frames", [40, 81])
+def test_stream_word_counts_rejects_misaligned_frames(num_frames):
+    tracks = _oracle_tracks(80, first_frame=0)
+    records = _track_records(tracks, lengths=(3,))
+    cbs = _small_codebooks(records)
+    with pytest.raises(ValueError, match="zip"):
+        stream_word_counts(records, range(num_frames), cbs, tracks.num_frames)
 
 
 def _per_row_word_counts(frame_features, frames, cbs, num_frames):

@@ -135,11 +135,15 @@ def test_window_histogram_rows_equal_scalar_calls(bins):
     assert not H[:20].any()
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (300, 17)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (300, 17),
+                                   # around the 256-row block edge
+                                   (255, 3), (256, 3), (257, 3), (513, 5),
+                                   (1000, 17)])
 def test_build_integral_matches_cumsum_bit_for_bit(shape):
     rng = np.random.default_rng(11)
     counts = rng.gamma(0.7, 3.0, size=shape)      # non-integer counts
     counts[rng.random(shape) < 0.2] = 0.0
+    counts[rng.random(shape) < 0.05] = -0.0       # legal; the sign is kept
     want = np.cumsum(counts, axis=0)
     prefix = build_integral(counts).prefix
     assert not prefix[0].any()
@@ -151,6 +155,32 @@ def test_integral_validation():
         IntegralHistogram(np.array([[1.0, 0.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         build_integral(np.zeros(5))
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "non-negative: frame 300, bin 4 holds nan"),
+    (-0.5, "non-negative: frame 300, bin 4 holds -0.5"),
+    (-np.inf, "non-negative: frame 300, bin 4 holds -inf"),
+    (np.inf, "finite totals: bin 4 is inf from frame 300 on"),
+])
+def test_build_integral_rejects_bad_counts(value, message):
+    counts = np.ones((600, 6))
+    counts[300, 4] = value
+    counts[450, 1] = value
+    with pytest.raises(ValueError, match=message):
+        build_integral(counts)
+
+
+def test_build_integral_rejects_overflowing_totals():
+    counts = np.zeros((5, 2))
+    counts[1:4, 1] = 1e308
+    with pytest.raises(ValueError, match="bin 1 is inf from frame 2 on"):
+        build_integral(counts)
+
+
+def test_build_integral_empty_streams():
+    assert build_integral(np.zeros((0, 3))).prefix.shape == (1, 3)
+    assert build_integral(np.zeros((4, 0))).prefix.shape == (5, 0)
 
 
 # ---------------------------------------------------------------------------
