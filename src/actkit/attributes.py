@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_json_lines, write_table
+from .tables import read_json_lines
 
 DEFAULT_FLOOR = -10.0
 
@@ -285,13 +285,6 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
 
 # ---------------------------------------------------------------------------
 # file formats
-
-def save_scores_csv(scores: ScoreMatrix, path) -> None:
-    """CSV with attribute labels as rows and interval indices as columns."""
-    write_table(path, ([label] + row for label, row
-                       in zip(scores.labels, scores.values.tolist())),
-                ["attribute", *range(scores.values.shape[1])])
-
 
 def save_models_npz(model_set: LinearModelSet, path) -> None:
     """Write each row of the table as w_<i> = weights and meta_<i> =

@@ -2,13 +2,16 @@
 
 Each subcommand is a thin wrapper over one library entry point (run's
 own attribute stages for train-attributes, score and stack) and talks
-through the package's file formats (CSV, JSONL, npy/npz).  Exit codes:
-0 on success, 1 for configuration problems, 2 for anything else.
+through the package's file formats (CSV, JSONL, npy/npz, and bundles:
+score and stack write scores bundles, which stack and classify-composites
+read).  Exit codes: 0 on success, 1 for configuration problems, 2 for
+anything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -17,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .attributes import (load_annotations, load_models_npz, save_models_npz,
-                         save_scores_csv, score_intervals, ScoreMatrix,
-                         STACK_MODES, TrainConfig)
+                         score_intervals, STACK_MODES, TrainConfig)
 from .composites import load_pst_config
 from .corpus import (binarize_weights, build_documents, load_lexicon,
                      load_script_corpus, load_vocab, normalize_l1,
@@ -79,13 +81,23 @@ def _cmd_gen_synthetic(args):
     return 0
 
 
-def _save_score_dir(bundle, mats, out_dir):
-    """One scores CSV per sequence, <sequence_id>.csv, into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    labels = bundle.true_weights.attributes
-    for seq, V in zip(bundle.sequences, mats):
-        save_scores_csv(ScoreMatrix(V, labels),
-                        os.path.join(out_dir, f"{seq.sequence_id}.csv"))
+def _save_scores_bundle(args, bundle, mats):
+    """Save bundle to --output as a scores bundle whose sequences hold the
+    (A, T) matrices mats; --output must not be the --bundle directory."""
+    if os.path.realpath(args.output) == os.path.realpath(args.bundle):
+        raise ConfigError(f"--output {args.output} is the --bundle directory")
+    seqs = tuple(dataclasses.replace(s, scores=V, features=None)
+                 for s, V in zip(bundle.sequences, mats))
+    config = dataclasses.replace(bundle.config, mode="scores")
+    save_bundle(dataclasses.replace(bundle, config=config, sequences=seqs),
+                args.output)
+
+
+def _check_width(path, model_set, width, source):
+    """The models in path must take features of source's width."""
+    if width != model_set.feature_dim:
+        raise ConfigError(f"{path}: feature_dim is {model_set.feature_dim}, "
+                          f"but the width of {source} is {width}")
 
 
 def _cmd_train_attributes(args):
@@ -110,7 +122,9 @@ def _cmd_score(args):
         if have != want:
             raise ConfigError(f"{args.models}: model label {i} is {have!r}, "
                               f"but bundle attribute {i} is {want!r}")
-    _save_score_dir(bundle, score_attributes(bundle, model_set), args.output)
+    _check_width(args.models, model_set, bundle.config.feature_dim,
+                 f"the features in {args.bundle}")
+    _save_scores_bundle(args, bundle, score_attributes(bundle, model_set))
     print(f"scored {len(bundle.sequences)} sequences -> {args.output}")
     return 0
 
@@ -123,7 +137,7 @@ def _cmd_stack(args):
                           "bundles; use 'run' for feature bundles")
     mats = stack_attributes(bundle, args.mode, cfg,
                             [s.scores for s in bundle.sequences])
-    _save_score_dir(bundle, mats, args.output)
+    _save_scores_bundle(args, bundle, mats)
     print(f"stacked ({args.mode}) {len(mats)} sequences -> {args.output}")
     return 0
 
@@ -140,6 +154,7 @@ def _load_integral(path):
 def _cmd_detect(args):
     table = _load_integral(args.counts)
     model_set = load_models_npz(args.models)
+    _check_width(args.models, model_set, table.prefix.shape[1], args.counts)
     if args.attribute not in model_set.labels:
         raise ConfigError(f"attribute {args.attribute!r} is not in the "
                           "model file")
@@ -176,11 +191,9 @@ def _cmd_classify_composites(args):
            "segment_threshold": args.segment_threshold}
     if args.pst_config:
         try:
-            p = load_pst_config(args.pst_config)
+            cfg["pst"] = dataclasses.asdict(load_pst_config(args.pst_config))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg["pst"] = {"alpha": p.alpha, "gamma": p.gamma,
-                      "delta": p.delta, "k": p.k}
     report = run_experiment(cfg)
     print(report.to_table())
     return 0
@@ -232,6 +245,13 @@ def _build_parser():
         description="composite activity recognition toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    bundle_io = _Parser(add_help=False)
+    bundle_io.add_argument("--bundle", required=True)
+    bundle_io.add_argument("--output", required=True)
+    training = _Parser(add_help=False)
+    training.add_argument("--lam", type=float, default=TrainConfig.lam)
+    training.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    training.add_argument("--seed", type=int, default=TrainConfig.seed)
 
     p = sub.add_parser("mine-scripts",
                        help="mine attribute weights from a script corpus")
@@ -263,31 +283,19 @@ def _build_parser():
                    default=defaults.background_rate)
     p.set_defaults(func=_cmd_gen_synthetic)
 
-    p = sub.add_parser("train-attributes",
+    p = sub.add_parser("train-attributes", parents=[bundle_io, training],
                        help="train interval attribute classifiers")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--lam", type=float, default=TrainConfig.lam)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=_cmd_train_attributes)
 
-    p = sub.add_parser("score",
+    p = sub.add_parser("score", parents=[bundle_io],
                        help="score bundle intervals with trained models")
-    p.add_argument("--bundle", required=True)
     p.add_argument("--models", required=True)
-    p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("stack",
-                       help="refine attribute scores with context features")
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("stack", parents=[bundle_io, training],
+                       help="refine a scores bundle with context features")
     p.add_argument("--mode", required=True,
                    choices=("context", "cooccurrence"))
-    p.add_argument("--output", required=True)
-    p.add_argument("--lam", type=float, default=TrainConfig.lam)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=_cmd_stack)
 
     p = sub.add_parser("detect",
@@ -310,10 +318,8 @@ def _build_parser():
     p.add_argument("--span", type=int, default=60)
     p.set_defaults(func=_cmd_segment)
 
-    p = sub.add_parser("classify-composites",
+    p = sub.add_parser("classify-composites", parents=[bundle_io],
                        help="classify a bundle's test sequences")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--output", required=True)
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--weights", choices=("mined", "planted"),
                    default="mined")

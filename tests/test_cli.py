@@ -129,8 +129,11 @@ def test_train_and_score_pipeline(feature_bundle, tmp_path):
     assert main(["score", "--bundle", feature_bundle,
                  "--models", str(models),
                  "--output", str(scores_dir)]) == 0
-    files = list(scores_dir.glob("*.csv"))
-    assert len(files) == 36
+    scored = load_bundle(scores_dir)
+    assert scored.config.mode == "scores"
+    assert len(scored.sequences) == 36
+    assert all(s.scores.shape == (20, s.num_intervals) and s.features is None
+               for s in scored.sequences)
 
 
 def test_train_attributes_rejects_score_bundles(score_bundle, tmp_path):
@@ -144,7 +147,13 @@ def test_stack_command(score_bundle, tmp_path):
     rc = main(["stack", "--bundle", score_bundle, "--mode", "context",
                "--output", str(out), "--epochs", "50"])
     assert rc == 0
-    assert len(list(out.glob("*.csv"))) == 36
+    stacked = load_bundle(out)
+    assert stacked.config.mode == "scores"
+    assert len(stacked.sequences) == 36
+    before = load_bundle(score_bundle).sequences
+    for s, b in zip(stacked.sequences, before):
+        assert s.scores.shape == b.scores.shape
+        assert not np.array_equal(s.scores, b.scores)
 
 
 def test_stack_base_mode_rejected_for_scores(score_bundle, tmp_path):
@@ -193,6 +202,47 @@ def test_score_rejects_models_of_other_attributes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_score_rejects_models_of_another_width(feature_bundle, tmp_path,
+                                               capsys):
+    wide = tmp_path / "wide"
+    save_bundle(gen_synthetic(SyntheticConfig(seed=5, mode="features")),
+                wide)
+    models = tmp_path / "models.npz"
+    assert main(["train-attributes", "--bundle", str(wide),
+                 "--output", str(models), "--epochs", "5"]) == 0
+    out = tmp_path / "scores"
+    rc = main(["score", "--bundle", feature_bundle,
+               "--models", str(models), "--output", str(out)])
+    assert rc == 1
+    assert f"{models}: feature_dim is 32, but the width of the features " \
+        f"in {feature_bundle} is 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "stack"])
+def test_output_over_the_input_bundle_exit_1(tmp_path, capsys, command):
+    bundle = tmp_path / "bundle"
+    data_mode = "features" if command == "score" else "scores"
+    save_bundle(gen_synthetic(SyntheticConfig(seed=5, mode=data_mode)),
+                bundle)
+    if command == "score":
+        models = tmp_path / "models.npz"
+        assert main(["train-attributes", "--bundle", str(bundle),
+                     "--output", str(models), "--epochs", "5"]) == 0
+        extra = ["--models", str(models)]
+    else:
+        extra = ["--mode", "context"]
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()
+              if p.is_file()}
+    # the same directory under another spelling of its path
+    rc = main([command, "--bundle", str(bundle),
+               "--output", f"{tmp_path}/./bundle/"] + extra)
+    assert rc == 1
+    assert "is the --bundle directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()
+            if p.is_file()} == before
+
+
 @pytest.mark.parametrize("mode", ["base+context", "all"])
 def test_stack_offers_only_the_score_modes(score_bundle, tmp_path, capsys,
                                            mode):
@@ -227,6 +277,54 @@ def test_train_config_errors_exit_1(feature_bundle, score_bundle, tmp_path,
     rc = main([command, "--bundle", str(tmp_path / "missing"),
                "--output", str(out), flag, value] + extra)
     assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def scored_bundle(feature_bundle, tmp_path_factory):
+    """feature_bundle through train-attributes and score, default flags."""
+    work = tmp_path_factory.mktemp("chain")
+    assert main(["train-attributes", "--bundle", feature_bundle,
+                 "--output", str(work / "models.npz")]) == 0
+    assert main(["score", "--bundle", feature_bundle,
+                 "--models", str(work / "models.npz"),
+                 "--output", str(work / "scored")]) == 0
+    return str(work / "scored")
+
+
+def _same_as_run(tmp_path, bundle, argv, job):
+    """classify-composites on bundle with argv, and run with the config
+    job on feature_bundle: the same predictions bytes and metrics."""
+    assert main(["classify-composites", "--bundle", bundle,
+                 "--output", str(tmp_path / "chain")] + argv) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**job, "output": str(tmp_path / "run")}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    outputs = []
+    for name in ("chain", "run"):
+        with open(tmp_path / name / "report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        outputs.append(((tmp_path / name / "predictions.csv").read_bytes(),
+                        report["mean_ap"], report["accuracy"]))
+    return outputs
+
+
+@pytest.mark.parametrize("mode", experiment.MODES)
+def test_score_then_classify_equals_run(feature_bundle, scored_bundle,
+                                        tmp_path, mode):
+    chain, run = _same_as_run(tmp_path, scored_bundle, ["--mode", mode],
+                              {"data": feature_bundle, "mode": mode})
+    assert chain == run
+
+
+def test_score_stack_then_classify_equals_run(feature_bundle, scored_bundle,
+                                              tmp_path):
+    stacked = tmp_path / "stacked"
+    assert main(["stack", "--bundle", scored_bundle, "--mode", "context",
+                 "--output", str(stacked)]) == 0
+    chain, run = _same_as_run(tmp_path, str(stacked), ["--mode", "svm"],
+                              {"data": feature_bundle, "mode": "svm",
+                               "stack": "context"})
+    assert chain == run
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +372,22 @@ def test_detect_scores_each_level_in_one_call(tmp_path, monkeypatch):
     assert rc == 0
     assert rows == [(T - size) // step + 1
                     for size, step in window_schedule() if size <= T]
+
+
+def test_detect_counts_of_another_width_exit_1(feature_bundle, tmp_path,
+                                              capsys):
+    models = tmp_path / "models.npz"
+    assert main(["train-attributes", "--bundle", feature_bundle,
+                 "--output", str(models), "--epochs", "5"]) == 0
+    counts = tmp_path / "c.npy"
+    np.save(counts, np.ones((60, 32)))
+    out = tmp_path / "d.csv"
+    rc = main(["detect", "--counts", str(counts), "--models", str(models),
+               "--attribute", "act00", "--output", str(out)])
+    assert rc == 1
+    assert f"{models}: feature_dim is 16, but the width of {counts} is 32" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_unknown_attribute_exit_1(tmp_path):

@@ -3,13 +3,15 @@
 The seeded CLI runs in RUNS must write exactly the files whose sha256
 golden_manifest.json holds, at one and at two BLAS threads.  A
 report.json is hashed with config.data and config.output removed, as
-those hold absolute paths.  The CLI writes scores at 9 significant
-digits, so the same worker also saves full-precision .npy arrays under
-arrays/ (see _write_arrays): the pose chain, which no command runs,
-and the raw integral table and interval scores behind detect, segment
-and score.  One ulp anywhere in them moves a hash.  The BLAS thread
-count is fixed when numpy loads, so each thread count runs the list in
-a fresh interpreter, with this file as the script:
+those hold absolute paths.  score and stack write scores bundles,
+whose observations.npy holds the scores at full precision.  The CSV
+tables carry 9 significant digits, so the same worker also saves
+full-precision .npy arrays under arrays/ (see _write_arrays): the pose
+chain, which no command runs, and the raw integral table and interval
+scores behind detect, segment and score.  One ulp anywhere in them
+moves a hash.  The BLAS thread count is fixed when numpy loads, so
+each thread count runs the list in a fresh interpreter, with this file
+as the script:
 
     python tests/test_golden.py WORKDIR   run the list in WORKDIR (which
                                           must not exist) and print the
@@ -244,6 +246,12 @@ def test_train_attributes_writes_the_models_run_trains(runs):
     files = runs[1]["files"]
     assert files["models.npz"] \
         == files["run-svm-base-context-segment/models.npz"]
+
+
+def test_score_writes_the_full_precision_interval_scores(runs):
+    files = runs[1]["files"]
+    assert files["scored/observations.npy"] \
+        == files["arrays/interval_scores.npy"]
 
 
 def test_changes_names_moved_missing_and_new():

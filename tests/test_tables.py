@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from actkit import tables
-from actkit.attributes import ScoreMatrix, save_scores_csv
 from actkit.composites import save_predictions_csv
 from actkit.corpus import (AttributeVocab, WeightMatrix, load_vocab,
                            load_weights_csv, save_vocab, save_weights_csv)
@@ -71,12 +70,6 @@ GOLDEN = {
         lambda: AttributeVocab.from_pairs([("wash", "activity"),
                                            ("Cut-Board", "object")]),
         b'wash,activity\r\ncut board,object\r\n'),
-    "scores": (
-        save_scores_csv,
-        lambda: ScoreMatrix(np.array([[1.25, -2.5, 1e-12],
-                                      [0.0, 3.75, 1 / 7]]), ("a0", "a1")),
-        b'attribute,0,1,2\r\na0,1.25,-2.5,1e-12\r\n'
-        b'a1,0,3.75,0.142857143\r\n'),
     "predictions": (
         save_predictions_csv,
         lambda: [("seq2", "c0", 0.25), ("seq1", "c1", np.float32(-0.1)),
