@@ -10,7 +10,7 @@ rescue an attribute whose own detector is weak.
 
 import numpy as np
 
-from actkit.attributes import ScoreMatrix, train_and_score_stacked
+from actkit.attributes import train_and_score_stacked
 from actkit.metrics import average_precision
 from actkit.synth import gen_cooccurring_scores
 
@@ -20,13 +20,13 @@ from actkit.synth import gen_cooccurring_scores
 score_mats, label_mats, labels = gen_cooccurring_scores(
     seed=1, num_sequences=14, num_intervals=20)
 
-mats = [ScoreMatrix(S, labels) for S in score_mats]
 sets = [[{labels[i] for i in range(len(labels)) if L[i, t]}
          for t in range(L.shape[1])] for L in label_mats]
 
 n_train = 10
-refined = train_and_score_stacked(mats[:n_train], sets[:n_train],
-                                  mats[n_train:], "cooccurrence")
+refined = train_and_score_stacked(score_mats[:n_train], sets[:n_train],
+                                  score_mats[n_train:], labels,
+                                  "cooccurrence")
 
 # Per-attribute average precision over the held-out intervals.
 print(f"{'attribute':<10} {'base AP':>8} {'stacked AP':>11}")
@@ -34,9 +34,9 @@ base_all, stacked_all = [], []
 for i, label in enumerate(labels):
     truth = np.concatenate([L[i] for L in label_mats[n_train:]])
     base = average_precision(
-        np.concatenate([S.values[i] for S in mats[n_train:]]), truth)
+        np.concatenate([S[i] for S in score_mats[n_train:]]), truth)
     stacked = average_precision(
-        np.concatenate([S.values[i] for S in refined]), truth)
+        np.concatenate([S[i] for S in refined]), truth)
     marker = "  <- weak detector" if i % 3 == 0 else ""
     print(f"{label:<10} {base:>8.3f} {stacked:>11.3f}{marker}")
     base_all.append(base)

@@ -38,9 +38,9 @@ g_test = np.array([seq_feature(s.scores) for s in test])
 truth = [s.composite for s in test]
 
 # --- supervised route: one-vs-all linear classifiers on pooled scores
-scores, universe, report = classify_svm(
-    g_train, [s.composite for s in train], g_test)
-pred_svm = [universe[i] for i in np.argmax(scores, axis=1)]
+scores, report = classify_svm(
+    g_train, [s.composite for s in train], g_test, composites)
+pred_svm = [composites[i] for i in np.argmax(scores, axis=1)]
 print(f"\nsupervised accuracy: {accuracy(truth, pred_svm):.3f}")
 
 # --- zero-shot route: no composite labels, only mined script weights

@@ -43,13 +43,13 @@ for _ in range(200):
     X.append(h)
     y.append({"stir"} if h[0] > 0.5 else set())
 models = train_linear_ova(np.array(X), y, ("stir",),
-                          TrainConfig(epochs=300, seed=0))
+                          TrainConfig(epochs=300))
 
 table = build_integral(counts)
 # the scorer gets one level's window histograms as rows and returns one
 # score per row
 detections = score_windows(
-    table, lambda H: score_intervals(models, H).values[0],
+    table, lambda H: score_intervals(models, H)[0],
     video="demo", attribute="stir")
 print(f"\n{len(detections)} windows scored across {len(usable)} levels")
 

@@ -5,10 +5,11 @@ on time intervals by one-vs-all linear classifiers.  One batched trainer,
 a deterministic full-batch subgradient descent on the L2-regularized
 hinge loss that updates all labels at once, serves every one-vs-all
 problem in the package.  Scores are z-normalized with training
-statistics.  Two score-derived features support a second level: the
-context feature (element-wise maximum of all other intervals of the
-sequence) and the co-occurrence feature (the score vector of the
-interval itself with the target attribute removed).
+statistics; a score table is an (A, T) array, rows in label order.
+Two score-derived features support a second level: the context feature
+(element-wise maximum of all other intervals of the sequence) and the
+co-occurrence feature (the score vector of the interval itself with the
+target attribute removed).
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ class TrainConfig:
 
     lam is the L2 regularization strength, the learning rate at epoch t
     is 1 / (lam * t).  The descent starts from zero and draws no random
-    numbers, so the seed only travels with the config and saved models
-    as provenance.  Scores are always z-normalized, and attributes that
-    could not be trained score DEFAULT_FLOOR.
+    numbers, so the two values decide the fit.  Scores are always
+    z-normalized, and attributes that could not be trained score
+    DEFAULT_FLOOR.
     """
 
     lam: float = 0.01
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -62,24 +62,6 @@ class LinearModelSet:
     skipped: tuple
     config: TrainConfig
     feature_dim: int
-
-
-@dataclass
-class ScoreMatrix:
-    """Attribute scores per interval: one row per attribute label."""
-
-    values: np.ndarray
-    labels: tuple
-    floored_rows: tuple = ()
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("score matrix must be 2-D")
-        if self.values.shape[0] != len(self.labels):
-            raise ValueError("score matrix row count does not match labels")
-        if not np.isfinite(self.values).all():
-            raise ValueError("score matrix contains non-finite values")
 
 
 def hinge_objective(X, y, w, b, lam) -> float:
@@ -125,9 +107,11 @@ def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
 def _ova_scores(X, W, mean, std, trained):
     """Apply a table fitted by _fit_ova to the rows of X: the
     (len(trained), m) z-normalized scores, DEFAULT_FLOOR in the rows of
-    labels whose trained flag is False."""
+    labels whose trained flag is False; non-finite scores raise."""
     values = np.full((len(trained), X.shape[0]), DEFAULT_FLOOR)
     values[trained] = ((X @ W[:-1] + W[-1] - mean) / std).T
+    if not np.isfinite(values).all():
+        raise ValueError("score matrix contains non-finite values")
     return values
 
 
@@ -171,11 +155,12 @@ def train_linear_ova(features, labels, attribute_labels,
                           attrs, skipped, cfg, X.shape[1])
 
 
-def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
-    """Score intervals with every model; one row per attribute label.
+def score_intervals(model_set: LinearModelSet, features) -> np.ndarray:
+    """Score intervals with every model: the (A, m) table whose rows
+    follow model_set.labels.
 
     Scores are z-normalized with the stored training statistics.  Rows
-    of skipped attributes are filled with DEFAULT_FLOOR and flagged.
+    of skipped attributes are filled with DEFAULT_FLOOR.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model_set.feature_dim:
@@ -183,11 +168,8 @@ def score_intervals(model_set: LinearModelSet, features) -> ScoreMatrix:
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
     table, D = model_set.models, model_set.feature_dim
-    values = _ova_scores(X, table[:, :D + 1].T, table[:, D + 1],
-                         table[:, D + 2], model_set.trained)
-    floored = tuple(a for a, k in zip(model_set.labels, model_set.trained)
-                    if not k)
-    return ScoreMatrix(values, model_set.labels, floored_rows=floored)
+    return _ova_scores(X, table[:, :D + 1].T, table[:, D + 1],
+                       table[:, D + 2], model_set.trained)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +219,20 @@ def _stacked_design(score_mats, feats, use_base, use_con, use_coocc):
     return X, mask
 
 
-def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
-                            train_features=None, eval_features=None,
+def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
+                            mode, train_features=None, eval_features=None,
                             config: TrainConfig | None = None):
     """Train second-level attribute classifiers on score-derived features.
 
-    train_scores / eval_scores: lists of ScoreMatrix (one per sequence,
-    all sharing the same attribute rows).  train_labels: per sequence, a
-    list of per-interval attribute label sets.  Modes "base+..." and
-    "all" additionally concatenate the original feature vectors, which
-    must then be passed as per-sequence (T, N) arrays.
+    train_scores / eval_scores: lists of (A, T) score arrays, one per
+    sequence, whose rows follow the attribute labels.  train_labels:
+    per sequence, a list of per-interval attribute label sets.  Modes
+    "base+..." and "all" additionally concatenate the original feature
+    vectors, which must then be passed as per-sequence (T, N) arrays.
 
-    Returns a list of refined ScoreMatrix objects aligned with
-    eval_scores.
+    Returns a list of refined (A, T) arrays aligned with eval_scores;
+    attributes that never or always occur in training score
+    DEFAULT_FLOOR.
     """
     cfg = config or TrainConfig()
     parts = _stack_parts(mode)
@@ -257,13 +240,15 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
         raise ValueError(f"mode {mode!r} needs the base feature vectors")
     if not train_scores or not eval_scores:
         raise ValueError("need at least one training and one evaluation sequence")
-    labels = train_scores[0].labels
-    for S in list(train_scores) + list(eval_scores):
-        if S.labels != labels:
-            raise ValueError("score matrices disagree on attribute rows")
-
-    S_train = [S.values for S in train_scores]
-    S_eval = [S.values for S in eval_scores]
+    S_train = [np.asarray(S, dtype=float) for S in train_scores]
+    S_eval = [np.asarray(S, dtype=float) for S in eval_scores]
+    for S in S_train + S_eval:
+        if S.ndim != 2:
+            raise ValueError("score matrix must be 2-D")
+        if S.shape[0] != len(labels):
+            raise ValueError("score matrix row count does not match labels")
+        if not np.isfinite(S).all():
+            raise ValueError("score matrix contains non-finite values")
     flat_labels = []
     for d, per_seq in enumerate(train_labels):
         if len(per_seq) != S_train[d].shape[1]:
@@ -272,15 +257,13 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, mode,
 
     P = _membership(flat_labels, labels)
     ok = P.any(axis=0) & ~P.all(axis=0)
-    floored = tuple(a for a, k in zip(labels, ok) if not k)
     Xtr, mask = _stacked_design(S_train, train_features, *parts)
     W, mean, std, _ = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
     del Xtr
     Xev, _ = _stacked_design(S_eval, eval_features, *parts)
     values = _ova_scores(Xev, W, mean, std, ok)
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
-    return [ScoreMatrix(V, labels, floored)
-            for V in np.split(values, bounds, axis=1)]
+    return np.split(values, bounds, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +278,6 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
         "config": np.array(json.dumps({
             "lam": model_set.config.lam,
             "epochs": model_set.config.epochs,
-            "seed": model_set.config.seed,
         })),
         "skipped": np.array(json.dumps(list(model_set.skipped))),
     }
@@ -312,7 +294,10 @@ def load_models_npz(path) -> LinearModelSet:
     else is numeric, so loading needs no pickle.  Older files stored the
     labels as a pickled object array; they raise ValueError naming the
     path, and the models must be retrained to rewrite them.  So does a
-    w_<i> that is not feature_dim long or a missing or malformed meta_<i>.
+    config that TrainConfig rejects, a w_<i> that is not feature_dim
+    long, a missing or malformed meta_<i>, a non-finite cell in either,
+    or a score std that is not positive.  A config seed, which earlier
+    versions wrote but which never had an effect, is ignored.
     """
     with np.load(path, allow_pickle=False) as data:
         try:
@@ -322,7 +307,12 @@ def load_models_npz(path) -> LinearModelSet:
                              "whose labels need pickle to load; retrain "
                              "the models to rewrite it") from None
         labels = tuple(json.loads(str(raw_labels)))
-        cfg = TrainConfig(**json.loads(str(data["config"])))
+        config = json.loads(str(data["config"]))
+        try:
+            cfg = TrainConfig(**{k: v for k, v in config.items()
+                                 if k != "seed"})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad config: {exc}") from None
         skipped = tuple(tuple(s) for s in json.loads(str(data["skipped"])))
         D = int(data["feature_dim"])
         trained = np.array([f"w_{i}" in data for i in range(len(labels))],
@@ -333,7 +323,11 @@ def load_models_npz(path) -> LinearModelSet:
             if w.shape != (D,) or meta is None or meta.shape != (4,):
                 raise ValueError(f"{path}: w_{idx} must hold {D} weights "
                                  f"and meta_{idx} 4 values")
-            rows.append(np.concatenate([w, meta]))
+            row = np.concatenate([w, meta])
+            if not np.isfinite(row).all() or meta[2] <= 0:
+                raise ValueError(f"{path}: w_{idx} and meta_{idx} must be "
+                                 "finite, with a positive score std")
+            rows.append(row)
     return LinearModelSet(np.array(rows).reshape(len(rows), D + 4), trained,
                           labels, skipped, cfg, D)
 

@@ -101,7 +101,7 @@ def _check_width(path, model_set, width, source):
 
 
 def _cmd_train_attributes(args):
-    cfg = train_config(args.lam, args.epochs, args.seed)
+    cfg = train_config(args.lam, args.epochs)
     model_set = train_attributes(load_bundle(args.bundle), cfg)
     save_models_npz(model_set, args.output)
     trained = len(model_set.labels) - len(model_set.skipped)
@@ -130,7 +130,7 @@ def _cmd_score(args):
 
 
 def _cmd_stack(args):
-    cfg = train_config(args.lam, args.epochs, args.seed)
+    cfg = train_config(args.lam, args.epochs)
     bundle = load_bundle(args.bundle)
     if bundle.config.mode != "scores":
         raise ConfigError("the stack command refines precomputed score "
@@ -164,7 +164,7 @@ def _cmd_detect(args):
         raise ConfigError(f"attribute {args.attribute!r} was skipped in "
                           f"training: {reason}")
     dets = score_windows(table,
-                         lambda H: score_intervals(model_set, H).values[row],
+                         lambda H: score_intervals(model_set, H)[row],
                          video=args.video, attribute=args.attribute)
     kept = nms(dets, overlap_threshold=args.nms_threshold,
                criterion=args.criterion)
@@ -251,7 +251,6 @@ def _build_parser():
     training = _Parser(add_help=False)
     training.add_argument("--lam", type=float, default=TrainConfig.lam)
     training.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    training.add_argument("--seed", type=int, default=TrainConfig.seed)
 
     p = sub.add_parser("mine-scripts",
                        help="mine attribute weights from a script corpus")

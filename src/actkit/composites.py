@@ -46,15 +46,14 @@ def seq_feature(scores) -> np.ndarray:
 
 
 def classify_svm(train_features, train_composites, test_features,
-                 composites=None, config: TrainConfig | None = None):
+                 composites, config: TrainConfig | None = None):
     """One-vs-all linear classification of pooled sequence features.
 
-    Returns (scores (M, Z), composite label tuple, report dict).  The
-    label universe defaults to the composites present in training.
-    Composites without a positive training sequence are reported and
-    scored at DEFAULT_FLOOR; a composite whose rest class is
-    empty (single-composite training) is still trained on its one-class
-    data and flagged in the report.
+    Returns (scores (M, Z), report dict), one score column per entry of
+    composites.  Composites without a positive training sequence are
+    reported and scored at DEFAULT_FLOOR; a composite whose rest class
+    is empty (single-composite training) is still trained on its
+    one-class data and flagged in the report.
     """
     cfg = config or TrainConfig()
     X = np.asarray(train_features, dtype=float)
@@ -62,15 +61,14 @@ def classify_svm(train_features, train_composites, test_features,
     train_composites = list(train_composites)
     if X.shape[0] != len(train_composites):
         raise ValueError("training features and composite labels must align")
-    universe = tuple(composites) if composites is not None else \
-        tuple(sorted(set(train_composites)))
-    P = _membership([{c} for c in train_composites], universe)
+    P = _membership([{c} for c in train_composites], composites)
     has_pos = P.any(axis=0)
-    report = {"skipped": [z for z, k in zip(universe, has_pos) if not k],
+    one_class = P.all(axis=0) & has_pos
+    report = {"skipped": [z for z, k in zip(composites, has_pos) if not k],
               "trained_without_negatives": [
-                  z for z, k in zip(universe, P.all(axis=0) & has_pos) if k]}
+                  z for z, k in zip(composites, one_class) if k]}
     W, mean, std, _ = _fit_ova(X, P[:, has_pos], cfg)
-    return _ova_scores(Xt, W, mean, std, has_pos).T, universe, report
+    return _ova_scores(Xt, W, mean, std, has_pos).T, report
 
 
 def _nearest_tables(train_features, train_composites, test_features,

@@ -27,9 +27,9 @@ import os
 
 import numpy as np
 
-from .attributes import (LinearModelSet, ScoreMatrix, TrainConfig,
-                         save_models_npz, score_intervals,
-                         train_and_score_stacked, train_linear_ova)
+from .attributes import (LinearModelSet, TrainConfig, save_models_npz,
+                         score_intervals, train_and_score_stacked,
+                         train_linear_ova)
 from .attributes import STACK_MODES, _stack_parts
 from .composites import (PstConfig, classify_nn, classify_svm,
                          nn_script_classify, pst_grid_scores, pst_scores,
@@ -57,8 +57,7 @@ DEFAULT_PST_GRID = {
 }
 
 _DEFAULTS = {"weights": "mined", "stack": None, "segment_threshold": None,
-             "lam": TrainConfig.lam, "epochs": TrainConfig.epochs,
-             "seed": TrainConfig.seed}
+             "lam": TrainConfig.lam, "epochs": TrainConfig.epochs}
 _KNOWN_KEYS = {"data", "output", "mode", "pst", "grid", *_DEFAULTS}
 _PST_KEYS = {"alpha", "gamma", "delta", "k"}
 
@@ -130,18 +129,15 @@ def _validate(cfg: dict) -> dict:
             for v in values:
                 _number(f"{key}.{name}", v, name == "k",
                         lambda x: PstConfig(**{name: x}))
-    train_config(out["lam"], out["epochs"], out["seed"])
+    train_config(out["lam"], out["epochs"])
     return out
 
 
-def train_config(lam, epochs, seed) -> TrainConfig:
+def train_config(lam, epochs) -> TrainConfig:
     """TrainConfig from user-supplied values; a bad one is a ConfigError."""
-    for name, value in (("lam", lam), ("epochs", epochs), ("seed", seed)):
-        _number(name, value, name != "lam",
-                lambda x: TrainConfig(**{name: x}))
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    return TrainConfig(lam=lam, epochs=epochs, seed=seed)
+    _number("lam", lam, False, lambda x: TrainConfig(lam=x))
+    _number("epochs", epochs, True, lambda x: TrainConfig(epochs=x))
+    return TrainConfig(lam=lam, epochs=epochs)
 
 
 def _resolve_weights(bundle, cfg):
@@ -170,7 +166,7 @@ def score_attributes(bundle, model_set) -> list:
     seqs = bundle.sequences
     S = score_intervals(model_set,
                         np.concatenate([s.features for s in seqs], axis=0))
-    return np.split(S.values, np.cumsum([s.num_intervals for s in seqs])[:-1],
+    return np.split(S, np.cumsum([s.num_intervals for s in seqs])[:-1],
                     axis=1)
 
 
@@ -180,15 +176,13 @@ def stack_attributes(bundle, mode, tcfg, mats) -> list:
     if bundle.config.mode == "scores" and _stack_parts(mode)[0]:
         raise ConfigError(f"stack mode {mode!r} needs interval features, "
                           "but the bundle only carries scores")
-    labels = bundle.true_weights.attributes
     seqs = bundle.sequences
     train = [d for d, s in enumerate(seqs) if s.split == "train"]
-    refined = train_and_score_stacked(
-        [ScoreMatrix(mats[d], labels) for d in train],
+    return train_and_score_stacked(
+        [mats[d] for d in train],
         [[set(a) for a in seqs[d].interval_attributes] for d in train],
-        [ScoreMatrix(V, labels) for V in mats], mode,
+        mats, bundle.true_weights.attributes, mode,
         [seqs[d].features for d in train], [s.features for s in seqs], tcfg)
-    return [R.values for R in refined]
 
 
 def _apply_segmentation(bundle, cfg, mats, out_dir):
@@ -285,7 +279,7 @@ def run_experiment(config) -> EvalReport:
     weights = _resolve_weights(bundle, cfg)
     save_weights_csv(weights, os.path.join(out_dir, "weights.csv"))
 
-    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"], seed=cfg["seed"])
+    tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"])
     extra = {}
     if bundle.config.mode == "scores":
         mats = [s.scores for s in bundle.sequences]
@@ -308,9 +302,8 @@ def run_experiment(config) -> EvalReport:
     truth = [s.composite for s in test]
 
     if mode == "svm":
-        scores, universe, rep = classify_svm(Xtr, ytr, Xte, composites=comps,
-                                             config=tcfg)
-        preds = [universe[int(np.argmax(row))] for row in scores]
+        scores, rep = classify_svm(Xtr, ytr, Xte, comps, config=tcfg)
+        preds = [comps[int(np.argmax(row))] for row in scores]
         if rep["skipped"] or rep["trained_without_negatives"]:
             extra["svm"] = rep
     elif mode == "nn":

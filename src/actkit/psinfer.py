@@ -401,8 +401,8 @@ def save_grids(grids, path) -> None:
 
 def load_grids(path) -> np.ndarray:
     G = np.load(path)
-    if G.ndim != 3 or np.any(G < 0):
-        raise ValueError(f"{path}: expected non-negative (P, H, W) grids")
+    if G.ndim != 3 or np.any(G < 0) or not np.isfinite(G).all():
+        raise ValueError(f"{path}: expected finite non-negative (P, H, W) grids")
     return G
 
 

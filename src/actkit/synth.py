@@ -374,8 +374,9 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
 def load_bundle(path) -> SyntheticBundle:
     """Read a bundle written by save_bundle.
 
-    Raises ValueError naming the file (and the sequence) when the config
-    is not a valid SyntheticConfig, weights and vocab labels differ, the
+    Raises ValueError naming the file (and the sequence) when a JSON file
+    does not parse, the config is not a valid SyntheticConfig, a
+    sequences.json entry lacks a key, weights and vocab labels differ, the
     observations are not finite or their rows are not the vocab size
     (scores mode) or feature_dim, the sequences do not tile the
     observation columns, a sequence's annotations are not its intervals,
@@ -383,8 +384,14 @@ def load_bundle(path) -> SyntheticBundle:
     def file(name):
         return os.path.join(path, name)
 
-    with open(file("config.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
+    def read_json(name):
+        try:
+            with open(file(name), encoding="utf-8") as fh:
+                return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{file(name)}: invalid JSON: {e}") from None
+
+    raw = read_json("config.json")
     try:
         cfg = SyntheticConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -395,8 +402,7 @@ def load_bundle(path) -> SyntheticBundle:
         raise ValueError(f"{file('weights.csv')}: attributes differ from "
                          "the vocab labels")
     corpus = load_script_corpus(file("corpus"))
-    with open(file("sequences.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json("sequences.json")
     obs = np.load(file("observations.npy"))
     rows = len(vocab) if cfg.mode == "scores" else cfg.feature_dim
     if obs.ndim != 2 or obs.shape[0] != rows:
@@ -410,7 +416,13 @@ def load_bundle(path) -> SyntheticBundle:
         by_video.setdefault(rec["video"], []).append(rec)
     sequences = []
     offset = 0
-    for m in meta:
+    keys = {"sequence_id", "composite", "split", "intervals", "offset",
+            "num_intervals"}
+    for i, m in enumerate(meta):
+        missing = sorted(keys - (m.keys() if isinstance(m, dict) else set()))
+        if missing:
+            raise ValueError(f"{file('sequences.json')}: entry {i} lacks "
+                             f"{missing}")
         sid, T = m["sequence_id"], m["num_intervals"]
         if m["offset"] != offset or offset + T > obs.shape[1]:
             raise ValueError(f"{file('sequences.json')}: sequence {sid!r} "

@@ -15,8 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from actkit.attributes import ScoreMatrix, _context_block, \
-    train_and_score_stacked
+from actkit.attributes import _context_block, train_and_score_stacked
 from actkit.composites import PstConfig, build_knn_graph, classify_nn, \
     nn_script_classify, propagate, seq_feature
 from actkit.corpus import AttributeVocab, ScriptCorpus, WeightMatrix, \
@@ -338,10 +337,10 @@ def test_criterion_11_cooccurrence_stacking():
     with _limit(60.0, "criterion 11 (co-occurrence stacking)"):
         score_mats, label_mats, labels = gen_cooccurring_scores(
             seed=0, num_sequences=12, num_intervals=16)
-        mats = [ScoreMatrix(S, labels) for S in score_mats]
         sets = [[{labels[i] for i in range(len(labels)) if L[i, t]}
                  for t in range(L.shape[1])] for L in label_mats]
-        refined = train_and_score_stacked(mats[:8], sets[:8], mats[8:],
+        refined = train_and_score_stacked(score_mats[:8], sets[:8],
+                                          score_mats[8:], labels,
                                           "cooccurrence")
 
         def mean_ap(score_list):
@@ -352,8 +351,8 @@ def test_criterion_11_cooccurrence_stacking():
                 per_label[label] = (scores, truth)
             return mean_average_precision(per_label)[0]
 
-        base = mean_ap([S.values for S in mats[8:]])
-        stacked = mean_ap([S.values for S in refined])
+        base = mean_ap(score_mats[8:])
+        stacked = mean_ap(refined)
         assert stacked >= base
 
 

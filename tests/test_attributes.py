@@ -8,7 +8,6 @@ import pytest
 from actkit.attributes import (
     DEFAULT_FLOOR,
     STACK_MODES,
-    ScoreMatrix,
     TrainConfig,
     hinge_objective,
     load_annotations,
@@ -110,8 +109,8 @@ def test_score_intervals_fills_floor_for_skipped():
     X, labels = _separable_1d()
     ms = train_linear_ova(X, labels, ["wash", "ghost"])
     S = score_intervals(ms, X)
-    assert S.floored_rows == ("ghost",)
-    assert np.all(S.values[1] == DEFAULT_FLOOR)
+    assert S.shape == (2, len(X))
+    assert np.all(S[1] == DEFAULT_FLOOR)
 
 
 def test_score_znorm_uses_training_statistics():
@@ -119,8 +118,8 @@ def test_score_znorm_uses_training_statistics():
     ms = train_linear_ova(X, labels, ["wash"])
     S = score_intervals(ms, X)
     # z-normalized training scores have zero mean, unit variance
-    assert S.values[0].mean() == pytest.approx(0.0, abs=1e-9)
-    assert S.values[0].std() == pytest.approx(1.0, abs=1e-9)
+    assert S[0].mean() == pytest.approx(0.0, abs=1e-9)
+    assert S[0].std() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_score_dimension_mismatch():
@@ -158,9 +157,12 @@ def test_context_feature_dominates_other_columns():
         assert np.all((con[:, None] == others).any(axis=1))
 
 
+NAMES3 = ("a0", "a1", "a2")
+
+
 def _stacking_data(seed=0, n_seq=6, T=8):
-    """Score matrices where attribute a1 is noisy but always co-occurs
-    with the cleanly scored a0."""
+    """Score matrices over NAMES3 where attribute a1 is noisy but always
+    co-occurs with the cleanly scored a0."""
     rng = np.random.default_rng(seed)
     mats, labels = [], []
     for _ in range(n_seq):
@@ -169,29 +171,31 @@ def _stacking_data(seed=0, n_seq=6, T=8):
         S[0] = np.where(present, 3.0, -3.0) + rng.normal(0, 0.3, T)
         S[1] = np.where(present, 0.6, -0.6) + rng.normal(0, 2.0, T)
         S[2] = rng.normal(0, 1.0, T)
-        mats.append(ScoreMatrix(S, ("a0", "a1", "a2")))
+        mats.append(S)
         labels.append([{"a0", "a1"} if p else set() for p in present])
     return mats, labels
 
 
 def test_stacked_modes_run_and_shape():
     mats, labels = _stacking_data()
-    refined = train_and_score_stacked(mats[:4], labels[:4], mats[4:], "context")
+    refined = train_and_score_stacked(mats[:4], labels[:4], mats[4:], NAMES3,
+                                      "context")
     assert len(refined) == 2
-    assert refined[0].values.shape == mats[4].values.shape
-    assert refined[0].labels == ("a0", "a1", "a2")
+    assert refined[0].shape == mats[4].shape
 
 
 def test_stacked_base_modes_require_features():
     mats, labels = _stacking_data()
     with pytest.raises(ValueError):
-        train_and_score_stacked(mats[:4], labels[:4], mats[4:], "base+context")
+        train_and_score_stacked(mats[:4], labels[:4], mats[4:], NAMES3,
+                                "base+context")
 
 
 def test_stacked_unknown_mode():
     mats, labels = _stacking_data()
     with pytest.raises(ValueError):
-        train_and_score_stacked(mats[:4], labels[:4], mats[4:], "bogus")
+        train_and_score_stacked(mats[:4], labels[:4], mats[4:], NAMES3,
+                                "bogus")
 
 
 def test_stacked_all_mode_feature_dimension():
@@ -199,10 +203,9 @@ def test_stacked_all_mode_feature_dimension():
     # N + n + (n-1) free feature columns: the shared design carries all n
     # co-occurrence columns and the mask removes the attribute's own one
     mats, labels = _stacking_data()
-    feats = [np.ones((m.values.shape[1], 7)) for m in mats]
+    feats = [np.ones((m.shape[1], 7)) for m in mats]
     from actkit.attributes import _stacked_design
-    X, mask = _stacked_design([m.values for m in mats[:2]], feats[:2],
-                              True, True, True)
+    X, mask = _stacked_design(mats[:2], feats[:2], True, True, True)
     assert X.shape[1] == 7 + 3 + 3
     assert mask.shape == (X.shape[1] + 1, 3)
     assert np.all(mask[:-1].sum(axis=0) == 7 + 3 + 2)
@@ -213,12 +216,13 @@ def test_stacked_all_mode_feature_dimension():
 
 def test_stacked_context_constant_for_single_interval_sequences():
     rng = np.random.default_rng(4)
-    mats = [ScoreMatrix(rng.normal(size=(2, 1)), ("a0", "a1")) for _ in range(6)]
+    mats = [rng.normal(size=(2, 1)) for _ in range(6)]
     labels = [[{"a0"}] if i % 2 == 0 else [{"a1"}] for i in range(4)]
-    refined = train_and_score_stacked(mats[:4], labels, mats[4:], "context")
+    refined = train_and_score_stacked(mats[:4], labels, mats[4:],
+                                      ("a0", "a1"), "context")
     # all context features equal the floor vector, so scores are constant
     for S in refined:
-        assert np.allclose(S.values, S.values[:, :1])
+        assert np.allclose(S, S[:, :1])
 
 
 def test_stacked_cooccurrence_improves_noisy_attribute():
@@ -226,23 +230,24 @@ def test_stacked_cooccurrence_improves_noisy_attribute():
     # stacking must not degrade its ranking quality
     from actkit.metrics import average_precision
     mats, labels = _stacking_data(seed=5, n_seq=10, T=12)
-    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:],
+    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], NAMES3,
                                       "cooccurrence")
     base_ap, ref_ap = [], []
     for d in range(4):
         truth = np.array([1 if "a1" in s else 0 for s in labels[6 + d]])
         if truth.sum() == 0 or truth.sum() == len(truth):
             continue
-        base_ap.append(average_precision(mats[6 + d].values[1], truth))
-        ref_ap.append(average_precision(refined[d].values[1], truth))
+        base_ap.append(average_precision(mats[6 + d][1], truth))
+        ref_ap.append(average_precision(refined[d][1], truth))
     assert np.mean(ref_ap) >= np.mean(base_ap)
 
 
 def _ragged_stacking_case(seed=11, n=5, N=4):
     """Random ragged sequences (T = 1 included), tied maxima, and an
-    attribute ("a4") that never occurs in training.  Scores are not
-    rounded: a coarse grid puts hinge margins exactly on 1, where the
-    last bit of a sum decides which side of the hinge a row falls."""
+    attribute ("a4") that never occurs in training: the score matrices,
+    features, label sets and attribute names.  Scores are not rounded: a
+    coarse grid puts hinge margins exactly on 1, where the last bit of a
+    sum decides which side of the hinge a row falls."""
     rng = np.random.default_rng(seed)
     names = tuple(f"a{i}" for i in range(n))
     lengths = [1, 3, 6, 1, 4, 7, 2, 5, 1, 3]
@@ -251,14 +256,14 @@ def _ragged_stacking_case(seed=11, n=5, N=4):
         S = rng.normal(size=(n, T))
         if T > 2:
             S[:, -1] = S.max(axis=1)
-        mats.append(ScoreMatrix(S, names))
+        mats.append(S)
         feats.append(rng.normal(size=(T, N)))
         labels.append([{a for a in names[:-1] if rng.random() < 0.4}
                        for _ in range(T)])
-    return mats, feats, labels
+    return mats, feats, labels, names
 
 
-def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
+def _per_label_stacked(train, labels, evals, names, mode, ftr, fev, cfg):
     """Per-label reference: one design and one descent per attribute."""
     from actkit.attributes import _stack_parts
     use_base, use_con, use_coocc = _stack_parts(mode)
@@ -266,20 +271,20 @@ def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
     def design(mats, feats, i):
         rows = []
         for d, M in enumerate(mats):
-            for t in range(M.values.shape[1]):
+            for t in range(M.shape[1]):
                 parts = [feats[d][t]] if use_base else []
                 if use_con:
-                    parts.append(context_feature(M.values, t, DEFAULT_FLOOR))
+                    parts.append(context_feature(M, t, DEFAULT_FLOOR))
                 if use_coocc:
-                    parts.append(np.delete(M.values[:, t], i))
+                    parts.append(np.delete(M[:, t], i))
                 rows.append(np.concatenate(parts))
         return np.array(rows)
 
     flat = [s for seq in labels for s in seq]
-    out = np.full((len(train[0].labels),
-                   sum(M.values.shape[1] for M in evals)), DEFAULT_FLOOR)
+    out = np.full((len(names), sum(M.shape[1] for M in evals)),
+                  DEFAULT_FLOOR)
     floored = []
-    for i, a in enumerate(train[0].labels):
+    for i, a in enumerate(names):
         y = np.array([1.0 if a in s else -1.0 for s in flat])
         if (y > 0).all() or (y < 0).all():
             floored.append(a)
@@ -294,15 +299,15 @@ def _per_label_stacked(train, labels, evals, mode, ftr, fev, cfg):
 
 @pytest.mark.parametrize("mode", STACK_MODES)
 def test_stacked_matches_per_label_reference(mode):
-    mats, feats, labels = _ragged_stacking_case()
+    mats, feats, labels, names = _ragged_stacking_case()
     cfg = TrainConfig(epochs=60)
-    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], mode,
-                                      feats[:6], feats[6:], cfg)
-    ref, floored = _per_label_stacked(mats[:6], labels[:6], mats[6:], mode,
-                                      feats[:6], feats[6:], cfg)
-    got = np.concatenate([R.values for R in refined], axis=1)
+    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], names,
+                                      mode, feats[:6], feats[6:], cfg)
+    ref, floored = _per_label_stacked(mats[:6], labels[:6], mats[6:], names,
+                                      mode, feats[:6], feats[6:], cfg)
+    got = np.concatenate(refined, axis=1)
     assert floored == ("a4",)
-    assert all(R.floored_rows == floored for R in refined)
+    assert np.all(got[names.index("a4")] == DEFAULT_FLOOR)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -329,10 +334,9 @@ def test_batched_ova_matches_per_label_reference():
 
     comps = [sorted(s - {"all"})[0] if s != {"all"} else "a0" for s in sets]
     Xt = rng.normal(size=(9, 4))
-    scores, universe, report = classify_svm(X, comps, Xt,
-                                            composites=names[:4], config=cfg)
+    scores, report = classify_svm(X, comps, Xt, names[:4], config=cfg)
     assert report["skipped"] == ["none"]
-    for z, c in enumerate(universe[:3]):
+    for z, c in enumerate(names[:3]):
         y = np.array([1.0 if cc == c else -1.0 for cc in comps])
         w, b = _hinge_descent(X, y, cfg.lam, cfg.epochs)
         tr = X @ w + b
@@ -402,11 +406,33 @@ def test_context_block_equals_context_feature_exactly():
             assert np.array_equal(C[t], context_feature(S, t))
 
 
+@pytest.mark.parametrize("bad, words", [
+    (np.zeros(3), "score matrix must be 2-D"),
+    (np.zeros((2, 3)), "score matrix row count does not match labels"),
+    (np.full((3, 2), np.inf), "score matrix contains non-finite values"),
+    (np.full((3, 2), np.nan), "score matrix contains non-finite values"),
+])
+@pytest.mark.parametrize("side", ["train", "eval"])
+def test_stacked_rejects_bad_score_matrices(bad, words, side):
+    mats, labels = _stacking_data()
+    train, evals = list(mats[:4]), list(mats[4:])
+    (train if side == "train" else evals)[-1] = bad
+    with pytest.raises(ValueError, match=words):
+        train_and_score_stacked(train, labels[:4], evals, NAMES3, "context")
+
+
 def test_score_matrix_validation():
-    with pytest.raises(ValueError):
-        ScoreMatrix(np.zeros((2, 3)), ("a",))
-    with pytest.raises(ValueError):
-        ScoreMatrix(np.full((1, 2), np.inf), ("a",))
+    # a non-finite score result raises in the scoring step that interval
+    # scoring, stacking and the composite SVM share
+    from actkit.composites import classify_svm
+    X, labels = _separable_1d()
+    ms = train_linear_ova(X, labels, ["wash"])
+    ms.models[0, 0] = np.nan
+    with pytest.raises(ValueError, match="score matrix contains non-finite"):
+        score_intervals(ms, X)
+    Xt = np.array([[0.5], [np.inf]])
+    with pytest.raises(ValueError, match="score matrix contains non-finite"):
+        classify_svm(X, ["a", "a", "b", "b"], Xt, ("a", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +449,23 @@ def test_models_npz_round_trip(tmp_path):
     assert np.array_equal(loaded.trained, ms.trained)
     S1 = score_intervals(ms, X)
     S2 = score_intervals(loaded, X)
-    assert np.allclose(S1.values, S2.values)
+    assert np.allclose(S1, S2)
 
 
 def _models_npz_former(ms, path, labels=None, **settings):
     """A model file as the former per-label writer laid it out: one
     contiguous weight vector and one [bias, mean, std, constant] array of
     Python floats per trained label.  labels replaces the JSON label
-    string: earlier versions stored an object array, and in still earlier
-    files the config also records the then-optional znorm and floor
-    settings."""
+    string: earlier versions stored an object array.  settings go into
+    the config: earlier files also record a seed, and still earlier ones
+    the then-optional znorm and floor settings."""
     arrays = {
         "labels": np.array(json.dumps(list(ms.labels))) if labels is None
         else labels,
         "feature_dim": np.array(ms.feature_dim),
         "config": np.array(json.dumps({
             "lam": ms.config.lam, "epochs": ms.config.epochs,
-            "seed": ms.config.seed, **settings})),
+            **settings})),
         "skipped": np.array(json.dumps(list(ms.skipped))),
     }
     for idx, (w, *meta) in zip(np.flatnonzero(ms.trained), _rows(ms)):
@@ -480,11 +506,10 @@ def test_score_intervals_matches_the_per_label_formula(n_labels, trained,
     assert len(ms.models) == int(ms.trained.sum()) == trained
     X = np.random.default_rng(rows).normal(size=(rows, ms.feature_dim))
     S = score_intervals(ms, X)
-    assert S.values.shape == (n_labels, rows)
-    assert np.max(np.abs(S.values - _per_label_scores(ms, X)),
+    assert S.shape == (n_labels, rows)
+    assert np.max(np.abs(S - _per_label_scores(ms, X)),
                   initial=0.0) <= 1e-12
-    assert np.all(S.values[trained:] == DEFAULT_FLOOR)
-    assert S.floored_rows == ms.labels[trained:]
+    assert np.all(S[trained:] == DEFAULT_FLOOR)
 
 
 def _constant_score_set():
@@ -514,8 +539,29 @@ def test_models_npz_matches_the_former_writer(tmp_path, make):
             loaded.feature_dim) == (ms.labels, ms.skipped, ms.config,
                                     ms.feature_dim)
     X = np.random.default_rng(0).normal(size=(9, ms.feature_dim))
-    assert score_intervals(loaded, X).values.tobytes() == \
-        score_intervals(ms, X).values.tobytes()
+    assert score_intervals(loaded, X).tobytes() == \
+        score_intervals(ms, X).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_models_npz_recording_a_seed_loads_bit_identically(tmp_path, seed):
+    # every file written before the seed was dropped records one
+    ms = _random_model_set(3, 5, 3)
+    path = tmp_path / "seeded.npz"
+    _models_npz_former(ms, path, seed=seed)
+    with np.load(path) as data:
+        assert json.loads(str(data["config"]))["seed"] == seed
+    loaded = load_models_npz(path)
+    assert loaded.config == ms.config == TrainConfig(epochs=30)
+    assert loaded.models.tobytes() == ms.models.tobytes()
+    X = np.random.default_rng(1).normal(size=(9, ms.feature_dim))
+    assert score_intervals(loaded, X).tobytes() == \
+        score_intervals(ms, X).tobytes()
+
+
+def test_train_config_has_lam_and_epochs_only():
+    from dataclasses import fields
+    assert [f.name for f in fields(TrainConfig)] == ["lam", "epochs"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -539,6 +585,56 @@ def test_models_npz_malformed_table_rejected(tmp_path, key, value):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
         load_models_npz(path)
+
+
+def _edited_model_file(tmp_path, key, edit):
+    """A saved model file with arrays[key] replaced by edit(arrays[key])."""
+    ms = _random_model_set(4, 3, 3, D=8)
+    save_models_npz(ms, tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key] = edit(arrays[key])
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("key, i, value", [
+    ("w_1", 3, np.nan),
+    ("w_0", 0, np.inf),
+    ("meta_2", 0, np.nan),              # bias
+    ("meta_1", 1, -np.inf),             # score mean
+    ("meta_0", 2, np.nan),              # score std
+    ("meta_0", 2, 0.0),
+    ("meta_2", 2, -1.0),
+    ("meta_1", 3, np.nan),              # constant flag
+], ids=["w-nan", "w-inf", "bias-nan", "mean-inf", "std-nan", "std-zero",
+        "std-negative", "flag-nan"])
+def test_models_npz_bad_cell_names_the_file(tmp_path, key, i, value):
+    path = _edited_model_file(
+        tmp_path, key, lambda a: np.where(np.arange(a.size) == i, value, a))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as err:
+        load_models_npz(path)
+    idx = key.split("_")[1]
+    assert f"w_{idx} and meta_{idx} must be finite, with a positive " \
+        "score std" in str(err.value)
+
+
+@pytest.mark.parametrize("config, words", [
+    ({"lam": 0.0, "epochs": 5}, "lam must be positive"),
+    ({"lam": 0.01, "epochs": 0}, "epochs must be at least 1"),
+    ({"lam": 0.01, "epochs": 5, "znorm": True}, "'znorm'"),
+    ({"lam": 0.01, "epochs": 5, "seed": 0, "floor": -10.0}, "'floor'"),
+    ({"lam": "x", "epochs": 5}, "not supported"),
+    ([0.01, 5], "list"),
+], ids=["lam", "epochs", "znorm", "floor", "lam-str", "list"])
+def test_models_npz_bad_config_names_the_file(tmp_path, config, words):
+    path = _edited_model_file(tmp_path, "config",
+                              lambda a: np.array(json.dumps(config)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad config: ")) \
+            as err:
+        load_models_npz(path)
+    assert words in str(err.value)
 
 
 @pytest.mark.parametrize("znorm, floor", [(False, -10.0), (True, -5.0),
@@ -575,8 +671,8 @@ def test_models_npz_holds_no_pickled_array(tmp_path):
     loaded = load_models_npz(tmp_path / "m.npz")
     assert loaded.labels == ms.labels
     assert loaded.config == ms.config
-    assert np.array_equal(score_intervals(loaded, X).values,
-                          score_intervals(ms, X).values)
+    assert np.array_equal(score_intervals(loaded, X),
+                          score_intervals(ms, X))
 
 
 def test_annotations_round_trip(tmp_path):

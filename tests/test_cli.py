@@ -260,7 +260,7 @@ def test_stack_offers_only_the_score_modes(score_bundle, tmp_path, capsys,
     ("--lam", "-1", "lam must be positive"),
     ("--lam", "nan", "lam must be a finite number"),
     ("--epochs", "0", "epochs must be at least 1"),
-    ("--seed", "-3", "seed must be non-negative"),
+    ("--seed", "3", "unrecognized arguments: --seed 3"),
 ])
 def test_train_config_errors_exit_1(feature_bundle, score_bundle, tmp_path,
                                     capsys, command, flag, value, words):
@@ -428,6 +428,45 @@ def test_detect_truncated_weights_exit_2(tmp_path, capsys):
                "--output", str(tmp_path / "d.csv")])
     assert rc == 2
     assert f"{models}: w_0 must hold 3 weights" in capsys.readouterr().err
+
+
+def _edited_hist_models(tmp_path, key, edit):
+    """The _hist_models file with arrays[key] replaced by edit(it)."""
+    with np.load(_hist_models(tmp_path / "m.npz")) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key] = edit(arrays[key])
+    models = tmp_path / "bad.npz"
+    np.savez(models, **arrays)
+    return models
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, edit, words", [
+    ("w_0", lambda a: np.where(np.arange(3) == 1, np.nan, a),
+     "w_0 and meta_0 must be finite, with a positive score std"),
+    ("meta_0", lambda a: np.where(np.arange(4) == 2, 0.0, a),
+     "w_0 and meta_0 must be finite, with a positive score std"),
+    ("config", lambda a: np.array('{"lam": 0.0, "epochs": 5}'),
+     "bad config: lam must be positive"),
+    ("config", lambda a: np.array('{"lam": 0.1, "epochs": 5, "znorm": 1}'),
+     "bad config: "),
+], ids=["nan-weight", "zero-std", "bad-lam", "unknown-key"])
+@pytest.mark.parametrize("command", ["score", "detect"])
+def test_malformed_model_file_exit_2_names_it(feature_bundle, tmp_path,
+                                              capsys, key, edit, words,
+                                              command):
+    models = _edited_hist_models(tmp_path, key, edit)
+    out = tmp_path / "out"
+    if command == "score":
+        argv = ["score", "--bundle", feature_bundle, "--models", str(models),
+                "--output", str(out)]
+    else:
+        np.save(tmp_path / "c.npy", np.ones((60, 3)))
+        argv = ["detect", "--counts", str(tmp_path / "c.npy"), "--models",
+                str(models), "--attribute", "a0", "--output", str(out)]
+    assert main(argv) == 2
+    assert f"error: {models}: {words}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -606,14 +645,26 @@ def test_run_match_mode_key_exit_1(score_bundle, tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [0, 3])
+def test_run_seed_key_exit_1(score_bundle, tmp_path, capsys, value):
+    # training draws no random numbers, so a seed is an unknown key
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"data": score_bundle,
+                               "output": str(tmp_path / "o"),
+                               "mode": "svm", "seed": value}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("bad, words", [
     ({"lam": -1}, "lam must be positive"),
     ({"lam": "0.1"}, "lam must be a finite number"),
     ({"epochs": "x"}, "epochs must be an integer"),
     ({"epochs": 0}, "epochs must be at least 1"),
     ({"epochs": 2.5}, "epochs must be an integer"),
-    ({"seed": True}, "seed must be an integer"),
-    ({"seed": -3}, "seed must be non-negative"),
+    ({"lam": float("inf")}, "lam must be a finite number"),
+    ({"epochs": True}, "epochs must be an integer"),
     ({"mode": "pst", "pst": {"alpha": 2}}, "pst.alpha"),
     ({"mode": "pst", "pst": {"k": "5"}}, "pst.k must be an integer"),
     ({"mode": "pst", "grid": {"delta": [0.5, 0]}}, "grid.delta"),
@@ -674,6 +725,20 @@ def test_run_bad_bundle_config_exit_2_names_the_file(tmp_path, capsys,
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and words in err
+
+
+@pytest.mark.parametrize("name", ["config.json", "sequences.json"])
+def test_run_bundle_json_that_does_not_parse_exit_2(tmp_path, capsys, name):
+    bundle = tmp_path / "bundle"
+    assert main(["gen-synthetic", "--output", str(bundle), "--seed", "3"]) == 0
+    (bundle / name).write_text("{\n,}\n")
+    cfg = tmp_path / "script.json"
+    cfg.write_text(json.dumps({"data": str(bundle),
+                               "output": str(tmp_path / "o"),
+                               "mode": "script"}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"error: {bundle / name}: invalid JSON: " \
+        in capsys.readouterr().err
 
 
 def _ghost(first):
@@ -775,6 +840,20 @@ def test_pose_infer_bad_scale_exit_1(tmp_path, capsys, scale):
                "--output", str(out), "--scale", scale])
     assert rc == 1
     assert "scale must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pose_infer_non_finite_grids_exit_2(tmp_path, capsys, value):
+    grids = np.ones((10, 4, 4))
+    grids[3, 1, 2] = value
+    np.save(tmp_path / "g.npy", grids)
+    out = tmp_path / "p.csv"
+    rc = main(["pose-infer", "--grids", str(tmp_path / "g.npy"),
+               "--output", str(out), "--scale", "0.05"])
+    assert rc == 2
+    assert f"error: {tmp_path / 'g.npy'}: expected finite non-negative " \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -71,17 +71,18 @@ def _blob_data(seed=0, spread=0.3):
 
 def test_classify_svm_separable_blobs():
     Xtr, ytr, Xte, yte = _blob_data()
-    scores, universe, report = classify_svm(Xtr, ytr, Xte)
-    assert universe == ("c0", "c1", "c2")
+    comps = ("c0", "c1", "c2")
+    scores, report = classify_svm(Xtr, ytr, Xte, comps)
+    assert scores.shape == (len(Xte), 3)
     assert not report["skipped"] and not report["trained_without_negatives"]
-    preds = [universe[j] for j in scores.argmax(axis=1)]
+    preds = [comps[j] for j in scores.argmax(axis=1)]
     assert preds == yte
 
 
 def test_classify_svm_single_composite_flagged():
     X = np.array([[1.0, 0.0], [1.2, 0.1], [0.9, -0.1]])
-    scores, universe, report = classify_svm(X, ["only"] * 3, X)
-    assert universe == ("only",)
+    scores, report = classify_svm(X, ["only"] * 3, X, ("only",))
+    assert scores.shape == (3, 1)
     assert report["trained_without_negatives"] == ["only"]
     assert np.isfinite(scores).all()
 
@@ -89,15 +90,15 @@ def test_classify_svm_single_composite_flagged():
 def test_classify_svm_universe_without_positives_floored():
     X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
     ytr = ["a", "a", "b", "b"]
-    scores, universe, report = classify_svm(
-        X, ytr, X, composites=("a", "b", "ghost"))
+    scores, report = classify_svm(X, ytr, X, ("a", "b", "ghost"))
     assert report["skipped"] == ["ghost"]
-    assert np.all(scores[:, universe.index("ghost")] == -10.0)
+    assert np.all(scores[:, 2] == -10.0)
 
 
 def test_classify_svm_alignment_error():
     with pytest.raises(ValueError):
-        classify_svm(np.zeros((3, 2)), ["a", "b"], np.zeros((1, 2)))
+        classify_svm(np.zeros((3, 2)), ["a", "b"], np.zeros((1, 2)),
+                     ("a", "b"))
 
 
 def test_classify_nn_picks_closest():

@@ -316,11 +316,11 @@ def test_feature_mode_scores_every_sequence_in_one_call(
     assert np.array_equal(X, np.concatenate([s.features for s in seqs]))
     start = 0
     for s in seqs:
-        own = score(model_set, s.features).values
-        assert np.abs(S.values[:, start:start + s.num_intervals]
+        own = score(model_set, s.features)
+        assert np.abs(S[:, start:start + s.num_intervals]
                       - own).max() <= 1e-12
         start += s.num_intervals
-    assert start == S.values.shape[1]
+    assert start == S.shape[1]
 
 
 def test_score_attributes_splits_one_product_in_bundle_order(
@@ -330,7 +330,7 @@ def test_score_attributes_splits_one_product_in_bundle_order(
     mats = experiment.score_attributes(bundle, model_set)
     assert len(mats) == len(bundle.sequences)
     for s, V in zip(bundle.sequences, mats):
-        own = score_intervals(model_set, s.features).values
+        own = score_intervals(model_set, s.features)
         assert V.shape == own.shape
         assert np.abs(V - own).max() <= 1e-12
 

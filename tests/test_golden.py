@@ -162,7 +162,7 @@ def _write_arrays():
     seqs = load_bundle("features").sequences
     np.save("arrays/interval_scores.npy", score_intervals(
         load_models_npz("models.npz"),
-        np.concatenate([s.features for s in seqs], axis=0)).values)
+        np.concatenate([s.features for s in seqs], axis=0)))
 
 
 def _digest(path: Path) -> str:

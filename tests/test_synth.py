@@ -339,12 +339,34 @@ def _config_not_object(path):
     return _edit_config(path, lambda raw: list(raw.items()))
 
 
+def _config_not_json(path):
+    (path / "config.json").write_text("{\n,}\n")
+    return "config.json", None
+
+
+def _sequences_not_json(path):
+    text = (path / "sequences.json").read_text()
+    (path / "sequences.json").write_text(text[:len(text) // 2])
+    return "sequences.json", None
+
+
+def _sequence_without_offset(path):
+    _edit_sequences(path, lambda m: m[1].pop("offset"))
+    return "sequences.json", None
+
+
+def _sequence_not_object(path):
+    _edit_sequences(path, lambda m: m.__setitem__(0, "s0"))
+    return "sequences.json", None
+
+
 @pytest.mark.parametrize("mode", ["scores", "features"])
 @pytest.mark.parametrize("corrupt", [
     _drop_annotation, _drop_sequence_annotations, _shift_annotation_frame,
     _ghost_annotation, _shift_offset, _overrun_columns, _extra_column,
     _drop_row, _nan_observation, _inf_observation, _swap_vocab,
-    _nan_signal, _extra_config_key, _config_not_object])
+    _nan_signal, _extra_config_key, _config_not_object, _config_not_json,
+    _sequences_not_json, _sequence_without_offset, _sequence_not_object])
 def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
                                               corrupt):
     path = tmp_path / "bundle"
@@ -355,6 +377,24 @@ def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
         load_bundle(path)
     if sid is not None:
         assert repr(sid) in str(err.value)
+
+
+@pytest.mark.parametrize("corrupt, words", [
+    (_config_not_json, "invalid JSON: Expecting property name"),
+    (_sequences_not_json, "invalid JSON: "),
+    (_sequence_without_offset, "entry 1 lacks ['offset']"),
+    (_sequence_not_object, "entry 0 lacks ['composite', 'intervals', "
+                           "'num_intervals', 'offset', 'sequence_id', "
+                           "'split']"),
+])
+def test_load_bundle_names_the_broken_json_file(saved_bundles, tmp_path,
+                                                corrupt, words):
+    path = tmp_path / "bundle"
+    shutil.copytree(saved_bundles["scores"], path)
+    name, _ = corrupt(path)
+    with pytest.raises(ValueError) as err:
+        load_bundle(path)
+    assert str(err.value).startswith(f"{path / name}: {words}")
 
 
 # ---------------------------------------------------------------------------

@@ -273,11 +273,11 @@ def test_score_windows_match_per_window_oracle():
             counts[gap:gap + 90] = 0         # some windows are all-zero
             table = build_integral(counts)
             got = score_windows(
-                table, lambda H: score_intervals(models, H).values[row],
+                table, lambda H: score_intervals(models, H)[row],
                 video="v", attribute="a")
             want = _per_window_detections(
                 table,
-                lambda h: score_intervals(models, h[None, :]).values[row, 0],
+                lambda h: score_intervals(models, h[None, :])[row, 0],
                 video="v", attribute="a")
             assert [(d.video, d.attribute, d.start, d.end) for d in got] \
                 == [(d.video, d.attribute, d.start, d.end) for d in want]
