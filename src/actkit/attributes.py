@@ -287,6 +287,13 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
     np.savez(path, **arrays)
 
 
+def _json_field(path, name, raw):
+    try:
+        return json.loads(str(raw))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: bad {name}: {exc}") from None
+
+
 def load_models_npz(path) -> LinearModelSet:
     """Read a model file written by save_models_npz.
 
@@ -294,7 +301,8 @@ def load_models_npz(path) -> LinearModelSet:
     else is numeric, so loading needs no pickle.  Older files stored the
     labels as a pickled object array; they raise ValueError naming the
     path, and the models must be retrained to rewrite them.  So does a
-    config that TrainConfig rejects, a w_<i> that is not feature_dim
+    labels, config or skipped string that is not valid JSON, a config
+    that TrainConfig rejects, a w_<i> that is not feature_dim
     long, a missing or malformed meta_<i>, a non-finite cell in either,
     or a score std that is not positive.  A config seed, which earlier
     versions wrote but which never had an effect, is ignored.
@@ -306,14 +314,15 @@ def load_models_npz(path) -> LinearModelSet:
             raise ValueError(f"{path}: model file in the older format "
                              "whose labels need pickle to load; retrain "
                              "the models to rewrite it") from None
-        labels = tuple(json.loads(str(raw_labels)))
-        config = json.loads(str(data["config"]))
+        labels = tuple(_json_field(path, "labels", raw_labels))
+        config = _json_field(path, "config", data["config"])
         try:
             cfg = TrainConfig(**{k: v for k, v in config.items()
                                  if k != "seed"})
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad config: {exc}") from None
-        skipped = tuple(tuple(s) for s in json.loads(str(data["skipped"])))
+        skipped = tuple(tuple(s) for s in
+                        _json_field(path, "skipped", data["skipped"]))
         D = int(data["feature_dim"])
         trained = np.array([f"w_{i}" in data for i in range(len(labels))],
                            dtype=bool)

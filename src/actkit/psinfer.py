@@ -12,11 +12,12 @@ over the two axes, so a message is one separable kernel: a reduction
 over the child's x axis with a (W, W) table, then over its y axis with
 an (H, H) table, O(HW(H+W)) per edge.  MAP and marginal inference share
 one leaves-to-root pass.  MAP layouts come from max-product with that
-kernel ("distance_transform", the default) or a full broadcast over all
-location pairs ("naive"), two deliberately independent implementations
-whose decode tables both give the best child row and column per parent
-cell, ties to the lowest flat (row-major) index.  Exact per-part
-posterior marginals use the same kernel with logsumexp in place of max.
+kernel ("distance_transform", the default) or a brute-force scan of
+every location pair, a block of parent cells at a time ("naive"), two
+deliberately independent implementations whose decode tables both give
+the best child row and column per parent cell, ties to the lowest flat
+(row-major) index.  Exact per-part posterior marginals use the same
+kernel with logsumexp in place of max.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .posefeat import PARTS
 from .tables import read_table, write_table
 
 LOG_FLOOR = -1e30
+
+# floats in one parent-cell block of the naive MAP message (512 KB): it
+# bounds the kernel's memory and keeps the per-block Python overhead small
+_NAIVE_BLOCK_CELLS = 1 << 16
 
 DEFAULT_STICKS = (
     ("r_upper_arm", "r_shoulder", "r_elbow"),
@@ -154,25 +159,42 @@ def _log_unary(grid) -> np.ndarray:
     return out
 
 
-def _log_pairwise(edge: EdgeParams, shape) -> np.ndarray:
-    """Full (HW_child, HW_parent) table of log edge potentials."""
-    H, W = shape
-    ys, xs = np.divmod(np.arange(H * W), W)
-    dxm = xs[:, None] - xs[None, :] - edge.mean[0]
-    dym = ys[:, None] - ys[None, :] - edge.mean[1]
-    return -0.5 * (dxm ** 2 / edge.var[0] + dym ** 2 / edge.var[1])
-
-
 def _naive_max_message(beta, edge, shape):
     """Max-product message by brute force over all location pairs.
 
     Returns (message, ystar, xstar), all (H, W) on the parent grid:
     ystar and xstar are the best child row and column for each parent
-    cell.  Ties go to the lowest flat (row-major) child index.
+    cell.  Ties go to the lowest flat (row-major) child index.  Every
+    (parent, child) pair is scored, O((HW)^2) time per edge, a block of
+    parent cells at a time: each block is a (block, HW) slab of log
+    edge potentials plus beta, about _NAIVE_BLOCK_CELLS floats, built
+    from per-axis squared-offset tables.
     """
-    M = beta.ravel()[:, None] + _log_pairwise(edge, shape)
-    ystar, xstar = np.divmod(M.argmax(axis=0).reshape(shape), shape[1])
-    return M.max(axis=0).reshape(shape), ystar, xstar
+    H, W = shape
+    n = H * W
+
+    def sq_offsets(m, mean, var):
+        # [parent, child] = (child - parent - mean)^2 / var
+        q = np.arange(m)
+        return (q[None, :] - q[:, None] - mean) ** 2 / var
+
+    ax = sq_offsets(W, edge.mean[0], edge.var[0])
+    by = sq_offsets(H, edge.mean[1], edge.var[1])
+    ys, xs = np.divmod(np.arange(n), W)
+    flat = beta.ravel()
+    msg = np.empty(n)
+    best = np.empty(n, dtype=np.intp)
+    step = max(1, _NAIVE_BLOCK_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        slab = by[ys[block]][:, :, None] + ax[xs[block]][:, None, :]
+        slab *= -0.5
+        slab = slab.reshape(-1, n)
+        slab += flat
+        best[block] = arg = slab.argmax(axis=1)
+        msg[block] = slab[np.arange(len(arg)), arg]
+    ystar, xstar = np.divmod(best.reshape(shape), W)
+    return msg.reshape(shape), ystar, xstar
 
 
 def _axis_tables(edge, shape):
@@ -239,9 +261,10 @@ def infer(grids, graph: PartGraph, mode: str = "map",
     mode "map" returns the highest scoring layout and its joint log
     score; mode "marginal" returns per-part posterior location maps.
     algorithm picks the MAP message pass: "distance_transform" (the
-    default) uses the separable kernel, "naive" the full pairwise
-    broadcast, which holds (H*W)^2 floats per edge.  Marginals always
-    use the separable sum-product kernel and accept either name.
+    default) uses the separable kernel, "naive" scores every (parent,
+    child) location pair, O((H*W)^2) time per edge but only one block
+    of parent cells in memory at a time.  Marginals always use the
+    separable sum-product kernel and accept either name.
     """
     G = np.asarray(grids, dtype=float)
     if G.ndim != 3 or G.shape[0] != len(graph.parts):
@@ -394,8 +417,8 @@ def pcp_eval(predicted, truth, sticks=DEFAULT_STICKS, factor: float = 0.5):
 
 def save_grids(grids, path) -> None:
     G = np.asarray(grids, dtype=float)
-    if G.ndim != 3 or np.any(G < 0):
-        raise ValueError("grids must be non-negative (P, H, W)")
+    if G.ndim != 3 or np.any(G < 0) or not np.isfinite(G).all():
+        raise ValueError("grids must be finite non-negative (P, H, W)")
     np.save(path, G)
 
 

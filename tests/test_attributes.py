@@ -637,6 +637,14 @@ def test_models_npz_bad_config_names_the_file(tmp_path, config, words):
     assert words in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["labels", "config", "skipped"])
+def test_models_npz_unparsable_json_names_the_file(tmp_path, key):
+    path = _edited_model_file(tmp_path, key, lambda a: np.array("["))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: bad {key}: Expecting value: line 1 column 2")):
+        load_models_npz(path)
+
+
 @pytest.mark.parametrize("znorm, floor", [(False, -10.0), (True, -5.0),
                                           (False, 0.0)])
 def test_models_npz_other_score_settings_rejected(tmp_path, znorm, floor):

@@ -450,7 +450,11 @@ def _edited_hist_models(tmp_path, key, edit):
      "bad config: lam must be positive"),
     ("config", lambda a: np.array('{"lam": 0.1, "epochs": 5, "znorm": 1}'),
      "bad config: "),
-], ids=["nan-weight", "zero-std", "bad-lam", "unknown-key"])
+    ("labels", lambda a: np.array("["), "bad labels: Expecting value"),
+    ("config", lambda a: np.array("["), "bad config: Expecting value"),
+    ("skipped", lambda a: np.array("["), "bad skipped: Expecting value"),
+], ids=["nan-weight", "zero-std", "bad-lam", "unknown-key", "labels-json",
+        "config-json", "skipped-json"])
 @pytest.mark.parametrize("command", ["score", "detect"])
 def test_malformed_model_file_exit_2_names_it(feature_bundle, tmp_path,
                                               capsys, key, edit, words,

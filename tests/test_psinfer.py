@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def _brute_force_map(grids, graph):
 
 
 def _pairwise_table(edge, H, W):
-    """Full (HW child, HW parent) table of log edge potentials."""
+    """Full (HW child, HW parent) table of log edge potentials, the
+    expression the library's former _log_pairwise used."""
     ys, xs = np.divmod(np.arange(H * W), W)
     dxm = xs[:, None] - xs[None, :] - edge.mean[0]
     dym = ys[:, None] - ys[None, :] - edge.mean[1]
@@ -298,6 +300,75 @@ def test_tied_decode_attains_the_message(kernel, mean):
     assert np.array_equal(reached, msg)
     first = np.argmax(table == table.max(axis=0), axis=0).reshape(H, W)
     assert np.array_equal(ystar * W + xstar, first)
+
+
+def _former_naive_max_message(beta, edge, shape):
+    """The library's former naive kernel: one broadcast over the whole
+    (HW child, HW parent) table, reduced down the child axis."""
+    M = beta.ravel()[:, None] + _pairwise_table(edge, *shape)
+    ystar, xstar = np.divmod(M.argmax(axis=0).reshape(shape), shape[1])
+    return M.max(axis=0).reshape(shape), ystar, xstar
+
+
+# Shapes on either side of the naive kernel's block boundaries at its
+# 2^16-cell budget (step = 65536 // HW parent cells per block): HW = 255,
+# 256 and 257 put HW^2 just under, at and over the budget, so one block
+# becomes two; 361 = 2 * 181 - 1 leaves the last block one cell short,
+# 512 = 4 * 128 fills every block, and 571 = 5 * 114 + 1 and
+# 625 = 6 * 104 + 1 leave one cell for the last block.
+_BLOCK_EDGE_SHAPES = [(15, 17), (16, 16), (1, 257), (257, 1), (19, 19),
+                      (16, 32), (1, 571), (25, 25)]
+
+
+@pytest.mark.parametrize("H, W", [(1, 1), (1, 9), (8, 1), (5, 6), (40, 40)]
+                         + _BLOCK_EDGE_SHAPES)
+def test_naive_message_bytes_match_former_broadcast(H, W):
+    rng = np.random.default_rng(300 + H * W)
+    random_beta = _log_unary(_random_grids(rng, 1, H, W, zero_rate=0.2)[0])
+    cases = [
+        # random fractional means and variances, LOG_FLOOR cells mixed in
+        (random_beta, tuple(rng.uniform(-4, 4, size=2)),
+         tuple(rng.uniform(0.3, 5.0, size=2))),
+        # an all-zero grid: every cell is LOG_FLOOR
+        (_log_unary(np.zeros((H, W))), tuple(rng.uniform(-4, 4, size=2)),
+         tuple(rng.uniform(0.3, 5.0, size=2))),
+        # zero beta with half-pixel means ties children exactly
+        (np.zeros((H, W)), (0.5, -1.5), (1.0, 2.0)),
+        (np.zeros((H, W)), (-2.5, 0.5), (4.0, 0.5)),
+    ]
+    for beta, mean, var in cases:
+        edge = EdgeParams("p", "c", mean, var)
+        got = _naive_max_message(beta, edge, (H, W))
+        expect = _former_naive_max_message(beta, edge, (H, W))
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape == (H, W)
+            assert g.dtype == e.dtype
+            assert g.tobytes() == e.tobytes()
+
+
+def test_naive_message_memory_is_one_block():
+    # the former broadcast peaked near 82 MB here
+    H, W = 40, 40
+    beta = _log_unary(np.random.default_rng(15).uniform(size=(H, W)))
+    edge = default_part_graph(scale=0.2).parent_edge("r_elbow")
+    tracemalloc.start()
+    try:
+        _naive_max_message(beta, edge, (H, W))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_naive_and_dt_agree_on_default_graph_at_large_grid():
+    # 3072 cells: the former broadcast needed 75 MB per table
+    rng = np.random.default_rng(16)
+    graph = default_part_graph(scale=0.25)
+    grids = _random_grids(rng, len(graph.parts), 48, 64, zero_rate=0.1)
+    res_n = infer(grids, graph, algorithm="naive")
+    res_d = infer(grids, graph, algorithm="distance_transform")
+    assert abs(res_n.log_score - res_d.log_score) < 1e-9
+    assert res_n.placements == res_d.placements
 
 
 def test_naive_and_dt_agree_with_zeros_and_deep_trees():
@@ -577,6 +648,16 @@ def test_grids_round_trip(tmp_path):
     np.save(tmp_path / "neg.npy", -np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
         load_grids(tmp_path / "neg.npy")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_grids_rejects_non_finite_before_writing(tmp_path, value):
+    grids = np.ones((2, 3, 3))
+    grids[1, 2, 0] = value
+    path = tmp_path / "bad.npy"
+    with pytest.raises(ValueError, match="finite non-negative"):
+        save_grids(grids, path)
+    assert not path.exists()
 
 
 def test_hand_hypotheses_round_trip(tmp_path):
