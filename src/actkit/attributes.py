@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_json_lines
+from .tables import names_file, read_json_lines
 
 DEFAULT_FLOOR = -10.0
 
@@ -287,42 +287,46 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
     np.savez(path, **arrays)
 
 
-def _json_field(path, name, raw):
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _json_field(name, raw):
     try:
         return json.loads(str(raw))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: bad {name}: {exc}") from None
+        raise ValueError(f"bad {name}: {exc}") from None
 
 
+@names_file
 def load_models_npz(path) -> LinearModelSet:
     """Read a model file written by save_models_npz.
 
     Labels, config and skipped labels are JSON strings and everything
     else is numeric, so loading needs no pickle.  Older files stored the
-    labels as a pickled object array; they raise ValueError naming the
-    path, and the models must be retrained to rewrite them.  So does a
-    labels, config or skipped string that is not valid JSON, a config
-    that TrainConfig rejects, a w_<i> that is not feature_dim
-    long, a missing or malformed meta_<i>, a non-finite cell in either,
-    or a score std that is not positive.  A config seed, which earlier
-    versions wrote but which never had an effect, is ignored.
+    labels as a pickled object array; they must be retrained to rewrite
+    them.  A config seed, which earlier versions wrote but which never
+    had an effect, is ignored.
     """
-    with np.load(path, allow_pickle=False) as data:
+    # np.load leaves a file it opened open when it is not a valid zip
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         try:
             raw_labels = data["labels"]
         except ValueError:
-            raise ValueError(f"{path}: model file in the older format "
-                             "whose labels need pickle to load; retrain "
-                             "the models to rewrite it") from None
-        labels = tuple(_json_field(path, "labels", raw_labels))
-        config = _json_field(path, "config", data["config"])
+            raise ValueError("model file in the older format whose labels "
+                             "need pickle to load; retrain the models to "
+                             "rewrite it") from None
+        labels = _json_field("labels", raw_labels)
+        if not _strings(labels):
+            raise ValueError("bad labels: expected a list of strings")
+        config = _json_field("config", data["config"])
         try:
             cfg = TrainConfig(**{k: v for k, v in config.items()
                                  if k != "seed"})
         except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad config: {exc}") from None
+            raise ValueError(f"bad config: {exc}") from None
         skipped = tuple(tuple(s) for s in
-                        _json_field(path, "skipped", data["skipped"]))
+                        _json_field("skipped", data["skipped"]))
         D = int(data["feature_dim"])
         trained = np.array([f"w_{i}" in data for i in range(len(labels))],
                            dtype=bool)
@@ -330,15 +334,15 @@ def load_models_npz(path) -> LinearModelSet:
         for idx in np.flatnonzero(trained):
             w, meta = data[f"w_{idx}"], data.get(f"meta_{idx}")
             if w.shape != (D,) or meta is None or meta.shape != (4,):
-                raise ValueError(f"{path}: w_{idx} must hold {D} weights "
-                                 f"and meta_{idx} 4 values")
+                raise ValueError(f"w_{idx} must hold {D} weights and "
+                                 f"meta_{idx} 4 values")
             row = np.concatenate([w, meta])
             if not np.isfinite(row).all() or meta[2] <= 0:
-                raise ValueError(f"{path}: w_{idx} and meta_{idx} must be "
-                                 "finite, with a positive score std")
+                raise ValueError(f"w_{idx} and meta_{idx} must be finite, "
+                                 "with a positive score std")
             rows.append(row)
     return LinearModelSet(np.array(rows).reshape(len(rows), D + 4), trained,
-                          labels, skipped, cfg, D)
+                          tuple(labels), skipped, cfg, D)
 
 
 def save_annotations(records, path) -> None:
@@ -358,16 +362,29 @@ def save_annotations(records, path) -> None:
             }) + "\n")
 
 
-def load_annotations(path) -> list:
-    """Read annotation JSON lines; blank lines are skipped.
+def _annotation_error(rec):
+    """What is wrong with the fields of an annotation record, or None."""
+    if not all(isinstance(rec[k], str) for k in ("video", "composite")):
+        return "video and composite must be strings"
+    if not all(type(rec[k]) is int for k in ("start_frame", "end_frame")):
+        return "start_frame and end_frame must be integers"
+    if not _strings(rec["attributes"]):
+        return "attributes must be a list of strings"
+    if rec["end_frame"] < rec["start_frame"]:
+        return "end_frame before start_frame"
+    return None
 
-    Every error (a line that is not JSON, not an object, lacks a field
-    or ends before it starts) is a ValueError prefixed with path:line.
-    """
+
+@names_file
+def load_annotations(path) -> list:
+    """Read annotation JSON lines; blank lines are skipped.  video and
+    composite are strings, the frames integers and attributes a list of
+    strings; a bad line is reported as path:line."""
     required = ("video", "start_frame", "end_frame", "attributes", "composite")
     records = []
     for ln, rec in read_json_lines(path, required):
-        if rec["end_frame"] < rec["start_frame"]:
-            raise ValueError(f"{path}:{ln}: end_frame before start_frame")
+        error = _annotation_error(rec)
+        if error:
+            raise ValueError(f"{path}:{ln}: {error}")
         records.append(rec)
     return records

@@ -31,7 +31,7 @@ from scipy.spatial.distance import cdist
 
 from .attributes import TrainConfig, _fit_ova, _membership, _ova_scores
 from .corpus import WeightMatrix
-from .tables import write_table
+from .tables import names_file, write_table
 
 # Score of a composite that no training sequence can be compared with.
 SCORE_FLOOR = -1e30
@@ -190,8 +190,9 @@ def save_pst_config(cfg: PstConfig, path) -> None:
             fh.write(f"{key} = {getattr(cfg, key)}\n")
 
 
+@names_file
 def load_pst_config(path) -> PstConfig:
-    """Read a file written by save_pst_config; errors name the file.
+    """Read a file written by save_pst_config.
 
     tol and max_iters lines, written before propagation was solved in
     closed form, are ignored."""
@@ -212,10 +213,7 @@ def load_pst_config(path) -> PstConfig:
                 values[key] = int(raw) if key == "k" else float(raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None
-    try:
-        return PstConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return PstConfig(**values)
 
 
 def pst_init(script_scores, labels, cfg: PstConfig,

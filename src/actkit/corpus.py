@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import finite_float, read_table, write_table
+from .tables import finite_float, names_file, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -286,6 +286,16 @@ def binarize_weights(weights: WeightMatrix) -> WeightMatrix:
 # ---------------------------------------------------------------------------
 # file formats
 
+@names_file
+def _read_steps(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        steps = [line.strip() for line in fh if line.strip()]
+    if not steps:
+        raise ValueError("no steps")
+    return steps
+
+
+@names_file
 def load_script_corpus(path) -> ScriptCorpus:
     """Load a corpus directory: one sub-directory per scenario, one UTF-8
     text file per sequence, one step per line (blank lines ignored)."""
@@ -299,16 +309,12 @@ def load_script_corpus(path) -> ScriptCorpus:
             fpath = os.path.join(sdir, fname)
             if not os.path.isfile(fpath):
                 continue
-            with open(fpath, encoding="utf-8") as fh:
-                steps = [line.strip() for line in fh if line.strip()]
-            if not steps:
-                raise ValueError(f"sequence file {fpath} has no steps")
-            seqs.append(steps)
+            seqs.append(_read_steps(fpath))
         if not seqs:
-            raise ValueError(f"scenario directory {sdir} has no sequence files")
+            raise ValueError(f"{sdir}: no sequence files")
         scenarios[sid] = seqs
     if not scenarios:
-        raise ValueError(f"no scenario directories under {path}")
+        raise ValueError("no scenario directories")
     return ScriptCorpus(scenarios)
 
 
@@ -323,6 +329,7 @@ def save_script_corpus(corpus: ScriptCorpus, path) -> None:
                 fh.write("\n".join(steps) + "\n")
 
 
+@names_file
 def load_lexicon(path) -> SynonymLexicon:
     """Load a tab-separated lexicon: headword<TAB>pos<TAB>syn1,syn2,..."""
     rows = {}
@@ -360,13 +367,14 @@ def _weight(cell) -> float:
     return v
 
 
+@names_file
 def load_weights_csv(path) -> WeightMatrix:
     """Read a weight matrix CSV; a composite id may appear once and
     every weight is finite and non-negative."""
     header, rows = read_table(path, (str, _weight, ...), ("composite",),
                               key=1)
     if not rows:
-        raise ValueError(f"{path}: weight matrix has no rows")
+        raise ValueError("weight matrix has no rows")
     return WeightMatrix([row[1:] for row in rows],
                         tuple(row[0] for row in rows), tuple(header[1:]))
 
@@ -378,6 +386,7 @@ def _kind(cell):
     return kind
 
 
+@names_file
 def load_vocab(path) -> AttributeVocab:
     """Load an attribute vocabulary CSV with rows label,kind; labels are
     normalized and may appear once."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import finite_float, read_table, write_table
+from .tables import finite_float, names_file, read_table, write_table
 
 PARTS = ("head", "torso", "r_shoulder", "l_shoulder", "r_elbow", "l_elbow",
          "r_wrist", "l_wrist", "r_hand", "l_hand")
@@ -581,6 +581,7 @@ def save_tracks_csv(tracks: JointTrackSet, path) -> None:
                        for p, part in enumerate(PARTS)), _TRACK_HEADER)
 
 
+@names_file
 def load_tracks_csv(path) -> JointTrackSet:
     """Read a frame,part,x,y CSV; each (frame, part) appears once and
     every part must cover the same contiguous frame range and positions
@@ -592,13 +593,13 @@ def load_tracks_csv(path) -> JointTrackSet:
         rows.setdefault(part, {})[frame] = (x, y)
     if set(rows) != set(PARTS):
         odd = sorted(set(rows) ^ set(PARTS))
-        raise ValueError(f"{path}: missing or unknown parts {odd}")
+        raise ValueError(f"missing or unknown parts {odd}")
     frames = sorted(rows[PARTS[0]])
     if frames != list(range(frames[0], frames[-1] + 1)):
-        raise ValueError(f"{path}: frames are not contiguous")
+        raise ValueError("frames are not contiguous")
     for part in PARTS:
         if sorted(rows[part]) != frames:
-            raise ValueError(f"{path}: part {part!r} has a different frame set")
+            raise ValueError(f"part {part!r} has a different frame set")
     positions = np.array([[rows[part][f] for f in frames] for part in PARTS])
     return JointTrackSet(positions, first_frame=frames[0])
 
@@ -620,13 +621,33 @@ def save_codebook_set(cbs: CodebookSet, path) -> None:
     np.savez(path, **arrays)
 
 
+_CODEBOOK_FIELDS = {"length", "sub_feature", "dim", "size", "seed"}
+
+
+@names_file
 def load_codebook_set(path) -> CodebookSet:
-    with np.load(path, allow_pickle=False) as data:
+    """Read a file written by save_codebook_set: every header entry
+    names its block, and its centers_<i> are finite and (size, dim)."""
+    # np.load leaves a file it opened open when it is not a valid zip
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
+        if not isinstance(header, list):
+            raise ValueError("header must be a JSON list")
         codebooks, order = {}, []
         for i, entry in enumerate(header):
+            missing = sorted(_CODEBOOK_FIELDS - (
+                entry.keys() if isinstance(entry, dict) else set()))
+            if missing:
+                raise ValueError(f"header entry {i} lacks {missing}")
             key = (entry["length"], entry["sub_feature"])
-            codebooks[key] = Codebook(entry["sub_feature"],
-                                      data[f"centers_{i}"], entry["seed"])
+            if key in codebooks:
+                raise ValueError(f"header entry {i} repeats block {key}")
+            centers = data[f"centers_{i}"]
+            shape = (entry["size"], entry["dim"])
+            if centers.shape != shape or not np.isfinite(centers).all():
+                raise ValueError(f"centers_{i} must be finite and shaped "
+                                 f"{shape}, got {centers.shape}")
+            codebooks[key] = Codebook(entry["sub_feature"], centers,
+                                      entry["seed"])
             order.append(key)
     return CodebookSet(codebooks, tuple(order))

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .posefeat import PARTS
-from .tables import read_table, write_table
+from .tables import names_file, read_npy, read_table, write_table
 
 LOG_FLOOR = -1e30
 
@@ -422,10 +422,11 @@ def save_grids(grids, path) -> None:
     np.save(path, G)
 
 
+@names_file
 def load_grids(path) -> np.ndarray:
-    G = np.load(path)
+    G = read_npy(path)
     if G.ndim != 3 or np.any(G < 0) or not np.isfinite(G).all():
-        raise ValueError(f"{path}: expected finite non-negative (P, H, W) grids")
+        raise ValueError("expected finite non-negative (P, H, W) grids")
     return G
 
 
@@ -434,6 +435,7 @@ def save_hand_hypotheses_csv(hypotheses: HandHypothesisSet, path) -> None:
     write_table(path, rows, ("x", "y", "score"))
 
 
+@names_file
 def load_hand_hypotheses_csv(path) -> HandHypothesisSet:
     _, rows = read_table(path, (float, float, float), ("x", "y", "score"))
     table = np.array(rows, dtype=float).reshape(-1, 3)
@@ -445,6 +447,7 @@ def save_placements_csv(placements, path) -> None:
                 ("part", "x", "y"))
 
 
+@names_file
 def load_placements_csv(path) -> dict:
     """Read part,x,y rows; a part may appear once."""
     _, rows = read_table(path, (str, int, int), ("part", "x", "y"), key=1)

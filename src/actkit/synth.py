@@ -31,6 +31,7 @@ from .corpus import (AttributeVocab, ScriptCorpus, WeightMatrix,
                      load_script_corpus, load_vocab, load_weights_csv,
                      normalize_l1, save_script_corpus, save_vocab,
                      save_weights_csv)
+from .tables import names_file, read_npy
 
 INTERVAL_SPAN = 60
 MENTION_BUDGET = 10
@@ -371,16 +372,12 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
             np.concatenate(blocks, axis=1))
 
 
+@names_file
 def load_bundle(path) -> SyntheticBundle:
-    """Read a bundle written by save_bundle.
-
-    Raises ValueError naming the file (and the sequence) when a JSON file
-    does not parse, the config is not a valid SyntheticConfig, a
-    sequences.json entry lacks a key, weights and vocab labels differ, the
-    observations are not finite or their rows are not the vocab size
-    (scores mode) or feature_dim, the sequences do not tile the
-    observation columns, a sequence's annotations are not its intervals,
-    or an annotation names a video that is not a sequence."""
+    """Read a bundle written by save_bundle.  Errors name the file inside
+    the bundle directory, and the sequence where there is one; the
+    sequences must tile the observation columns, each with annotations
+    matching its intervals."""
     def file(name):
         return os.path.join(path, name)
 
@@ -388,7 +385,7 @@ def load_bundle(path) -> SyntheticBundle:
         try:
             with open(file(name), encoding="utf-8") as fh:
                 return json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:             # not JSON, or not UTF-8
             raise ValueError(f"{file(name)}: invalid JSON: {e}") from None
 
     raw = read_json("config.json")
@@ -403,7 +400,7 @@ def load_bundle(path) -> SyntheticBundle:
                          "the vocab labels")
     corpus = load_script_corpus(file("corpus"))
     meta = read_json("sequences.json")
-    obs = np.load(file("observations.npy"))
+    obs = read_npy(file("observations.npy"))
     rows = len(vocab) if cfg.mode == "scores" else cfg.feature_dim
     if obs.ndim != 2 or obs.shape[0] != rows:
         raise ValueError(f"{file('observations.npy')}: shape {obs.shape}, "

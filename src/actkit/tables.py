@@ -1,20 +1,51 @@
-"""The table formats behind every load_*/save_* table of the package.
+"""The table formats behind every load_*/save_* table of the package,
+and the error boundary of every loader.
 
 Tables are UTF-8 CSV written by csv.writer; float cells, numpy floats
 included, carry 9 significant digits and other cells are written as
 they are.  The readers skip blank lines and raise ValueError prefixed
 with path:line for every malformed row.
+
+Every file loader of the package is wrapped in names_file: whatever
+goes wrong while it reads its input is a ValueError whose message
+starts with the file's path (tables and JSON lines add the line), and
+a file that cannot be opened is the OSError open raised.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import zipfile
 
 import numpy as np
 
 _FLOATS = (float, np.floating)
+_LOAD_ERRORS = (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile)
+
+
+def names_file(load):
+    """Decorate a loader load(path, ...) so that every error its input
+    causes names the file: a ValueError, TypeError, KeyError (shown by
+    its key), EOFError or BadZipFile is raised again as ValueError
+    prefixed with path, unless its message starts with path already
+    (path:line, or a file inside a path directory).  OSError passes."""
+    @functools.wraps(load)
+    def loader(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except _LOAD_ERRORS as exc:
+            name = f"{path}"
+            msg = str(exc.args[0] if isinstance(exc, KeyError) and exc.args
+                      else exc)
+            if not msg.startswith(name):
+                raise ValueError(f"{name}: {msg}") from exc
+            if not isinstance(exc, ValueError):
+                raise ValueError(msg) from exc
+            raise
+    return loader
 
 
 def write_table(path, rows, header=None) -> None:
@@ -112,3 +143,14 @@ def read_json_lines(path, fields):
             if missing:
                 raise ValueError(f"{path}:{ln}: missing fields {sorted(missing)}")
             yield ln, rec
+
+
+@names_file
+def read_npy(path) -> np.ndarray:
+    """The array of a .npy file; a .npz archive in its place raises
+    ValueError."""
+    with open(path, "rb") as fh:
+        data = np.load(fh)
+        if not isinstance(data, np.ndarray):
+            raise ValueError("expected a .npy array, got a .npz archive")
+    return data

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_json_lines, read_table, write_table
+from .tables import names_file, read_json_lines, read_table, write_table
 
 BASE_WINDOW = 30
 BASE_STEP = 6
@@ -332,6 +332,7 @@ def _score(cell) -> float:
     return v
 
 
+@names_file
 def load_detections_csv(path) -> list:
     _, rows = read_table(path, (str, str, int, int, _score), _DETECTION_HEADER)
     out = []
@@ -339,8 +340,8 @@ def load_detections_csv(path) -> list:
         try:
             out.append(Detection(*row))
         except ValueError as exc:
-            raise ValueError(f"{path}: row {','.join(map(str, row))}: "
-                             f"{exc}") from None
+            raise ValueError(f"row {','.join(map(str, row))}: {exc}") \
+                from None
     return out
 
 
@@ -351,6 +352,7 @@ def save_segments_jsonl(segments, path) -> None:
                                  "score": s.score}) + "\n")
 
 
+@names_file
 def load_segments_jsonl(path) -> list:
     """Read segment JSON lines; errors are prefixed with path:line."""
     out = []

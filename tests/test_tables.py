@@ -1,24 +1,40 @@
 """The shared CSV table format: golden bytes of every writer, malformed
 input rejected by every loader with path:line, and csv used in one
-module only."""
+module only.  The error boundary: every loader's error names its file,
+on the command line too, and no loader goes without it."""
 
+import importlib
+import json
 import pathlib
+import pkgutil
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from actkit import tables
-from actkit.composites import save_predictions_csv
-from actkit.corpus import (AttributeVocab, WeightMatrix, load_vocab,
-                           load_weights_csv, save_vocab, save_weights_csv)
-from actkit.posefeat import (PARTS, JointTrackSet, load_tracks_csv,
-                             save_tracks_csv)
-from actkit.psinfer import (HandHypothesisSet, load_hand_hypotheses_csv,
-                            load_placements_csv, save_hand_hypotheses_csv,
-                            save_placements_csv)
-from actkit.temporal import (Detection, load_detections_csv,
-                             load_segments_jsonl, save_detections_csv)
+import actkit
+from actkit import cli, tables
+from actkit.attributes import (TrainConfig, load_annotations,
+                               load_models_npz, save_annotations,
+                               save_models_npz, train_linear_ova)
+from actkit.composites import (PstConfig, load_pst_config,
+                               save_pst_config, save_predictions_csv)
+from actkit.corpus import (AttributeVocab, ScriptCorpus, WeightMatrix,
+                           load_lexicon, load_script_corpus, load_vocab,
+                           load_weights_csv, save_script_corpus, save_vocab,
+                           save_weights_csv)
+from actkit.posefeat import (PARTS, JointTrackSet, build_codebook_set,
+                             load_codebook_set, load_tracks_csv,
+                             save_codebook_set, save_tracks_csv)
+from actkit.psinfer import (HandHypothesisSet, load_grids,
+                            load_hand_hypotheses_csv, load_placements_csv,
+                            save_hand_hypotheses_csv, save_placements_csv)
+from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
+    save_bundle
+from actkit.temporal import (Detection, Segment, load_detections_csv,
+                             load_segments_jsonl, save_detections_csv,
+                             save_segments_jsonl)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "actkit"
 
@@ -203,3 +219,299 @@ def test_csv_is_imported_by_tables_only():
                    if re.search(r"^\s*(import csv|from csv import)",
                                 p.read_text(encoding="utf-8"), re.M))
     assert users == ["tables.py"]
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: whatever a loader's input does wrong, the ValueError
+# starts with the file's path, and the command that reads it exits 2
+
+
+def _models(path):
+    """A model file over 3-bin histograms with the one label a0."""
+    X = np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0],
+                  [0.0, 1.0, 0.0], [0.1, 0.0, 0.9]])
+    save_models_npz(train_linear_ova(X, [{"a0"}, {"a0"}, set(), set()],
+                                     ("a0",), TrainConfig(epochs=50)), path)
+
+
+def _annotations(path):
+    save_annotations([{"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c"}], path)
+
+
+def _corpus(path):
+    save_script_corpus(ScriptCorpus({"salad": [["wash the cucumber"]]}),
+                       path)
+
+
+def _codebooks(path):
+    rng = np.random.default_rng(5)
+    save_codebook_set(build_codebook_set({(20, "a"): rng.normal(
+        size=(10, 2))}), path)
+
+
+def _table(name):
+    """The good rows of LOADERS[name] as a file writer."""
+    _, header, rows, _, _ = LOADERS[name]
+    return lambda path: path.write_text(
+        "\n".join(([header] if header else []) + rows) + "\n")
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _text(text):
+    return lambda path: path.write_text(text)
+
+
+def _npz(**arrays):
+    """Rewrite an npz file with arrays replaced, or dropped where None."""
+    def corrupt(path):
+        with np.load(path) as data:
+            out = {key: data[key] for key in data.files}
+        for key, value in arrays.items():
+            if value is None:
+                del out[key]
+            else:
+                out[key] = np.asarray(value)
+        np.savez(path, **out)
+    return corrupt
+
+
+def _npy(value):
+    def corrupt(path):
+        with open(path, "wb") as fh:
+            np.save(fh, value)
+    return corrupt
+
+
+def _as_npz(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.ones((2, 3, 3)))
+
+
+def _inside(name, corrupt):
+    """Corrupt the file name inside a directory."""
+    return lambda path: corrupt(path / name)
+
+
+def _bundle(path):
+    save_bundle(gen_synthetic(SyntheticConfig(seed=4, t_range=(3, 4))), path)
+
+
+def _ok(tmp_path, name):
+    """A good input for loader name in tmp_path, for the command lines."""
+    path = tmp_path / f"ok_{BOUNDARY[name][1]}"
+    BOUNDARY[name][2](path)
+    return str(path)
+
+
+def _line(record, **fields):
+    return _text(json.dumps({**record, **fields}) + "\n")
+
+
+_ANNOTATION = {"video": "v", "start_frame": 0, "end_frame": 29,
+               "attributes": ["a0"], "composite": "c"}
+
+# loader, file name, good file writer, command line reading the file
+# (None: no command reads it alone) with its exit code, corruptions
+BOUNDARY = {
+    "models": (load_models_npz, "m.npz", _models, lambda t, p: (
+        ["detect", "--counts", _ok(t, "counts"), "--models", p,
+         "--attribute", "a0", "--output", str(t / "d.csv")], 2), {
+        "empty": _empty, "truncated": _truncated,
+        "labels a number": _npz(labels="5"),
+        "labels a string": _npz(labels='"a0"'),
+        "npy archive": _npy(np.ones(3)),
+        "skipped not pairs": _npz(skipped="[1]"),
+        "config a list": _npz(config="[1]"),
+        "labels missing": _npz(labels=None),
+        "feature_dim missing": _npz(feature_dim=None),
+        "w_0 wrong shape": _npz(w_0=np.ones(2)),
+        "w_0 NaN": _npz(w_0=np.full(3, np.nan))}),
+    "counts": (cli._load_integral, "c.npy", _npy(np.ones((60, 3))),
+               lambda t, p: (["detect", "--counts", p, "--models",
+                              _ok(t, "models"), "--attribute", "a0",
+                              "--output", str(t / "d.csv")], 2), {
+        "empty": _empty, "truncated": _truncated, "npz": _as_npz,
+        "wrong shape": _npy(np.ones(60)),
+        "NaN": _npy(np.full((60, 3), np.nan))}),
+    "grids": (load_grids, "g.npy", _npy(np.ones((10, 4, 4))), lambda t, p: (
+        ["pose-infer", "--grids", p, "--output", str(t / "p.csv"),
+         "--scale", "0.05"], 2), {
+        "empty": _empty, "truncated": _truncated, "npz": _as_npz,
+        "wrong shape": _npy(np.ones((4, 4))),
+        "NaN": _npy(np.full((10, 4, 4), np.nan))}),
+    "annotations": (load_annotations, "a.jsonl", _line(_ANNOTATION),
+                    lambda t, p: (["eval", "--detections",
+                                   _ok(t, "detections"), "--annotations", p,
+                                   "--output", str(t / "r.json")], 2), {
+        "non-UTF-8": _non_utf8, "not an object": _text("[1]\n"),
+        "attributes a string": _line(_ANNOTATION, attributes="ab"),
+        "attribute not a string": _line(_ANNOTATION, attributes=[1]),
+        "end_frame a string": _line(_ANNOTATION, end_frame="x"),
+        "start_frame a bool": _line(_ANNOTATION, start_frame=True),
+        "start_frame NaN": _line(_ANNOTATION, start_frame=float("nan")),
+        "video a number": _line(_ANNOTATION, video=5),
+        "composite missing": _text('{"video": "v"}\n')}),
+    "detections": (load_detections_csv, "d.csv", _table("detections"),
+                   lambda t, p: (["eval", "--detections", p,
+                                  "--annotations", _ok(t, "annotations"),
+                                  "--output", str(t / "r.json")], 2), {
+        "non-UTF-8": _non_utf8, "empty": _empty,
+        "NaN": _text("video,attribute,start,end,score\nv,a,0,9,nan\n"),
+        "backwards": _text("video,attribute,start,end,score\nv,a,9,0,1\n")}),
+    "corpus": (load_script_corpus, "corpus", _corpus, lambda t, p: (
+        ["mine-scripts", "--corpus", p, "--vocab", _ok(t, "vocab"),
+         "--output", str(t / "w.csv")], 2), {
+        "no scenarios": lambda p: shutil.rmtree(p / "salad"),
+        "empty sequence": _inside("salad/seq000.txt", _empty),
+        "non-UTF-8 sequence": _inside("salad/seq000.txt", _non_utf8)}),
+    "vocab": (load_vocab, "v.csv", _table("vocab"), lambda t, p: (
+        ["mine-scripts", "--corpus", _ok(t, "corpus"), "--vocab", p,
+         "--output", str(t / "w.csv")], 2), {
+        "non-UTF-8": _non_utf8, "unknown kind": _text("wash,verb\n")}),
+    "lexicon": (load_lexicon, "lex.tsv", _text("wash\tverb\trinse\n"),
+                lambda t, p: (["mine-scripts", "--corpus", _ok(t, "corpus"),
+                               "--vocab", _ok(t, "vocab"), "--lexicon", p,
+                               "--output", str(t / "w.csv")], 2), {
+        "non-UTF-8": _non_utf8, "two fields": _text("wash\tverb\n")}),
+    "bundle": (load_bundle, "bundle", _bundle, lambda t, p: (
+        ["train-attributes", "--bundle", p, "--output", str(t / "m.npz")],
+        2), {
+        "config a list": _inside("config.json", _text("[1]")),
+        "config non-UTF-8": _inside("config.json", _non_utf8),
+        "sequences an object": _inside("sequences.json", _text("{}")),
+        "intervals not lists": _inside("sequences.json", lambda p: p.write_text(
+            json.dumps([{**m, "intervals": 5} for m in json.loads(
+                p.read_text())]))),
+        "observations empty": _inside("observations.npy", _empty),
+        "observations truncated": _inside("observations.npy", _truncated),
+        "observations an npz archive": _inside("observations.npy", _as_npz),
+        "vocab non-UTF-8": _inside("vocab.csv", _non_utf8),
+        "weights NaN": _inside("weights.csv", lambda p: p.write_text(
+            re.sub(r",[0-9.e-]+\r?\n", ",nan\n", p.read_text(), count=1))),
+        "annotations attributes a string": _inside(
+            "annotations.jsonl", lambda p: p.write_text(p.read_text().replace(
+                '"attributes": [', '"attributes": "ab", "x": [', 1)))}),
+    "pst config": (load_pst_config, "pst.conf",
+                   lambda p: save_pst_config(PstConfig(), p),
+                   lambda t, p: (["classify-composites", "--bundle",
+                                  str(t / "none"), "--output", str(t / "o"),
+                                  "--mode", "pst", "--pst-config", p], 1), {
+        "non-UTF-8": _non_utf8, "NaN alpha": _text("alpha = nan\n"),
+        "k not an integer": _text("k = 1.5\n")}),
+    "weights": (load_weights_csv, "w.csv", _table("weights"), None, {
+        "empty": _empty, "non-UTF-8": _non_utf8,
+        "no rows": _text("composite,wash\n")}),
+    "tracks": (load_tracks_csv, "t.csv", _table("tracks"), None, {
+        "truncated": _truncated, "non-UTF-8": _non_utf8,
+        "missing part": _text("frame,part,x,y\n0,head,1,2\n")}),
+    "hand hypotheses": (load_hand_hypotheses_csv, "h.csv",
+                        _table("hand_hypotheses"), None, {
+        "NaN": _text("x,y,score\n1,nan,0.5\n"), "non-UTF-8": _non_utf8}),
+    "placements": (load_placements_csv, "pl.csv", _table("placements"),
+                   None, {"non-UTF-8": _non_utf8,
+                          "float cell": _text("part,x,y\nhead,1.5,2\n")}),
+    "segments": (load_segments_jsonl, "s.jsonl",
+                 lambda p: save_segments_jsonl([Segment(0, 9, 0.5)], p),
+                 None, {"non-UTF-8": _non_utf8, "not an object": _text("1\n"),
+                        "NaN start": _text('{"start": NaN, "end": 1}\n')}),
+    "codebooks": (load_codebook_set, "cb.npz", _codebooks, None, {
+        "empty": _empty, "truncated": _truncated,
+        "npy archive": _npy(np.ones(3)),
+        "header not JSON": _npz(header="["),
+        "header not a list": _npz(header='{"a": 1}'),
+        "header missing": _npz(header=None),
+        "entry not an object": _npz(header="[1]"),
+        "entry lacks sub_feature": _npz(header=json.dumps(
+            [{"length": 20, "dim": 2, "size": 4, "seed": 0}])),
+        "size and dim not the centres'": _npz(header=json.dumps(
+            [{"length": 20, "sub_feature": "a", "dim": 3, "size": 2,
+              "seed": 0}])),
+        "entry repeats a block": _npz(header=json.dumps(
+            [{"length": 20, "sub_feature": "a", "dim": 2, "size": 4,
+              "seed": 0}] * 2), centers_1=np.zeros((4, 2))),
+        "centres missing": _npz(centers_0=None),
+        "centres NaN": _npz(centers_0=np.full((4, 2), np.nan)),
+        "centres not numbers": _npz(centers_0=np.full((4, 2), "a"))}),
+}
+
+
+def _boundary_cases(cli_only=False):
+    for name, (load, fname, make, command, corrupt) in BOUNDARY.items():
+        if cli_only and command is None:
+            continue
+        for case, fn in corrupt.items():
+            yield pytest.param(name, fn, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("name, corrupt", _boundary_cases())
+def test_loader_error_names_its_file(tmp_path, name, corrupt):
+    load, fname, make, _, _ = BOUNDARY[name]
+    path = tmp_path / fname
+    make(path)
+    load(path)
+    corrupt(path)
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(str(path)), str(err.value)
+
+
+@pytest.mark.parametrize("name, corrupt", _boundary_cases(cli_only=True))
+def test_command_error_names_the_file(tmp_path, capsys, name, corrupt):
+    _, fname, make, command, _ = BOUNDARY[name]
+    path = tmp_path / fname
+    make(path)
+    corrupt(path)
+    argv, code = command(tmp_path, str(path))
+    assert cli.main(argv) == code
+    assert f"error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_missing_file_is_an_os_error(tmp_path, name):
+    with pytest.raises(OSError):
+        BOUNDARY[name][0](tmp_path / "missing" / BOUNDARY[name][1])
+
+
+def test_key_error_shows_its_key(tmp_path):
+    @tables.names_file
+    def load(path):
+        return {}["labels"]
+
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: "
+                                         "labels$"):
+        load(tmp_path)
+
+
+def _is_boundary(fn):
+    """fn is a loader wrapped by tables.names_file: every wrapper shares
+    the code of the one inner function."""
+    return getattr(fn, "__code__", None) is tables.names_file(len).__code__
+
+
+def test_every_loader_sits_behind_the_boundary():
+    unwrapped = []
+    for info in pkgutil.iter_modules(actkit.__path__):
+        module = importlib.import_module(f"actkit.{info.name}")
+        for attr, fn in vars(module).items():
+            if (attr.startswith("load_") and callable(fn)
+                    and not _is_boundary(fn)):
+                unwrapped.append(f"{info.name}.{attr}")
+    assert unwrapped == ["experiment.load_config"]
+    assert _is_boundary(cli._load_integral)
+    # the benchmark's traced run wraps these two by module attribute
+    from actkit import experiment
+    assert _is_boundary(cli.load_models_npz)
+    assert _is_boundary(experiment.load_bundle)
