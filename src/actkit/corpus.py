@@ -128,13 +128,6 @@ class ScriptCorpus:
                         f"scenario {sid!r} sequence {si} has no non-empty step"
                     )
 
-    def tokenized(self) -> dict:
-        """Same nesting with every step replaced by its token list."""
-        return {
-            sid: [[tokenize_document(step) for step in steps] for steps in seqs]
-            for sid, seqs in self.scenarios.items()
-        }
-
 
 @dataclass
 class WeightMatrix:
@@ -171,7 +164,15 @@ def _label_tokens(label: str) -> tuple:
     return tuple(normalize_label(label).split())
 
 
-def match_count(label, tokens, lexicon=None, kind=None) -> int:
+def token_positions(tokens) -> dict:
+    """Map each token to the ascending list of its positions in tokens."""
+    index = {}
+    for i, tok in enumerate(tokens):
+        index.setdefault(tok, []).append(i)
+    return index
+
+
+def match_count(label, tokens, lexicon=None, kind=None, index=None) -> int:
     """Count non-overlapping occurrences of an attribute label in tokens.
 
     Multi-word labels match as contiguous token n-grams; the scan is
@@ -182,8 +183,10 @@ def match_count(label, tokens, lexicon=None, kind=None) -> int:
     label absent from it, matching is literal.
 
     Only positions holding some pattern's first token can start a
-    match, so they are found with list.index and walked in order; the
-    count equals that of trying every pattern at every position.
+    match.  They are read from index, the token_positions of tokens
+    (built here when not given, so callers counting many labels in one
+    document build it once), and walked in order; the count equals
+    that of trying every pattern at every position.
     """
     patterns = [_label_tokens(label)]
     if not patterns[0]:
@@ -201,16 +204,9 @@ def match_count(label, tokens, lexicon=None, kind=None) -> int:
     for pat in patterns:
         by_first.setdefault(pat[0], []).append(list(pat))
     toks = tokens if isinstance(tokens, list) else list(tokens)
-    starts = []
-    for first in by_first:
-        i = -1
-        try:
-            while True:
-                i = toks.index(first, i + 1)
-                starts.append(i)
-        except ValueError:
-            pass
-    starts.sort()
+    if index is None:
+        index = token_positions(toks)
+    starts = sorted(i for first in by_first for i in index.get(first, ()))
     count = 0
     cursor = 0
     for i in starts:
@@ -225,27 +221,31 @@ def match_count(label, tokens, lexicon=None, kind=None) -> int:
 
 
 def build_documents(corpus: ScriptCorpus) -> dict:
-    """Concatenate all sequences of each scenario into one token document."""
-    docs = {}
-    for sid, seqs in corpus.tokenized().items():
-        doc = []
-        for steps in seqs:
-            for step in steps:
-                doc.extend(step)
-        docs[sid] = doc
-    return docs
+    """Concatenate all sequences of each scenario into one token document.
+
+    A scenario is tokenized in one call, its steps joined by newlines:
+    a newline ends every token and, being neither cased nor
+    case-ignorable, keeps str.lower's final-sigma rule inside a step,
+    so the document equals the concatenated token lists of its steps.
+    """
+    return {sid: tokenize_document("\n".join(step for steps in seqs
+                                             for step in steps))
+            for sid, seqs in corpus.scenarios.items()}
 
 
 def freq_weights(documents, vocab: AttributeVocab,
                  lexicon=None) -> WeightMatrix:
     """Raw attribute match counts per document (unnormalized weights);
-    lexicon synonyms count when a lexicon is given."""
+    lexicon synonyms count when a lexicon is given.  Each document's
+    token_positions are built once and shared by all its labels."""
     comps = tuple(documents.keys())
     values = np.zeros((len(comps), len(vocab)), dtype=float)
     for z, cid in enumerate(comps):
-        doc = documents[cid]
+        doc = list(documents[cid])
+        index = token_positions(doc)
         for i, (label, kind) in enumerate(vocab):
-            values[z, i] = match_count(label, doc, lexicon, kind)
+            values[z, i] = match_count(label, doc, lexicon, kind,
+                                       index=index)
     return WeightMatrix(values, comps, vocab.labels)
 
 

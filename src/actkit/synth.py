@@ -372,6 +372,12 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
             np.concatenate(blocks, axis=1))
 
 
+def _int_pairs(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2
+        and type(pair[0]) is int and type(pair[1]) is int for pair in value)
+
+
 @names_file
 def load_bundle(path) -> SyntheticBundle:
     """Read a bundle written by save_bundle.  Errors name the file inside
@@ -400,6 +406,9 @@ def load_bundle(path) -> SyntheticBundle:
                          "the vocab labels")
     corpus = load_script_corpus(file("corpus"))
     meta = read_json("sequences.json")
+    if not isinstance(meta, list):
+        raise ValueError(f"{file('sequences.json')}: expected a list of "
+                         "sequence entries")
     obs = read_npy(file("observations.npy"))
     rows = len(vocab) if cfg.mode == "scores" else cfg.feature_dim
     if obs.ndim != 2 or obs.shape[0] != rows:
@@ -429,6 +438,10 @@ def load_bundle(path) -> SyntheticBundle:
         block = obs[:, offset:offset + T]
         offset += T
         recs = sorted(by_video.get(sid, []), key=lambda r: r["start_frame"])
+        if not _int_pairs(m["intervals"]):
+            raise ValueError(f"{file('sequences.json')}: sequence {sid!r} "
+                             "intervals must be a list of [start, end] "
+                             "integer pairs")
         intervals = tuple(tuple(iv) for iv in m["intervals"])
         if len(recs) != T or tuple((r["start_frame"], r["end_frame"])
                                    for r in recs) != intervals:

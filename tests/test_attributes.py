@@ -5,6 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from actkit import attributes
 from actkit.attributes import (
     DEFAULT_FLOOR,
     STACK_MODES,
@@ -722,3 +723,98 @@ def test_annotations_bad_line_names_file_and_line(tmp_path, line, words):
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")) as err:
         load_annotations(path)
     assert words in str(err.value)
+
+
+def _record(**fields):
+    return json.dumps({"video": "v", "start_frame": 0, "end_frame": 29,
+                       "attributes": ["a0"], "composite": "c", **fields},
+                      ensure_ascii=False)
+
+
+def test_annotations_one_parse_equals_line_reader(tmp_path):
+    recs = [{"video": f"v{i % 3}", "start_frame": 30 * i,
+             "end_frame": 30 * i + 29, "attributes": ["a1", "a0"][:i % 3],
+             "composite": "c,{}"} for i in range(40)]
+    path = tmp_path / "ann.jsonl"
+    save_annotations(recs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    # blank lines anywhere, whitespace around records, CRLF endings
+    path.write_text("\n \t\n" + "".join(lines[:20]) + "\n\n"
+                    + "".join(" " + ln.rstrip("\n") + "\t\r\n"
+                              for ln in lines[20:]) + "  \n")
+    fast = attributes._good_annotations(path)
+    assert fast is not None
+    assert fast == attributes._annotations_by_line(path)
+    assert load_annotations(path) == fast
+    assert [r["end_frame"] for r in fast] == [30 * i + 29 for i in range(40)]
+
+
+def test_annotations_two_objects_pattern_in_a_string(tmp_path):
+    # a valid file the one parse declines still loads, line by line
+    path = tmp_path / "ann.jsonl"
+    path.write_text(_record(composite="x}, {y\u2028") + "\n"
+                    + _record() + "\n", encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert attributes._good_annotations(path) is None
+    assert [r["composite"] for r in load_annotations(path)] == \
+        ["x}, {y\u2028", "c"]
+
+
+def test_annotations_split_record_beside_two_objects(tmp_path):
+    # joined into one array, these three lines parse as three valid
+    # records; the per-line reader rejects the first line
+    lines = [_record() + "," + _record(), *_SPLIT]
+    joined = json.loads("[" + ",".join(lines) + "]")
+    assert len(joined) == 3
+    assert not any(attributes._annotation_error(r) for r in joined)
+    path = tmp_path / "ann.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert attributes._good_annotations(path) is None
+
+
+def _json_error(line):
+    """The error json.loads gives for line as the per-line reader reads
+    it, newline included."""
+    try:
+        json.loads(line + "\n")
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{line!r} parses")
+
+
+# a record split over two lines, in the middle of its attribute list
+_SPLIT = ['{"video": "v", "start_frame": 0, "end_frame": 29, '
+          '"attributes": ["a0"', '"a1"], "composite": "c"}']
+
+
+@pytest.mark.parametrize("lines, bad, message", [
+    ([_record(), _record() + _record()], 2,
+     _json_error(_record() + _record())),
+    ([_record(), _record() + ", " + _record()], 2,
+     _json_error(_record() + ", " + _record())),
+    ([_record() + "," + _record(), *_SPLIT], 1,
+     _json_error(_record() + "," + _record())),
+    ([_record(), *_SPLIT], 2, _json_error(_SPLIT[0])),
+    ([_record(), _record() + ",", _record()], 2,
+     _json_error(_record() + ",")),
+    ([_record(), "[1]"], 2, "expected a JSON object, got list"),
+    ([_record(), "1"], 2, "expected a JSON object, got int"),
+    (["\ufeff" + _record(), _record()], 1, _json_error("\ufeff" + _record())),
+    ([_record(), '{"video": "v", "start_frame": 0, "end_frame": 29, '
+      '"attributes": []}'], 2, "missing fields ['composite']"),
+    ([_record(), _record(start_frame="0")], 2,
+     "start_frame and end_frame must be integers"),
+    ([_record(), _record(attributes=["a0", 1])], 2,
+     "attributes must be a list of strings"),
+], ids=["two objects", "two objects and a comma",
+        "split record beside two objects", "split record", "trailing comma",
+        "list", "number", "BOM", "missing field", "start_frame a string",
+        "attribute a number"])
+def test_annotations_malformed_file_names_its_line(tmp_path, lines, bad,
+                                                   message):
+    path = tmp_path / "ann.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert attributes._good_annotations(path) is None
+    with pytest.raises(ValueError) as err:
+        load_annotations(path)
+    assert str(err.value) == f"{path}:{bad}: {message}"

@@ -43,3 +43,24 @@ def test_models_trained_counts_the_trained_labels(monkeypatch):
         model_set = attributes.train_linear_ova(X, sets, ("a0", "a1", "ghost"))
     assert [a for a, _ in model_set.skipped] == ["ghost"]
     assert tracer.counts["attributes.models_trained"] == 2
+
+
+def test_mining_counts_one_match_call_per_document_label(monkeypatch):
+    # the traced run counts corpus.match_calls and corpus.tokens at the
+    # module attribute corpus.match_count, reading the document's token
+    # list from its second positional argument
+    tracer = _tracing(monkeypatch).Tracer()
+    from actkit import corpus
+    docs = corpus.build_documents(corpus.ScriptCorpus({
+        "salad": [["wash the cucumber", "cut it on the board"],
+                  ["wash the board"]],
+        "tea": [["boil water", "pour water"]],
+        "sandwich": [["cut the bread on the board"]]}))
+    vocab = corpus.AttributeVocab.from_pairs([
+        ("wash", "activity"), ("cut", "activity"), ("boil", "activity"),
+        ("board", "object"), ("water", "object"), ("cutting board", "object")])
+    with tracer.install():
+        corpus.tfidf_weights(docs, vocab)
+    assert tracer.counts["corpus.match_calls"] == len(docs) * len(vocab)
+    assert tracer.counts["corpus.tokens"] == \
+        sum(map(len, docs.values())) * len(vocab)

@@ -183,6 +183,70 @@ def test_match_count_scan_oracle_edge_cases():
         assert match_count(label, (t for t in toks), lex, kind) == want
 
 
+def _oracle_documents(rng, n):
+    alphabet = ["cut", "up", "the", "board", "slice", "cutting", "pan", "x"]
+    return {f"d{d}": [rng.choice(alphabet)
+                      for _ in range(rng.randrange(0, 60))]
+            for d in range(n)}
+
+
+@pytest.mark.parametrize("mode", ["literal", "synonym"])
+def test_weights_equal_scan_oracle(mode):
+    rng = random.Random(11)
+    lex = _ORACLE_LEXICON if mode == "synonym" else None
+    vocab = AttributeVocab.from_pairs(_ORACLE_LABELS)
+    for n in (1, 2, 5, 12):
+        docs = _oracle_documents(rng, n)
+        want = np.array([[_scan_match_count(label, doc, lex, kind)
+                          for label, kind in vocab] for doc in docs.values()],
+                        dtype=float).reshape(n, len(vocab))
+        assert np.array_equal(freq_weights(docs, vocab, lex).values, want)
+        once = {cid: iter(doc) for cid, doc in docs.items()}
+        assert np.array_equal(freq_weights(once, vocab, lex).values, want)
+        df = (want > 0).sum(axis=0)
+        idf = np.array([np.log(n / d) if d else 0.0 for d in df])
+        assert np.array_equal(tfidf_weights(docs, vocab, lex).values,
+                              want * idf)
+
+
+@pytest.mark.parametrize("mode", ["literal", "synonym"])
+def test_match_count_given_index_equals_its_own(mode):
+    rng = random.Random(13)
+    lex = _ORACLE_LEXICON if mode == "synonym" else None
+    for toks in _oracle_documents(rng, 100).values():
+        index = corpus.token_positions(toks)
+        assert all(index[t] == [i for i, u in enumerate(toks) if u == t]
+                   for t in toks)
+        for label, kind in _ORACLE_LABELS:
+            assert match_count(label, toks, lex, kind, index=index) == \
+                match_count(label, toks, lex, kind)
+
+
+def test_build_documents_equals_tokenized_steps():
+    # final sigma: "Σ" lower-cases to "ς" after a cased letter unless a
+    # cased letter follows, so steps ending or starting with it would
+    # change if their neighbours' letters leaked into the rule
+    fixed = [["ΟΔΟΣ", "Σοφια", "", "...", "-", "ΑΣ", "Σ", "ab-Σ", "Σ-ab"],
+             ["x ΑΣ'", "'Σα", "(ΑΣ)", "!?", "  ", "cut-up the board."]]
+    pieces = ["Cut", "the", "board", "-", "x-ray", "...", "!", "Σ", "ΑΣ",
+              "ΣΑ", "ς", "'", "(", ")", "up", "Ά", "Wash,", "\t", ""]
+    rng = random.Random(17)
+    scenarios = {"fixed": fixed}
+    for z in range(20):
+        scenarios[f"s{z}"] = [
+            ["".join(rng.choice(pieces) + rng.choice(["", " ", "-", "  "])
+                     for _ in range(rng.randrange(0, 6)))
+             for _ in range(rng.randrange(1, 6))] + ["step"]
+            for _ in range(rng.randrange(1, 4))]
+    docs = build_documents(ScriptCorpus(scenarios))
+    assert list(docs) == list(scenarios)
+    for sid, seqs in scenarios.items():
+        assert docs[sid] == [tok for steps in seqs for step in steps
+                             for tok in tokenize_document(step)]
+    assert docs["fixed"][:2] == ["οδος", "σοφια"]
+    assert "ας" in docs["fixed"] and "σ" in docs["fixed"]
+
+
 def _toy_documents():
     # three composites; "board" appears in two documents
     corpus_obj = ScriptCorpus({

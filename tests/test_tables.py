@@ -301,8 +301,12 @@ def _as_npz(path):
 
 
 def _inside(name, corrupt):
-    """Corrupt the file name inside a directory."""
-    return lambda path: corrupt(path / name)
+    """Corrupt the file name inside a directory; the loader's error must
+    name that file."""
+    def corrupt_inside(path):
+        corrupt(path / name)
+    corrupt_inside.file = name
+    return corrupt_inside
 
 
 def _bundle(path):
@@ -334,6 +338,10 @@ BOUNDARY = {
         "labels a string": _npz(labels='"a0"'),
         "npy archive": _npy(np.ones(3)),
         "skipped not pairs": _npz(skipped="[1]"),
+        "skipped a string": _npz(skipped='["ab"]'),
+        "skipped pair of one": _npz(skipped='[["a0"]]'),
+        "skipped reason a number": _npz(skipped='[["a0", 1]]'),
+        "skipped an object": _npz(skipped='{"a0": "r"}'),
         "config a list": _npz(config="[1]"),
         "labels missing": _npz(labels=None),
         "feature_dim missing": _npz(feature_dim=None),
@@ -465,7 +473,24 @@ def test_loader_error_names_its_file(tmp_path, name, corrupt):
     corrupt(path)
     with pytest.raises(ValueError) as err:
         load(path)
-    assert str(err.value).startswith(str(path)), str(err.value)
+    named = path / getattr(corrupt, "file", "")
+    assert str(err.value).startswith(str(named)), str(err.value)
+
+
+@pytest.mark.parametrize("intervals", [
+    5, [5], [[0]], [[0, 29, 30]], [[0, "29"]], [[0.0, 29]], [[True, 29]],
+    [{"start": 0, "end": 29}]], ids=json.dumps)
+def test_bundle_intervals_error_names_sequence(tmp_path, intervals):
+    _bundle(tmp_path)
+    path = tmp_path / "sequences.json"
+    meta = json.loads(path.read_text())
+    meta[1]["intervals"] = intervals
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(path))}: sequence "
+            f"{re.escape(repr(meta[1]['sequence_id']))} intervals must be "
+            r"a list of \[start, end\] integer pairs$")):
+        load_bundle(tmp_path)
 
 
 @pytest.mark.parametrize("name, corrupt", _boundary_cases(cli_only=True))
