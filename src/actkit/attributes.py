@@ -15,12 +15,12 @@ target attribute removed).
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import names_file, read_json_lines
+from .tables import (INT, STR, STR_PAIRS, STRS, check_records, names_file,
+                     parse_json, read_json_lines)
 
 DEFAULT_FLOOR = -10.0
 
@@ -288,17 +288,6 @@ def save_models_npz(model_set: LinearModelSet, path) -> None:
     np.savez(path, **arrays)
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _json_field(name, raw):
-    try:
-        return json.loads(str(raw))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad {name}: {exc}") from None
-
-
 @names_file
 def load_models_npz(path) -> LinearModelSet:
     """Read a model file written by save_models_npz.
@@ -317,20 +306,16 @@ def load_models_npz(path) -> LinearModelSet:
             raise ValueError("model file in the older format whose labels "
                              "need pickle to load; retrain the models to "
                              "rewrite it") from None
-        labels = _json_field("labels", raw_labels)
-        if not _strings(labels):
-            raise ValueError("bad labels: expected a list of strings")
-        config = _json_field("config", data["config"])
+        labels = parse_json(str(raw_labels), "labels")
+        skipped = parse_json(str(data["skipped"]), "skipped")
+        check_records([{"labels": labels, "skipped": skipped}],
+                      {"labels": STRS, "skipped": STR_PAIRS}, path)
+        config = parse_json(str(data["config"]), "config")
         try:
             cfg = TrainConfig(**{k: v for k, v in config.items()
                                  if k != "seed"})
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"bad config: {exc}") from None
-        skipped = _json_field("skipped", data["skipped"])
-        if not (isinstance(skipped, list) and all(
-                _strings(pair) and len(pair) == 2 for pair in skipped)):
-            raise ValueError("bad skipped: expected a list of "
-                             "[label, reason] string pairs")
         D = int(data["feature_dim"])
         trained = np.array([f"w_{i}" in data for i in range(len(labels))],
                            dtype=bool)
@@ -366,73 +351,12 @@ def save_annotations(records, path) -> None:
             }) + "\n")
 
 
-_ANNOTATION_FIELDS = frozenset(("video", "start_frame", "end_frame",
-                               "attributes", "composite"))
-# a "}", a comma and a "{" within one line
-_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
-
-
-def _annotation_error(rec):
-    """What is wrong with the fields of an annotation record, or None."""
-    if not (isinstance(rec["video"], str)
-            and isinstance(rec["composite"], str)):
-        return "video and composite must be strings"
-    start, end = rec["start_frame"], rec["end_frame"]
-    if type(start) is not int or type(end) is not int:
-        return "start_frame and end_frame must be integers"
-    if not _strings(rec["attributes"]):
-        return "attributes must be a list of strings"
-    if end < start:
-        return "end_frame before start_frame"
-    return None
-
-
-def _good_annotations(path):
-    """The records of a valid annotations file, decoded by one
-    json.loads of its non-blank lines joined into an array, or None for
-    any other file.
-
-    The joined parse equals the per-line one when it yields one object
-    per line and _TWO_OBJECTS matches no line.  Every top-level comma
-    of the array then sits between a "}" and a "{" of different lines,
-    so the commas are the joins and each line holds exactly one object.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        lines = [line for line in text.split("\n") if line.strip()]
-        records = json.loads("[" + ",".join(lines) + "]")
-    except ValueError:
-        return None
-    if len(records) != len(lines) or _TWO_OBJECTS.search(text):
-        return None
-    for rec in records:
-        if (type(rec) is not dict or not rec.keys() >= _ANNOTATION_FIELDS
-                or _annotation_error(rec)):
-            return None
-    return records
-
-
-def _annotations_by_line(path) -> list:
-    """The per-line reader: parses and checks one line at a time and
-    raises path:line at the first bad one."""
-    records = []
-    for ln, rec in read_json_lines(path, _ANNOTATION_FIELDS):
-        error = _annotation_error(rec)
-        if error:
-            raise ValueError(f"{path}:{ln}: {error}")
-        records.append(rec)
-    return records
-
-
 @names_file
 def load_annotations(path) -> list:
-    """Read annotation JSON lines; blank lines are skipped.  video and
-    composite are strings, the frames integers and attributes a list of
-    strings; a bad line is reported as path:line.
-
-    A valid file is decoded in one parse; any other goes through the
-    per-line reader, which finds the first bad line.
-    """
-    records = _good_annotations(path)
-    return _annotations_by_line(path) if records is None else records
+    """Read annotation JSON lines, skipping blank lines: string video and
+    composite, integers start_frame <= end_frame and a list of string
+    attributes; a bad line is reported as path:line."""
+    return read_json_lines(path, {"video": STR, "start_frame": INT,
+                                  "end_frame": INT, "attributes": STRS,
+                                  "composite": STR},
+                           span=("start_frame", "end_frame"))

@@ -202,6 +202,9 @@ def _cmd_pose_infer(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grids = load_grids(args.grids)
+    if len(grids) != len(graph.parts):
+        raise ValueError(f"{args.grids}: expected {len(graph.parts)} part "
+                         f"grids, got {len(grids)}")
     result = infer(grids, graph, mode=args.mode)
     if args.mode == "map":
         save_placements_csv(result.placements, args.output)

@@ -67,14 +67,16 @@ def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:           # not JSON, or not UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
     for key in ("data", "output"):
-        if key in cfg and isinstance(cfg[key], str) \
-                and not os.path.isabs(cfg[key]):
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ConfigError(f"{path}: {key} must be a path string, got "
+                              f"{cfg[key]!r}")
+        if key in cfg:                      # an absolute path stays as is
             cfg[key] = os.path.join(base, cfg[key])
     return cfg
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import finite_float, names_file, read_table, write_table
+from .tables import (INT, STR, finite_float, names_file, parse_json,
+                     read_table, write_table)
 
 PARTS = ("head", "torso", "r_shoulder", "l_shoulder", "r_elbow", "l_elbow",
          "r_wrist", "l_wrist", "r_hand", "l_hand")
@@ -621,24 +622,17 @@ def save_codebook_set(cbs: CodebookSet, path) -> None:
     np.savez(path, **arrays)
 
 
-_CODEBOOK_FIELDS = {"length", "sub_feature", "dim", "size", "seed"}
-
-
 @names_file
 def load_codebook_set(path) -> CodebookSet:
     """Read a file written by save_codebook_set: every header entry
     names its block, and its centers_<i> are finite and (size, dim)."""
     # np.load leaves a file it opened open when it is not a valid zip
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if not isinstance(header, list):
-            raise ValueError("header must be a JSON list")
-        codebooks, order = {}, []
+        header = parse_json(str(data["header"]), "header", {
+            "length": INT, "sub_feature": STR, "dim": INT, "size": INT,
+            "seed": INT})
+        codebooks = {}
         for i, entry in enumerate(header):
-            missing = sorted(_CODEBOOK_FIELDS - (
-                entry.keys() if isinstance(entry, dict) else set()))
-            if missing:
-                raise ValueError(f"header entry {i} lacks {missing}")
             key = (entry["length"], entry["sub_feature"])
             if key in codebooks:
                 raise ValueError(f"header entry {i} repeats block {key}")
@@ -649,5 +643,4 @@ def load_codebook_set(path) -> CodebookSet:
                                  f"{shape}, got {centers.shape}")
             codebooks[key] = Codebook(entry["sub_feature"], centers,
                                       entry["seed"])
-            order.append(key)
-    return CodebookSet(codebooks, tuple(order))
+    return CodebookSet(codebooks, tuple(codebooks))

@@ -31,7 +31,8 @@ from .corpus import (AttributeVocab, ScriptCorpus, WeightMatrix,
                      load_script_corpus, load_vocab, load_weights_csv,
                      normalize_l1, save_script_corpus, save_vocab,
                      save_weights_csv)
-from .tables import names_file, read_npy
+from .tables import (INT, INT_PAIRS, STR, names_file, one_of, read_json,
+                     read_npy)
 
 INTERVAL_SPAN = 60
 MENTION_BUDGET = 10
@@ -372,29 +373,16 @@ def save_bundle(bundle: SyntheticBundle, path) -> None:
             np.concatenate(blocks, axis=1))
 
 
-def _int_pairs(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(pair, list) and len(pair) == 2
-        and type(pair[0]) is int and type(pair[1]) is int for pair in value)
-
-
 @names_file
 def load_bundle(path) -> SyntheticBundle:
     """Read a bundle written by save_bundle.  Errors name the file inside
-    the bundle directory, and the sequence where there is one; the
-    sequences must tile the observation columns, each with annotations
-    matching its intervals."""
+    the bundle directory, and the entry or sequence where there is one;
+    the sequences must tile the observation columns, each with
+    annotations matching its intervals."""
     def file(name):
         return os.path.join(path, name)
 
-    def read_json(name):
-        try:
-            with open(file(name), encoding="utf-8") as fh:
-                return json.load(fh)
-        except ValueError as e:             # not JSON, or not UTF-8
-            raise ValueError(f"{file(name)}: invalid JSON: {e}") from None
-
-    raw = read_json("config.json")
+    raw = read_json(file("config.json"))
     try:
         cfg = SyntheticConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -405,10 +393,9 @@ def load_bundle(path) -> SyntheticBundle:
         raise ValueError(f"{file('weights.csv')}: attributes differ from "
                          "the vocab labels")
     corpus = load_script_corpus(file("corpus"))
-    meta = read_json("sequences.json")
-    if not isinstance(meta, list):
-        raise ValueError(f"{file('sequences.json')}: expected a list of "
-                         "sequence entries")
+    meta = read_json(file("sequences.json"), {
+        "sequence_id": STR, "composite": STR, "split": one_of(*SPLITS),
+        "intervals": INT_PAIRS, "offset": INT, "num_intervals": INT})
     obs = read_npy(file("observations.npy"))
     rows = len(vocab) if cfg.mode == "scores" else cfg.feature_dim
     if obs.ndim != 2 or obs.shape[0] != rows:
@@ -422,13 +409,7 @@ def load_bundle(path) -> SyntheticBundle:
         by_video.setdefault(rec["video"], []).append(rec)
     sequences = []
     offset = 0
-    keys = {"sequence_id", "composite", "split", "intervals", "offset",
-            "num_intervals"}
-    for i, m in enumerate(meta):
-        missing = sorted(keys - (m.keys() if isinstance(m, dict) else set()))
-        if missing:
-            raise ValueError(f"{file('sequences.json')}: entry {i} lacks "
-                             f"{missing}")
+    for m in meta:
         sid, T = m["sequence_id"], m["num_intervals"]
         if m["offset"] != offset or offset + T > obs.shape[1]:
             raise ValueError(f"{file('sequences.json')}: sequence {sid!r} "
@@ -437,11 +418,7 @@ def load_bundle(path) -> SyntheticBundle:
                              f"{offset} within {obs.shape[1]}")
         block = obs[:, offset:offset + T]
         offset += T
-        recs = sorted(by_video.get(sid, []), key=lambda r: r["start_frame"])
-        if not _int_pairs(m["intervals"]):
-            raise ValueError(f"{file('sequences.json')}: sequence {sid!r} "
-                             "intervals must be a list of [start, end] "
-                             "integer pairs")
+        recs = sorted(by_video.pop(sid, []), key=lambda r: r["start_frame"])
         intervals = tuple(tuple(iv) for iv in m["intervals"])
         if len(recs) != T or tuple((r["start_frame"], r["end_frame"])
                                    for r in recs) != intervals:
@@ -453,14 +430,11 @@ def load_bundle(path) -> SyntheticBundle:
             else {"features": block.T.copy()}
         sequences.append(SequenceData(sid, m["composite"], m["split"],
                                       intervals, attrs, **data))
-    known = {m["sequence_id"] for m in meta}
-    unknown = [video for video in by_video if video not in known]
-    if unknown:
+    if by_video:
         raise ValueError(f"{file('annotations.jsonl')}: video "
-                         f"{unknown[0]!r} is not in sequences.json")
+                         f"{next(iter(by_video))!r} is not in sequences.json")
     if offset != obs.shape[1]:
         raise ValueError(f"{file('observations.npy')}: {obs.shape[1]} "
                          f"columns, but the sequences cover {offset}")
-    composites = weights.composites
-    return SyntheticBundle(cfg, vocab, composites, weights, corpus,
+    return SyntheticBundle(cfg, vocab, weights.composites, weights, corpus,
                            tuple(sequences))

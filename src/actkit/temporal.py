@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import names_file, read_json_lines, read_table, write_table
+from .tables import (INT, NUMBER, names_file, read_json_lines, read_table,
+                     write_table)
 
 BASE_WINDOW = 30
 BASE_STEP = 6
@@ -354,12 +355,9 @@ def save_segments_jsonl(segments, path) -> None:
 
 @names_file
 def load_segments_jsonl(path) -> list:
-    """Read segment JSON lines; errors are prefixed with path:line."""
-    out = []
-    for ln, rec in read_json_lines(path, ("start", "end")):
-        try:
-            out.append(Segment(int(rec["start"]), int(rec["end"]),
-                               float(rec.get("score", 0.0))))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-    return out
+    """Read segment JSON lines: integers start <= end and a number score,
+    0 where left out; errors are prefixed with path:line."""
+    fields = {"start": INT, "end": INT,
+              "score": NUMBER._replace(required=False)}
+    return [Segment(rec["start"], rec["end"], rec.get("score", 0.0))
+            for rec in read_json_lines(path, fields, span=("start", "end"))]

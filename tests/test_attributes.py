@@ -5,7 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from actkit import attributes
+from actkit import attributes, tables
 from actkit.attributes import (
     DEFAULT_FLOOR,
     STACK_MODES,
@@ -642,7 +642,7 @@ def test_models_npz_bad_config_names_the_file(tmp_path, config, words):
 def test_models_npz_unparsable_json_names_the_file(tmp_path, key):
     path = _edited_model_file(tmp_path, key, lambda a: np.array("["))
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: bad {key}: Expecting value: line 1 column 2")):
+            f"{path}: {key}: invalid JSON: Expecting value: line 1 column 2")):
         load_models_npz(path)
 
 
@@ -731,7 +731,24 @@ def _record(**fields):
                       ensure_ascii=False)
 
 
-def test_annotations_one_parse_equals_line_reader(tmp_path):
+# the fields load_annotations asks tables.read_json_lines for
+_FIELDS = {"video": tables.STR, "start_frame": tables.INT,
+           "end_frame": tables.INT, "attributes": tables.STRS,
+           "composite": tables.STR}
+_SPAN = ("start_frame", "end_frame")
+
+
+def _line_walk(monkeypatch, path, fields, span):
+    """tables.read_json_lines with its one parse declined: the records
+    of the per-line reader."""
+    def decline(path):
+        raise ValueError("declined")
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "_one_parse", decline)
+        return tables.read_json_lines(path, fields, span)
+
+
+def test_annotations_one_parse_equals_line_reader(tmp_path, monkeypatch):
     recs = [{"video": f"v{i % 3}", "start_frame": 30 * i,
              "end_frame": 30 * i + 29, "attributes": ["a1", "a0"][:i % 3],
              "composite": "c,{}"} for i in range(40)]
@@ -742,9 +759,8 @@ def test_annotations_one_parse_equals_line_reader(tmp_path):
     path.write_text("\n \t\n" + "".join(lines[:20]) + "\n\n"
                     + "".join(" " + ln.rstrip("\n") + "\t\r\n"
                               for ln in lines[20:]) + "  \n")
-    fast = attributes._good_annotations(path)
-    assert fast is not None
-    assert fast == attributes._annotations_by_line(path)
+    fast = tables.check_records(tables._one_parse(path), _FIELDS, path, _SPAN)
+    assert fast == _line_walk(monkeypatch, path, _FIELDS, _SPAN)
     assert load_annotations(path) == fast
     assert [r["end_frame"] for r in fast] == [30 * i + 29 for i in range(40)]
 
@@ -755,7 +771,8 @@ def test_annotations_two_objects_pattern_in_a_string(tmp_path):
     path.write_text(_record(composite="x}, {y\u2028") + "\n"
                     + _record() + "\n", encoding="utf-8")
     assert "\u2028" in path.read_text(encoding="utf-8")
-    assert attributes._good_annotations(path) is None
+    with pytest.raises(ValueError, match="not one JSON value per line"):
+        tables._one_parse(path)
     assert [r["composite"] for r in load_annotations(path)] == \
         ["x}, {y\u2028", "c"]
 
@@ -766,19 +783,20 @@ def test_annotations_split_record_beside_two_objects(tmp_path):
     lines = [_record() + "," + _record(), *_SPLIT]
     joined = json.loads("[" + ",".join(lines) + "]")
     assert len(joined) == 3
-    assert not any(attributes._annotation_error(r) for r in joined)
+    tables.check_records(joined, _FIELDS, "joined", _SPAN)
     path = tmp_path / "ann.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    assert attributes._good_annotations(path) is None
+    with pytest.raises(ValueError, match="not one JSON value per line"):
+        tables._one_parse(path)
 
 
 def _json_error(line):
-    """The error json.loads gives for line as the per-line reader reads
-    it, newline included."""
+    """The per-line reader's message for line: the error json.loads gives
+    for it as read, newline included."""
     try:
         json.loads(line + "\n")
     except json.JSONDecodeError as exc:
-        return str(exc)
+        return f"invalid JSON: {exc}"
     raise AssertionError(f"{line!r} parses")
 
 
@@ -803,9 +821,9 @@ _SPLIT = ['{"video": "v", "start_frame": 0, "end_frame": 29, '
     ([_record(), '{"video": "v", "start_frame": 0, "end_frame": 29, '
       '"attributes": []}'], 2, "missing fields ['composite']"),
     ([_record(), _record(start_frame="0")], 2,
-     "start_frame and end_frame must be integers"),
+     "start_frame must be an integer, got '0'"),
     ([_record(), _record(attributes=["a0", 1])], 2,
-     "attributes must be a list of strings"),
+     "attributes must be a list of strings, got ['a0', 1]"),
 ], ids=["two objects", "two objects and a comma",
         "split record beside two objects", "split record", "trailing comma",
         "list", "number", "BOM", "missing field", "start_frame a string",
@@ -814,7 +832,8 @@ def test_annotations_malformed_file_names_its_line(tmp_path, lines, bad,
                                                    message):
     path = tmp_path / "ann.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert attributes._good_annotations(path) is None
+    with pytest.raises(ValueError):                 # the one parse declines
+        tables.check_records(tables._one_parse(path), _FIELDS, path, _SPAN)
     with pytest.raises(ValueError) as err:
         load_annotations(path)
     assert str(err.value) == f"{path}:{bad}: {message}"

@@ -450,9 +450,12 @@ def _edited_hist_models(tmp_path, key, edit):
      "bad config: lam must be positive"),
     ("config", lambda a: np.array('{"lam": 0.1, "epochs": 5, "znorm": 1}'),
      "bad config: "),
-    ("labels", lambda a: np.array("["), "bad labels: Expecting value"),
-    ("config", lambda a: np.array("["), "bad config: Expecting value"),
-    ("skipped", lambda a: np.array("["), "bad skipped: Expecting value"),
+    ("labels", lambda a: np.array("["),
+     "labels: invalid JSON: Expecting value"),
+    ("config", lambda a: np.array("["),
+     "config: invalid JSON: Expecting value"),
+    ("skipped", lambda a: np.array("["),
+     "skipped: invalid JSON: Expecting value"),
 ], ids=["nan-weight", "zero-std", "bad-lam", "unknown-key", "labels-json",
         "config-json", "skipped-json"])
 @pytest.mark.parametrize("command", ["score", "detect"])
@@ -692,6 +695,24 @@ def test_run_bad_config_values_exit_1(score_bundle, tmp_path, capsys,
     assert words in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("write, words", [
+    (lambda p, cfg: p.write_bytes(b"\xff" + json.dumps(cfg).encode()),
+     "not valid JSON ('utf-8' codec can't decode"),
+    (lambda p, cfg: p.write_text(json.dumps({**cfg, "data": 5})),
+     "data must be a path string, got 5"),
+    (lambda p, cfg: p.write_text(json.dumps({**cfg, "output": ["o"]})),
+     "output must be a path string, got ['o']"),
+], ids=["non-UTF-8", "data a number", "output a list"])
+def test_run_config_file_error_exit_1_names_it(score_bundle, tmp_path, capsys,
+                                               write, words):
+    cfg = tmp_path / "bad.json"
+    write(cfg, {"data": score_bundle, "output": str(tmp_path / "o"),
+                "mode": "svm"})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"error: {cfg}: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -858,6 +879,18 @@ def test_pose_infer_non_finite_grids_exit_2(tmp_path, capsys, value):
     assert rc == 2
     assert f"error: {tmp_path / 'g.npy'}: expected finite non-negative " \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parts", [1, 9, 11])
+def test_pose_infer_wrong_part_count_exit_2(tmp_path, capsys, parts):
+    np.save(tmp_path / "g.npy", np.ones((parts, 4, 4)))
+    out = tmp_path / "p.csv"
+    rc = main(["pose-infer", "--grids", str(tmp_path / "g.npy"),
+               "--output", str(out), "--scale", "0.05"])
+    assert rc == 2
+    assert f"error: {tmp_path / 'g.npy'}: expected 10 part grids, got " \
+        f"{parts}" in capsys.readouterr().err
     assert not out.exists()
 
 

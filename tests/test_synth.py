@@ -382,10 +382,8 @@ def test_load_bundle_rejects_misaligned_parts(saved_bundles, tmp_path, mode,
 @pytest.mark.parametrize("corrupt, words", [
     (_config_not_json, "invalid JSON: Expecting property name"),
     (_sequences_not_json, "invalid JSON: "),
-    (_sequence_without_offset, "entry 1 lacks ['offset']"),
-    (_sequence_not_object, "entry 0 lacks ['composite', 'intervals', "
-                           "'num_intervals', 'offset', 'sequence_id', "
-                           "'split']"),
+    (_sequence_without_offset, "entry 1: missing fields ['offset']"),
+    (_sequence_not_object, "entry 0: expected a JSON object, got str"),
 ])
 def test_load_bundle_names_the_broken_json_file(saved_bundles, tmp_path,
                                                 corrupt, words):

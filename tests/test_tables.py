@@ -1,9 +1,12 @@
 """The shared CSV table format: golden bytes of every writer, malformed
 input rejected by every loader with path:line, and csv used in one
 module only.  The error boundary: every loader's error names its file,
-on the command line too, and no loader goes without it."""
+on the command line too, and no loader goes without it.  JSON records:
+every field of every JSON record format is type-checked, and JSON is
+decoded in tables only."""
 
 import importlib
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 import actkit
-from actkit import cli, tables
+from actkit import cli, experiment, tables
 from actkit.attributes import (TrainConfig, load_annotations,
                                load_models_npz, save_annotations,
                                save_models_npz, train_linear_ova)
@@ -204,7 +207,7 @@ def test_read_table_open_ended_columns(tmp_path):
     ("not json", "Expecting value"),
     ("[1]", "expected a JSON object, got list"),
     ('{"start": 0}', "missing fields ['end']"),
-    ('{"start": "zero", "end": 5}', "invalid literal"),
+    ('{"start": "zero", "end": 5}', "start must be an integer, got 'zero'"),
 ])
 def test_segments_bad_line_names_file_and_line(tmp_path, line, words):
     path = tmp_path / "segs.jsonl"
@@ -214,11 +217,154 @@ def test_segments_bad_line_names_file_and_line(tmp_path, line, words):
     assert words in str(err.value)
 
 
+def test_segments_one_parse_equals_line_walk(tmp_path, monkeypatch):
+    segs = [Segment(10 * i, 10 * i + 9, i / 3) for i in range(30)]
+    path = tmp_path / "segs.jsonl"
+    save_segments_jsonl(segs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    # blank lines anywhere, whitespace around records, CRLF endings, and
+    # a line without its optional score
+    path.write_text("\n \t\n" + "".join(lines[:15]) + "\n\n"
+                    + "".join(" " + ln.rstrip("\n") + "\t\r\n"
+                              for ln in lines[15:]) + '{"start": 300, '
+                    '"end": 309}\n  \n')
+    assert len(tables._one_parse(path)) == 31
+    fast = load_segments_jsonl(path)
+
+    def decline(path):
+        raise ValueError("declined")
+    monkeypatch.setattr(tables, "_one_parse", decline)
+    assert load_segments_jsonl(path) == fast == segs + [Segment(300, 309)]
+
+
 def test_csv_is_imported_by_tables_only():
     users = sorted(p.name for p in SRC.glob("*.py")
                    if re.search(r"^\s*(import csv|from csv import)",
                                 p.read_text(encoding="utf-8"), re.M))
     assert users == ["tables.py"]
+
+
+def test_json_is_decoded_by_tables_only():
+    decode = re.compile(r"\bjson\.loads?\(|^\s*from json import", re.M)
+    users = {p.name: len(decode.findall(p.read_text(encoding="utf-8")))
+             for p in SRC.glob("*.py")}
+    assert sorted(name for name, n in users.items() if n) == \
+        ["experiment.py", "tables.py"]
+    # a config error is a ConfigError (exit 1), not a loader's ValueError
+    assert users["experiment.py"] == len(decode.findall(
+        inspect.getsource(experiment.load_config)))
+
+
+# ---------------------------------------------------------------------------
+# JSON record fields: every field of every JSON record format is checked
+# for its JSON type, and the error names the file, the line or entry and
+# the field
+
+def _json_lines(make, load):
+    """A JSON lines format: two records from make(), the second changed."""
+    def write(tmp_path, change):
+        recs = [make(0), make(1)]
+        change(recs[1])
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        return lambda: load(path), f"{path}:2: "
+    return write
+
+
+def _sequences_entry(tmp_path, change):
+    _bundle(tmp_path)
+    path = tmp_path / "sequences.json"
+    meta = json.loads(path.read_text())
+    change(meta[0])
+    path.write_text(json.dumps(meta))
+    return lambda: load_bundle(tmp_path), f"{path}: entry 0: "
+
+
+def _codebook_entry(tmp_path, change):
+    path = tmp_path / "cb.npz"
+    _codebooks(path)
+    with np.load(path) as data:
+        header = json.loads(str(data["header"]))
+    change(header[0])
+    _npz(header=json.dumps(header))(path)
+    return lambda: load_codebook_set(path), f"{path}: header: entry 0: "
+
+
+def _model_strings(tmp_path, change):
+    """labels and skipped, the JSON strings of a model file, as a record."""
+    path = tmp_path / "m.npz"
+    _models(path)
+    rec = {"labels": ["a0"], "skipped": []}
+    change(rec)
+    _npz(**{key: json.dumps(rec[key]) if key in rec else None
+            for key in ("labels", "skipped")})(path)
+    return lambda: load_models_npz(path), f"{path}: "
+
+
+_INT, _STR = ("int", ["20", 1.9, 0.0, True]), ("str", [5])
+# format writer, its fields with the kind each must have, and the values
+# each kind rejects ("missing": the field is left out)
+JSON_RECORDS = {
+    "annotations": (_json_lines(lambda i: {
+        "video": "v", "start_frame": 30 * i, "end_frame": 30 * i + 29,
+        "attributes": ["a0"], "composite": "c"}, load_annotations), {
+        "video": _STR, "start_frame": _INT, "end_frame": _INT,
+        "composite": _STR, "attributes": ("strs", [[5], "a0"])}),
+    "segments": (_json_lines(lambda i: {
+        "start": 10 * i, "end": 10 * i + 9, "score": 0.5},
+        load_segments_jsonl), {
+        "start": _INT, "end": _INT,
+        "score": ("optional number", ["0.5", True, None])}),
+    "sequences": (_sequences_entry, {
+        "sequence_id": ("str", [5, ["x"]]), "composite": _STR,
+        "split": ("split", ["tset", 5]), "offset": _INT,
+        "num_intervals": ("int", ["10", 10.0, True]),
+        "intervals": ("int pairs", [5, [[0, "29"]], [[1.9, 29]],
+                                    [[0.0, 29]], [[True, 29]]])}),
+    "codebook header": (_codebook_entry, {
+        "length": _INT, "sub_feature": _STR, "dim": _INT, "size": _INT,
+        "seed": ("int", ["0", 0.5, 0.0, True])}),
+    "models": (_model_strings, {
+        "labels": ("strs", [[5], "a0"]),
+        "skipped": ("str pairs", [[["a0", 5]], [["a0"]], "a0"])}),
+}
+
+
+def _field_cases():
+    for name, (write, fields) in JSON_RECORDS.items():
+        for field, (kind, values) in fields.items():
+            if not kind.startswith("optional"):
+                yield pytest.param(name, field, "missing",
+                                   id=f"{name}-{field}-missing")
+            for value in values:
+                yield pytest.param(name, field, value,
+                                   id=f"{name}-{field}-{json.dumps(value)}")
+
+
+@pytest.mark.parametrize("name, field, value", _field_cases())
+def test_json_record_field_error_names_file_entry_and_field(
+        tmp_path, name, field, value):
+    write, _ = JSON_RECORDS[name]
+    (tmp_path / "good").mkdir()
+    load, _ = write(tmp_path / "good", lambda rec: None)
+    load()
+    load, where = write(tmp_path, lambda rec: rec.pop(field)
+                        if value == "missing" else rec.update({field: value}))
+    with pytest.raises(ValueError) as err:
+        load()
+    message = str(err.value)
+    assert message.startswith(where) and field in message[len(where):], \
+        message
+
+
+@pytest.mark.parametrize("record", [
+    {"start": 1.9, "end": 3}, {"start": True, "end": 7.99}])
+def test_segment_misreads_name_start(tmp_path, record):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}:1: start must be an integer, got ")):
+        load_segments_jsonl(path)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +633,8 @@ def test_bundle_intervals_error_names_sequence(tmp_path, intervals):
     meta[1]["intervals"] = intervals
     path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=(
-            f"^{re.escape(str(path))}: sequence "
-            f"{re.escape(repr(meta[1]['sequence_id']))} intervals must be "
-            r"a list of \[start, end\] integer pairs$")):
+            f"^{re.escape(str(path))}: entry 1: intervals must be "
+            r"a list of \[integer, integer\] pairs, got ")):
         load_bundle(tmp_path)
 
 
