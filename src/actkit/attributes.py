@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import (INT, STR, STR_PAIRS, STRS, check_records, names_file,
-                     parse_json, read_json_lines)
+from .tables import (INT, NUMBER, STR, STR_PAIRS, STRS, check_records,
+                     names_file, parse_json, read_json_lines)
 
 DEFAULT_FLOOR = -10.0
 
@@ -40,7 +40,7 @@ class TrainConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:                # false for NaN as well
             raise ValueError("lam must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
@@ -310,11 +310,12 @@ def load_models_npz(path) -> LinearModelSet:
         skipped = parse_json(str(data["skipped"]), "skipped")
         check_records([{"labels": labels, "skipped": skipped}],
                       {"labels": STRS, "skipped": STR_PAIRS}, path)
-        config = parse_json(str(data["config"]), "config")
+        config, = check_records([parse_json(str(data["config"]), "config")],
+                                {"lam": NUMBER, "epochs": INT}, "bad config")
         try:
             cfg = TrainConfig(**{k: v for k, v in config.items()
                                  if k != "seed"})
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad config: {exc}") from None
         D = int(data["feature_dim"])
         trained = np.array([f"w_{i}" in data for i in range(len(labels))],

@@ -267,12 +267,15 @@ def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
 def run_experiment(config) -> EvalReport:
     """Run one configured experiment and return its evaluation report.
 
-    config is a dict or a path to a JSON file (relative data/output
-    paths in a file resolve against the file's directory).
+    config is a dict or a path to a JSON file, which config errors name
+    and whose relative data/output paths resolve against its directory.
     """
-    raw = load_config(config) if isinstance(config, (str, os.PathLike)) \
-        else dict(config)
-    cfg = _validate(raw)
+    path = config if isinstance(config, (str, os.PathLike)) else None
+    raw = dict(config) if path is None else load_config(path)
+    try:
+        cfg = _validate(raw)
+    except ConfigError as exc:
+        raise exc if path is None else ConfigError(f"{path}: {exc}")
     mode = cfg["mode"]
     out_dir = cfg["output"]
     os.makedirs(out_dir, exist_ok=True)

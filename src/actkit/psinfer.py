@@ -17,7 +17,8 @@ every location pair, a block of parent cells at a time ("naive"), two
 deliberately independent implementations whose decode tables both give
 the best child row and column per parent cell, ties to the lowest flat
 (row-major) index.  Exact per-part posterior marginals use the same
-kernel with logsumexp in place of max.
+kernel with logsumexp (scipy's float steps, in numpy) in place of max.
+The kernel sums and reduces one C-order slab of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .posefeat import PARTS
 from .tables import names_file, read_npy, read_table, write_table
 
 LOG_FLOOR = -1e30
 
-# floats in one parent-cell block of the naive MAP message (512 KB): it
-# bounds the kernel's memory and keeps the per-block Python overhead small
-_NAIVE_BLOCK_CELLS = 1 << 16
+# floats in one block of either message kernel (512 KB): it bounds the
+# kernel's memory and keeps the per-block Python overhead small
+_BLOCK_CELLS = 1 << 16
 
 DEFAULT_STICKS = (
     ("r_upper_arm", "r_shoulder", "r_elbow"),
@@ -167,7 +167,7 @@ def _naive_max_message(beta, edge, shape):
     cell.  Ties go to the lowest flat (row-major) child index.  Every
     (parent, child) pair is scored, O((HW)^2) time per edge, a block of
     parent cells at a time: each block is a (block, HW) slab of log
-    edge potentials plus beta, about _NAIVE_BLOCK_CELLS floats, built
+    edge potentials plus beta, about _BLOCK_CELLS floats, built
     from per-axis squared-offset tables.
     """
     H, W = shape
@@ -184,7 +184,7 @@ def _naive_max_message(beta, edge, shape):
     flat = beta.ravel()
     msg = np.empty(n)
     best = np.empty(n, dtype=np.intp)
-    step = max(1, _NAIVE_BLOCK_CELLS // max(n, 1))
+    step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, step):
         block = slice(start, start + step)
         slab = by[ys[block]][:, :, None] + ax[xs[block]][:, None, :]
@@ -208,12 +208,36 @@ def _axis_tables(edge, shape):
             table(shape[0], edge.mean[1], edge.var[1]))
 
 
-def _reduce(A, maximize):
-    """max (with its argmax) or logsumexp (with None) over the last axis."""
-    if not maximize:
-        return logsumexp(A, axis=-1), None
-    arg = A.argmax(axis=-1)
-    return np.take_along_axis(A, arg[..., None], -1)[..., 0], arg
+def _logsumexp(A, axis):
+    """scipy.special.logsumexp(A, axis) for finite real A, by its float
+    steps: the m maxima are summed apart."""
+    a_max = A.max(axis=axis, keepdims=True)
+    top = A == a_max
+    shifted = A - a_max
+    np.copyto(shifted, -np.inf, where=top)
+    s = np.exp(shifted, out=shifted).sum(axis, keepdims=True, dtype=float)
+    m = top.sum(axis, keepdims=True, dtype=float)
+    s = np.where(s == 0, s, s / m)
+    return np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
+
+
+def _reduce_slabs(f, t, maximize):
+    """(out, arg): out[r, o] is the max (arg its argmax) or _logsumexp
+    (arg None) over i of f[r, i] + t[o, i], summed one C-order slab of
+    rows at a time: i stays contiguous even for a transposed t, which
+    keeps the order numpy sums it in, and so every output bit."""
+    out = np.empty((len(f), len(t)))
+    arg = np.empty(out.shape, dtype=np.intp) if maximize else None
+    step = max(1, _BLOCK_CELLS // t.size)
+    for r in range(0, len(f), step):
+        slab = np.add(f[r:r + step, None, :], t, order="C")
+        if maximize:
+            best = arg[r:r + step] = slab.argmax(axis=-1)
+            out[r:r + step] = np.take_along_axis(
+                slab, best[..., None], -1)[..., 0]
+        else:
+            out[r:r + step] = _logsumexp(slab, -1)
+    return out, arg
 
 
 def _separable_message(f, tx, ty, maximize):
@@ -221,11 +245,11 @@ def _separable_message(f, tx, ty, maximize):
     + ty[yo, yi] in O(HW(H+W)): over xi first, then over yi, with max
     (maximize) or logsumexp.  Returns (out, bestx, besty); for max,
     bestx[yi, xo] is the best xi per input row and besty[xo, yo] the
-    best yi, else both are None.  Each sum is laid out so that the
-    reduced axis is contiguous.
+    best yi, else both are None.  Each pass is reduced one C-order slab
+    of rows at a time (_reduce_slabs).
     """
-    g, bestx = _reduce(np.add(f[:, None, :], tx, order="C"), maximize)
-    out, besty = _reduce(np.add(g.T[:, None, :], ty, order="C"), maximize)
+    g, bestx = _reduce_slabs(f, tx, maximize)
+    out, besty = _reduce_slabs(np.ascontiguousarray(g.T), ty, maximize)
     return out.T, bestx, besty
 
 
@@ -263,12 +287,13 @@ def infer(grids, graph: PartGraph, mode: str = "map",
     algorithm picks the MAP message pass: "distance_transform" (the
     default) uses the separable kernel, "naive" scores every (parent,
     child) location pair, O((H*W)^2) time per edge but only one block
-    of parent cells in memory at a time.  Marginals always use the
-    separable sum-product kernel and accept either name.
+    of parent cells in memory at a time.  The separable kernel sums one
+    C-order slab of rows at a time; marginals always use it, with
+    scipy's logsumexp float steps, and accept either name.
     """
     G = np.asarray(grids, dtype=float)
-    if G.ndim != 3 or G.shape[0] != len(graph.parts):
-        raise ValueError("grids must be (num_parts, H, W)")
+    if G.ndim != 3 or G.shape[0] != len(graph.parts) or G.size == 0:
+        raise ValueError("grids must be (num_parts, H, W), H and W >= 1")
     if np.any(G < 0) or not np.isfinite(G).all():
         raise ValueError("unary grids must be finite and non-negative")
     if mode not in ("map", "marginal"):
@@ -324,7 +349,7 @@ def _infer_marginal(logphi, graph, order, shape):
         belief = logphi[part] + down[part]
         for ch in children:
             belief += up[ch]
-        p = np.exp(belief - logsumexp(belief))
+        p = np.exp(belief - _logsumexp(belief, None))
         posteriors[part] = p / p.sum()
         for ch in children:
             minus = logphi[part] + down[part]

@@ -31,8 +31,8 @@ from .corpus import (AttributeVocab, ScriptCorpus, WeightMatrix,
                      load_script_corpus, load_vocab, load_weights_csv,
                      normalize_l1, save_script_corpus, save_vocab,
                      save_weights_csv)
-from .tables import (INT, INT_PAIRS, STR, names_file, one_of, read_json,
-                     read_npy)
+from .tables import (INT, INT_PAIRS, NUMBER, STR, check_records, list_of,
+                     names_file, one_of, read_json, read_npy)
 
 INTERVAL_SPAN = 60
 MENTION_BUDGET = 10
@@ -111,6 +111,17 @@ class SyntheticConfig:
             raise ValueError("need at least one script per composite")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
+
+
+# the kind of each config.json field; a field left out takes its default
+_CONFIG_FIELDS = {name: kind._replace(required=False) for kind, names in (
+    (INT, "num_composites num_activities num_objects support_activities "
+          "support_objects sequences_per_composite seed feature_dim"),
+    (NUMBER, "signal noise filler_rate background_rate"),
+    (one_of("scores", "features"), "mode"),
+    (list_of(INT, "a list of 3 integers", 3), "videos_per_composite"),
+    (list_of(INT, "a list of 2 integers", 2), "t_range"))
+    for name in names.split()}
 
 
 @dataclass
@@ -382,7 +393,8 @@ def load_bundle(path) -> SyntheticBundle:
     def file(name):
         return os.path.join(path, name)
 
-    raw = read_json(file("config.json"))
+    raw, = check_records([read_json(file("config.json"))], _CONFIG_FIELDS,
+                         file("config.json"))
     try:
         cfg = SyntheticConfig(**raw)
     except (TypeError, ValueError) as exc:

@@ -623,12 +623,18 @@ def test_models_npz_bad_cell_names_the_file(tmp_path, key, i, value):
 
 @pytest.mark.parametrize("config, words", [
     ({"lam": 0.0, "epochs": 5}, "lam must be positive"),
+    ({"lam": float("nan"), "epochs": 5}, "lam must be positive"),
     ({"lam": 0.01, "epochs": 0}, "epochs must be at least 1"),
     ({"lam": 0.01, "epochs": 5, "znorm": True}, "'znorm'"),
     ({"lam": 0.01, "epochs": 5, "seed": 0, "floor": -10.0}, "'floor'"),
-    ({"lam": "x", "epochs": 5}, "not supported"),
+    ({"lam": "x", "epochs": 5}, "lam must be a number, got 'x'"),
+    ({"lam": True, "epochs": 5}, "lam must be a number, got True"),
+    ({"lam": 0.01, "epochs": 1.5}, "epochs must be an integer, got 1.5"),
+    ({"lam": 0.01, "epochs": True}, "epochs must be an integer, got True"),
+    ({"lam": 0.01}, "missing fields ['epochs']"),
     ([0.01, 5], "list"),
-], ids=["lam", "epochs", "znorm", "floor", "lam-str", "list"])
+], ids=["lam", "lam-nan", "epochs", "znorm", "floor", "lam-str", "lam-bool",
+        "epochs-float", "epochs-bool", "epochs-missing", "list"])
 def test_models_npz_bad_config_names_the_file(tmp_path, config, words):
     path = _edited_model_file(tmp_path, "config",
                               lambda a: np.array(json.dumps(config)))

@@ -713,6 +713,36 @@ def test_run_config_file_error_exit_1_names_it(score_bundle, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("edit, words", [
+    (lambda cfg: dict(cfg, turbo=True), "unknown config keys: ['turbo']"),
+    (lambda cfg: {k: v for k, v in cfg.items() if k != "mode"},
+     "config is missing required key 'mode'"),
+    (lambda cfg: dict(cfg, weights="learned"),
+     "weights must be 'mined' or 'planted', got 'learned'"),
+    (lambda cfg: dict(cfg, epochs=2.5), "epochs must be an integer, got 2.5"),
+    (lambda cfg: dict(cfg, mode="pst", pst={"k": "5"}),
+     "pst.k must be an integer, got '5'"),
+], ids=["unknown key", "missing mode", "weights", "epochs", "pst.k"])
+def test_run_config_validation_error_exit_1_names_it(score_bundle, tmp_path,
+                                                     capsys, edit, words):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(edit({"data": score_bundle,
+                                    "output": str(tmp_path / "o"),
+                                    "mode": "svm"})))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"error: {cfg}: {words}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_experiment_dict_config_error_names_no_file(score_bundle,
+                                                        tmp_path):
+    with pytest.raises(experiment.ConfigError) as err:
+        experiment.run_experiment({"data": score_bundle, "mode": "svm",
+                                   "output": str(tmp_path / "o"),
+                                   "turbo": True})
+    assert str(err.value) == "unknown config keys: ['turbo']"
+
+
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ from scipy.special import logsumexp
 
 from actkit.psinfer import (DEFAULT_STICKS, LOG_FLOOR, EdgeParams,
                             HandHypothesisSet, PartGraph,
-                            _dt_max_message, _log_unary, _naive_max_message,
+                            _axis_tables, _dt_max_message, _log_unary,
+                            _logsumexp, _naive_max_message,
+                            _separable_message,
                             default_part_graph, hand_likelihood_map, infer,
                             load_grids, load_hand_hypotheses_csv,
                             load_placements_csv, pcp_eval, save_grids,
@@ -346,18 +349,104 @@ def test_naive_message_bytes_match_former_broadcast(H, W):
             assert g.tobytes() == e.tobytes()
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_naive_message_memory_is_one_block():
     # the former broadcast peaked near 82 MB here
     H, W = 40, 40
     beta = _log_unary(np.random.default_rng(15).uniform(size=(H, W)))
     edge = default_part_graph(scale=0.2).parent_edge("r_elbow")
-    tracemalloc.start()
-    try:
-        _naive_max_message(beta, edge, (H, W))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert _traced_peak(lambda: _naive_max_message(beta, edge, (H, W))) < 8e6
+
+
+def _former_separable_message(f, tx, ty, maximize):
+    """The library's former separable kernel: each pass builds its whole
+    sum tensor in C order, then reduces its last axis with argmax and
+    take_along_axis, or with scipy's logsumexp."""
+    def reduce(A):
+        if not maximize:
+            return logsumexp(A, axis=-1), None
+        arg = A.argmax(axis=-1)
+        return np.take_along_axis(A, arg[..., None], -1)[..., 0], arg
+
+    g, bestx = reduce(np.add(f[:, None, :], tx, order="C"))
+    out, besty = reduce(np.add(g.T[:, None, :], ty, order="C"))
+    return out.T, bestx, besty
+
+
+# At the 2^16-float block a pass over R rows with a (K, K) table reduces
+# 2^16 // K^2 rows a slab: 37 x 53 leaves a short last slab in both
+# passes (23 + 14 rows, then 47 + 6), and a 300-wide table (90,000 sums
+# a row) is over the block, so 3 x 300 and 300 x 3 reduce a row a slab.
+@pytest.mark.parametrize("H, W", [(1, 1), (1, 9), (8, 1), (40, 40),
+                                  (120, 160), (37, 53), (3, 300), (300, 3)])
+def test_separable_message_bytes_match_former_kernel(H, W):
+    rng = np.random.default_rng(400 + H * W)
+    cases = [
+        # random fractional means and variances, LOG_FLOOR cells mixed in
+        (_log_unary(_random_grids(rng, 1, H, W, zero_rate=0.2)[0]),
+         EdgeParams("p", "c", tuple(rng.uniform(-4, 4, size=2)),
+                    tuple(rng.uniform(0.3, 5.0, size=2)))),
+        # an all-zero grid: every cell is LOG_FLOOR
+        (_log_unary(np.zeros((H, W))), EdgeParams("p", "c", (1.5, -2.0),
+                                                  (3.0, 0.7))),
+        # zero beta with half-pixel means ties inputs exactly
+        (np.zeros((H, W)), EdgeParams("p", "c", (0.5, -1.5), (1.0, 2.0))),
+    ]
+    for beta, edge in cases:
+        tx, ty = _axis_tables(edge, (H, W))
+        for tables in ((tx, ty), (tx.T, ty.T)):
+            for maximize in (True, False):
+                got = _separable_message(beta, *tables, maximize)
+                expect = _former_separable_message(beta, *tables, maximize)
+                for g, e in zip(got, expect):
+                    if e is None:
+                        assert g is None
+                        continue
+                    assert (g.shape, g.dtype) == (e.shape, e.dtype)
+                    assert g.tobytes() == e.tobytes()
+
+
+def _lse_inputs():
+    rng = np.random.default_rng(17)
+    tied = rng.normal(size=(6, 9))
+    tied[:, [2, 5, 7]] = 4.0                  # three maxima in every row
+    tied[0] = 1.25                            # a row of equal values
+    return {"random": rng.normal(scale=30.0, size=(5, 7, 11)),
+            "tied": tied,
+            "floor": np.full((4, 6), LOG_FLOOR),
+            "floor mixed": _log_unary(rng.uniform(size=(8, 8))
+                                      * (rng.uniform(size=(8, 8)) > 0.5)),
+            "one long": rng.normal(size=(7, 1)),
+            "one cell": np.array([[-3.5]])}
+
+
+@pytest.mark.parametrize("name", list(_lse_inputs()))
+@pytest.mark.parametrize("axis", [-1, None])
+def test_logsumexp_bytes_match_scipy(name, axis):
+    A = _lse_inputs()[name]
+    got = np.asarray(_logsumexp(A, axis))
+    expect = np.asarray(logsumexp(A, axis=axis))
+    assert (got.shape, got.dtype) == (expect.shape, expect.dtype)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_separable_message_memory_is_one_slab():
+    # the former kernel peaked near 25 MB (max) and 151 MB (sum) here
+    H, W = 120, 160
+    beta = _log_unary(np.random.default_rng(18).uniform(size=(H, W)))
+    edge = default_part_graph().parent_edge("r_elbow")
+    tx, ty = _axis_tables(edge, (H, W))
+    assert _traced_peak(lambda: _dt_max_message(beta, edge, (H, W))) < 4e6
+    assert _traced_peak(lambda: _separable_message(beta, tx.T, ty.T,
+                                                   False)) < 4e6
 
 
 def test_naive_and_dt_agree_on_default_graph_at_large_grid():
@@ -525,6 +614,15 @@ def test_infer_validation():
         infer(np.ones((1, 2, 2)), graph, mode="sample")
     with pytest.raises(ValueError):
         infer(np.ones((1, 2, 2)), graph, algorithm="loopy")
+
+
+@pytest.mark.parametrize("mode", ["map", "marginal"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_infer_rejects_an_empty_grid(mode, shape):
+    graph = default_part_graph()
+    with pytest.raises(ValueError, match=re.escape(
+            "grids must be (num_parts, H, W), H and W >= 1")):
+        infer(np.ones((len(graph.parts), *shape)), graph, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,42 @@ def test_load_bundle_names_the_broken_json_file(saved_bundles, tmp_path,
     assert str(err.value).startswith(f"{path / name}: {words}")
 
 
+@pytest.mark.parametrize("edit, words", [
+    ({"feature_dim": 32.0}, "feature_dim must be an integer, got 32.0"),
+    ({"seed": 4.5}, "seed must be an integer, got 4.5"),
+    ({"num_composites": "6"}, "num_composites must be an integer, got '6'"),
+    ({"signal": True}, "signal must be a number, got True"),
+    ({"noise": "0.5"}, "noise must be a number, got '0.5'"),
+    ({"mode": "mixed"}, "mode must be one of 'scores', 'features', got "
+     "'mixed'"),
+    ({"videos_per_composite": [3, 1]}, "videos_per_composite must be a list "
+     "of 3 integers, got [3, 1]"),
+    ({"t_range": [8, 12.0]}, "t_range must be a list of 2 integers, got "
+     "[8, 12.0]"),
+], ids=["dim-float", "seed-float", "count-str", "signal-bool", "noise-str",
+        "mode", "videos-short", "t_range-float"])
+def test_load_bundle_config_field_error_names_file_and_field(
+        saved_bundles, tmp_path, edit, words):
+    path = tmp_path / "bundle"
+    shutil.copytree(saved_bundles["scores"], path)
+    _edit_config(path, lambda raw: dict(raw, **edit))
+    with pytest.raises(ValueError) as err:
+        load_bundle(path)
+    assert str(err.value) == f"{path / 'config.json'}: {words}"
+
+
+def test_load_bundle_config_missing_field_takes_its_default(saved_bundles,
+                                                            tmp_path):
+    path = tmp_path / "bundle"
+    shutil.copytree(saved_bundles["scores"], path)
+    _edit_config(path, lambda raw: {k: v for k, v in raw.items()
+                                    if k not in ("noise", "t_range")})
+    cfg = load_bundle(path).config
+    assert (cfg.noise, cfg.t_range) == (SyntheticConfig.noise,
+                                        SyntheticConfig.t_range)
+    assert cfg == load_bundle(saved_bundles["scores"]).config
+
+
 # ---------------------------------------------------------------------------
 # signal quality
 
