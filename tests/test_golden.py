@@ -7,8 +7,9 @@ those hold absolute paths.  score and stack write scores bundles,
 whose observations.npy holds the scores at full precision.  The CSV
 tables carry 9 significant digits, so the same worker also saves
 full-precision .npy arrays under arrays/ (see _write_arrays): the pose
-chain, which no command runs, and the raw integral table and interval
-scores behind detect, segment and score.  One ulp anywhere in them
+chain, which no command runs, the raw integral table and interval
+scores behind detect, segment and score, and the raw propagation table
+behind the pst-fixed run.  One ulp anywhere in them
 moves a hash.  The BLAS thread count is fixed when numpy loads, so
 each thread count runs the list in a fresh interpreter, with this file
 as the script:
@@ -55,6 +56,8 @@ RUN_JOBS = {
     "nn-script": {"data": "scores", "mode": "nn-script"},
     "pst": {"data": "scores", "mode": "pst"},
     "pst-zero-shot": {"data": "scores", "mode": "pst-zero-shot"},
+    "pst-fixed": {"data": "scores", "mode": "pst",
+                  "pst": {"alpha": 0.9, "gamma": 0.5, "delta": 0.5, "k": 5}},
     "svm-base-context-segment": {"data": "features", "mode": "svm",
                                  "stack": "base+context",
                                  "segment_threshold": 0.9},
@@ -126,9 +129,13 @@ def _write_arrays():
     The pose chain at window length 20 (the 341 frames whose window fits
     give every codebook its 2 x dim samples): the stacked bm and fft
     descriptors, every codebook's centres and the word-count matrix.
-    Then the integral table of counts.npy and the raw interval scores of
-    models.npz on the features bundle."""
+    Then the integral table of counts.npy, the raw interval scores of
+    models.npz on the features bundle, and the (Z, D) pst_scores table
+    of the pst-fixed run, built with the calls run makes."""
     from actkit.attributes import load_models_npz, score_intervals
+    from actkit.composites import (PstConfig, pst_scores, script_score,
+                                   seq_feature)
+    from actkit.experiment import _resolve_weights
     from actkit.posefeat import (build_codebook_set, pose_frame_features,
                                  stream_word_counts)
     from actkit.synth import load_bundle
@@ -163,6 +170,16 @@ def _write_arrays():
     np.save("arrays/interval_scores.npy", score_intervals(
         load_models_npz("models.npz"),
         np.concatenate([s.features for s in seqs], axis=0)))
+    bundle = load_bundle("scores")
+    pooled = np.stack([seq_feature(s.scores) for s in bundle.sequences])
+    truth = np.array([s.composite for s in bundle.sequences])
+    splits = np.array([s.split for s in bundle.sequences])
+    labels = np.where(splits == "train",
+                      np.array(bundle.composites)[:, None] == truth, -1)
+    weights = _resolve_weights(bundle, {"weights": "mined"})
+    np.save("arrays/pst_scores.npy", pst_scores(
+        script_score(pooled, weights), labels, pooled,
+        PstConfig(**RUN_JOBS["pst-fixed"]["pst"])))
 
 
 def _digest(path: Path) -> str:
