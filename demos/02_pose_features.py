@@ -82,7 +82,7 @@ for record in records:
 samples = {k: np.array(v) for k, v in samples.items()}
 
 books = build_codebook_set(samples, seed=0)
-print(f"\n{len(books.order)} codebooks built; histogram dim {books.dim}")
+print(f"\n{len(books.codebooks)} codebooks built; histogram dim {books.dim}")
 
 hist = encode_bow(records, books)
 print("per-block histogram mass (each block is L1-normalized):")

@@ -65,15 +65,6 @@ class LinearModelSet:
     feature_dim: int
 
 
-def hinge_objective(X, y, w, b, lam) -> float:
-    """The objective the trainer descends: lam/2 (||w||^2 + b^2) plus the
-    mean hinge loss.  The bias enters the regularizer because it is
-    trained as a constant-one feature."""
-    margins = y * (X @ w + b)
-    reg = 0.5 * lam * (float(w @ w) + b * b)
-    return reg + float(np.maximum(0.0, 1.0 - margins).mean())
-
-
 def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
     """Full-batch subgradient descent on the hinge loss for every column
     of the (m, A) +-1 targets Y at once.  The bias is an extra always-one

@@ -261,7 +261,6 @@ class NeighborGraph:
     """Symmetric k-nearest-neighbour graph over pooled sequence features."""
 
     weights: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -300,7 +299,7 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     np.fill_diagonal(dist, 0.0)
     W = np.where(mask, np.exp(-0.5 * math.sqrt(sigma) * dist), 0.0)
     np.fill_diagonal(W, 0.0)
-    return NeighborGraph(W, sigma)
+    return NeighborGraph(W)
 
 
 def propagate(graph: NeighborGraph, init, cfg: PstConfig) -> np.ndarray:

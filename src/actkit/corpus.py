@@ -77,9 +77,6 @@ class AttributeVocab:
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.entries)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def content_hash(self) -> str:
         joined = "\n".join(f"{l}\t{k}" for l, k in self.entries)
         return hashlib.sha256(joined.encode("utf-8")).hexdigest()

@@ -175,9 +175,6 @@ def score_attributes(bundle, model_set) -> list:
 def stack_attributes(bundle, mode, tcfg, mats) -> list:
     """The per-sequence score matrices mats (bundle order) refined by
     stacking classifiers of the given mode, trained on the train split."""
-    if bundle.config.mode == "scores" and _stack_parts(mode)[0]:
-        raise ConfigError(f"stack mode {mode!r} needs interval features, "
-                          "but the bundle only carries scores")
     seqs = bundle.sequences
     train = [d for d, s in enumerate(seqs) if s.split == "train"]
     return train_and_score_stacked(
@@ -224,6 +221,30 @@ def _pst_grid(cfg, zero_shot):
                         delta=float(delta), k=int(k))
 
 
+def _check_bundle(cfg, bundle):
+    """Raise the config errors that only the loaded bundle shows (stack
+    modes, pst.k, the propagation grid), before run writes anything."""
+    if cfg["stack"] is not None and bundle.config.mode == "scores" \
+            and _stack_parts(cfg["stack"])[0]:
+        raise ConfigError(f"stack mode {cfg['stack']!r} needs interval "
+                          "features, but the bundle only carries scores")
+    if cfg["mode"] not in ("pst", "pst-zero-shot"):
+        return
+    D = len(bundle.sequences)
+    if cfg.get("pst") is not None:
+        k = cfg["pst"].get("k", PstConfig.k)
+        if k >= D:
+            raise ConfigError(f"pst.k = {k} needs more than {k} sequences, "
+                              f"the bundle has {D}")
+        return
+    if not any(s.split == "val" for s in bundle.sequences):
+        raise ConfigError("propagation grid search needs a validation "
+                          "split; give fixed 'pst' parameters instead")
+    if all(p.k >= D for p in _pst_grid(cfg, cfg["mode"] == "pst-zero-shot")):
+        raise ConfigError("no feasible grid point: every k was at least "
+                          "the number of sequences")
+
+
 def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
     S = script_score(G, weights)
     comps = list(bundle.composites)
@@ -235,19 +256,10 @@ def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
     if fixed is not None:
         best = PstConfig(**{k: (int(v) if k == "k" else float(v))
                             for k, v in fixed.items()})
-        if best.k >= len(G):
-            raise ConfigError(f"pst.k = {best.k} needs more than {best.k} "
-                              f"sequences, the bundle has {len(G)}")
         F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
     else:
         val = splits == "val"
-        if not val.any():
-            raise ConfigError("propagation grid search needs a validation "
-                              "split; give fixed 'pst' parameters instead")
         feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(G)]
-        if not feasible:
-            raise ConfigError("no feasible grid point: every k was at least "
-                              "the number of sequences")
         best_acc = -1.0
         for pcfg, Fp in pst_grid_scores(S, labels, G, feasible,
                                         zero_shot=zero_shot):
@@ -274,12 +286,13 @@ def run_experiment(config) -> EvalReport:
     raw = dict(config) if path is None else load_config(path)
     try:
         cfg = _validate(raw)
+        bundle = load_bundle(cfg["data"])
+        _check_bundle(cfg, bundle)
     except ConfigError as exc:
         raise exc if path is None else ConfigError(f"{path}: {exc}")
     mode = cfg["mode"]
     out_dir = cfg["output"]
     os.makedirs(out_dir, exist_ok=True)
-    bundle = load_bundle(cfg["data"])
     comps = list(bundle.composites)
     weights = _resolve_weights(bundle, cfg)
     save_weights_csv(weights, os.path.join(out_dir, "weights.csv"))

@@ -84,13 +84,18 @@ def _interval_iou(s1, e1, s2, e2) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def _check_criterion(criterion, iou_threshold):
+    if criterion not in ("midpoint", "iou"):
+        raise ValueError(f"unknown detection criterion {criterion!r}")
+    if not math.isfinite(iou_threshold):
+        raise ValueError(f"iou_threshold {iou_threshold} is not finite")
+
+
 def _criterion_holds(det, gt, criterion, iou_threshold):
     if criterion == "midpoint":
         mid = (det[0] + det[1]) / 2.0
         return gt[0] <= mid <= gt[1]
-    if criterion == "iou":
-        return _interval_iou(det[0], det[1], gt[0], gt[1]) >= iou_threshold
-    raise ValueError(f"unknown detection criterion {criterion!r}")
+    return _interval_iou(det[0], det[1], gt[0], gt[1]) >= iou_threshold
 
 
 def match_detections(dets, gts, criterion="midpoint", iou_threshold=0.5):
@@ -102,10 +107,9 @@ def match_detections(dets, gts, criterion="midpoint", iou_threshold=0.5):
     truth; among candidates the one with the highest interval IoU wins
     (ties: earlier start).  Returns a list of booleans (true positive
     flags) aligned with the visiting order and that order's indices.
-    A non-finite iou_threshold raises ValueError.
+    An unknown criterion or a non-finite iou_threshold raises ValueError.
     """
-    if not math.isfinite(iou_threshold):
-        raise ValueError(f"iou_threshold {iou_threshold} is not finite")
+    _check_criterion(criterion, iou_threshold)
     order = sorted(range(len(dets)),
                    key=lambda i: (-dets[i][2], dets[i][0], dets[i][1] - dets[i][0]))
     matched = [False] * len(gts)
@@ -138,8 +142,9 @@ def eval_detection(detections, annotations, criterion="midpoint",
     attributes list).  An annotation counts once per attribute it lists.
     Attributes without any ground-truth interval are excluded from the
     mean and reported.  Returns (mean AP, per-attribute AP dict,
-    excluded attribute tuple).
+    excluded attribute tuple).  criterion and iou_threshold are checked first.
     """
+    _check_criterion(criterion, iou_threshold)
     gt_by_attr = {}
     for rec in annotations:
         for a in rec["attributes"]:

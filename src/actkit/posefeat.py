@@ -109,10 +109,10 @@ RATE_EDGES = (-np.inf, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, np.inf)
 _RATE_INNER = np.array(RATE_EDGES[1:-1])
 
 
-def bow_dim(feature_dim: int, num_lengths: int = len(WINDOW_LENGTHS)) -> int:
+def bow_dim(feature_dim: int) -> int:
     """Encoded histogram size: one 2x-sized codebook per dimension group,
-    stacked over window lengths."""
-    return 2 * feature_dim * num_lengths
+    stacked over the WINDOW_LENGTHS."""
+    return 2 * feature_dim * len(WINDOW_LENGTHS)
 
 
 @dataclass
@@ -390,7 +390,11 @@ def _kmeans_pp_init(samples, k, rng):
     return centers
 
 
-def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
+KMEANS_MAX_ITER = 100       # Lloyd assignments at most
+KMEANS_TOL = 1e-6           # stop once inertia falls by less than this share
+
+
+def _kmeans(samples, k, seed):
     """Seeded Lloyd iterations; empty clusters are re-seeded from the
     sample farthest from its assigned center.  Returns (centers,
     inertia history after each assignment).
@@ -403,7 +407,7 @@ def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
     centers = _kmeans_pp_init(samples, k, rng)
     history = []
     prev = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _pairwise_sq(samples, centers)
         assign = d2.argmin(axis=1)
         mind2 = d2[np.arange(len(samples)), assign]
@@ -419,26 +423,25 @@ def _kmeans(samples, k, seed, max_iter=100, tol=1e-6):
         np.add.at(sums, assign, samples)
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
-        if prev is not None and prev > 0 and (prev - inertia) / prev < tol:
+        if prev and (prev - inertia) / prev < KMEANS_TOL:   # None or >= 0
             break
         prev = inertia
     return centers, history
 
 
-def build_codebook(sub_feature: str, samples, seed: int = 0,
-                   size: int | None = None) -> Codebook:
+def build_codebook(sub_feature: str, samples, seed: int = 0) -> Codebook:
     """Cluster sample vectors of one sub-feature into a codebook.
 
-    The codebook size defaults to twice the feature dimension and the
-    sample count must reach it.  Identical samples cannot be clustered
-    and raise.
+    The codebook size is twice the feature dimension and the sample
+    count must reach it.  Identical samples cannot be clustered and
+    raise.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2:
         raise ValueError("samples must be (num, dim)")
     if not np.isfinite(X).all():
         raise ValueError("samples contain non-finite values")
-    k = size if size is not None else 2 * X.shape[1]
+    k = 2 * X.shape[1]
     if X.shape[0] < k:
         raise ValueError(f"need at least {k} samples, got {X.shape[0]}")
     if np.all(X == X[0]):
@@ -457,30 +460,23 @@ def quantize(codebook: Codebook, samples) -> np.ndarray:
 
 @dataclass
 class CodebookSet:
-    """Codebooks keyed by (window length, sub-feature name), plus the
-    block order used by the encoded histograms."""
+    """Codebooks keyed by (window length, sub-feature name); the dict's
+    insertion order is the block order of the encoded histograms."""
 
     codebooks: dict
-    order: tuple
-
-    def __post_init__(self):
-        for key in self.order:
-            if key not in self.codebooks:
-                raise ValueError(f"block order names missing codebook {key!r}")
 
     def block_layout(self) -> tuple:
         """Tuple of (length, name, start, stop) in block order."""
         layout = []
         offset = 0
-        for (length, name) in self.order:
-            k = self.codebooks[(length, name)].size
-            layout.append((length, name, offset, offset + k))
-            offset += k
+        for (length, name), book in self.codebooks.items():
+            layout.append((length, name, offset, offset + book.size))
+            offset += book.size
         return tuple(layout)
 
     @property
     def dim(self) -> int:
-        return sum(self.codebooks[key].size for key in self.order)
+        return sum(book.size for book in self.codebooks.values())
 
 
 def build_codebook_set(samples_by_key, seed: int = 0) -> CodebookSet:
@@ -491,12 +487,9 @@ def build_codebook_set(samples_by_key, seed: int = 0) -> CodebookSet:
     from the base seed and the key position so results do not depend on
     build concurrency.
     """
-    codebooks = {}
-    order = tuple(samples_by_key.keys())
-    for pos, (length, name) in enumerate(order):
-        codebooks[(length, name)] = build_codebook(
-            name, samples_by_key[(length, name)], seed=seed + pos)
-    return CodebookSet(codebooks, order)
+    return CodebookSet({
+        key: build_codebook(key[1], samples, seed=seed + pos)
+        for pos, (key, samples) in enumerate(samples_by_key.items())})
 
 
 @dataclass
@@ -506,12 +499,6 @@ class BowHistogram:
 
     values: np.ndarray
     layout: tuple
-
-    def block(self, length: int, name: str) -> np.ndarray:
-        for (L, n, start, stop) in self.layout:
-            if L == length and n == name:
-                return self.values[start:stop]
-        raise KeyError((length, name))
 
 
 def encode_bow(per_frame_features, codebook_set: CodebookSet) -> BowHistogram:
@@ -611,14 +598,13 @@ def save_codebook_set(cbs: CodebookSet, path) -> None:
     needs no pickle."""
     header = [
         {"length": int(L), "sub_feature": n,
-         "dim": int(cbs.codebooks[(L, n)].centers.shape[1]),
-         "size": int(cbs.codebooks[(L, n)].size),
-         "seed": int(cbs.codebooks[(L, n)].seed)}
-        for (L, n) in cbs.order
+         "dim": int(book.centers.shape[1]), "size": int(book.size),
+         "seed": int(book.seed)}
+        for (L, n), book in cbs.codebooks.items()
     ]
     arrays = {"header": np.array(json.dumps(header))}
-    for i, key in enumerate(cbs.order):
-        arrays[f"centers_{i}"] = cbs.codebooks[key].centers
+    for i, book in enumerate(cbs.codebooks.values()):
+        arrays[f"centers_{i}"] = book.centers
     np.savez(path, **arrays)
 
 
@@ -643,4 +629,4 @@ def load_codebook_set(path) -> CodebookSet:
                                  f"{shape}, got {centers.shape}")
             codebooks[key] = Codebook(entry["sub_feature"], centers,
                                       entry["seed"])
-    return CodebookSet(codebooks, tuple(codebooks))
+    return CodebookSet(codebooks)

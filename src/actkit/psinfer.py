@@ -36,6 +36,8 @@ LOG_FLOOR = -1e30
 # kernel's memory and keeps the per-block Python overhead small
 _BLOCK_CELLS = 1 << 16
 
+HAND_MIN_SCORE = -1.0       # hand_likelihood_map drops hypotheses below
+
 DEFAULT_STICKS = (
     ("r_upper_arm", "r_shoulder", "r_elbow"),
     ("l_upper_arm", "l_shoulder", "l_elbow"),
@@ -78,11 +80,10 @@ class PartGraph:
             raise ValueError("part graph needs at least one part")
         if len(set(self.parts)) != len(self.parts):
             raise ValueError("part names must be unique")
-        known = set(self.parts)
         self._children = {p: [] for p in self.parts}
         self._parent_edge = {}
         for e in self.edges:
-            if e.parent not in known or e.child not in known:
+            if not {e.parent, e.child} <= self._children.keys():
                 raise ValueError(f"edge {e.parent}->{e.child} names unknown parts")
             if e.child in self._parent_edge:
                 raise ValueError(f"part {e.child!r} has two parents")
@@ -92,15 +93,9 @@ class PartGraph:
         if len(roots) != 1:
             raise ValueError(f"tree must have exactly one root, found {roots}")
         self.root = roots[0]
-        # BFS from the root must reach every part (catches cycles among
-        # non-root components as well, since each part has one parent)
-        seen = {self.root}
-        queue = [self.root]
-        while queue:
-            for c in self._children[queue.pop()]:
-                seen.add(c)
-                queue.append(c)
-        if seen != known:
+        # each part has one parent, so a cycle is never reached from the
+        # root: the walk misses a part exactly when the graph is split
+        if len(self.topo_order()) != len(self.parts):
             raise ValueError("part graph is not connected")
 
     def children_of(self, part):
@@ -383,21 +378,20 @@ class HandHypothesisSet:
 
 
 def hand_likelihood_map(hypotheses: HandHypothesisSet, shape,
-                        precision: float = 0.005,
-                        min_score: float = -1.0) -> np.ndarray:
+                        precision: float = 0.005) -> np.ndarray:
     """Kernel density style likelihood grid from detector hypotheses.
 
-    Each hypothesis k contributes (s_k - min_score) *
+    Each hypothesis k contributes (s_k - HAND_MIN_SCORE) *
     exp(-precision * squared distance); hypotheses scoring below
-    min_score are dropped.  The default precision corresponds to a
-    Gaussian kernel with a 10 pixel standard deviation.
+    HAND_MIN_SCORE are dropped.  precision must be finite and positive;
+    the default is a Gaussian kernel with a 10 pixel standard deviation.
     """
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    if not 0 < precision < np.inf:             # NaN fails this test too
+        raise ValueError("precision must be finite and positive")
     H, W = shape
-    keep = hypotheses.scores >= min_score
+    keep = hypotheses.scores >= HAND_MIN_SCORE
     pts = hypotheses.points[keep]
-    w = hypotheses.scores[keep] - min_score
+    w = hypotheses.scores[keep] - HAND_MIN_SCORE
     out = np.zeros((H, W))
     if pts.shape[0] == 0:
         return out
@@ -410,18 +404,18 @@ def hand_likelihood_map(hypotheses: HandHypothesisSet, shape,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def pcp_eval(predicted, truth, sticks=DEFAULT_STICKS, factor: float = 0.5):
+def pcp_eval(predicted, truth):
     """Fraction of correctly placed sticks.
 
-    A stick (name, part_a, part_b) is correct when both predicted
-    endpoints lie within factor times the true stick length of their
-    true positions.  Zero-length truth sticks cannot be scored; they
+    A stick (name, part_a, part_b) of DEFAULT_STICKS is correct when
+    both predicted endpoints lie within half the true stick length of
+    their true positions.  Zero-length truth sticks cannot be scored; they
     are excluded and reported.  Returns (fraction, per-stick dict,
     excluded names).
     """
     results = {}
     excluded = []
-    for name, pa, pb in sticks:
+    for name, pa, pb in DEFAULT_STICKS:
         ga = np.asarray(truth[pa], dtype=float)
         gb = np.asarray(truth[pb], dtype=float)
         length = float(np.linalg.norm(ga - gb))
@@ -430,7 +424,7 @@ def pcp_eval(predicted, truth, sticks=DEFAULT_STICKS, factor: float = 0.5):
             continue
         da = float(np.linalg.norm(np.asarray(predicted[pa], dtype=float) - ga))
         db = float(np.linalg.norm(np.asarray(predicted[pb], dtype=float) - gb))
-        results[name] = da <= factor * length and db <= factor * length
+        results[name] = da <= 0.5 * length and db <= 0.5 * length
     if not results:
         raise ValueError("no stick with positive length to evaluate")
     fraction = sum(results.values()) / len(results)

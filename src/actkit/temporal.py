@@ -62,29 +62,15 @@ class Segment:
         return self.end - self.start + 1
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def window_schedule(base_size: int = BASE_WINDOW, base_step: int = BASE_STEP,
-                    growth: float = WINDOW_GROWTH,
-                    max_size: int = MAX_WINDOW) -> list:
-    """Geometric ladder of (size, step) pairs.
-
-    Level k has size round(base_size * growth^k) and step
-    max(1, round(base_step * growth^k)), rounding halves up; levels stop
-    once the size would exceed max_size.
-    """
-    if base_size < 1 or base_step < 1 or growth <= 1.0:
-        raise ValueError("schedule needs positive sizes and growth > 1")
+def window_schedule() -> list:
+    """Geometric ladder of (size, step) pairs: level k has size
+    round(BASE_WINDOW * WINDOW_GROWTH^k) and step round(BASE_STEP *
+    WINDOW_GROWTH^k); levels stop once the size would exceed MAX_WINDOW.
+    That is twelve levels, 30 to 1358 frames."""
     out = []
     k = 0
-    while True:
-        size = _round_half_up(base_size * growth ** k)
-        if size > max_size:
-            break
-        step = max(1, _round_half_up(base_step * growth ** k))
-        out.append((size, step))
+    while (size := round(BASE_WINDOW * WINDOW_GROWTH ** k)) <= MAX_WINDOW:
+        out.append((size, round(BASE_STEP * WINDOW_GROWTH ** k)))
         k += 1
     return out
 
@@ -175,18 +161,17 @@ def window_histogram(table: IntegralHistogram, start, end) -> np.ndarray:
 
 
 def score_windows(table: IntegralHistogram, scorer, video: str = "",
-                  attribute: str = "", schedule=None) -> list:
-    """Slide every schedule level over the stream and score its windows.
+                  attribute: str = "") -> list:
+    """Slide each window_schedule level over the stream, scoring windows.
 
     Windows are placed at offsets 0, step, 2*step, ... while offset +
     size <= T.  scorer maps the (N, B) window_histogram rows (unit L1
     mass) of one whole level to N scores; it is called once per level
     that fits the stream.  Returns Detection records in scan order.
     """
-    sched = schedule if schedule is not None else window_schedule()
     T = table.num_frames
     out = []
-    for size, step in sched:
+    for size, step in window_schedule():
         if size > T:
             continue
         starts = np.arange(0, T - size + 1, step)

@@ -10,7 +10,6 @@ from actkit.attributes import (
     DEFAULT_FLOOR,
     STACK_MODES,
     TrainConfig,
-    hinge_objective,
     load_annotations,
     load_models_npz,
     save_annotations,
@@ -19,6 +18,15 @@ from actkit.attributes import (
     train_and_score_stacked,
     train_linear_ova,
 )
+
+
+def hinge_objective(X, y, w, b, lam) -> float:
+    """The objective the trainer descends: lam/2 (||w||^2 + b^2) plus the
+    mean hinge loss.  The bias enters the regularizer because it is
+    trained as a constant-one feature."""
+    margins = y * (X @ w + b)
+    reg = 0.5 * lam * (float(w @ w) + b * b)
+    return reg + float(np.maximum(0.0, 1.0 - margins).mean())
 
 
 def context_feature(scores, t: int, floor: float = DEFAULT_FLOOR) -> np.ndarray:

@@ -734,6 +734,31 @@ def test_run_config_validation_error_exit_1_names_it(score_bundle, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("edit, words", [
+    ({"mode": "pst", "pst": {"k": 500}},
+     "pst.k = 500 needs more than 500 sequences, the bundle has 36"),
+    ({"mode": "pst", "grid": {"k": [36, 40]}},
+     "no feasible grid point: every k was at least the number of sequences"),
+    ({"mode": "pst-zero-shot", "data": "no-val"},
+     "propagation grid search needs a validation split; give fixed 'pst' "
+     "parameters instead"),
+    ({"stack": "base+context"}, "stack mode 'base+context' needs interval "
+                                "features, but the bundle only carries "
+                                "scores"),
+], ids=["pst.k", "grid k", "no val split", "stack needs features"])
+def test_run_bundle_config_error_exit_1_names_it_before_writing(
+        score_bundle, tmp_path, capsys, edit, words):
+    no_val = tmp_path / "no-val"
+    save_bundle(gen_synthetic(SyntheticConfig(
+        seed=23, videos_per_composite=(3, 0, 2))), no_val)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"data": score_bundle, "output": "o",
+                               "mode": "svm", **edit}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {words}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_experiment_dict_config_error_names_no_file(score_bundle,
                                                         tmp_path):
     with pytest.raises(experiment.ConfigError) as err:

@@ -373,7 +373,6 @@ def test_knn_graph_two_node_weight_oracle():
     # two points at distance 4: sigma = 4, weight = exp(-0.5 * 2 * 4)
     X = np.array([[0.0], [4.0]])
     graph = build_knn_graph(X, k=1)
-    assert graph.sigma == pytest.approx(4.0)
     assert graph.weights[0, 1] == pytest.approx(math.exp(-4.0))
     assert graph.weights[1, 0] == pytest.approx(math.exp(-4.0))
     assert graph.weights[0, 0] == 0.0
@@ -397,15 +396,19 @@ def test_knn_graph_k_too_large():
 def test_knn_graph_sigma_knn_mode():
     X = np.array([[0.0], [1.0], [3.0]])
     g1 = build_knn_graph(X, k=2)
-    # sigma is the mean nearest-neighbour distance, of (1, 1, 2)
-    assert g1.sigma == pytest.approx((1 + 1 + 2) / 3)
+    # sigma is the mean nearest-neighbour distance, of (1, 1, 2), and
+    # each weight is exp(-0.5 * sqrt(sigma) * dist)
+    root = math.sqrt((1 + 1 + 2) / 3)
+    dist = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    want = np.where(dist > 0, np.exp(-0.5 * root * dist), 0.0)
+    assert g1.weights == pytest.approx(want)
 
 
 def test_neighbor_graph_validation():
     with pytest.raises(ValueError):
-        NeighborGraph(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+        NeighborGraph(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        NeighborGraph(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+        NeighborGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +449,7 @@ def test_propagate_isolated_node_settles():
     # an isolated node keeps (1 - alpha) * seed
     W = np.zeros((3, 3))
     W[0, 1] = W[1, 0] = 1.0
-    graph = NeighborGraph(W, sigma=1.0)
+    graph = NeighborGraph(W)
     Y = np.array([[1.0], [0.0], [2.0]])
     cfg = PstConfig(alpha=0.5)
     F = propagate(graph, Y, cfg)
@@ -454,7 +457,7 @@ def test_propagate_isolated_node_settles():
 
 
 def test_propagate_vector_seed():
-    graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=1.0)
+    graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cfg = PstConfig(alpha=0.5)
     F = propagate(graph, np.array([1.0, 0.0]), cfg)
     assert F.shape == (2,)
@@ -495,7 +498,7 @@ def _with_isolated_node(graph, rng):
     keep = np.delete(np.arange(n + 1), int(rng.integers(0, n + 1)))
     W = np.zeros((n + 1, n + 1))
     W[np.ix_(keep, keep)] = graph.weights
-    return NeighborGraph(W, graph.sigma)
+    return NeighborGraph(W)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.99])
@@ -518,13 +521,13 @@ def test_propagate_matches_iterated_oracle(alpha):
 
 
 def test_propagate_nan_seed_raises():
-    graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=1.0)
+    graph = NeighborGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         propagate(graph, np.array([[1.0], [np.nan]]), PstConfig(alpha=0.5))
 
 
 def test_propagate_size_mismatch():
-    graph = NeighborGraph(np.zeros((2, 2)), sigma=1.0)
+    graph = NeighborGraph(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         propagate(graph, np.zeros((3, 1)), PstConfig())
 

@@ -159,7 +159,7 @@ def _write_arrays():
         np.save(f"arrays/{kind}.npy", np.stack(rows))
     books = build_codebook_set({key: np.array(v)
                                 for key, v in samples.items()}, seed=SEED)
-    for i, key in enumerate(books.order):
+    for i, key in enumerate(books.codebooks):
         np.save(f"arrays/centers-{i:02d}-{key[1]}.npy",
                 books.codebooks[key].centers)
     np.save("arrays/word_counts.npy",

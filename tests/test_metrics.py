@@ -83,3 +83,14 @@ def test_eval_detection_rejects_non_finite_iou_threshold(threshold):
         eval_detection(dets, anns, criterion="iou", iou_threshold=threshold)
     with pytest.raises(ValueError, match="iou_threshold"):
         match_detections([(0, 29, 2.0)], [(0, 29)], "iou", threshold)
+
+
+def test_unknown_criterion_raises_before_any_match():
+    anns = [_ann("v", 0, 29, ["a"])]
+    with pytest.raises(ValueError, match="unknown detection criterion 'bogus'"):
+        eval_detection([], anns, criterion="bogus")
+    with pytest.raises(ValueError, match="unknown detection criterion 'bogus'"):
+        eval_detection([Detection("w", "a", 0, 9, 1.0)], anns,
+                       criterion="bogus")     # no video in common
+    with pytest.raises(ValueError, match="unknown detection criterion 'bogus'"):
+        match_detections([], [(0, 29)], "bogus")

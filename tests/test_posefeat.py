@@ -598,7 +598,7 @@ def _toy_codebook_set():
         (20, "toy"): Codebook("toy", np.array([[0.0], [10.0]]), 0),
         (50, "toy"): Codebook("toy", np.array([[0.0], [5.0], [10.0]]), 0),
     }
-    return CodebookSet(cbs, ((20, "toy"), (50, "toy")))
+    return CodebookSet(cbs)
 
 
 def test_encode_bow_blocks_l1_normalized():
@@ -611,8 +611,9 @@ def test_encode_bow_blocks_l1_normalized():
     ]
     hist = encode_bow(frames, cbs)
     assert hist.values.shape == (5,)
-    assert np.allclose(hist.block(20, "toy"), [0.5, 0.5])
-    assert np.allclose(hist.block(50, "toy"), [0.0, 1.0, 0.0])
+    assert hist.layout == ((20, "toy", 0, 2), (50, "toy", 2, 5))
+    assert np.allclose(hist.values[0:2], [0.5, 0.5])
+    assert np.allclose(hist.values[2:5], [0.0, 1.0, 0.0])
 
 
 def test_encode_bow_empty_input_all_zero():
@@ -693,15 +694,16 @@ def _track_records(tracks, lengths=(3, 20, 50)):
 
 
 def _small_codebooks(records):
-    """Codebooks of 5 centers: every block has far more samples."""
+    """Codebooks of 5 centers (k-means run directly, as build_codebook
+    runs it with k = 2 x dim): every block has far more samples."""
+    from actkit.posefeat import _kmeans
     samples = {}
     for rec in records:
         for L, feats in rec.items():
             for sf in feats:
                 samples.setdefault((L, sf.name), []).append(sf.values)
-    return CodebookSet({key: build_codebook(key[1], np.array(v), seed=i, size=5)
-                        for i, (key, v) in enumerate(samples.items())},
-                       tuple(samples))
+    return CodebookSet({key: Codebook(key[1], _kmeans(np.array(v), 5, i)[0], i)
+                        for i, (key, v) in enumerate(samples.items())})
 
 
 def test_stream_word_counts_match_per_row_quantize():
@@ -723,7 +725,7 @@ def _former_encode_bow(per_frame_features, codebook_set):
     grouping by block and one quantize call per block."""
     layout = codebook_set.block_layout()
     values = np.zeros(codebook_set.dim)
-    samples = {key: [] for key in codebook_set.order}
+    samples = {key: [] for key in codebook_set.codebooks}
     for frame_record in per_frame_features:
         for length, feats in frame_record.items():
             for sf in feats:
@@ -748,9 +750,11 @@ def test_encode_bow_matches_former_per_block_code():
     # a block that no record reaches, placed between the others
     ghost = (7, "velocity-hist")
     rng = np.random.default_rng(14)
-    books = dict(cbs.codebooks)
-    books[ghost] = Codebook(ghost[1], rng.normal(size=(4, 80)), 0)
-    cbs = CodebookSet(books, cbs.order[:3] + (ghost,) + cbs.order[3:])
+    books = list(cbs.codebooks.items())
+    books.insert(3, (ghost, Codebook(ghost[1], rng.normal(size=(4, 80)), 0)))
+    cbs = CodebookSet(dict(books))
+    blocks = {(L, n): slice(start, stop)
+              for (L, n, start, stop) in cbs.block_layout()}
     chunks = [
         records,
         records[::-1],                            # frames out of order
@@ -763,12 +767,12 @@ def test_encode_bow_matches_former_per_block_code():
         want = _former_encode_bow(chunk, cbs)
         assert got.layout == want.layout
         assert np.array_equal(got.values, want.values)
-        assert not got.block(*ghost).any()
+        assert not got.values[blocks[ghost]].any()
         assert np.array_equal(encode_bow(iter(chunk), cbs).values,
                               want.values)
     short = encode_bow(chunks[3], cbs)
-    assert not short.block(20, "velocity-hist").any()
-    assert short.block(3, "velocity-hist").sum() == 1.0
+    assert not short.values[blocks[20, "velocity-hist"]].any()
+    assert short.values[blocks[3, "velocity-hist"]].sum() == 1.0
 
 
 def test_encode_bow_counts_through_module_attributes(monkeypatch):
@@ -834,8 +838,8 @@ def test_codebook_set_round_trip(tmp_path):
     cbs = build_codebook_set(samples, seed=1)
     save_codebook_set(cbs, tmp_path / "cb.npz")
     loaded = load_codebook_set(tmp_path / "cb.npz")
-    assert loaded.order == cbs.order
-    for key in cbs.order:
+    assert list(loaded.codebooks) == list(cbs.codebooks)
+    for key in cbs.codebooks:
         assert np.array_equal(loaded.codebooks[key].centers,
                               cbs.codebooks[key].centers)
         assert loaded.codebooks[key].seed == cbs.codebooks[key].seed
@@ -859,6 +863,6 @@ def test_codebook_set_loads_without_pickle(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "load", load_no_pickle)
     loaded = load_codebook_set(tmp_path / "cb.npz")
     assert seen == [False]
-    assert loaded.order == cbs.order
+    assert list(loaded.codebooks) == list(cbs.codebooks)
     assert np.array_equal(loaded.codebooks[(20, "a")].centers,
                           cbs.codebooks[(20, "a")].centers)

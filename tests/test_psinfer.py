@@ -168,8 +168,11 @@ def test_graph_validation():
         PartGraph(("a", "b"), (e("a", "x"),))                 # unknown part
     with pytest.raises(ValueError):
         PartGraph(("a", "b", "c", "d"), (e("a", "b"), e("c", "d")))  # 2 roots
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not connected"):
         PartGraph(("a", "b", "c"), (e("b", "c"), e("c", "b")))  # cycle
+    with pytest.raises(ValueError, match="not connected"):
+        PartGraph(("r", "a", "b", "c"),
+                  (e("a", "b"), e("b", "c"), e("c", "a")))      # 3-cycle
     with pytest.raises(ValueError):
         PartGraph(("a", "a"), ())
     PartGraph(("solo",), ())   # one part, no edges, is a valid tree
@@ -654,8 +657,10 @@ def test_hand_likelihood_precision_controls_spread():
     wide = hand_likelihood_map(hyps, (1, 10), precision=0.001)
     tight = hand_likelihood_map(hyps, (1, 10), precision=0.1)
     assert wide[0, 5] > tight[0, 5]
-    with pytest.raises(ValueError):
-        hand_likelihood_map(hyps, (2, 2), precision=0.0)
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="precision must be finite and positive"):
+            hand_likelihood_map(hyps, (2, 2), precision=bad)
 
 
 def test_hand_hypothesis_validation():
@@ -700,9 +705,15 @@ def test_pcp_boundary_is_inclusive():
     truth = _upper_body_truth()
     pred = dict(truth)
     pred["r_shoulder"] = (5.0, 0.0)   # exactly half the stick length
+    pred["l_wrist"] = (40.0, 15.0)    # the second endpoint, likewise
     frac, per_stick, _ = pcp_eval(pred, truth)
     assert per_stick["r_upper_arm"] is True
+    assert per_stick["l_lower_arm"] is True
     assert frac == 1.0
+    pred["l_wrist"] = (40.0, 15.5)
+    frac, per_stick, _ = pcp_eval(pred, truth)
+    assert per_stick["l_lower_arm"] is False
+    assert frac == pytest.approx(3 / 4)
 
 
 def test_pcp_zero_length_stick_excluded():
@@ -714,22 +725,11 @@ def test_pcp_zero_length_stick_excluded():
     assert frac == 1.0
 
 
-def test_pcp_custom_sticks():
-    truth = {"head": (0.0, 0.0), "torso": (0.0, 20.0)}
-    pred = {"head": (0.0, 8.0), "torso": (0.0, 20.0)}
-    sticks = (("head_torso", "head", "torso"),)
-    frac, per_stick, _ = pcp_eval(pred, truth, sticks=sticks)
-    assert per_stick["head_torso"] is True   # 8 <= 0.5 * 20
-    assert frac == 1.0
-    pred["head"] = (0.0, 11.0)
-    frac, _, _ = pcp_eval(pred, truth, sticks=sticks)
-    assert frac == 0.0
-
-
 def test_pcp_all_sticks_degenerate_raises():
-    truth = {"a": (1.0, 1.0), "b": (1.0, 1.0)}
-    with pytest.raises(ValueError):
-        pcp_eval(truth, truth, sticks=(("ab", "a", "b"),))
+    truth = {part: (1.0, 1.0) for _, a, b in DEFAULT_STICKS
+             for part in (a, b)}
+    with pytest.raises(ValueError, match="no stick with positive length"):
+        pcp_eval(truth, truth)
 
 
 # ---------------------------------------------------------------------------

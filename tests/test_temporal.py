@@ -27,24 +27,6 @@ def test_window_schedule_exact_ladder():
     assert [t for _, t in sched] == EXPECTED_STEPS
 
 
-def test_window_schedule_rounds_halves_up():
-    # growth 1.5 from 3: 3, 4.5 -> 5, 6.75 -> 7, 10.125 -> 10
-    sched = window_schedule(base_size=3, base_step=3, growth=1.5, max_size=10)
-    assert [s for s, _ in sched] == [3, 5, 7, 10]
-
-
-def test_window_schedule_step_floor_is_one():
-    sched = window_schedule(base_size=4, base_step=1, growth=2.0, max_size=8)
-    assert sched == [(4, 1), (8, 2)]
-
-
-def test_window_schedule_validation():
-    with pytest.raises(ValueError):
-        window_schedule(base_size=0)
-    with pytest.raises(ValueError):
-        window_schedule(growth=1.0)
-
-
 # ---------------------------------------------------------------------------
 # integral tables
 
@@ -187,16 +169,15 @@ def test_build_integral_empty_streams():
 # window scanning
 
 def test_score_windows_offsets():
-    # stream of 36 frames, single level (30, 6): starts 0 and 6
+    # stream of 36 frames, only level (30, 6) fits: starts 0 and 6
     table = build_integral(np.ones((36, 2)))
-    dets = score_windows(table, lambda H: np.ones(len(H)), schedule=[(30, 6)])
+    dets = score_windows(table, lambda H: np.ones(len(H)))
     assert [(d.start, d.end) for d in dets] == [(0, 29), (6, 35)]
 
 
 def test_score_windows_skips_oversized_levels():
     table = build_integral(np.ones((40, 1)))
-    dets = score_windows(table, lambda H: np.zeros(len(H)),
-                         schedule=[(30, 6), (60, 12)])
+    dets = score_windows(table, lambda H: np.zeros(len(H)))
     assert all(d.length == 30 for d in dets)
 
 
@@ -205,8 +186,7 @@ def test_score_windows_scorer_sees_normalized():
     counts[:, 0] = 3.0
     table = build_integral(counts)
     seen = []
-    score_windows(table, lambda H: seen.append(H.copy()) or np.zeros(len(H)),
-                  schedule=[(30, 6)])
+    score_windows(table, lambda H: seen.append(H.copy()) or np.zeros(len(H)))
     assert seen[0] == pytest.approx(np.array([[1.0, 0.0]]))
 
 
@@ -222,11 +202,11 @@ def test_score_windows_full_schedule_counts():
 
 
 def test_score_windows_one_scorer_call_per_level():
+    # levels (30, 6), (42, 8), (60, 12) and (85, 17) fit 100 frames
     table = build_integral(np.ones((100, 2)))
     sizes = []
-    score_windows(table, lambda H: sizes.append(H.shape) or np.zeros(len(H)),
-                  schedule=[(30, 6), (60, 12), (120, 24)])
-    assert sizes == [(12, 2), (4, 2)]
+    score_windows(table, lambda H: sizes.append(H.shape) or np.zeros(len(H)))
+    assert sizes == [(12, 2), (8, 2), (4, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("scorer", [
@@ -238,17 +218,15 @@ def test_score_windows_one_scorer_call_per_level():
 def test_score_windows_rejects_misshapen_scores(scorer):
     table = build_integral(np.ones((40, 2)))
     with pytest.raises(ValueError, match="scorer returned shape"):
-        score_windows(table, scorer, schedule=[(30, 6)])
+        score_windows(table, scorer)
 
 
-def _per_window_detections(table, scorer, video="", attribute="",
-                           schedule=None):
+def _per_window_detections(table, scorer, video="", attribute=""):
     """The former scan: one window_histogram and one scorer call per
     window, the scorer mapping a (B,) histogram to a float."""
-    sched = schedule if schedule is not None else window_schedule()
     T = table.num_frames
     out = []
-    for size, step in sched:
+    for size, step in window_schedule():
         if size > T:
             continue
         for start in range(0, T - size + 1, step):
