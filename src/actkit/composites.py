@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .attributes import TrainConfig, _fit_ova, _membership, _ova_scores
 from .corpus import WeightMatrix
@@ -287,6 +286,9 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     D = X.shape[0]
     if k >= D:
         raise ValueError(f"k = {k} needs at least {k + 1} sequences, got {D}")
+    # imported here, so that importing actkit does not load scipy
+    from scipy.spatial.distance import cdist
+
     dist = cdist(X, X)
     np.fill_diagonal(dist, np.inf)
     neigh = np.argsort(dist, axis=1, kind="stable")[:, :k]

@@ -329,9 +329,18 @@ def pose_frame_features(tracks: JointTrackSet, center_frame: int,
 # ---------------------------------------------------------------------------
 # codebooks
 
+def _max_sq_norm(X) -> float:
+    """Largest squared row norm of X: inf where it overflows, NaN where
+    a value is NaN.  The squared distance between two rows whose squared
+    norms are at most this is at most 4 x this."""
+    with np.errstate(over="ignore"):
+        return float(np.einsum("ij,ij->i", X, X).max(initial=0.0))
+
+
 @dataclass
 class Codebook:
-    """k-means codebook of one sub-feature; k = 2 x dimension."""
+    """k-means codebook of one sub-feature; k = 2 x dimension.  Centres
+    whose squared distances may overflow raise."""
 
     sub_feature: str
     centers: np.ndarray
@@ -341,6 +350,9 @@ class Codebook:
         self.centers = np.asarray(self.centers, dtype=float)
         if self.centers.ndim != 2:
             raise ValueError("centers must be (k, dim)")
+        if not np.isfinite(4.0 * _max_sq_norm(self.centers)):
+            raise ValueError("centers not finite or too large: squared "
+                             "distances overflow")
 
     @property
     def size(self) -> int:
@@ -353,23 +365,54 @@ def _pairwise_sq(X, C) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+# unit roundoff and smallest subnormal of float64, for the seeding's
+# rounding bound (see _kmeans_pp_init)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 def _kmeans_pp_init(samples, k, rng):
     """k-means++ seeding.  Each centre is drawn as Generator.choice(n,
     p=d2 / d2.sum()) draws it (same cdf, same single uniform), without
     choice's per-call checks of p.
 
-    A row whose d2 is exactly 0 stays 0 under np.minimum, so the distance
-    update runs only over a compacted copy of the rows still above 0,
-    recompacted once a quarter of it has settled.  Each row's distance
-    is the same row sum as over all samples, and the cdf is still built
-    from the full d2, so every draw is unchanged."""
-    n = samples.shape[0]
-    centers = np.empty((k, samples.shape[1]))
+    Each row's d2 is the exact sum((x - c)**2) of the former code,
+    lowered by np.minimum, but the exact sum runs only on the rows it
+    can lower.  Per step one matrix-vector product estimates every
+    row's distance as E = |x|² - 2 x·c + |c|², with |x|² summed once
+    per call (c is a row, so |c|² is one of them); a row takes the exact
+    path unless E - B >= d2 for the rounding bound B below, which keeps
+    every d2, draw and centre unchanged.
+
+    The bound.  Let u = 2**-53 be the unit roundoff, eta = 2**-1074 the
+    smallest subnormal, d the number of columns and D = |x - c|² the
+    true distance; to first order in u:
+    - the exact sum S rounds each difference and square once and adds d
+      non-negative terms, so |S - D| <= (d + 2)u D + d eta;
+    - |x|² and |c|² each err by at most d u |x|² + d eta / 2, x·c (in
+      any summation order) by d u sum|x_i c_i| + d eta / 2 <= d u (|x|²
+      + |c|²) / 2 + d eta / 2, and each of the two additions of E
+      rounds a value of at most 2(|x|² + |c|²) once, so |E - D| <=
+      2(d + 2)u (|x|² + |c|²) + 2 d eta;
+    - D <= 2(|x|² + |c|²), so E - S <= (4d + 10)u (|x|² + |c|²) +
+      3 d eta.
+    B = 8(d + 4)u (|x|² + |c|²) + 4 d eta is twice the relative part
+    of that, which also covers the second-order terms and the rounding
+    of the test itself: it computes E - B as (|x|² - r|x|²) - 2 x·c +
+    (|c|² - r|c|² - 4 d eta), r = 8(d + 4)u, with the row terms once per
+    call, and each of its few roundings errs by at most u times 2(|x|² +
+    |c|²), or not at all where the value is subnormal.  So fl(E - B) >=
+    d2 implies S >= d2, where np.minimum keeps d2.  Where |x|² overflows
+    E - B is inf or NaN; the test is written as a negation so that such
+    rows take the exact path (build_codebook rejects those samples
+    anyway)."""
+    n, dim = samples.shape
+    centers = np.empty((k, dim))
+    sq = np.add.reduce(samples * samples, axis=1)
+    low = sq - 8 * (dim + 4) * _UNIT_ROUNDOFF * sq      # |x|² - r|x|²
+    tiny = 4 * dim * _SUBNORMAL
     centers[0] = samples[rng.integers(n)]
     d2 = ((samples - centers[0]) ** 2).sum(axis=1)
-    live = np.flatnonzero(d2)
-    rows, near = samples[live], d2[live]
-    diff = np.empty_like(rows)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -377,16 +420,14 @@ def _kmeans_pp_init(samples, k, rng):
             continue
         cdf = (d2 / total).cumsum()
         cdf /= cdf[-1]
-        centers[j] = samples[cdf.searchsorted(rng.random(), side="right")]
-        np.subtract(rows, centers[j], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.minimum(near, np.add.reduce(diff, axis=1), out=near)
-        d2[live] = near
-        settled = len(near) - np.count_nonzero(near)
-        if settled and 4 * settled >= len(near):
-            keep = near > 0
-            live, rows, near = live[keep], rows[keep], near[keep]
-            diff = diff[:len(near)]
+        pick = cdf.searchsorted(rng.random(), side="right")
+        c = centers[j] = samples[pick]
+        est = samples @ (-2.0 * c)                        # E - B
+        est += low
+        est += float(low[pick]) - tiny
+        near = np.flatnonzero(~(est >= d2))
+        diff = samples[near] - c
+        d2[near] = np.minimum(d2[near], np.add.reduce(diff * diff, axis=1))
     return centers
 
 
@@ -401,8 +442,11 @@ def _kmeans(samples, k, seed):
 
     A live cluster's new center is its rows summed in row order from
     +0.0 and divided by its count: the same bits as samples[assign ==
-    j].mean(axis=0) for samples of two or more columns.  np.add.at does
-    that sum: ufunc.at is unbuffered and adds the rows in index order."""
+    j].mean(axis=0) for samples of two or more columns.  One bincount
+    does every sum: it adds each weight, in element order, into a
+    zeroed array, so each (cluster, column) bin takes its rows in row
+    order from +0.0."""
+    dim = samples.shape[1]
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(samples, k, rng)
     history = []
@@ -419,8 +463,9 @@ def _kmeans(samples, k, seed):
             far = int(taken.argmax())
             centers[j] = samples[far]
             taken[far] = -1.0
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, samples)
+        sums = np.bincount((assign[:, None] * dim + np.arange(dim)).ravel(),
+                           weights=samples.ravel(),
+                           minlength=k * dim).reshape(k, dim)
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
         if prev and (prev - inertia) / prev < KMEANS_TOL:   # None or >= 0
@@ -434,13 +479,19 @@ def build_codebook(sub_feature: str, samples, seed: int = 0) -> Codebook:
 
     The codebook size is twice the feature dimension and the sample
     count must reach it.  Identical samples cannot be clustered and
-    raise.
+    raise, and so do samples so large that a sum of squared distances
+    over them overflows.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2:
         raise ValueError("samples must be (num, dim)")
     if not np.isfinite(X).all():
         raise ValueError("samples contain non-finite values")
+    # the seeding and every Lloyd step sum num distances of at most
+    # 4 max |x|² each
+    if not np.isfinite(4.0 * X.shape[0] * _max_sq_norm(X)):
+        raise ValueError("samples too large: sums of squared distances "
+                         "overflow")
     k = 2 * X.shape[1]
     if X.shape[0] < k:
         raise ValueError(f"need at least {k} samples, got {X.shape[0]}")
@@ -451,10 +502,15 @@ def build_codebook(sub_feature: str, samples, seed: int = 0) -> Codebook:
 
 
 def quantize(codebook: Codebook, samples) -> np.ndarray:
-    """Nearest-center index per sample; ties pick the lowest index."""
+    """Nearest-center index per sample; ties pick the lowest index.
+    Samples whose squared distances to a centre may overflow raise (a
+    Codebook's centres are checked alike)."""
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     if X.shape[1] != codebook.centers.shape[1]:
         raise ValueError("sample dimension does not match the codebook")
+    if not np.isfinite(4.0 * _max_sq_norm(X)):
+        raise ValueError("samples not finite or too large: squared "
+                         "distances overflow")
     return _pairwise_sq(X, codebook.centers).argmin(axis=1)
 
 

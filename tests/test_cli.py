@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1027,3 +1031,18 @@ def test_eval_backwards_detection_row_exit_2(tmp_path, capsys):
     assert f"{dets}: row v,a0,9,3,1.0: detection must end at or after " \
         "its start" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    # only composites.build_knn_graph uses scipy, and it imports cdist
+    # itself, so a command that builds no graph never pays for scipy
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, actkit.cli\n"
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"

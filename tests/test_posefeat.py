@@ -472,6 +472,35 @@ def test_build_codebook_errors():
         build_codebook("toy", np.ones((10, 1)))  # identical samples
 
 
+def test_build_codebook_rejects_overflowing_samples():
+    # finite, but the squared distances overflow: unchecked, k-means
+    # clusters inf and NaN distances and returns centres that quantize
+    # every row to 3 of the 8 words
+    X = 1e155 * np.random.default_rng(0).normal(size=(60, 4))
+    with pytest.raises(ValueError, match="overflow"):
+        build_codebook("toy", X)
+    # each distance is finite, but the seeding's sum of them overflows
+    X = 1e153 * np.random.default_rng(0).normal(size=(60, 4))
+    with pytest.raises(ValueError, match="overflow"):
+        build_codebook("toy", X)
+    assert build_codebook("toy", X * 1e-3).size == 8
+
+
+def test_quantize_rejects_overflowing_samples_and_centers():
+    rng = np.random.default_rng(1)
+    cb = Codebook("toy", rng.normal(size=(8, 4)), seed=0)
+    with pytest.raises(ValueError, match="overflow"):
+        quantize(cb, 1e155 * rng.normal(size=(60, 4)))
+    with pytest.raises(ValueError, match="overflow"):
+        quantize(cb, np.full((3, 4), np.nan))
+    # the centres are checked where a Codebook is made
+    with pytest.raises(ValueError, match="overflow"):
+        Codebook("toy", 1e155 * rng.normal(size=(8, 4)), seed=0)
+    X = 1e150 * rng.normal(size=(60, 4))
+    assert np.array_equal(quantize(Codebook("toy", X[:8], 0), X[:8]),
+                          np.arange(8))
+
+
 def test_kmeans_inertia_non_increasing():
     from actkit.posefeat import _kmeans
     rng = np.random.default_rng(8)
@@ -498,9 +527,12 @@ def _former_kmeans_pp_init(samples, k, rng):
     return centers
 
 
-def _former_kmeans(samples, k, seed, max_iter=100, tol=1e-6):
+def _former_kmeans(samples, k, seed, max_iter=100, tol=1e-6,
+                   add_at=False):
     """Lloyd iterations as they were written, one masked mean per live
-    cluster: the oracle of posefeat._kmeans."""
+    cluster: the oracle of posefeat._kmeans.  With add_at, each live
+    centre is the np.add.at row-order sum over its count instead, the
+    oracle for one-column samples, whose masked mean sums pairwise."""
     from actkit.posefeat import _pairwise_sq
     rng = np.random.default_rng(seed)
     centers = _former_kmeans_pp_init(samples, k, rng)
@@ -518,8 +550,14 @@ def _former_kmeans(samples, k, seed, max_iter=100, tol=1e-6):
             far = int(taken.argmax())
             centers[j] = samples[far]
             taken[far] = -1.0
-        for j in np.flatnonzero(counts > 0):
-            centers[j] = samples[assign == j].mean(axis=0)
+        if add_at:
+            sums = np.zeros_like(centers)
+            np.add.at(sums, assign, samples)
+            live = counts > 0
+            centers[live] = sums[live] / counts[live, None]
+        else:
+            for j in np.flatnonzero(counts > 0):
+                centers[j] = samples[assign == j].mean(axis=0)
         if prev is not None and prev > 0 and (prev - inertia) / prev < tol:
             break
         prev = inertia
@@ -560,6 +598,39 @@ def _kmeans_blocks():
     # scale where every distance is tiny
     X = base[rng.integers(0, 90, 120)] * 1e-5
     yield "settling-tiny", X, 80
+    # near both ends of the float range; at 1e-160 every product and
+    # squared distance is subnormal, so the seeding's bound test rests
+    # on its absolute term.  Rows at d2 = 0 must stay exactly 0 there.
+    for scale in (1e150, 1e-150, 1e-160):
+        yield f"scaled-{scale:g}", rng.normal(size=(40, 4)) * scale, 10
+        X = np.repeat(rng.normal(size=(2, 3)), 10, axis=0) * scale
+        yield f"zero-distance-{scale:g}", X, 6
+    # distances of a few subnormal units, on rows of normal numbers:
+    # only the bound's absolute term keeps the rows that these lower
+    for trial in range(3):
+        yield (f"subnormal-distances-{trial}",
+               rng.random((30, 2 + trial)) * 3 * 2.0 ** -537, 12)
+    # rows one ulp from another row, which is a centre once drawn: the
+    # expanded distance cancels to rounding noise, the exact one does not
+    X = rng.normal(size=(6, 5))[rng.integers(0, 6, 50)]
+    X[::2] = np.nextafter(X[::2], np.inf)
+    yield "one-ulp-apart", X, 12
+    # pose-sized block: 431 sparse non-negative rows of 80, k = 160
+    X = rng.random((431, 80))
+    X[X < 0.7] = 0.0
+    yield "pose-sized", X, 160
+
+
+def _kmeans_one_column_blocks():
+    # one column: posefeat._kmeans matches the np.add.at row-order sums
+    rng = np.random.default_rng(12)
+    for trial in range(4):
+        n = int(rng.integers(8, 80))
+        yield f"one-column-{trial}", rng.normal(size=(n, 1)), n // 3
+    yield "one-column-duplicates", rng.normal(size=(4, 1))[
+        rng.integers(0, 4, 40)], 8
+    for scale in (1e150, 1e-160):
+        yield f"one-column-{scale:g}", rng.normal(size=(30, 1)) * scale, 6
 
 
 @pytest.mark.parametrize("name, samples, k", list(_kmeans_blocks()))
@@ -573,9 +644,20 @@ def test_kmeans_matches_former_bit_for_bit(name, samples, k):
         assert new_h == old_h
 
 
+@pytest.mark.parametrize("name, samples, k",
+                         list(_kmeans_one_column_blocks()))
+def test_kmeans_one_column_matches_add_at_sums(name, samples, k):
+    from actkit.posefeat import _kmeans
+    for seed in range(3):
+        new_c, new_h = _kmeans(samples, k, seed)
+        old_c, old_h = _former_kmeans(samples, k, seed, add_at=True)
+        assert new_c.tobytes() == old_c.tobytes()
+        assert new_h == old_h
+
+
 def test_kmeans_pp_init_draws_as_choice():
     from actkit.posefeat import _kmeans_pp_init
-    for name, samples, k in _kmeans_blocks():
+    for name, samples, k in [*_kmeans_blocks(), *_kmeans_one_column_blocks()]:
         rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
         assert _kmeans_pp_init(samples, k, rng_new).tobytes() \
             == _former_kmeans_pp_init(samples, k, rng_old).tobytes(), name
