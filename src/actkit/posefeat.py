@@ -14,6 +14,15 @@ windows by two feature families:
 Each window is computed with array operations over its joints, distance
 pairs, angle triples and trajectories, not one of them at a time.
 
+Every per-frame quantity the bm statistics reduce (velocity,
+acceleration, their magnitudes and direction bins, pair distances, their
+changes and rate bins, inner-joint angles and angle speeds) depends on
+one or a few neighbouring frames only.  A JointTrackSet therefore
+computes each of them once over the whole track, on its first bm
+window, and a bm window only slices and reduces those tables.  The track
+set is immutable: a frozen dataclass holding a read-only copy of its
+positions, so the tables cannot go stale.
+
 The kernels are written for speed but keep the bits of the plain numpy
 expressions they replace: _norm is np.linalg.norm's own sum of squares
 for real input, slices subtract as np.diff does, and _row_stats sums
@@ -44,12 +53,16 @@ dimensions.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .tables import (INT, STR, finite_float, names_file, parse_json,
                      read_table, write_table)
+
+log = logging.getLogger(__name__)
 
 PARTS = ("head", "torso", "r_shoulder", "l_shoulder", "r_elbow", "l_elbow",
          "r_wrist", "l_wrist", "r_hand", "l_hand")
@@ -115,26 +128,36 @@ def bow_dim(feature_dim: int) -> int:
     return 2 * feature_dim * len(WINDOW_LENGTHS)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JointTrackSet:
     """Joint positions over a contiguous frame range.
 
     positions has shape (len(PARTS), num_frames, 2) in PARTS order;
-    first_frame is the frame index of positions[:, 0].
+    first_frame, an integer, is the frame index of positions[:, 0].  The
+    set is immutable: it holds a read-only copy of the positions it is
+    given, so the per-frame tables that bm_feature slices (built on its
+    first window) cannot go stale.  Track sets compare by identity, as
+    a field-wise == of their arrays would raise.
     """
 
     positions: np.ndarray
     first_frame: int = 0
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 3 or self.positions.shape[0] != len(PARTS) \
-                or self.positions.shape[2] != 2:
+        if isinstance(self.first_frame, bool) \
+                or not isinstance(self.first_frame, (int, np.integer)):
+            raise ValueError("first_frame must be an integer, got "
+                             f"{self.first_frame!r}")
+        pos = np.array(self.positions, dtype=float)
+        if pos.ndim != 3 or pos.shape[0] != len(PARTS) or pos.shape[2] != 2:
             raise ValueError("positions must have shape (10, frames, 2)")
-        if self.positions.shape[1] < 1:
+        if pos.shape[1] < 1:
             raise ValueError("track needs at least one frame")
-        if not np.isfinite(self.positions).all():
+        if not np.isfinite(pos).all():
             raise ValueError("positions contain non-finite values")
+        pos.flags.writeable = False
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "first_frame", int(self.first_frame))
 
     @property
     def num_frames(self) -> int:
@@ -143,6 +166,10 @@ class JointTrackSet:
     @property
     def frame_range(self) -> tuple:
         return (self.first_frame, self.first_frame + self.num_frames - 1)
+
+    @cached_property
+    def _motion(self) -> _MotionTables:
+        return _motion_tables(self.positions)
 
 
 # PARTS rows of the distance pairs, angle triples and arm joints
@@ -157,15 +184,17 @@ class _WindowOutOfRange(ValueError):
     """A window that leaves the track's frame range."""
 
 
-def _window(tracks: JointTrackSet, center_frame: int, length: int) -> np.ndarray:
+def _window_offset(tracks: JointTrackSet, center_frame: int,
+                   length: int) -> int:
+    """Column of tracks.positions where the window [center - L/2,
+    center + L/2) starts."""
     start = center_frame - length // 2
     stop = start + length
     first, last = tracks.frame_range
     if start < first or stop - 1 > last:
         raise _WindowOutOfRange(
             f"window [{start}, {stop}) exceeds frame range [{first}, {last}]")
-    off = start - first
-    return tracks.positions[:, off:off + length]
+    return start - first
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -174,24 +203,14 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
-def _offset_hist(bins: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """8-bin weighted histogram of each row of (rows, n) bin indices,
-    concatenated row by row."""
-    rows = bins.shape[0]
-    flat = (bins + 8 * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, weights=weights.ravel(), minlength=8 * rows)
-
-
-def _direction_hists(vectors: np.ndarray) -> np.ndarray:
-    """8-bin direction histogram of each row of (rows, n, 2) vectors,
-    weighted by vector magnitude.
+def _direction_bins(vectors: np.ndarray) -> np.ndarray:
+    """8-sector direction of each (x, y) vector along the last axis.
 
     Bin 0 is centered on the +x axis, bins advance counter-clockwise in
-    45 degree sectors.  Zero vectors carry zero weight.
+    45 degree sectors.
     """
     theta = np.arctan2(vectors[..., 1], vectors[..., 0])
-    bins = np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
-    return _offset_hist(bins, _norm(vectors))
+    return np.floor((theta + np.pi / 8) / (np.pi / 4)).astype(int) % 8
 
 
 def _row_stats(x: np.ndarray) -> np.ndarray:
@@ -225,6 +244,57 @@ def _angles(inner, end_a, end_b) -> np.ndarray:
     return np.where(ok, np.arccos(np.clip(cosv, -1.0, 1.0)), 0.0)
 
 
+# Bin layout of the one histogram count per bm window, 8 bins per row:
+# velocity rows, then acceleration rows, then distance-rate rows.
+_ACC_OFFSET = 8 * len(PARTS)
+_RATE_OFFSET = 2 * _ACC_OFFSET
+_HIST_BINS = _RATE_OFFSET + 8 * len(DISTANCE_PAIRS)
+
+
+@dataclass(frozen=True)
+class _MotionTables:
+    """Every per-frame quantity that bm_feature reduces, over a whole
+    track of T frames; a window is a slice of each.
+
+    step_bins/step_weights (26, T-1): velocity direction bins and speeds
+    of the joints, then signed rate bins and absolute distance changes
+    of the pairs.  acc_bins/acc_weights (10, T-2): acceleration
+    direction bins and magnitudes.  Bins are offset by row into the
+    _HIST_BINS layout.  geometry (22, T): pair distances, then
+    inner-joint angles.  ang_speed (6, T-1): absolute angle changes.
+    """
+
+    step_bins: np.ndarray
+    step_weights: np.ndarray
+    acc_bins: np.ndarray
+    acc_weights: np.ndarray
+    geometry: np.ndarray
+    ang_speed: np.ndarray
+
+
+def _motion_tables(pos: np.ndarray) -> _MotionTables:
+    """Per-frame tables of a (10, T, 2) track.  Each entry is computed
+    as the per-window code computed it, elementwise in time, so a slice
+    of a table holds the bits of the same quantity over that window."""
+    vel = pos[:, 1:] - pos[:, :-1]                # (10, T-1, 2)
+    acc = vel[:, 1:] - vel[:, :-1]                # (10, T-2, 2)
+    dist = _norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]])
+    deltas = dist[:, 1:] - dist[:, :-1]           # (16, T-1)
+    ang = _angles(*pos[_TRIPLE_IDX])              # (6, T)
+    joint_rows = 8 * np.arange(len(PARTS))[:, None]
+    pair_rows = _RATE_OFFSET + 8 * np.arange(len(DISTANCE_PAIRS))[:, None]
+    return _MotionTables(
+        step_bins=np.concatenate((
+            _direction_bins(vel) + joint_rows,
+            _RATE_INNER.searchsorted(deltas, side="right") + pair_rows)),
+        step_weights=np.concatenate((_norm(vel), np.abs(deltas))),
+        acc_bins=_direction_bins(acc) + _ACC_OFFSET + joint_rows,
+        acc_weights=_norm(acc),
+        geometry=np.concatenate((dist, ang)),
+        ang_speed=np.abs(ang[:, 1:] - ang[:, :-1]),
+    )
+
+
 @dataclass
 class SubFeature:
     """A named, fixed-dimension slice of a window descriptor."""
@@ -237,34 +307,36 @@ def bm_feature(tracks: JointTrackSet, center_frame: int,
                length: int) -> list:
     """Body-model statistics of the window [center - L/2, center + L/2).
 
-    Returns the sub-features listed in BM_SUBFEATURES, in that order,
-    each computed with array operations over all joints, distance pairs
-    or angle triples at once.  Raises when the window leaves the track's
-    frame range or has fewer than three frames (second differences need
-    them).
+    Returns the sub-features listed in BM_SUBFEATURES, in that order.
+    The window's slices of the track's per-frame tables are reduced in
+    three steps: one weighted bincount for the three histograms (each
+    bin takes its frames in time order, as a per-row count would), one
+    _row_stats over the distance and angle rows and one over the angle
+    speeds.  Raises when the window leaves the track's frame range or
+    has fewer than three frames (second differences need them).
     """
     if length < 3:
         raise ValueError("bm windows need at least three frames")
-    pos = _window(tracks, center_frame, length)  # (10, L, 2)
-
-    vel = pos[:, 1:] - pos[:, :-1]                # (10, L-1, 2)
-    acc = vel[:, 1:] - vel[:, :-1]                # (10, L-2, 2)
-
-    dist = _norm(pos[_PAIR_IDX[0]] - pos[_PAIR_IDX[1]])
-    deltas = dist[:, 1:] - dist[:, :-1]           # (16, L-1)
-    rate_bins = _RATE_INNER.searchsorted(deltas, side="right")
-
-    ang = _angles(*pos[_TRIPLE_IDX])              # (6, L)
-
+    off = _window_offset(tracks, center_frame, length)
+    tables = tracks._motion
+    steps = slice(off, off + length - 1)
+    accs = slice(off, off + length - 2)
+    hist = np.bincount(
+        np.concatenate((tables.step_bins[:, steps], tables.acc_bins[:, accs]),
+                       axis=None),
+        weights=np.concatenate((tables.step_weights[:, steps],
+                                tables.acc_weights[:, accs]), axis=None),
+        minlength=_HIST_BINS)
+    stats = _row_stats(tables.geometry[:, off:off + length])
+    split = 5 * len(DISTANCE_PAIRS)
     return [
-        SubFeature("velocity-hist", _direction_hists(vel)),
-        SubFeature("acceleration-hist", _direction_hists(acc)),
-        SubFeature("distance-stats", _row_stats(dist)),
-        SubFeature("distance-rate-hist",
-                   _offset_hist(rate_bins, np.abs(deltas))),
-        SubFeature("angle-stats", _row_stats(ang)),
+        SubFeature("velocity-hist", hist[:_ACC_OFFSET]),
+        SubFeature("acceleration-hist", hist[_ACC_OFFSET:_RATE_OFFSET]),
+        SubFeature("distance-stats", stats[:split]),
+        SubFeature("distance-rate-hist", hist[_RATE_OFFSET:]),
+        SubFeature("angle-stats", stats[split:]),
         SubFeature("angle-speed-stats",
-                   _row_stats(np.abs(ang[:, 1:] - ang[:, :-1]))),
+                   _row_stats(tables.ang_speed[:, steps])),
     ]
 
 
@@ -283,7 +355,8 @@ def fft_feature(tracks: JointTrackSet, center_frame: int,
     """
     if length < 2:
         raise ValueError("fft windows need at least two frames")
-    pos = _window(tracks, center_frame, length)
+    off = _window_offset(tracks, center_frame, length)
+    pos = tracks.positions[:, off:off + length]
     x = pos[_ARM_IDX].transpose(0, 2, 1).reshape(-1, length)  # (16, L)
     x = x - x.mean(axis=1, keepdims=True)
     mag = np.abs(np.fft.rfft(x, axis=1))
@@ -471,6 +544,12 @@ def _kmeans(samples, k, seed):
         if prev and (prev - inertia) / prev < KMEANS_TOL:   # None or >= 0
             break
         prev = inertia
+    else:
+        if inertia > 0:         # a zero inertia has nothing left to lower
+            log.warning("k-means did not converge within KMEANS_MAX_ITER "
+                        "= %d Lloyd steps: inertia %.6g, k = %d, %d samples "
+                        "of dimension %d", KMEANS_MAX_ITER, inertia, k,
+                        len(samples), dim)
     return centers, history
 
 
@@ -480,7 +559,8 @@ def build_codebook(sub_feature: str, samples, seed: int = 0) -> Codebook:
     The codebook size is twice the feature dimension and the sample
     count must reach it.  Identical samples cannot be clustered and
     raise, and so do samples so large that a sum of squared distances
-    over them overflows.
+    over them overflows.  A warning is logged when the Lloyd steps stop
+    at KMEANS_MAX_ITER before the inertia settles within KMEANS_TOL.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2:

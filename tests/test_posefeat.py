@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from actkit.posefeat import (
     SubFeature,
     _PAIR_IDX,
     _TRIPLE_IDX,
-    _offset_hist,
     bm_feature,
     bow_dim,
     build_codebook,
@@ -38,21 +40,27 @@ from actkit.posefeat import (
 )
 
 
-def _static_tracks(num_frames=30, first_frame=0):
+def _static_positions(num_frames=30):
     """All joints parked on a loose grid, nothing moves."""
     base = np.array([[50.0, 10.0], [50.0, 40.0], [65.0, 25.0], [35.0, 25.0],
                      [70.0, 45.0], [30.0, 45.0], [72.0, 60.0], [28.0, 60.0],
                      [74.0, 70.0], [26.0, 70.0]])
-    pos = np.repeat(base[:, None, :], num_frames, axis=1)
-    return JointTrackSet(pos, first_frame)
+    return np.repeat(base[:, None, :], num_frames, axis=1)
 
 
-def _random_walk_tracks(num_frames=60, seed=0, first_frame=0):
+def _static_tracks(num_frames=30, first_frame=0):
+    return JointTrackSet(_static_positions(num_frames), first_frame)
+
+
+def _random_walk_positions(num_frames=60, seed=0):
     rng = np.random.default_rng(seed)
     start = rng.uniform(0, 100, size=(len(PARTS), 1, 2))
     steps = rng.normal(0, 2.0, size=(len(PARTS), num_frames - 1, 2))
-    pos = np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
-    return JointTrackSet(pos, first_frame)
+    return np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
+
+
+def _random_walk_tracks(num_frames=60, seed=0, first_frame=0):
+    return JointTrackSet(_random_walk_positions(num_frames, seed), first_frame)
 
 
 def _subfeature_map(feats):
@@ -79,9 +87,10 @@ def test_bow_dim_formula():
 
 
 def test_bm_velocity_histogram_known_mass():
-    tracks = _static_tracks(20)
+    pos = _static_positions(20)
     # head moves +2 px/frame along +x: 19 transitions of speed 2
-    tracks.positions[0, :, 0] += 2.0 * np.arange(20)
+    pos[0, :, 0] += 2.0 * np.arange(20)
+    tracks = JointTrackSet(pos)
     feats = _subfeature_map(bm_feature(tracks, 10, 20))
     head_hist = feats["velocity-hist"][0:8]
     assert head_hist[0] == pytest.approx(38.0)
@@ -99,10 +108,11 @@ def test_bm_stationary_is_all_zero_motion():
 
 
 def test_bm_constant_distance_stats():
-    tracks = _static_tracks(20)
+    pos = _static_positions(20)
     # force r_shoulder / l_shoulder to a 3-4-5 configuration
-    tracks.positions[PARTS.index("r_shoulder")] = [0.0, 0.0]
-    tracks.positions[PARTS.index("l_shoulder")] = [3.0, 4.0]
+    pos[PARTS.index("r_shoulder")] = [0.0, 0.0]
+    pos[PARTS.index("l_shoulder")] = [3.0, 4.0]
+    tracks = JointTrackSet(pos)
     feats = _subfeature_map(bm_feature(tracks, 10, 20))
     assert DISTANCE_PAIRS[0] == ("r_shoulder", "l_shoulder")
     stats = feats["distance-stats"][0:5]
@@ -111,12 +121,12 @@ def test_bm_constant_distance_stats():
 
 
 def test_bm_rate_histogram_signed_bins():
-    tracks = _static_tracks(21)
+    pos = _static_positions(21)
     # r_shoulder walks away from l_shoulder by +3 px/frame along x
-    tracks.positions[PARTS.index("l_shoulder")] = [0.0, 0.0]
-    tracks.positions[PARTS.index("r_shoulder"), :, 1] = 0.0
-    tracks.positions[PARTS.index("r_shoulder"), :, 0] = \
-        10.0 + 3.0 * np.arange(21)
+    pos[PARTS.index("l_shoulder")] = [0.0, 0.0]
+    pos[PARTS.index("r_shoulder"), :, 1] = 0.0
+    pos[PARTS.index("r_shoulder"), :, 0] = 10.0 + 3.0 * np.arange(21)
+    tracks = JointTrackSet(pos)
     feats = _subfeature_map(bm_feature(tracks, 10, 20))
     hist = feats["distance-rate-hist"][0:8]
     # deltas of +3 land in the [2, 4) bin (index 6), weighted by magnitude
@@ -125,11 +135,12 @@ def test_bm_rate_histogram_signed_bins():
 
 
 def test_bm_angles_straight_and_right():
-    tracks = _static_tracks(20)
-    tracks.positions[PARTS.index("r_shoulder")] = [0.0, 0.0]
-    tracks.positions[PARTS.index("r_elbow")] = [10.0, 0.0]
-    tracks.positions[PARTS.index("r_wrist")] = [20.0, 0.0]
-    tracks.positions[PARTS.index("r_hand")] = [20.0, 10.0]
+    pos = _static_positions(20)
+    pos[PARTS.index("r_shoulder")] = [0.0, 0.0]
+    pos[PARTS.index("r_elbow")] = [10.0, 0.0]
+    pos[PARTS.index("r_wrist")] = [20.0, 0.0]
+    pos[PARTS.index("r_hand")] = [20.0, 10.0]
+    tracks = JointTrackSet(pos)
     feats = _subfeature_map(bm_feature(tracks, 10, 20))
     stats = feats["angle-stats"]
     # triple order: the r_elbow angle is the third entry, r_wrist the fifth
@@ -200,11 +211,11 @@ def test_fft_constant_trajectory_conventions():
 
 
 def test_fft_pure_sinusoid_band():
-    tracks = _static_tracks(20)
+    pos = _static_positions(20)
     t = np.arange(20)
     # r_shoulder x oscillates at DFT bin 2: amplitude L/2 = 10 in the spectrum
-    tracks.positions[PARTS.index("r_shoulder"), :, 0] += \
-        np.sin(2 * np.pi * 2 * t / 20)
+    pos[PARTS.index("r_shoulder"), :, 0] += np.sin(2 * np.pi * 2 * t / 20)
+    tracks = JointTrackSet(pos)
     feats = _subfeature_map(fft_feature(tracks, 10, 20))
     assert ARM_JOINTS[0] == "r_shoulder"
     bands = feats["fft-bands"][0:4]
@@ -339,11 +350,10 @@ def _oracle_fft(tracks, center_frame, length):
 def _oracle_tracks(num_frames=110, first_frame=37):
     """Seeded random walk with a static head and a right hand that sits
     on the right wrist for a stretch (a zero-length segment)."""
-    tracks = _random_walk_tracks(num_frames, seed=21, first_frame=first_frame)
-    pos = tracks.positions
+    pos = _random_walk_positions(num_frames, seed=21)
     pos[PARTS.index("head")] = pos[PARTS.index("head"), :1]
     pos[PARTS.index("r_hand"), 30:70] = pos[PARTS.index("r_wrist"), 30:70]
-    return tracks
+    return JointTrackSet(pos, first_frame)
 
 
 @pytest.mark.parametrize("kind,lengths", [("bm", (3, 20, 50, 100)),
@@ -379,6 +389,14 @@ def test_descriptor_oracle_covers_degenerate_geometry():
     assert np.all(_oracle_part(pos, "r_hand") == _oracle_part(pos, "r_wrist"))
     r_wrist_angle = bm_feature(tracks, 37 + 50, 20)[4].values[4 * 5:5 * 5]
     assert np.all(r_wrist_angle == 0)
+
+
+def _offset_hist(bins, weights):
+    """8-bin weighted histogram of each row of (rows, n) bin indices,
+    concatenated row by row."""
+    rows = bins.shape[0]
+    flat = (bins + 8 * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=8 * rows)
 
 
 def _former_direction_hists(vectors):
@@ -424,24 +442,93 @@ def _former_bm_feature(tracks, center_frame, length):
             _former_row_stats(np.abs(np.diff(ang, axis=1)))]
 
 
+def _edge_segment_tracks(num_frames=90):
+    """Random walk whose right hand sits on the right wrist for the first
+    and the last five frames: zero-length segments and a zero distance
+    that touch both ends of the track."""
+    pos = _random_walk_positions(num_frames, seed=8)
+    wrist, hand = PARTS.index("r_wrist"), PARTS.index("r_hand")
+    pos[hand, :5] = pos[wrist, :5]
+    pos[hand, -5:] = pos[wrist, -5:]
+    return JointTrackSet(pos, first_frame=4)
+
+
 @pytest.mark.parametrize("tracks", [
     _oracle_tracks(),                       # static head, zero-length segment
     _random_walk_tracks(140, seed=3),
     _random_walk_tracks(120, seed=4, first_frame=9),
     _static_tracks(110),
-], ids=["oracle", "walk-3", "walk-4", "static"])
+    _random_walk_tracks(3, seed=5, first_frame=2),
+    _edge_segment_tracks(),
+], ids=["oracle", "walk-3", "walk-4", "static", "three-frames",
+        "edge-segments"])
 def test_bm_feature_matches_former_bit_for_bit(tracks):
+    # the odd length 51 and the whole track (L = T) besides the usual ones
+    lengths = sorted({3, 20, 50, 51, 100, tracks.num_frames})
     first, last = tracks.frame_range
     checked = 0
     for center in range(first, last + 1):
-        for L, feats in pose_frame_features(tracks, center,
-                                            (3, 20, 50, 100)).items():
+        for L, feats in pose_frame_features(tracks, center, lengths).items():
             for sf, want in zip(feats, _former_bm_feature(tracks, center, L)):
                 # tobytes: the sign of zero counts too
                 assert sf.values.tobytes() == want.tobytes(), (center, L,
                                                                sf.name)
             checked += 1
-    assert checked == sum(tracks.num_frames - L + 1 for L in (3, 20, 50, 100))
+    assert checked == sum(max(tracks.num_frames - L + 1, 0) for L in lengths)
+
+
+def test_edge_segment_tracks_touch_both_ends():
+    tracks = _edge_segment_tracks()
+    r_wrist_angle = ANGLE_TRIPLES.index(("r_wrist", "r_elbow", "r_hand"))
+    first, last = tracks.frame_range
+    for center in (first + 1, last - 1):
+        stats = bm_feature(tracks, center, 3)[4].values
+        assert np.all(stats[5 * r_wrist_angle:5 * r_wrist_angle + 5] == 0)
+
+
+def test_tracks_hold_a_read_only_copy():
+    pos = _random_walk_positions(60, seed=6)
+    tracks = JointTrackSet(pos)
+    with pytest.raises(ValueError, match="read-only"):
+        tracks.positions[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tracks.positions = pos
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tracks.first_frame = 3
+    # identity comparison: two sets from one array are distinct copies
+    assert tracks == tracks and tracks != JointTrackSet(pos)
+
+
+def test_mutating_the_source_array_leaves_descriptors_unchanged():
+    pos = _random_walk_positions(60, seed=6)
+    want = JointTrackSet(pos.copy())
+    tracks = JointTrackSet(pos)
+    fft_feature(tracks, 30, 20)
+    assert "_motion" not in vars(tracks)        # built on the first bm window
+    bm_feature(tracks, 30, 20)
+    assert "_motion" in vars(tracks)
+    pos[:] = 0.0
+    for kind in ("bm", "fft"):
+        for center in range(60):
+            got = pose_frame_features(tracks, center, (3, 20, 50), kind)
+            ref = pose_frame_features(want, center, (3, 20, 50), kind)
+            assert got.keys() == ref.keys()
+            for L in got:
+                for a, b in zip(got[L], ref[L]):
+                    assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("first_frame", [0.5, 3.0, True, np.bool_(False),
+                                         "3", None])
+def test_tracks_reject_non_integer_first_frame(first_frame):
+    with pytest.raises(ValueError, match="first_frame must be an integer"):
+        JointTrackSet(_static_positions(30), first_frame=first_frame)
+
+
+def test_tracks_accept_numpy_integer_first_frame():
+    tracks = JointTrackSet(_static_positions(30), first_frame=np.int64(7))
+    assert type(tracks.first_frame) is int and tracks.frame_range == (7, 36)
+    assert set(pose_frame_features(tracks, 27, (20,), "bm")) == {20}
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +740,34 @@ def test_kmeans_one_column_matches_add_at_sums(name, samples, k):
         old_c, old_h = _former_kmeans(samples, k, seed, add_at=True)
         assert new_c.tobytes() == old_c.tobytes()
         assert new_h == old_h
+
+
+def test_build_codebook_warns_when_kmeans_stops_unconverged(monkeypatch,
+                                                           caplog):
+    import actkit.posefeat as pf
+    samples = np.random.default_rng(3).normal(size=(60, 4))
+    with caplog.at_level(logging.WARNING, logger="actkit.posefeat"):
+        build_codebook("toy", samples, seed=2)
+    assert caplog.records == []
+    monkeypatch.setattr(pf, "KMEANS_MAX_ITER", 1)
+    with caplog.at_level(logging.WARNING, logger="actkit.posefeat"):
+        book = build_codebook("toy", samples, seed=2)
+    [record] = caplog.records
+    assert record.name == "actkit.posefeat"
+    assert "did not converge within KMEANS_MAX_ITER = 1" in record.getMessage()
+    # the warning changes no output
+    want, _ = _former_kmeans(samples, 8, 2, max_iter=1)
+    assert book.centers.tobytes() == want.tobytes()
+
+
+def test_kmeans_zero_inertia_logs_nothing(caplog):
+    from actkit.posefeat import _kmeans
+    # four distinct rows, twice each: every row sits on a centre
+    rows = np.random.default_rng(0).normal(size=(4, 2))
+    samples = np.repeat(rows, 2, axis=0)
+    with caplog.at_level(logging.WARNING, logger="actkit.posefeat"):
+        _, history = _kmeans(samples, 4, 0)
+    assert history[-1] == 0.0 and caplog.records == []
 
 
 def test_kmeans_pp_init_draws_as_choice():
