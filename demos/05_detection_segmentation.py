@@ -4,8 +4,9 @@ Finding activities on the timeline
 
 Detection scans a multi-scale ladder of sliding windows over an
 integral histogram of per-frame codebook counts, scores every window
-of a ladder level in one call to an attribute classifier, and prunes
-overlaps with non-maximum suppression.  Segmentation instead merges
+of a ladder level in one call to an attribute classifier, keeps the
+scores as columns of one record, and prunes overlaps with non-maximum
+suppression.  Segmentation instead merges
 adjacent spans whose count histograms look alike.
 """
 
@@ -45,15 +46,22 @@ for _ in range(200):
 models = train_linear_ova(np.array(X), y, ("stir",),
                           TrainConfig(epochs=300))
 
+# build_integral also takes the path of a .npy count file, which it
+# reads straight into the table's rows
 table = build_integral(counts)
 # the scorer gets one level's window histograms as rows and returns one
-# score per row
-detections = score_windows(
+# score per row; the windows come back as columns of one record
+windows = score_windows(
     table, lambda H: score_intervals(models, H)[0],
     video="demo", attribute="stir")
-print(f"\n{len(detections)} windows scored across {len(usable)} levels")
+print(f"\n{len(windows)} windows scored across {len(usable)} levels")
+sizes, per_size = np.unique(windows.ends - windows.starts + 1,
+                            return_counts=True)
+print("windows per size:", dict(zip(sizes.tolist(), per_size.tolist())))
 
-kept = nms(detections)
+# suppression ranks the record's arrays; only the kept windows become
+# Detection records
+kept = nms(windows)
 print("after suppression:")
 for d in kept[:5]:
     print(f"  frames [{d.start:4d}, {d.end:4d}]  score {d.score:+.2f}")

@@ -46,7 +46,7 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearModelSet:
     """The fitted one-vs-all table of a list of attributes.
 

@@ -32,7 +32,7 @@ from .metrics import EvalReport, eval_detection
 from .psinfer import (default_part_graph, infer, load_grids,
                       save_placements_csv)
 from .synth import SyntheticConfig, gen_synthetic, load_bundle, save_bundle
-from .tables import finite_float, names_file, read_npy
+from .tables import finite_float, names_file
 from .temporal import (build_integral, load_detections_csv, nms,
                        save_detections_csv, save_segments_jsonl,
                        score_windows, segment_agglomerative)
@@ -144,8 +144,9 @@ def _cmd_stack(args):
 
 @names_file
 def _load_integral(path):
-    """The integral table of a (T, B) .npy count file."""
-    return build_integral(read_npy(path))
+    """The integral table of a (T, B) .npy count file, which
+    build_integral reads into the table itself."""
+    return build_integral(path)
 
 
 def _cmd_detect(args):

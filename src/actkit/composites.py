@@ -255,7 +255,7 @@ def pst_init(script_scores, labels, cfg: PstConfig,
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class NeighborGraph:
     """Symmetric k-nearest-neighbour graph over pooled sequence features."""
 

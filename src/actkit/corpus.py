@@ -126,7 +126,7 @@ class ScriptCorpus:
                     )
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightMatrix:
     """Composite-by-attribute weight matrix.
 

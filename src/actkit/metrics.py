@@ -181,7 +181,7 @@ def eval_detection(detections, annotations, criterion="midpoint",
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     """Evaluation summary for one experiment run."""
 

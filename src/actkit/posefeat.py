@@ -251,7 +251,7 @@ _RATE_OFFSET = 2 * _ACC_OFFSET
 _HIST_BINS = _RATE_OFFSET + 8 * len(DISTANCE_PAIRS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MotionTables:
     """Every per-frame quantity that bm_feature reduces, over a whole
     track of T frames; a window is a slice of each.
@@ -295,7 +295,7 @@ def _motion_tables(pos: np.ndarray) -> _MotionTables:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class SubFeature:
     """A named, fixed-dimension slice of a window descriptor."""
 
@@ -410,7 +410,7 @@ def _max_sq_norm(X) -> float:
         return float(np.einsum("ij,ij->i", X, X).max(initial=0.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class Codebook:
     """k-means codebook of one sub-feature; k = 2 x dimension.  Centres
     whose squared distances may overflow raise."""
@@ -513,6 +513,12 @@ def _kmeans(samples, k, seed):
     sample farthest from its assigned center.  Returns (centers,
     inertia history after each assignment).
 
+    The steps stop at a fixed point, once a step leaves every centre
+    bit-equal to the one it started from: a step is a function of the
+    centres alone, so every later step would repeat it.  Otherwise they
+    stop once the inertia falls by less than KMEANS_TOL of itself, or
+    after KMEANS_MAX_ITER steps.
+
     A live cluster's new center is its rows summed in row order from
     +0.0 and divided by its count: the same bits as samples[assign ==
     j].mean(axis=0) for samples of two or more columns.  One bincount
@@ -530,6 +536,7 @@ def _kmeans(samples, k, seed):
         mind2 = d2[np.arange(len(samples)), assign]
         inertia = float(mind2.sum())
         history.append(inertia)
+        before = centers.tobytes()
         counts = np.bincount(assign, minlength=k)
         taken = mind2.copy()
         for j in np.flatnonzero(counts == 0):
@@ -541,6 +548,8 @@ def _kmeans(samples, k, seed):
                            minlength=k * dim).reshape(k, dim)
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
+        if centers.tobytes() == before:
+            break
         if prev and (prev - inertia) / prev < KMEANS_TOL:   # None or >= 0
             break
         prev = inertia
@@ -628,7 +637,7 @@ def build_codebook_set(samples_by_key, seed: int = 0) -> CodebookSet:
         for pos, (key, samples) in enumerate(samples_by_key.items())})
 
 
-@dataclass
+@dataclass(eq=False)
 class BowHistogram:
     """Concatenated per-(length, sub-feature) histogram, each block
     L1-normalized; empty blocks stay all-zero."""

@@ -265,7 +265,7 @@ def _dt_max_message(beta, edge, shape):
 # ---------------------------------------------------------------------------
 # inference
 
-@dataclass
+@dataclass(eq=False)
 class InferenceResult:
     placements: dict | None = None      # part -> (x, y)
     log_score: float | None = None
@@ -359,7 +359,7 @@ def _infer_marginal(logphi, graph, order, shape):
 # ---------------------------------------------------------------------------
 # hand likelihoods
 
-@dataclass
+@dataclass(eq=False)
 class HandHypothesisSet:
     """Scored hand location hypotheses, points as (x, y) rows."""
 

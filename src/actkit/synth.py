@@ -124,7 +124,7 @@ _CONFIG_FIELDS = {name: kind._replace(required=False) for kind, names in (
     for name in names.split()}
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceData:
     """One generated video with its interval ground truth."""
 

@@ -5,19 +5,24 @@ Windows are placed on a geometric schedule (size and stride grow by
 sqrt(2) per level).  Window histograms are read from an integral
 (cumulative) table of frame word counts so each window costs O(1)
 regardless of its length, and every window of one schedule level is
-read and scored as one batch.
+read and scored as one batch.  A stream of native float64 rows in a
+.npy file is read straight into the table, so the counts are held once.
+score_windows returns its windows as columns (WindowScores), and nms
+ranks and suppresses those arrays; Detection records are built only
+for the windows nms keeps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import (INT, NUMBER, names_file, read_json_lines, read_table,
-                     write_table)
+from .tables import (INT, NUMBER, names_file, read_json_lines, read_npy,
+                     read_table, write_table)
 
 BASE_WINDOW = 30
 BASE_STEP = 6
@@ -78,7 +83,7 @@ def window_schedule() -> list:
 # ---------------------------------------------------------------------------
 # integral word count tables
 
-@dataclass
+@dataclass(eq=False)
 class IntegralHistogram:
     """Prefix sums of a (T, B) frame count stream.
 
@@ -103,26 +108,63 @@ class IntegralHistogram:
 _INTEGRAL_BLOCK = 256
 
 
-def build_integral(counts) -> IntegralHistogram:
-    """Cumulative table over per-frame word counts (T, B).
+def _read_into_table(path):
+    """A (T + 1, B) table whose rows 1..T are the counts of the .npy file
+    path, read into it with one readinto; row 0 is zero.  None unless
+    the file is a version 1 or 2 .npy of a native float64 2-D array in C
+    order that holds all T rows."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            version = fmt.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                return None
+            shape, fortran, dtype = (
+                fmt.read_array_header_1_0 if version == (1, 0)
+                else fmt.read_array_header_2_0)(fh)
+        except ValueError:
+            return None
+        if len(shape) != 2 or fortran or dtype != np.float64:
+            return None
+        prefix = np.empty((shape[0] + 1, shape[1]))
+        prefix[0] = 0.0
+        if fh.readinto(prefix[1:]) != prefix[1:].nbytes:
+            return None
+    return prefix
 
-    Counts must be non-negative and their column totals finite; a NaN,
-    negative or infinite count raises ValueError naming its frame and
-    bin.  Rows are accumulated in place in blocks of _INTEGRAL_BLOCK,
-    each block starting from the last prefix row of the one before, so
-    every column is summed top-down in frame order: the same bits as
-    np.cumsum(counts, axis=0), with the working block kept in cache."""
-    C = np.asarray(counts, dtype=float)
-    if C.ndim != 2:
-        raise ValueError("counts must be (T, B)")
-    if C.size and not C.min() >= 0:           # NaN fails this test too
-        f, b = np.argwhere(~(C >= 0))[0]
+
+def build_integral(counts) -> IntegralHistogram:
+    """Cumulative table over per-frame word counts (T, B): an array, or
+    the path of a .npy file that holds one.
+
+    A file of native float64 counts in C order is read straight into
+    rows 1..T of the table, so the counts are never held twice; any
+    other file loads with read_npy, whose errors it keeps, and is cast
+    into those rows.  Counts must be non-negative and their column
+    totals finite; a NaN, negative or infinite count raises ValueError
+    naming its frame and bin.  Rows are accumulated in place in blocks
+    of _INTEGRAL_BLOCK, each block starting from the last prefix row of
+    the one before, so every column is summed top-down in frame order:
+    the same bits as np.cumsum(counts, axis=0), with the working block
+    kept in cache."""
+    prefix = None
+    if isinstance(counts, (str, os.PathLike)):
+        prefix = _read_into_table(counts)
+        if prefix is None:
+            counts = read_npy(counts)
+    if prefix is None:
+        C = np.asarray(counts, dtype=float)
+        if C.ndim != 2:
+            raise ValueError("counts must be (T, B)")
+        prefix = np.empty((C.shape[0] + 1, C.shape[1]))
+        prefix[0] = 0.0
+        prefix[1:] = C
+    rows = prefix[1:]
+    if rows.size and not rows.min() >= 0:     # NaN fails this test too
+        f, b = np.argwhere(~(rows >= 0))[0]
         raise ValueError(f"counts must be non-negative: frame {f}, bin {b} "
-                         f"holds {C[f, b]}")
-    T = C.shape[0]
-    prefix = np.empty((T + 1, C.shape[1]))
-    prefix[0] = 0.0
-    prefix[1:] = C
+                         f"holds {rows[f, b]}")
+    T = rows.shape[0]
     with np.errstate(over="ignore"):          # an overflow raises below
         for start in range(0, T, _INTEGRAL_BLOCK):
             block = prefix[start + 1:start + 1 + _INTEGRAL_BLOCK]
@@ -130,7 +172,7 @@ def build_integral(counts) -> IntegralHistogram:
                 block[0] += prefix[start]
             np.add.accumulate(block, axis=0, out=block)
     if not np.isfinite(prefix[-1]).all():
-        f, b = np.argwhere(~np.isfinite(prefix[1:]))[0]
+        f, b = np.argwhere(~np.isfinite(rows))[0]
         raise ValueError(f"counts must have finite totals: bin {b} is "
                          f"{prefix[f + 1, b]} from frame {f} on")
     return IntegralHistogram(prefix)
@@ -160,30 +202,57 @@ def window_histogram(table: IntegralHistogram, start, end) -> np.ndarray:
     return np.divide(raw, total, out=np.zeros_like(raw), where=total > 0)
 
 
+@dataclass(frozen=True, eq=False)
+class WindowScores:
+    """The windows of one score_windows call, in scan order, as columns:
+    inclusive start and end frames (int64) and scores (float64) of one
+    attribute in one video.  len() counts the windows; iterating yields
+    them as Detection records."""
+
+    video: str
+    attribute: str
+    starts: np.ndarray
+    ends: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self):
+        return map(self.detection, range(len(self)))
+
+    def detection(self, i) -> Detection:
+        """Window i as a Detection record."""
+        return Detection(self.video, self.attribute, int(self.starts[i]),
+                         int(self.ends[i]), float(self.scores[i]))
+
+
 def score_windows(table: IntegralHistogram, scorer, video: str = "",
-                  attribute: str = "") -> list:
+                  attribute: str = "") -> WindowScores:
     """Slide each window_schedule level over the stream, scoring windows.
 
     Windows are placed at offsets 0, step, 2*step, ... while offset +
     size <= T.  scorer maps the (N, B) window_histogram rows (unit L1
     mass) of one whole level to N scores; it is called once per level
-    that fits the stream.  Returns Detection records in scan order.
+    that fits the stream.  Returns the windows in scan order.
     """
     T = table.num_frames
-    out = []
+    starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    scores = [np.zeros(0)]
     for size, step in window_schedule():
         if size > T:
             continue
-        starts = np.arange(0, T - size + 1, step)
-        scores = np.asarray(scorer(window_histogram(table, starts,
-                                                    starts + size - 1)),
-                            dtype=float)
-        if scores.shape != starts.shape:
-            raise ValueError(f"scorer returned shape {scores.shape} for "
-                             f"{len(starts)} windows of size {size}")
-        out.extend(Detection(video, attribute, s, s + size - 1, v)
-                   for s, v in zip(starts.tolist(), scores.tolist()))
-    return out
+        s = np.arange(0, T - size + 1, step, dtype=np.int64)
+        v = np.asarray(scorer(window_histogram(table, s, s + size - 1)),
+                       dtype=float)
+        if v.shape != s.shape:
+            raise ValueError(f"scorer returned shape {v.shape} for "
+                             f"{len(s)} windows of size {size}")
+        starts.append(s)
+        ends.append(s + size - 1)
+        scores.append(v)
+    return WindowScores(video, attribute, np.concatenate(starts),
+                        np.concatenate(ends), np.concatenate(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +262,41 @@ def nms(detections, overlap_threshold: float = 0.0,
         criterion: str = "overlap") -> list:
     """Greedy non-maximum suppression, suppress-the-rest form.
 
-    Candidates are ranked by descending score (ties: earlier start,
-    then shorter window, then input order).  The best live candidate is
-    kept and every later candidate whose overlap with it exceeds the
-    threshold is dropped in one array expression; this repeats until no
-    candidate is live, so the loop runs once per kept window.  The
-    default threshold of zero removes anything that overlaps a kept
-    window at all.  criterion "overlap" measures shared frames, "iou"
-    the intersection-over-union ratio.  Both are symmetric, so the kept
-    list is the one a candidate-by-candidate greedy pass keeps.  A NaN
-    score (no rank) or threshold (no suppression) raises ValueError.
+    detections is a WindowScores record, whose arrays are ranked as
+    they are, or any iterable of Detection records.  Candidates are
+    ranked by descending score (ties: earlier start, then shorter
+    window, then input order).  The best live candidate is kept and
+    every later candidate whose overlap with it exceeds the threshold
+    is dropped in one array expression; this repeats until no candidate
+    is live, so the loop runs once per kept window.  The default
+    threshold of zero removes anything that overlaps a kept window at
+    all.  criterion "overlap" measures shared frames, "iou" the
+    intersection-over-union ratio.  Both are symmetric, so the kept
+    list is the one a candidate-by-candidate greedy pass keeps.  Returns
+    the kept windows as Detection records, best first.  A NaN score (no
+    rank) or threshold (no suppression) raises ValueError.
     """
     if criterion not in ("overlap", "iou"):
         raise ValueError(f"unknown suppression criterion {criterion!r}")
     if math.isnan(overlap_threshold):
         raise ValueError("overlap_threshold cannot be NaN")
-    dets = list(detections)
-    scores = np.array([d.score for d in dets], dtype=float)
+    if isinstance(detections, WindowScores):
+        starts, ends = detections.starts, detections.ends
+        scores, pick = detections.scores, detections.detection
+    else:
+        dets = list(detections)
+        starts = np.array([d.start for d in dets], dtype=np.int64)
+        ends = np.array([d.end for d in dets], dtype=np.int64)
+        scores = np.array([d.score for d in dets], dtype=float)
+        pick = dets.__getitem__
     nan = np.flatnonzero(np.isnan(scores))
     if nan.size:
-        raise ValueError(f"detection {dets[nan[0]]} has a NaN score")
-    starts = np.array([d.start for d in dets], dtype=np.int64)
-    ends = np.array([d.end for d in dets], dtype=np.int64)
+        raise ValueError(f"detection {pick(nan[0])} has a NaN score")
     rest = np.lexsort((ends - starts, starts, -scores))
     S, E = starts[rest], ends[rest]
     kept = []
     while rest.size:
-        kept.append(dets[rest[0]])
+        kept.append(rest[0])
         overlap = np.minimum(E, E[0]) - np.maximum(S, S[0]) + 1
         if criterion == "iou":
             inter = np.maximum(overlap, 0)
@@ -227,7 +304,7 @@ def nms(detections, overlap_threshold: float = 0.0,
         live = ~(overlap > overlap_threshold)
         live[0] = False
         rest, S, E = rest[live], S[live], E[live]
-    return kept
+    return [pick(i) for i in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -64,3 +64,42 @@ def test_mining_counts_one_match_call_per_document_label(monkeypatch):
     assert tracer.counts["corpus.match_calls"] == len(docs) * len(vocab)
     assert tracer.counts["corpus.tokens"] == \
         sum(map(len, docs.values())) * len(vocab)
+
+
+def test_detect_and_segment_feed_the_temporal_counters(monkeypatch, tmp_path,
+                                                       capsys):
+    # the traced stream run times and counts actkit detect and segment at
+    # cli.build_integral, cli.score_windows and cli.nms
+    tracer = _tracing(monkeypatch).Tracer()
+    from actkit import attributes, cli, temporal
+    T = 700
+    rng = np.random.default_rng(2)
+    counts = rng.poisson(0.4, size=(T, 3)).astype(float)
+    counts[100:220, 0] += 3.0
+    np.save(tmp_path / "c.npy", counts)
+    X = np.array([[1.0, 0.0, 0.0], [0.8, 0.0, 0.2], [0.0, 1.0, 0.0],
+                  [0.1, 0.0, 0.9]])
+    attributes.save_models_npz(attributes.train_linear_ova(
+        X, [{"a0"}, {"a0"}, set(), set()], ("a0",)), tmp_path / "m.npz")
+    with tracer.install():
+        assert cli.main(["detect", "--counts", str(tmp_path / "c.npy"),
+                         "--models", str(tmp_path / "m.npz"), "--attribute",
+                         "a0", "--output", str(tmp_path / "d.csv")]) == 0
+        assert cli.main(["segment", "--counts", str(tmp_path / "c.npy"),
+                         "--threshold", "0.9", "--output",
+                         str(tmp_path / "s.jsonl")]) == 0
+    windows = sum((T - size) // step + 1
+                  for size, step in temporal.window_schedule() if size <= T)
+    kept = temporal.load_detections_csv(tmp_path / "d.csv")
+    assert capsys.readouterr().out.startswith(
+        f"{windows} windows scored, {len(kept)} kept")
+    assert tracer.counts["temporal.windows_scored"] == windows
+    assert tracer.counts["temporal.nms_in"] == windows
+    assert 0 < tracer.counts["temporal.nms_kept"] == len(kept) < windows
+    names = [name for _, name, *_ in tracer.spans]
+    # one integral table per command, which reads the count file itself
+    assert names.count("temporal.integral_s") == 2
+    for name in ("temporal.score_windows_s", "temporal.nms_s",
+                 "temporal.segment_s", "cli.detect_s", "cli.segment_s"):
+        assert names.count(name) == 1, name
+    assert all(error is None for *_, error in tracer.spans)

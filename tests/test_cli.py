@@ -494,6 +494,43 @@ def test_detect_non_finite_nms_threshold_exit_1(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def wide_stream(tmp_path_factory):
+    """A (12000, 256) count file, the size of the benchmark's stream, and
+    a model file over its 256 bins."""
+    path = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(3)
+    np.save(path / "c.npy", rng.poisson(0.05, size=(12000, 256)).astype(float))
+    X = rng.dirichlet(np.ones(256), size=60)
+    labels = [{"a0"} if x[0] > x[1] else set() for x in X]
+    save_models_npz(train_linear_ova(X, labels, ("a0",), TrainConfig(
+        epochs=20)), path / "m.npz")
+    return path
+
+
+@pytest.mark.parametrize("command, bound", [("detect", 1.4),
+                                            ("segment", 1.1)])
+def test_stream_commands_hold_one_count_table(wide_stream, tmp_path,
+                                              command, bound):
+    # the counts are read straight into the (T + 1, B) integral table,
+    # and windows are scored as arrays: no second copy of the stream
+    import tracemalloc
+    table_bytes = 12001 * 256 * 8
+    argv = {"detect": ["--models", str(wide_stream / "m.npz"),
+                       "--attribute", "a0", "--output",
+                       str(tmp_path / "d.csv")],
+            "segment": ["--threshold", "0.9", "--output",
+                        str(tmp_path / "s.jsonl")]}[command]
+    tracemalloc.start()
+    try:
+        rc = main([command, "--counts", str(wide_stream / "c.npy"), *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < bound * table_bytes, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_segment_command(tmp_path):
     counts = np.zeros((240, 2))
     counts[:120, 0] = 1.0

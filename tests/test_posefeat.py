@@ -720,6 +720,13 @@ def _kmeans_one_column_blocks():
         yield f"one-column-{scale:g}", rng.normal(size=(30, 1)) * scale, 6
 
 
+def _assert_former_history(new_h, old_h):
+    """The former loop ran on past a fixed point of the centres, where
+    _kmeans stops, and only repeated its last inertia there."""
+    assert new_h == old_h[:len(new_h)]
+    assert set(old_h[len(new_h):]) <= {new_h[-1]}
+
+
 @pytest.mark.parametrize("name, samples, k", list(_kmeans_blocks()))
 def test_kmeans_matches_former_bit_for_bit(name, samples, k):
     from actkit.posefeat import _kmeans
@@ -728,7 +735,7 @@ def test_kmeans_matches_former_bit_for_bit(name, samples, k):
         old_c, old_h = _former_kmeans(samples, k, seed)
         # tobytes: the sign of zero counts too
         assert new_c.tobytes() == old_c.tobytes()
-        assert new_h == old_h
+        _assert_former_history(new_h, old_h)
 
 
 @pytest.mark.parametrize("name, samples, k",
@@ -739,7 +746,7 @@ def test_kmeans_one_column_matches_add_at_sums(name, samples, k):
         new_c, new_h = _kmeans(samples, k, seed)
         old_c, old_h = _former_kmeans(samples, k, seed, add_at=True)
         assert new_c.tobytes() == old_c.tobytes()
-        assert new_h == old_h
+        _assert_former_history(new_h, old_h)
 
 
 def test_build_codebook_warns_when_kmeans_stops_unconverged(monkeypatch,
@@ -766,8 +773,11 @@ def test_kmeans_zero_inertia_logs_nothing(caplog):
     rows = np.random.default_rng(0).normal(size=(4, 2))
     samples = np.repeat(rows, 2, axis=0)
     with caplog.at_level(logging.WARNING, logger="actkit.posefeat"):
-        _, history = _kmeans(samples, 4, 0)
-    assert history[-1] == 0.0 and caplog.records == []
+        centers, history = _kmeans(samples, 4, 0)
+    # the first step is a fixed point: it stops there, not after
+    # KMEANS_MAX_ITER steps of zero inertia
+    assert history == [0.0] and caplog.records == []
+    assert sorted(map(tuple, centers)) == sorted(map(tuple, rows))
 
 
 def test_kmeans_pp_init_draws_as_choice():

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from actkit import experiment, temporal
+from actkit import cli, experiment, temporal
 from actkit.attributes import TrainConfig, score_intervals, train_linear_ova
+from actkit.tables import read_npy
 from actkit.temporal import (Detection, IntegralHistogram, Segment,
                              build_integral, load_detections_csv,
                              load_segments_jsonl, merge_adjacent, nms,
@@ -166,6 +167,135 @@ def test_build_integral_empty_streams():
 
 
 # ---------------------------------------------------------------------------
+# integral tables read from .npy files
+
+def _gamma_counts(shape, dtype=float):
+    rng = np.random.default_rng(17)
+    counts = rng.gamma(0.7, 3.0, size=shape)
+    counts[rng.random(shape) < 0.2] = 0.0
+    counts[rng.random(shape) < 0.05] = -0.0       # the sign is kept
+    if np.dtype(dtype).kind in "iu":
+        counts = np.floor(counts)
+    return counts.astype(dtype)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("float64", _gamma_counts((700, 9))),
+    ("float64 fortran", np.asfortranarray(_gamma_counts((700, 9)))),
+    ("float32", _gamma_counts((700, 9), np.float32)),
+    ("int64", _gamma_counts((700, 9), np.int64)),
+    ("big-endian", _gamma_counts((700, 9), ">f8")),
+    ("no frames", np.zeros((0, 5))),
+    ("no bins", np.zeros((6, 0))),
+    ("one frame", _gamma_counts((1, 3))),
+])
+def test_integral_from_file_matches_the_loaded_array(tmp_path, name,
+                                                     counts):
+    path = tmp_path / "c.npy"
+    np.save(path, counts)
+    want = build_integral(np.load(path)).prefix
+    for p in (path, str(path)):
+        got = build_integral(p).prefix
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_integral_reads_native_float64_into_the_table(tmp_path,
+                                                      monkeypatch):
+    # a C-order native float64 file never goes through read_npy; every
+    # other file does
+    calls = []
+    read = temporal.read_npy
+    monkeypatch.setattr(temporal, "read_npy",
+                        lambda path: calls.append(path) or read(path))
+    np.save(tmp_path / "c.npy", _gamma_counts((300, 4)))
+    build_integral(tmp_path / "c.npy")
+    assert calls == []
+    for dtype in (np.float32, ">f8"):
+        np.save(tmp_path / "c.npy", _gamma_counts((300, 4), dtype))
+        build_integral(tmp_path / "c.npy")
+    np.save(tmp_path / "c.npy", np.asfortranarray(_gamma_counts((300, 4))))
+    build_integral(tmp_path / "c.npy")
+    assert len(calls) == 3
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+_BAD_COUNTS = [
+    (np.nan, "non-negative: frame 300, bin 4 holds nan"),
+    (-0.5, "non-negative: frame 300, bin 4 holds -0.5"),
+    (-np.inf, "non-negative: frame 300, bin 4 holds -inf"),
+    (np.inf, "finite totals: bin 4 is inf from frame 300 on"),
+]
+
+
+# float32 counts cannot overflow a float64 total
+@pytest.mark.parametrize("dtype, value, message", [
+    *[(dtype, *bad) for dtype in (float, np.float32, ">f8")
+      for bad in _BAD_COUNTS],
+    *[(dtype, 1e308, "finite totals: bin 4 is inf from frame 301 on")
+      for dtype in (float, ">f8")]])
+def test_integral_file_errors_match_the_array_path(tmp_path, dtype, value,
+                                                   message):
+    counts = np.ones((600, 6), dtype=dtype)
+    if value == 1e308:                   # finite counts, infinite total
+        counts[300:, 4] = value
+    else:
+        counts[300, 4] = value
+        counts[450, 1] = value
+    path = tmp_path / "c.npy"
+    np.save(path, counts)
+    got = _error(build_integral, path)
+    assert message in got
+    assert got == _error(build_integral, np.load(path))
+    # the command line loader names the file
+    assert _error(cli._load_integral, str(path)) == f"{path}: {got}"
+
+
+def _truncated(cut):
+    def write(path):
+        np.save(path, np.ones((60, 3)))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut if cut >= 0 else len(data) + cut])
+    return write
+
+
+def _npz_in_place(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, counts=np.ones((60, 3)))
+
+
+def _npy_of(array):
+    return lambda path: np.save(path, array)
+
+
+@pytest.mark.parametrize("write, message", [
+    (_truncated(-10), "Failed to read all data"),
+    (_truncated(50), "EOF: reading array header"),
+    (_truncated(4), "pickled"),
+    (_truncated(0), "No data left in file"),
+    (_npz_in_place, "expected a .npy array, got a .npz archive"),
+    (_npy_of(np.ones(60)), "counts must be (T, B)"),
+    (_npy_of(np.ones((2, 3, 4))), "counts must be (T, B)"),
+])
+def test_integral_bad_files_keep_their_errors(tmp_path, write, message):
+    path = tmp_path / "c.npy"
+    write(path)
+    got = _error(cli._load_integral, str(path))
+    assert got.startswith(f"{path}: ") and message in got
+    # the same error as the former load: read_npy, then the array
+    try:
+        want = f"{path}: " + _error(build_integral, read_npy(str(path)))
+    except ValueError as exc:
+        want = str(exc)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
 # window scanning
 
 def test_score_windows_offsets():
@@ -263,6 +393,26 @@ def test_score_windows_match_per_window_oracle():
                        and type(d.score) is float for d in got)
             diff = max(abs(a.score - b.score) for a, b in zip(got, want))
             assert diff <= 1e-12
+
+
+def test_score_windows_returns_columns():
+    table = build_integral(np.ones((100, 2)))
+    rec = score_windows(table, lambda H: np.arange(len(H)) / 2.0, "v", "a")
+    assert isinstance(rec, temporal.WindowScores)
+    assert (rec.video, rec.attribute, len(rec)) == ("v", "a", 25)
+    assert rec.starts.dtype == rec.ends.dtype == np.int64
+    assert rec.scores.dtype == np.float64
+    assert list(rec.ends - rec.starts + 1) == [30] * 12 + [42] * 8 \
+        + [60] * 4 + [85]
+    assert list(rec.starts[:3]) == [0, 6, 12]
+    assert list(rec.scores[12:15]) == [0.0, 0.5, 1.0]
+    assert list(rec) == [rec.detection(i) for i in range(25)]
+    assert rec.detection(13) == Detection("v", "a", 8, 49, 0.5)
+    # a stream shorter than every window
+    short = score_windows(build_integral(np.ones((29, 2))),
+                          lambda H: np.zeros(len(H)))
+    assert len(short) == 0 and list(short) == [] and nms(short) == []
+    assert short.starts.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +545,37 @@ def test_nms_matches_nested_loop_oracle_on_scored_stream(thr, criterion):
                       round(d.score, 1)) for d in dets]
     assert nms(tied, thr, criterion) == _nested_loop_nms(tied, thr, criterion)
     assert nms([], thr, criterion) == []
+
+
+@pytest.mark.parametrize("thr, criterion",
+                         [(0, "overlap"), (3, "overlap"), (0.5, "iou")])
+def test_nms_of_the_record_matches_its_detection_list(thr, criterion,
+                                                       monkeypatch):
+    rec = _scored_stream()
+    want = nms(list(rec), thr, criterion)
+    built = []
+    detection = temporal.WindowScores.detection
+    monkeypatch.setattr(temporal.WindowScores, "detection",
+                        lambda self, i: built.append(i) or detection(self, i))
+    kept = nms(rec, thr, criterion)
+    assert kept == want
+    assert all(type(d.start) is int and type(d.end) is int
+               and type(d.score) is float for d in kept)
+    # only the kept windows became Detection records
+    assert len(built) == len(kept) < len(rec)
+    # coarse scores: ties broken by start, length, then scan order
+    tied = temporal.WindowScores("v", "a", rec.starts, rec.ends,
+                                 np.round(rec.scores, 1))
+    assert nms(tied, thr, criterion) == nms(list(tied), thr, criterion)
+
+
+def test_nms_names_a_nan_window_of_the_record():
+    rec = temporal.WindowScores("v", "a", np.array([0, 5]), np.array([9, 14]),
+                                np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match=r"detection Detection\(video='v', "
+                       r"attribute='a', start=5, end=14, score=nan\) has a "
+                       "NaN score"):
+        nms(rec)
 
 
 def test_nms_rejects_nan_scores_keeps_infinities():
