@@ -11,22 +11,31 @@ windows by two feature families:
   arm joints, four exponential frequency-band energies, ten cepstral
   coefficients, the spectral entropy and the spectral energy.
 
-Each window is computed with array operations over its joints, distance
-pairs, angle triples and trajectories, not one of them at a time.
+Descriptors are computed a block of up to 64 window centres at a time,
+per kind and window length, with array operations over the windows,
+joints, distance pairs, angle triples and trajectories, not one of them
+at a time.  bm_feature, fft_feature and pose_frame_features still answer
+one window or one frame: each returns read-only views of its window's
+row of the block, which the track set memoises (see JointTrackSet).
 
 Every per-frame quantity the bm statistics reduce (velocity,
 acceleration, their magnitudes and direction bins, pair distances, their
 changes and rate bins, inner-joint angles and angle speeds) depends on
 one or a few neighbouring frames only.  A JointTrackSet therefore
 computes each of them once over the whole track, on its first bm
-window, and a bm window only slices and reduces those tables.  The track
-set is immutable: a frozen dataclass holding a read-only copy of its
-positions, so the tables cannot go stale.
+window, and a bm block only gathers and reduces its windows of those
+tables.  An fft block gathers its windows' 16 arm trajectories as one
+contiguous (16, C, L) array and runs one transform each way over it.
+The track set is immutable: a frozen dataclass holding a read-only copy
+of its positions, so the tables and blocks cannot go stale.
 
 The kernels are written for speed but keep the bits of the plain numpy
-expressions they replace: _norm is np.linalg.norm's own sum of squares
-for real input, slices subtract as np.diff does, and _row_stats sums
-each row once with the reductions and divisions of x.mean and x.std.
+expressions they replace, one window at a time: _norm is
+np.linalg.norm's own sum of squares for real input, slices subtract as
+np.diff does, _row_stats sums each contiguous row once with the
+reductions and divisions of x.mean and x.std, each histogram bin takes
+its window's frames in time order, and each trajectory is transformed
+and reduced on its own contiguous row.
 The codebook k-means keeps its draws and sums (see _kmeans_pp_init and
 _kmeans), so descriptors, codebooks and word counts are bit-identical
 to the straightforward code, which the tests hold as oracles.
@@ -128,6 +137,14 @@ def bow_dim(feature_dim: int) -> int:
     return 2 * feature_dim * len(WINDOW_LENGTHS)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: Python and numpy integers pass, bool, float and
+    everything else raise ValueError naming the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class JointTrackSet:
     """Joint positions over a contiguous frame range.
@@ -135,19 +152,26 @@ class JointTrackSet:
     positions has shape (len(PARTS), num_frames, 2) in PARTS order;
     first_frame, an integer, is the frame index of positions[:, 0].  The
     set is immutable: it holds a read-only copy of the positions it is
-    given, so the per-frame tables that bm_feature slices (built on its
-    first window) cannot go stale.  Track sets compare by identity, as
-    a field-wise == of their arrays would raise.
+    given, so what it computes from them cannot go stale.  It builds,
+    each once:
+    - the per-frame motion tables that bm windows slice, on its first bm
+      window;
+    - descriptor blocks: the descriptors of up to _DESCRIPTOR_BLOCK
+      windows of one kind and length, whose offsets start at a multiple
+      of _DESCRIPTOR_BLOCK, as one read-only (C, dim) array.  The set
+      keeps the block last built for each (kind, length) and builds
+      another when a window falls outside it, so a walk over the frames
+      in either direction builds each block once and holds at most one
+      per (kind, length).
+    Track sets compare by identity, as a field-wise == of their arrays
+    would raise.
     """
 
     positions: np.ndarray
     first_frame: int = 0
 
     def __post_init__(self):
-        if isinstance(self.first_frame, bool) \
-                or not isinstance(self.first_frame, (int, np.integer)):
-            raise ValueError("first_frame must be an integer, got "
-                             f"{self.first_frame!r}")
+        first_frame = _integer(self.first_frame, "first_frame")
         pos = np.array(self.positions, dtype=float)
         if pos.ndim != 3 or pos.shape[0] != len(PARTS) or pos.shape[2] != 2:
             raise ValueError("positions must have shape (10, frames, 2)")
@@ -157,7 +181,7 @@ class JointTrackSet:
             raise ValueError("positions contain non-finite values")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "first_frame", int(self.first_frame))
+        object.__setattr__(self, "first_frame", first_frame)
 
     @property
     def num_frames(self) -> int:
@@ -170,6 +194,13 @@ class JointTrackSet:
     @cached_property
     def _motion(self) -> _MotionTables:
         return _motion_tables(self.positions)
+
+    @cached_property
+    def _blocks(self) -> dict:
+        """(kind, length) -> (first window offset, read-only descriptors,
+        sub-feature columns) of the block last built for that kind and
+        length."""
+        return {}
 
 
 # PARTS rows of the distance pairs, angle triples and arm joints
@@ -214,21 +245,23 @@ def _direction_bins(vectors: np.ndarray) -> np.ndarray:
 
 
 def _row_stats(x: np.ndarray) -> np.ndarray:
-    """Mean, median, std, min and max of each row, concatenated.
+    """Mean, median, std, min and max along the last axis, on a new last
+    axis of five.
 
     The mean is summed once and reused for the deviations; the sums and
-    divisions are those of x.mean(axis=1) and x.std(axis=1)."""
-    rows, n = x.shape
-    out = np.empty((rows, 5))
-    s = np.sort(x, axis=1)
-    mean = np.add.reduce(x, axis=1) / n
-    dev = x - mean[:, None]
-    out[:, 0] = mean
-    out[:, 1] = (s[:, (n - 1) // 2] + s[:, n // 2]) / 2
-    out[:, 2] = np.sqrt(np.add.reduce(dev * dev, axis=1) / n)
-    out[:, 3] = s[:, 0]
-    out[:, 4] = s[:, -1]
-    return out.ravel()
+    divisions are those of x.mean(axis=-1) and x.std(axis=-1)."""
+    n = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (5,))
+    s = np.sort(x, axis=-1)
+    mean = np.add.reduce(x, axis=-1) / n
+    dev = x - mean[..., None]
+    dev *= dev
+    out[..., 0] = mean
+    out[..., 1] = (s[..., (n - 1) // 2] + s[..., n // 2]) / 2
+    out[..., 2] = np.sqrt(np.add.reduce(dev, axis=-1) / n)
+    out[..., 3] = s[..., 0]
+    out[..., 4] = s[..., -1]
+    return out
 
 
 def _angles(inner, end_a, end_b) -> np.ndarray:
@@ -253,7 +286,7 @@ _HIST_BINS = _RATE_OFFSET + 8 * len(DISTANCE_PAIRS)
 
 @dataclass(frozen=True, eq=False)
 class _MotionTables:
-    """Every per-frame quantity that bm_feature reduces, over a whole
+    """Every per-frame quantity that a bm window reduces, over a whole
     track of T frames; a window is a slice of each.
 
     step_bins/step_weights (26, T-1): velocity direction bins and speeds
@@ -303,41 +336,129 @@ class SubFeature:
     values: np.ndarray
 
 
+def _window_view(table: np.ndarray, start: int, count: int,
+                 width: int) -> np.ndarray:
+    """(rows, count, width) view of the windows table[:, o:o + width] at
+    the offsets o = start, ..., start + count - 1."""
+    return np.lib.stride_tricks.sliding_window_view(
+        table[:, start:start + count + width - 1], width, axis=1)
+
+
+def _by_window(per_row: np.ndarray) -> np.ndarray:
+    """(rows, count, k) values as (count, rows * k): one row per window."""
+    return per_row.transpose(1, 0, 2).reshape(per_row.shape[1], -1)
+
+
+def _bm_block(tracks: JointTrackSet, length: int, start: int,
+              count: int) -> np.ndarray:
+    """(count, BM_DIM) body-model descriptors of the windows at offsets
+    start, ..., start + count - 1, columns in BM_SUBFEATURES order.
+
+    Each window reduces its slices of the track's per-frame tables as a
+    window on its own would.  The three histograms are two weighted
+    bincounts, of the step rows and of the acceleration rows, with each
+    window's bins offset by _HIST_BINS: every bin belongs to one table
+    row, so it takes its own window's frames in time order, and the sum
+    of the two counts adds only +0.0 to each bin.  The distance and angle
+    rows and the angle speeds are two _row_stats calls."""
+    tables = tracks._motion
+    offsets = _HIST_BINS * np.arange(count)[:, None]
+    hist = np.zeros(count * _HIST_BINS)
+    for bins, weights, width in (
+            (tables.step_bins, tables.step_weights, length - 1),
+            (tables.acc_bins, tables.acc_weights, length - 2)):
+        hist += np.bincount(
+            np.add(_window_view(bins, start, count, width), offsets).ravel(),
+            weights=_window_view(weights, start, count, width).ravel(),
+            minlength=count * _HIST_BINS)
+    hist = hist.reshape(count, _HIST_BINS)
+    stats = _by_window(_row_stats(np.ascontiguousarray(
+        _window_view(tables.geometry, start, count, length))))
+    speed = _by_window(_row_stats(np.ascontiguousarray(
+        _window_view(tables.ang_speed, start, count, length - 1))))
+    split = 5 * len(DISTANCE_PAIRS)
+    return np.concatenate((hist[:, :_RATE_OFFSET], stats[:, :split],
+                           hist[:, _RATE_OFFSET:], stats[:, split:], speed),
+                          axis=1)
+
+
+def _fft_block(tracks: JointTrackSet, length: int, start: int,
+               count: int) -> np.ndarray:
+    """(count, FFT_DIM) spectral descriptors of the windows at offsets
+    start, ..., start + count - 1, columns in FFT_SUBFEATURES order.  The
+    16 arm trajectories of every window, joint-major, x before y, are one
+    contiguous row each, and all the rows of the block go through one
+    transform each way."""
+    arm = tracks.positions[_ARM_IDX, start:start + count + length - 1]
+    x = _window_view(arm.transpose(0, 2, 1).reshape(2 * len(ARM_JOINTS), -1),
+                     0, count, length).copy()               # (16, C, L)
+    x -= x.mean(axis=-1, keepdims=True)
+    mag = np.abs(np.fft.rfft(x, axis=-1))
+    power = mag ** 2
+    bands = np.stack([power[..., lo:hi].sum(axis=-1) for lo, hi in FFT_BANDS],
+                     axis=-1)
+    cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length, axis=-1)
+    total = power.sum(axis=-1, keepdims=True)
+    p = np.divide(power, total, out=np.zeros_like(power), where=total > 0)
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    return np.concatenate((
+        _by_window(bands), _by_window(cep[..., :FFT_NUM_CEPSTRA]),
+        -plogp.sum(axis=-1).T, power[..., 1:].sum(axis=-1).T), axis=1)
+
+
+_DESCRIPTOR_BLOCK = 64      # window centres per memoised descriptor block
+
+_BLOCK_FNS = {"bm": _bm_block, "fft": _fft_block}
+
+
+def _block_columns(kind: str, length: int) -> tuple:
+    """(name, start, stop) of each sub-feature's columns in a block.  A
+    window of fewer than FFT_NUM_CEPSTRA frames has only that many
+    cepstra per trajectory."""
+    dims = dict(BM_SUBFEATURES if kind == "bm" else FFT_SUBFEATURES)
+    if kind == "fft":
+        dims["fft-cepstrum"] = (2 * len(ARM_JOINTS)
+                                * min(FFT_NUM_CEPSTRA, length))
+    stops = np.cumsum(list(dims.values())).tolist()
+    return tuple((name, stop - dim, stop)
+                 for (name, dim), stop in zip(dims.items(), stops))
+
+
+def _window_subfeatures(tracks: JointTrackSet, kind: str, center_frame: int,
+                        length: int) -> list:
+    """The window's row of the track's memoised block for (kind, length),
+    as read-only SubFeature views.  On a miss the block of the up to
+    _DESCRIPTOR_BLOCK windows from the multiple of _DESCRIPTOR_BLOCK at or
+    below the window's offset replaces the memoised one."""
+    off = _window_offset(tracks, center_frame, length)
+    start, block, columns = tracks._blocks.get((kind, length),
+                                               (0, None, None))
+    if block is None or not 0 <= off - start < len(block):
+        start = off - off % _DESCRIPTOR_BLOCK
+        count = min(_DESCRIPTOR_BLOCK, tracks.num_frames - length + 1 - start)
+        block = _BLOCK_FNS[kind](tracks, length, start, count)
+        block.flags.writeable = False
+        columns = _block_columns(kind, length)
+        tracks._blocks[kind, length] = (start, block, columns)
+    row = block[off - start]
+    return [SubFeature(name, row[a:b]) for name, a, b in columns]
+
+
 def bm_feature(tracks: JointTrackSet, center_frame: int,
                length: int) -> list:
     """Body-model statistics of the window [center - L/2, center + L/2).
 
-    Returns the sub-features listed in BM_SUBFEATURES, in that order.
-    The window's slices of the track's per-frame tables are reduced in
-    three steps: one weighted bincount for the three histograms (each
-    bin takes its frames in time order, as a per-row count would), one
-    _row_stats over the distance and angle rows and one over the angle
-    speeds.  Raises when the window leaves the track's frame range or
-    has fewer than three frames (second differences need them).
+    Returns the sub-features listed in BM_SUBFEATURES, in that order, as
+    read-only views of a row of a memoised block (see JointTrackSet).
+    Raises ValueError when center_frame or length is not an integer,
+    when the window leaves the track's frame range, or when it has
+    fewer than three frames (second differences need them).
     """
+    center_frame = _integer(center_frame, "center_frame")
+    length = _integer(length, "length")
     if length < 3:
         raise ValueError("bm windows need at least three frames")
-    off = _window_offset(tracks, center_frame, length)
-    tables = tracks._motion
-    steps = slice(off, off + length - 1)
-    accs = slice(off, off + length - 2)
-    hist = np.bincount(
-        np.concatenate((tables.step_bins[:, steps], tables.acc_bins[:, accs]),
-                       axis=None),
-        weights=np.concatenate((tables.step_weights[:, steps],
-                                tables.acc_weights[:, accs]), axis=None),
-        minlength=_HIST_BINS)
-    stats = _row_stats(tables.geometry[:, off:off + length])
-    split = 5 * len(DISTANCE_PAIRS)
-    return [
-        SubFeature("velocity-hist", hist[:_ACC_OFFSET]),
-        SubFeature("acceleration-hist", hist[_ACC_OFFSET:_RATE_OFFSET]),
-        SubFeature("distance-stats", stats[:split]),
-        SubFeature("distance-rate-hist", hist[_RATE_OFFSET:]),
-        SubFeature("angle-stats", stats[split:]),
-        SubFeature("angle-speed-stats",
-                   _row_stats(tables.ang_speed[:, steps])),
-    ]
+    return _window_subfeatures(tracks, "bm", center_frame, length)
 
 
 def fft_feature(tracks: JointTrackSet, center_frame: int,
@@ -349,30 +470,16 @@ def fft_feature(tracks: JointTrackSet, center_frame: int,
     [8,16) in DFT bins), ten cepstral coefficients (inverse transform of
     the log magnitude spectrum), the spectral entropy of the
     L1-normalized power spectrum, and the spectral energy.  Constant
-    trajectories yield zero bands, zero energy and zero entropy.  All 16
-    trajectories go through one transform each way, joint-major, x
-    before y.
+    trajectories yield zero bands, zero energy and zero entropy.  The
+    sub-features are read-only views of a row of a memoised block (see
+    JointTrackSet).  Raises ValueError as bm_feature does, for windows
+    of fewer than two frames.
     """
+    center_frame = _integer(center_frame, "center_frame")
+    length = _integer(length, "length")
     if length < 2:
         raise ValueError("fft windows need at least two frames")
-    off = _window_offset(tracks, center_frame, length)
-    pos = tracks.positions[:, off:off + length]
-    x = pos[_ARM_IDX].transpose(0, 2, 1).reshape(-1, length)  # (16, L)
-    x = x - x.mean(axis=1, keepdims=True)
-    mag = np.abs(np.fft.rfft(x, axis=1))
-    power = mag ** 2
-    bands = np.stack([power[:, lo:hi].sum(axis=1) for lo, hi in FFT_BANDS],
-                     axis=1)
-    cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length, axis=1)
-    total = power.sum(axis=1, keepdims=True)
-    p = np.divide(power, total, out=np.zeros_like(power), where=total > 0)
-    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
-    return [
-        SubFeature("fft-bands", bands.ravel()),
-        SubFeature("fft-cepstrum", cep[:, :FFT_NUM_CEPSTRA].ravel()),
-        SubFeature("fft-entropy", -plogp.sum(axis=1)),
-        SubFeature("fft-energy", power[:, 1:].sum(axis=1)),
-    ]
+    return _window_subfeatures(tracks, "fft", center_frame, length)
 
 
 _FEATURE_FNS = {"bm": bm_feature, "fft": fft_feature}
@@ -385,11 +492,13 @@ def pose_frame_features(tracks: JointTrackSet, center_frame: int,
     Returns {length: [SubFeature, ...]}; lengths whose window would
     leave the frame range are silently omitted, so frames near the
     stream borders contribute only their shorter windows.  A length
-    below the kind's minimum raises.
+    below the kind's minimum, or a center_frame or length that is not
+    an integer, raises ValueError.
     """
     fn = _FEATURE_FNS.get(kind)
     if fn is None:
         raise ValueError(f"unknown feature kind {kind!r}")
+    _integer(center_frame, "center_frame")
     out = {}
     for L in lengths:
         try:

@@ -1,9 +1,14 @@
 import dataclasses
 import logging
+import math
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from actkit import posefeat
 from actkit.posefeat import (
     ANGLE_TRIPLES,
     ARM_JOINTS,
@@ -22,6 +27,8 @@ from actkit.posefeat import (
     FFT_LOG_EPS,
     FFT_NUM_CEPSTRA,
     SubFeature,
+    _ARM_IDX,
+    _DESCRIPTOR_BLOCK,
     _PAIR_IDX,
     _TRIPLE_IDX,
     bm_feature,
@@ -442,6 +449,24 @@ def _former_bm_feature(tracks, center_frame, length):
             _former_row_stats(np.abs(np.diff(ang, axis=1)))]
 
 
+def _former_fft_feature(tracks, center_frame, length):
+    """fft_feature as it was written one window at a time: the
+    bit-for-bit oracle of the blocked transforms."""
+    pos = _oracle_window(tracks, center_frame, length)
+    x = pos[_ARM_IDX].transpose(0, 2, 1).reshape(-1, length)  # (16, L)
+    x = x - x.mean(axis=1, keepdims=True)
+    mag = np.abs(np.fft.rfft(x, axis=1))
+    power = mag ** 2
+    bands = np.stack([power[:, lo:hi].sum(axis=1) for lo, hi in FFT_BANDS],
+                     axis=1)
+    cep = np.fft.irfft(np.log(mag + FFT_LOG_EPS), n=length, axis=1)
+    total = power.sum(axis=1, keepdims=True)
+    p = np.divide(power, total, out=np.zeros_like(power), where=total > 0)
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    return [bands.ravel(), cep[:, :FFT_NUM_CEPSTRA].ravel(),
+            -plogp.sum(axis=1), power[:, 1:].sum(axis=1)]
+
+
 def _edge_segment_tracks(num_frames=90):
     """Random walk whose right hand sits on the right wrist for the first
     and the last five frames: zero-length segments and a zero distance
@@ -453,15 +478,18 @@ def _edge_segment_tracks(num_frames=90):
     return JointTrackSet(pos, first_frame=4)
 
 
-@pytest.mark.parametrize("tracks", [
-    _oracle_tracks(),                       # static head, zero-length segment
-    _random_walk_tracks(140, seed=3),
-    _random_walk_tracks(120, seed=4, first_frame=9),
-    _static_tracks(110),
-    _random_walk_tracks(3, seed=5, first_frame=2),
-    _edge_segment_tracks(),
-], ids=["oracle", "walk-3", "walk-4", "static", "three-frames",
-        "edge-segments"])
+_FORMER_TRACKS = {
+    "oracle": _oracle_tracks(),             # static head, zero-length segment
+    "walk-3": _random_walk_tracks(140, seed=3),
+    "walk-4": _random_walk_tracks(120, seed=4, first_frame=9),
+    "static": _static_tracks(110),
+    "three-frames": _random_walk_tracks(3, seed=5, first_frame=2),
+    "edge-segments": _edge_segment_tracks(),
+}
+
+
+@pytest.mark.parametrize("tracks", list(_FORMER_TRACKS.values()),
+                         ids=list(_FORMER_TRACKS))
 def test_bm_feature_matches_former_bit_for_bit(tracks):
     # the odd length 51 and the whole track (L = T) besides the usual ones
     lengths = sorted({3, 20, 50, 51, 100, tracks.num_frames})
@@ -475,6 +503,53 @@ def test_bm_feature_matches_former_bit_for_bit(tracks):
                                                                sf.name)
             checked += 1
     assert checked == sum(max(tracks.num_frames - L + 1, 0) for L in lengths)
+
+
+_FORMER_FNS = {"bm": _former_bm_feature, "fft": _former_fft_feature}
+_FEATURE_FNS = {"bm": bm_feature, "fft": fft_feature}
+_MIN_LENGTH = {"bm": 3, "fft": 2}
+
+
+def _visits(tracks, order):
+    """(kind, center, length) of every window of both kinds at lengths 2,
+    3, 20, 51, 100 and T that fits, in one of three orders."""
+    first, last = tracks.frame_range
+    lengths = sorted({2, 3, 20, 51, 100, tracks.num_frames})
+    # centre by centre, every length and kind in turn
+    windows = [(kind, center, L)
+               for center in range(first, last + 1)
+               for L in lengths
+               for kind in ("bm", "fft")
+               if L >= _MIN_LENGTH[kind] and first <= center - L // 2
+               and center - L // 2 + L - 1 <= last]
+    if order == "interleaved":
+        return windows
+    by_key = sorted(windows, key=lambda w: (w[0], w[2], w[1]))
+    return by_key if order == "ascending" else by_key[::-1]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+@pytest.mark.parametrize("name", [*_FORMER_TRACKS, "long"])
+def test_descriptor_blocks_match_former_bit_for_bit(name, order):
+    # a fresh set, so that each order starts from an empty memo; the long
+    # track has more than two blocks of centres at lengths 2 to 51
+    source = (_random_walk_tracks(200, seed=9, first_frame=11)
+              if name == "long" else _FORMER_TRACKS[name])
+    tracks = JointTrackSet(source.positions, source.first_frame)
+    visits = _visits(tracks, order)
+    for kind, center, L in visits:
+        feats = _FEATURE_FNS[kind](tracks, center, L)
+        want = _FORMER_FNS[kind](tracks, center, L)
+        assert len(feats) == len(want)
+        for sf, values in zip(feats, want):
+            # tobytes: the sign of zero counts too
+            assert sf.values.tobytes() == values.tobytes(), (kind, center, L,
+                                                             sf.name)
+    T = tracks.num_frames
+    assert len(visits) == sum(max(T - L + 1, 0)
+                              for L in {2, 3, 20, 51, 100, T}
+                              for kind in _MIN_LENGTH
+                              if L >= _MIN_LENGTH[kind])
 
 
 def test_edge_segment_tracks_touch_both_ends():
@@ -529,6 +604,120 @@ def test_tracks_accept_numpy_integer_first_frame():
     tracks = JointTrackSet(_static_positions(30), first_frame=np.int64(7))
     assert type(tracks.first_frame) is int and tracks.frame_range == (7, 36)
     assert set(pose_frame_features(tracks, 27, (20,), "bm")) == {20}
+
+
+@pytest.mark.parametrize("kind", ["bm", "fft"])
+@pytest.mark.parametrize("bad", [60.0, np.float64(60.0), True,
+                                 np.bool_(True), "60", None])
+def test_window_arguments_must_be_integers(kind, bad):
+    tracks = _random_walk_tracks(120, seed=2)
+    fn = _FEATURE_FNS[kind]
+    center = f"center_frame must be an integer, got {re.escape(repr(bad))}$"
+    length = f"length must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=center):
+        fn(tracks, bad, 20)
+    with pytest.raises(ValueError, match=length):
+        fn(tracks, 60, bad)
+    for lengths in ((20,), ()):
+        with pytest.raises(ValueError, match=center):
+            pose_frame_features(tracks, bad, lengths, kind)
+    with pytest.raises(ValueError, match=length):
+        pose_frame_features(tracks, 60, (20, bad), kind)
+
+
+@pytest.mark.parametrize("kind", ["bm", "fft"])
+def test_window_arguments_accept_numpy_integers(kind):
+    tracks = _random_walk_tracks(120, seed=2)
+    want = [sf.values.tobytes()
+            for sf in _FEATURE_FNS[kind](tracks, 60, 20)]
+    got = _FEATURE_FNS[kind](tracks, np.int64(60), np.int32(20))
+    assert [sf.values.tobytes() for sf in got] == want
+    rec = pose_frame_features(tracks, np.uint16(60), (np.int64(20),), kind)
+    assert list(rec) == [20]
+    assert [sf.values.tobytes() for sf in rec[20]] == want
+
+
+def test_descriptor_blocks_are_read_only():
+    tracks = _random_walk_tracks(200, seed=10, first_frame=3)
+    fresh = JointTrackSet(tracks.positions, tracks.first_frame)
+    lengths = (3, 20, 51)
+    for kind in ("bm", "fft"):
+        for sf in _FEATURE_FNS[kind](tracks, 100, 20):
+            with pytest.raises(ValueError, match="read-only"):
+                sf.values[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                sf.values *= 2.0
+            with pytest.raises(ValueError):
+                sf.values.flags.writeable = True
+    assert all(not block.flags.writeable
+               for _, block, _ in tracks._blocks.values())
+    for kind in ("bm", "fft"):
+        for center in range(3, 203):
+            got = pose_frame_features(tracks, center, lengths, kind)
+            want = pose_frame_features(fresh, center, lengths, kind)
+            assert got.keys() == want.keys()
+            for L in got:
+                for a, b in zip(got[L], want[L]):
+                    assert a.values.tobytes() == b.values.tobytes()
+
+
+def _record_block_builds(monkeypatch):
+    """Wrap the block builders; returns the list that each build appends
+    its (kind, length, start) and a weak reference to its block to."""
+    builds = []
+    for kind, build in posefeat._BLOCK_FNS.items():
+        def recording(tracks, length, start, count, kind=kind, build=build):
+            block = build(tracks, length, start, count)
+            builds.append((kind, length, start, weakref.ref(block)))
+            return block
+        monkeypatch.setitem(posefeat._BLOCK_FNS, kind, recording)
+    return builds
+
+
+def test_frame_ordered_walk_builds_one_block_per_block_of_centres(
+        monkeypatch):
+    builds = _record_block_builds(monkeypatch)
+    tracks = _random_walk_tracks(300, seed=11, first_frame=5)
+    # one call builds the one block of aligned centres that holds it
+    bm_feature(tracks, 5 + 150 + 10, 20)        # offset 150
+    assert [b[:3] for b in builds] == [("bm", 20, 128)]
+    assert len(tracks._blocks["bm", 20][1]) == _DESCRIPTOR_BLOCK
+    bm_feature(tracks, 5 + 138 + 10, 20)        # offset 138, same block
+    assert len(builds) == 1
+    builds.clear()
+    lengths = (3, 20, 51, 100, 300)
+    tracks = JointTrackSet(tracks.positions, tracks.first_frame)
+    for center in range(5, 305):
+        for kind in ("bm", "fft"):
+            pose_frame_features(tracks, center, lengths, kind)
+    want = [(kind, L, _DESCRIPTOR_BLOCK * b)
+            for kind in ("bm", "fft") for L in lengths
+            for b in range(math.ceil((300 - L + 1) / _DESCRIPTOR_BLOCK))]
+    assert sorted(b[:3] for b in builds) == sorted(want)
+    assert len(builds) == 38
+
+
+def test_long_walk_holds_one_block_per_kind_and_length(monkeypatch):
+    builds = _record_block_builds(monkeypatch)
+    tracks = _random_walk_tracks(20_000, seed=12)
+    tracks._motion                  # the track's own per-frame tables
+    tracemalloc.start()
+    try:
+        # every eighth centre still visits every block of 64
+        for center in range(0, tracks.num_frames, 8):
+            for kind in ("bm", "fft"):
+                pose_frame_features(tracks, center, (20,), kind)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(builds) == 2 * math.ceil((20_000 - 20 + 1) / _DESCRIPTOR_BLOCK)
+    memo = tracks._blocks
+    assert sorted(memo) == [("bm", 20), ("fft", 20)]
+    alive = [id(ref()) for *_, ref in builds if ref() is not None]
+    assert sorted(alive) == sorted(id(block) for _, block, _ in memo.values())
+    # a memo of every block would hold about 110 MB of rows here
+    assert held - sum(block.nbytes for _, block, _ in memo.values()) < 4e6
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
