@@ -18,7 +18,7 @@ attribute scores.  On those pooled vectors the module offers:
   Zhou et al., Learning with Local and Global Consistency (NIPS 2004).
 
 The SVM and both nearest-neighbour classifiers return (M, Z) score
-tables for a whole test split.
+tables for a whole test split.  kNN distances are byte-equal to cdist.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .tables import names_file, write_table
 
 # Score of a composite that no training sequence can be compared with.
 SCORE_FLOOR = -1e30
+_DIST_BLOCK_CELLS = 1 << 16   # floats in one distance block (512 KB)
 
 
 def seq_feature(scores) -> np.ndarray:
@@ -195,7 +196,7 @@ def load_pst_config(path) -> PstConfig:
 
     tol and max_iters lines, written before propagation was solved in
     closed form, are ignored."""
-    values = {}
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -208,6 +209,9 @@ def load_pst_config(path) -> PstConfig:
                 continue
             if key not in ("gamma", "delta", "k", "alpha"):
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+            if lines.setdefault(key, ln) != ln:
+                raise ValueError(f"{path}:{ln}: duplicate key {key!r} "
+                                 f"(first on line {lines[key]})")
             try:
                 values[key] = int(raw) if key == "k" else float(raw)
             except ValueError as exc:
@@ -272,13 +276,27 @@ class NeighborGraph:
             raise ValueError("graph weights must be symmetric")
 
 
+def _pairwise_dist(X) -> np.ndarray:
+    """scipy's cdist(X, X), byte for byte: add.reduce over axis 0 of a
+    C-order (n, rows, cols) stack of squared differences adds in column
+    order.  The upper triangle is built in blocks and mirrored exactly."""
+    out = np.empty((len(X), len(X)))
+    step = max(1, _DIST_BLOCK_CELLS // max(X.size, 1))
+    for a in range(0, len(X), step):
+        b = a + step
+        diff = np.subtract(X.T[:, a:b, None], X.T[:, None, a:], order="C")
+        np.add.reduce(np.square(diff, out=diff), axis=0, out=out[a:b, a:])
+        out[b:, a:b] = out[a:b, b:].T
+    return np.sqrt(out, out=out)
+
+
 def build_knn_graph(features, k: int) -> NeighborGraph:
     """Union-symmetrized k-NN graph with exponentially decaying weights.
 
     features: (D, n), one row per sequence.  The bandwidth sigma is the
     mean distance to each sequence's single nearest neighbour; edge
     weights are exp(-0.5 * sqrt(sigma) * dist).  Neighbour ties go to
-    the lower row.  Requires more sequences than k.
+    the lower row.  Requires more sequences than k and finite features.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -286,17 +304,14 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     D = X.shape[0]
     if k >= D:
         raise ValueError(f"k = {k} needs at least {k + 1} sequences, got {D}")
-    # imported here, so that importing actkit does not load scipy
-    from scipy.spatial.distance import cdist
-
-    dist = cdist(X, X)
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite (found NaN or inf)")
+    dist = _pairwise_dist(X)
     np.fill_diagonal(dist, np.inf)
     neigh = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    knn_dists = np.take_along_axis(dist, neigh, axis=1)
-    sigma = float(knn_dists[:, 0].mean())
+    sigma = float(dist.min(axis=1).mean())
     mask = np.zeros((D, D), dtype=bool)
-    rows = np.repeat(np.arange(D), k)
-    mask[rows, neigh.ravel()] = True
+    mask[np.arange(D)[:, None], neigh] = True
     mask |= mask.T
     np.fill_diagonal(dist, 0.0)
     W = np.where(mask, np.exp(-0.5 * math.sqrt(sigma) * dist), 0.0)

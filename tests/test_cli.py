@@ -1070,16 +1070,45 @@ def test_eval_backwards_detection_row_exit_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_importing_the_cli_does_not_load_scipy(tmp_path):
-    # only composites.build_knn_graph uses scipy, and it imports cdist
-    # itself, so a command that builds no graph never pays for scipy
+def _run_python(code, cwd):
+    """Run code in a fresh interpreter that imports actkit from src."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, actkit.cli\n"
-            "sys.exit('scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    # actkit needs numpy alone: scipy is a test dependency only
+    proc = _run_python("import sys, actkit.cli\n"
+                       "sys.exit('scipy' in sys.modules)", tmp_path)
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_pst_runs_without_scipy(score_bundle, tmp_path):
+    # the kNN graph of both propagation modes builds with scipy blocked,
+    # and predicts the same bytes as the same run in this process
+    jobs = {"zero": {"mode": "pst-zero-shot"},
+            "fixed": {"mode": "pst", "pst": {"k": 4, "alpha": 0.5}}}
+    configs = []
+    for name, job in jobs.items():
+        for side in ("sub", "here"):
+            cfg = tmp_path / f"{name}-{side}.json"
+            cfg.write_text(json.dumps({**job, "data": score_bundle,
+                                       "output": str(tmp_path / cfg.stem)}))
+            configs.append(str(cfg))
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from actkit.cli import main\n"
+        f"sys.exit(max(main(['run', '--config', c]) for c in "
+        f"{configs[0::2]!r}))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for cfg in configs[1::2]:
+        assert main(["run", "--config", cfg]) == 0
+    for name in jobs:
+        sub, here = (tmp_path / f"{name}-{side}" / "predictions.csv"
+                     for side in ("sub", "here"))
+        assert sub.read_bytes() == here.read_bytes()

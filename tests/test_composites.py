@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from actkit import composites
 from actkit.composites import (SCORE_FLOOR, NeighborGraph, PstConfig,
@@ -393,6 +394,47 @@ def test_knn_graph_k_too_large():
         build_knn_graph(np.zeros((3, 2)), k=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_graph_rejects_non_finite_features(bad):
+    X = np.random.default_rng(3).normal(size=(8, 3))
+    X[5, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        build_knn_graph(X, k=2)
+
+
+def _cdist_case(rng, shape):
+    return rng.normal(size=shape) * rng.lognormal(size=(shape[0], 1))
+
+
+@pytest.mark.parametrize("shape,rows", [
+    ((1, 5), None), ((2, 1), None), ((7, 3), 1),
+    ((33, 80), 32),                 # one row more than a block
+    ((37, 53), 8),                  # several blocks, a short last one
+    ((336, 80), None),              # the zeroshot size, default blocks
+])
+def test_pairwise_dist_is_cdist_byte_for_byte(monkeypatch, shape, rows):
+    X = _cdist_case(np.random.default_rng(shape[0] * 100 + shape[1]), shape)
+    if rows is not None:
+        monkeypatch.setattr(composites, "_DIST_BLOCK_CELLS", rows * X.size)
+    assert composites._pairwise_dist(X).tobytes() == cdist(X, X).tobytes()
+
+
+def test_pairwise_dist_extreme_rows_match_cdist(monkeypatch):
+    rng = np.random.default_rng(11)
+    X = _cdist_case(rng, (12, 53))
+    X[3] = X[7]                                 # duplicate rows
+    X[[0, 9]] = 0.0                             # all-zero rows
+    X[[1, 4]] = rng.uniform(-1, 1, (2, 53)) * 1e150
+    X[[5, 10]] = rng.uniform(-1, 1, (2, 53)) * 1e-160
+    monkeypatch.setattr(composites, "_DIST_BLOCK_CELLS", 5 * X.size)
+    got = composites._pairwise_dist(X)
+    assert got.tobytes() == cdist(X, X).tobytes()
+    assert got[3, 7] == got[0, 9] == 0.0
+    assert np.array_equal(got, got.T)
+    diag = np.diag(got)
+    assert not diag.any() and not np.signbit(diag).any()
+
+
 def test_knn_graph_sigma_knn_mode():
     X = np.array([[0.0], [1.0], [3.0]])
     g1 = build_knn_graph(X, k=2)
@@ -674,6 +716,10 @@ def test_pst_config_file_errors(tmp_path):
         load_pst_config(path)
     path.write_text("alpha = 0.5\nk = abc\n")
     with pytest.raises(ValueError, match=r"bad\.conf:2: "):
+        load_pst_config(path)
+    path.write_text("k = 5\nalpha = 0.5\nk = 7\n")
+    with pytest.raises(ValueError, match=r"bad\.conf:3: duplicate key 'k' "
+                                         r"\(first on line 1\)"):
         load_pst_config(path)
 
 
