@@ -16,11 +16,9 @@ from actkit.posefeat import (
     FFT_DIM,
     JointTrackSet,
     PARTS,
-    bm_feature,
     bow_dim,
     build_codebook_set,
     encode_bow,
-    fft_feature,
     pose_frame_features,
 )
 
@@ -53,12 +51,13 @@ tracks = JointTrackSet(pos)
 # one window, both descriptor families
 
 print("sub-feature accounting for one 20-frame window:")
-for sf in bm_feature(tracks, 200, 20):
+for sf in pose_frame_features(tracks, 200, (20,), "bm")[20]:
     print(f"  {sf.name:<20} {len(sf.values)} dims")
 print(f"  total: {BM_DIM} dims "
       f"({len(BM_SUBFEATURES)} blocks)")
 
-fft = np.concatenate([sf.values for sf in fft_feature(tracks, 200, 20)])
+fft = np.concatenate([sf.values for sf in
+                      pose_frame_features(tracks, 200, (20,), "fft")[20]])
 print(f"spectral descriptor: {len(fft)} dims (constant {FFT_DIM})")
 
 # Encoded histogram sizes follow from the per-block codebooks: one

@@ -88,12 +88,18 @@ def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
 
 def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
     """Train a label per column of the boolean positives P; returns W and
-    the training score mean, std (1 where constant) and constant flags."""
-    W = _hinge_descent_batch(X, np.where(P, 1.0, -1.0), cfg.lam, cfg.epochs, mask)
-    scores = X @ W[:-1] + W[-1]
-    std = scores.std(axis=0)
+    the training score mean, std (1 where constant) and constant flags.
+    Features so large that the score statistics overflow raise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _hinge_descent_batch(X, np.where(P, 1.0, -1.0), cfg.lam,
+                                 cfg.epochs, mask)
+        scores = X @ W[:-1] + W[-1]
+        mean, std = scores.mean(axis=0), scores.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ValueError("training score mean or std is not finite: the "
+                         "features are too large")
     constant = std < 1e-12
-    return W, scores.mean(axis=0), np.where(constant, 1.0, std), constant
+    return W, mean, np.where(constant, 1.0, std), constant
 
 
 def _ova_scores(X, W, mean, std, trained):

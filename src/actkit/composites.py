@@ -296,7 +296,8 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     features: (D, n), one row per sequence.  The bandwidth sigma is the
     mean distance to each sequence's single nearest neighbour; edge
     weights are exp(-0.5 * sqrt(sigma) * dist).  Neighbour ties go to
-    the lower row.  Requires more sequences than k and finite features.
+    the lower row.  Requires more sequences than k and finite features
+    whose distances do not overflow.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -306,7 +307,10 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
         raise ValueError(f"k = {k} needs at least {k + 1} sequences, got {D}")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite (found NaN or inf)")
-    dist = _pairwise_dist(X)
+    with np.errstate(over="ignore"):
+        dist = _pairwise_dist(X)
+    if not np.isfinite(dist).all():
+        raise ValueError("features too large: their distances overflow")
     np.fill_diagonal(dist, np.inf)
     neigh = np.argsort(dist, axis=1, kind="stable")[:, :k]
     sigma = float(dist.min(axis=1).mean())

@@ -14,9 +14,9 @@ windows by two feature families:
 Descriptors are computed a block of up to 64 window centres at a time,
 per kind and window length, with array operations over the windows,
 joints, distance pairs, angle triples and trajectories, not one of them
-at a time.  bm_feature, fft_feature and pose_frame_features still answer
-one window or one frame: each returns read-only views of its window's
-row of the block, which the track set memoises (see JointTrackSet).
+at a time.  pose_frame_features still answers one frame: it returns,
+per window length that fits, read-only views of its window's row of the
+block, which the track set memoises (see JointTrackSet).
 
 Every per-frame quantity the bm statistics reduce (velocity,
 acceleration, their magnitudes and direction bins, pair distances, their
@@ -211,23 +211,6 @@ _TRIPLE_IDX = np.array([[PARTS.index(n) for n in triple]
 _ARM_IDX = np.array([PARTS.index(n) for n in ARM_JOINTS])
 
 
-class _WindowOutOfRange(ValueError):
-    """A window that leaves the track's frame range."""
-
-
-def _window_offset(tracks: JointTrackSet, center_frame: int,
-                   length: int) -> int:
-    """Column of tracks.positions where the window [center - L/2,
-    center + L/2) starts."""
-    start = center_frame - length // 2
-    stop = start + length
-    first, last = tracks.frame_range
-    if start < first or stop - 1 > last:
-        raise _WindowOutOfRange(
-            f"window [{start}, {stop}) exceeds frame range [{first}, {last}]")
-    return start - first
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean length along the last axis: np.linalg.norm(v, axis=-1)'s
     own expression for real input, without its dispatch."""
@@ -385,8 +368,15 @@ def _bm_block(tracks: JointTrackSet, length: int, start: int,
 def _fft_block(tracks: JointTrackSet, length: int, start: int,
                count: int) -> np.ndarray:
     """(count, FFT_DIM) spectral descriptors of the windows at offsets
-    start, ..., start + count - 1, columns in FFT_SUBFEATURES order.  The
-    16 arm trajectories of every window, joint-major, x before y, are one
+    start, ..., start + count - 1, columns in FFT_SUBFEATURES order.
+
+    Every x and y trajectory of the eight arm joints is mean-removed and
+    described by four exponential band energies ([1,2), [2,4), [4,8),
+    [8,16) in DFT bins), ten cepstral coefficients (inverse transform of
+    the log magnitude spectrum), the spectral entropy of the
+    L1-normalized power spectrum, and the spectral energy.  Constant
+    trajectories yield zero bands, zero energy and zero entropy.  The 16
+    trajectories of every window, joint-major, x before y, are one
     contiguous row each, and all the rows of the block go through one
     transform each way."""
     arm = tracks.positions[_ARM_IDX, start:start + count + length - 1]
@@ -409,6 +399,7 @@ def _fft_block(tracks: JointTrackSet, length: int, start: int,
 _DESCRIPTOR_BLOCK = 64      # window centres per memoised descriptor block
 
 _BLOCK_FNS = {"bm": _bm_block, "fft": _fft_block}
+_MIN_FRAMES = {"bm": (3, "three"), "fft": (2, "two")}    # window minimum
 
 
 def _block_columns(kind: str, length: int) -> tuple:
@@ -424,87 +415,46 @@ def _block_columns(kind: str, length: int) -> tuple:
                  for (name, dim), stop in zip(dims.items(), stops))
 
 
-def _window_subfeatures(tracks: JointTrackSet, kind: str, center_frame: int,
-                        length: int) -> list:
-    """The window's row of the track's memoised block for (kind, length),
-    as read-only SubFeature views.  On a miss the block of the up to
-    _DESCRIPTOR_BLOCK windows from the multiple of _DESCRIPTOR_BLOCK at or
-    below the window's offset replaces the memoised one."""
-    off = _window_offset(tracks, center_frame, length)
-    start, block, columns = tracks._blocks.get((kind, length),
-                                               (0, None, None))
-    if block is None or not 0 <= off - start < len(block):
-        start = off - off % _DESCRIPTOR_BLOCK
-        count = min(_DESCRIPTOR_BLOCK, tracks.num_frames - length + 1 - start)
-        block = _BLOCK_FNS[kind](tracks, length, start, count)
-        block.flags.writeable = False
-        columns = _block_columns(kind, length)
-        tracks._blocks[kind, length] = (start, block, columns)
-    row = block[off - start]
-    return [SubFeature(name, row[a:b]) for name, a, b in columns]
-
-
-def bm_feature(tracks: JointTrackSet, center_frame: int,
-               length: int) -> list:
-    """Body-model statistics of the window [center - L/2, center + L/2).
-
-    Returns the sub-features listed in BM_SUBFEATURES, in that order, as
-    read-only views of a row of a memoised block (see JointTrackSet).
-    Raises ValueError when center_frame or length is not an integer,
-    when the window leaves the track's frame range, or when it has
-    fewer than three frames (second differences need them).
-    """
-    center_frame = _integer(center_frame, "center_frame")
-    length = _integer(length, "length")
-    if length < 3:
-        raise ValueError("bm windows need at least three frames")
-    return _window_subfeatures(tracks, "bm", center_frame, length)
-
-
-def fft_feature(tracks: JointTrackSet, center_frame: int,
-                length: int) -> list:
-    """Spectral descriptors of the window [center - L/2, center + L/2).
-
-    Every x and y trajectory of the eight arm joints is mean-removed and
-    described by four exponential band energies ([1,2), [2,4), [4,8),
-    [8,16) in DFT bins), ten cepstral coefficients (inverse transform of
-    the log magnitude spectrum), the spectral entropy of the
-    L1-normalized power spectrum, and the spectral energy.  Constant
-    trajectories yield zero bands, zero energy and zero entropy.  The
-    sub-features are read-only views of a row of a memoised block (see
-    JointTrackSet).  Raises ValueError as bm_feature does, for windows
-    of fewer than two frames.
-    """
-    center_frame = _integer(center_frame, "center_frame")
-    length = _integer(length, "length")
-    if length < 2:
-        raise ValueError("fft windows need at least two frames")
-    return _window_subfeatures(tracks, "fft", center_frame, length)
-
-
-_FEATURE_FNS = {"bm": bm_feature, "fft": fft_feature}
-
-
 def pose_frame_features(tracks: JointTrackSet, center_frame: int,
                         lengths=WINDOW_LENGTHS, kind="bm") -> dict:
-    """Window descriptors at one pose frame for every length that fits.
+    """Descriptors of the windows [center - L/2, center + L/2) at one pose
+    frame, for every length L that fits.
 
-    Returns {length: [SubFeature, ...]}; lengths whose window would
-    leave the frame range are silently omitted, so frames near the
-    stream borders contribute only their shorter windows.  A length
-    below the kind's minimum, or a center_frame or length that is not
+    Returns {length: [SubFeature, ...]} in BM_SUBFEATURES or
+    FFT_SUBFEATURES order, read-only views of the window's row of the
+    track's memoised block for (kind, length).  On a miss the block of
+    the up to _DESCRIPTOR_BLOCK windows from the multiple of
+    _DESCRIPTOR_BLOCK at or below the window's offset replaces it.
+    Lengths whose window would leave the frame range are omitted, so
+    frames near the stream borders contribute only their shorter
+    windows.  A length below the kind's minimum (bm second differences
+    need three frames, fft two), or a center_frame or length that is not
     an integer, raises ValueError.
     """
-    fn = _FEATURE_FNS.get(kind)
-    if fn is None:
+    if kind not in _BLOCK_FNS:
         raise ValueError(f"unknown feature kind {kind!r}")
-    _integer(center_frame, "center_frame")
+    minimum, word = _MIN_FRAMES[kind]
+    center_frame = _integer(center_frame, "center_frame")
     out = {}
     for L in lengths:
-        try:
-            out[L] = fn(tracks, center_frame, L)
-        except _WindowOutOfRange:
+        length = _integer(L, "length")
+        if length < minimum:
+            raise ValueError(f"{kind} windows need at least {word} frames")
+        off = center_frame - length // 2 - tracks.first_frame
+        if off < 0 or off + length > tracks.num_frames:
             continue
+        start, block, columns = tracks._blocks.get((kind, length),
+                                                   (0, None, None))
+        if block is None or not 0 <= off - start < len(block):
+            start = off - off % _DESCRIPTOR_BLOCK
+            count = min(_DESCRIPTOR_BLOCK,
+                        tracks.num_frames - length + 1 - start)
+            block = _BLOCK_FNS[kind](tracks, length, start, count)
+            block.flags.writeable = False
+            columns = _block_columns(kind, length)
+            tracks._blocks[kind, length] = (start, block, columns)
+        row = block[off - start]
+        out[L] = [SubFeature(name, row[a:b]) for name, a, b in columns]
     return out
 
 

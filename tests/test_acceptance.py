@@ -22,7 +22,7 @@ from actkit.corpus import AttributeVocab, ScriptCorpus, WeightMatrix, \
     binarize_weights, build_documents, tfidf_weights
 from actkit.metrics import mean_average_precision
 from actkit.posefeat import BM_DIM, FFT_DIM, JointTrackSet, PARTS, \
-    bm_feature, bow_dim, fft_feature
+    bow_dim, pose_frame_features
 from actkit.psinfer import EdgeParams, PartGraph, infer, pcp_eval
 from actkit.synth import SyntheticConfig, gen_cooccurring_scores, \
     gen_synthetic, save_bundle
@@ -51,10 +51,12 @@ def test_criterion_01_feature_dimensions():
         steps = rng.normal(0, 2.0, size=(len(PARTS), 119, 2))
         tracks = JointTrackSet(
             np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1))
-        fft = np.concatenate([sf.values for sf in fft_feature(tracks, 60, 100)])
+        fft = np.concatenate([sf.values for sf in pose_frame_features(
+            tracks, 60, (100,), "fft")[100]])
         assert fft.shape == (256,)
         assert FFT_DIM == 256
-        bm = np.concatenate([sf.values for sf in bm_feature(tracks, 60, 100)])
+        bm = np.concatenate([sf.values for sf in pose_frame_features(
+            tracks, 60, (100,), "bm")[100]])
         assert bm.shape == (BM_DIM,)
         # encoded histogram sizes: per-dimension codebooks of size 2d,
         # stacked over the three window lengths

@@ -444,6 +444,44 @@ def test_score_matrix_validation():
         classify_svm(X, ["a", "a", "b", "b"], Xt, ("a", "b"))
 
 
+def _scaled_sample(scale):
+    """A 40 x 6 normal sample times scale, labels a and b alternating."""
+    X = np.random.default_rng(0).normal(size=(40, 6)) * scale
+    return X, [{"a"} if i % 2 else {"b"} for i in range(40)]
+
+
+OVERFLOW = "training score mean or std is not finite: the features are too large"
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e160])
+def test_ova_training_rejects_overflowing_scores(scale):
+    # at 1e78 the score std overflows (the model file would not load and
+    # every z-score would read 0); at 1e160 the descent overflows too
+    from actkit.composites import classify_svm
+    X, labels = _scaled_sample(scale)
+    with pytest.raises(ValueError, match=OVERFLOW):
+        train_linear_ova(X, labels, ("a", "b"))
+    with pytest.raises(ValueError, match=OVERFLOW):
+        classify_svm(X[:30], ["a", "b", "c"] * 10, X[30:], ("a", "b", "c"))
+    mats, seq_labels = _stacking_data()
+    mats = [S * scale for S in mats]
+    with pytest.raises(ValueError, match=OVERFLOW):
+        train_and_score_stacked(mats[:4], seq_labels[:4], mats[4:], NAMES3,
+                                "context")
+
+
+def test_ova_training_just_below_overflow_round_trips(tmp_path):
+    X, labels = _scaled_sample(1e76)
+    ms = train_linear_ova(X, labels, ("a", "b"))
+    assert np.isfinite(ms.models).all()
+    save_models_npz(ms, tmp_path / "m.npz")
+    loaded = load_models_npz(tmp_path / "m.npz")
+    assert np.array_equal(loaded.models, ms.models)
+    S = score_intervals(loaded, X)
+    assert S.tobytes() == score_intervals(ms, X).tobytes()
+    assert np.isfinite(S).all() and np.any(S != 0)
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 

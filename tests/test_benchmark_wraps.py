@@ -103,3 +103,24 @@ def test_detect_and_segment_feed_the_temporal_counters(monkeypatch, tmp_path,
                  "temporal.segment_s", "cli.detect_s", "cli.segment_s"):
         assert names.count(name) == 1, name
     assert all(error is None for *_, error in tracer.spans)
+
+
+def test_pose_windows_count_every_fitting_window(monkeypatch):
+    # the traced stream run times pose_frame_features per kind, read from
+    # its fourth positional argument, and counts the windows it returns
+    tracer = _tracing(monkeypatch).Tracer()
+    from actkit import posefeat
+    T, first, lengths = 90, 6, (20, 50)
+    steps = np.random.default_rng(4).normal(0, 2.0,
+                                            size=(len(posefeat.PARTS), T, 2))
+    tracks = posefeat.JointTrackSet(np.cumsum(steps, axis=1), first)
+    with tracer.install():
+        for center in range(first, first + T):
+            for kind in ("bm", "fft"):
+                posefeat.pose_frame_features(tracks, center, lengths, kind)
+    assert tracer.counts["posefeat.windows"] == \
+        2 * sum(T - L + 1 for L in lengths)
+    names = [name for _, name, *_ in tracer.spans]
+    assert names.count("posefeat.bm_s") == names.count("posefeat.fft_s") == T
+    assert len(names) == 2 * T
+    assert all(error is None for *_, error in tracer.spans)

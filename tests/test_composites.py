@@ -402,6 +402,15 @@ def test_knn_graph_rejects_non_finite_features(bad):
         build_knn_graph(X, k=2)
 
 
+def test_knn_graph_rejects_overflowing_distances():
+    # finite features whose squared differences overflow would make sigma
+    # inf and every weight 0
+    X = np.random.default_rng(3).normal(size=(8, 3))
+    X[5] *= 1e160
+    with pytest.raises(ValueError, match="features too large"):
+        build_knn_graph(X, k=2)
+
+
 def _cdist_case(rng, shape):
     return rng.normal(size=shape) * rng.lognormal(size=(shape[0], 1))
 

@@ -31,12 +31,10 @@ from actkit.posefeat import (
     _DESCRIPTOR_BLOCK,
     _PAIR_IDX,
     _TRIPLE_IDX,
-    bm_feature,
     bow_dim,
     build_codebook,
     build_codebook_set,
     encode_bow,
-    fft_feature,
     load_codebook_set,
     load_tracks_csv,
     pose_frame_features,
@@ -74,6 +72,11 @@ def _subfeature_map(feats):
     return {sf.name: sf.values for sf in feats}
 
 
+def _window(tracks, center_frame, length, kind="bm"):
+    """Sub-features of one window that fits, through pose_frame_features."""
+    return pose_frame_features(tracks, center_frame, (length,), kind)[length]
+
+
 def test_dimension_accounting():
     assert BM_DIM == 428
     assert FFT_DIM == 256
@@ -98,7 +101,7 @@ def test_bm_velocity_histogram_known_mass():
     # head moves +2 px/frame along +x: 19 transitions of speed 2
     pos[0, :, 0] += 2.0 * np.arange(20)
     tracks = JointTrackSet(pos)
-    feats = _subfeature_map(bm_feature(tracks, 10, 20))
+    feats = _subfeature_map(_window(tracks, 10, 20))
     head_hist = feats["velocity-hist"][0:8]
     assert head_hist[0] == pytest.approx(38.0)
     assert np.all(head_hist[1:] == 0)
@@ -107,7 +110,7 @@ def test_bm_velocity_histogram_known_mass():
 
 
 def test_bm_stationary_is_all_zero_motion():
-    feats = _subfeature_map(bm_feature(_static_tracks(20), 10, 20))
+    feats = _subfeature_map(_window(_static_tracks(20), 10, 20))
     assert np.all(feats["velocity-hist"] == 0)
     assert np.all(feats["acceleration-hist"] == 0)
     assert np.all(feats["distance-rate-hist"] == 0)
@@ -120,7 +123,7 @@ def test_bm_constant_distance_stats():
     pos[PARTS.index("r_shoulder")] = [0.0, 0.0]
     pos[PARTS.index("l_shoulder")] = [3.0, 4.0]
     tracks = JointTrackSet(pos)
-    feats = _subfeature_map(bm_feature(tracks, 10, 20))
+    feats = _subfeature_map(_window(tracks, 10, 20))
     assert DISTANCE_PAIRS[0] == ("r_shoulder", "l_shoulder")
     stats = feats["distance-stats"][0:5]
     assert np.allclose(stats, [5.0, 5.0, 0.0, 5.0, 5.0])
@@ -134,7 +137,7 @@ def test_bm_rate_histogram_signed_bins():
     pos[PARTS.index("r_shoulder"), :, 1] = 0.0
     pos[PARTS.index("r_shoulder"), :, 0] = 10.0 + 3.0 * np.arange(21)
     tracks = JointTrackSet(pos)
-    feats = _subfeature_map(bm_feature(tracks, 10, 20))
+    feats = _subfeature_map(_window(tracks, 10, 20))
     hist = feats["distance-rate-hist"][0:8]
     # deltas of +3 land in the [2, 4) bin (index 6), weighted by magnitude
     assert hist[6] == pytest.approx(3.0 * 19)
@@ -148,7 +151,7 @@ def test_bm_angles_straight_and_right():
     pos[PARTS.index("r_wrist")] = [20.0, 0.0]
     pos[PARTS.index("r_hand")] = [20.0, 10.0]
     tracks = JointTrackSet(pos)
-    feats = _subfeature_map(bm_feature(tracks, 10, 20))
+    feats = _subfeature_map(_window(tracks, 10, 20))
     stats = feats["angle-stats"]
     # triple order: the r_elbow angle is the third entry, r_wrist the fifth
     r_elbow = stats[2 * 5: 3 * 5]
@@ -162,8 +165,8 @@ def test_bm_rotation_shifts_direction_bins():
     rot = tracks.positions.copy()
     rot[..., 0], rot[..., 1] = -tracks.positions[..., 1], tracks.positions[..., 0]
     rotated = JointTrackSet(rot)
-    f1 = _subfeature_map(bm_feature(tracks, 12, 20))["velocity-hist"]
-    f2 = _subfeature_map(bm_feature(rotated, 12, 20))["velocity-hist"]
+    f1 = _subfeature_map(_window(tracks, 12, 20))["velocity-hist"]
+    f2 = _subfeature_map(_window(rotated, 12, 20))["velocity-hist"]
     for j in range(len(PARTS)):
         a = f1[8 * j: 8 * (j + 1)]
         b = f2[8 * j: 8 * (j + 1)]
@@ -173,25 +176,24 @@ def test_bm_rotation_shifts_direction_bins():
 def test_bm_translation_invariance():
     tracks = _random_walk_tracks(24, seed=2)
     shifted = JointTrackSet(tracks.positions + np.array([7.25, -3.5]))
-    f1 = bm_feature(tracks, 12, 20)
-    f2 = bm_feature(shifted, 12, 20)
+    f1 = _window(tracks, 12, 20)
+    f2 = _window(shifted, 12, 20)
     for a, b in zip(f1, f2):
         assert np.allclose(a.values, b.values, atol=1e-8)
 
 
 def test_bm_window_bounds():
     tracks = _static_tracks(20)
-    with pytest.raises(ValueError):
-        bm_feature(tracks, 5, 20)  # start would be negative
-    with pytest.raises(ValueError):
-        bm_feature(tracks, 15, 20)  # stop exceeds the range
+    assert pose_frame_features(tracks, 5, (20,)) == {}   # start negative
+    assert pose_frame_features(tracks, 15, (20,)) == {}  # stop past the end
     tracks2 = _static_tracks(20, first_frame=100)
-    feats = bm_feature(tracks2, 110, 20)  # offset range is honoured
+    assert pose_frame_features(tracks2, 10, (20,)) == {}
+    feats = _window(tracks2, 110, 20)  # offset range is honoured
     assert len(feats) == len(BM_SUBFEATURES)
 
 
 def test_bm_total_dimension():
-    feats = bm_feature(_static_tracks(20), 10, 20)
+    feats = _window(_static_tracks(20), 10, 20)
     assert sum(len(sf.values) for sf in feats) == BM_DIM
     for sf, (name, dim) in zip(feats, BM_SUBFEATURES):
         assert sf.name == name and len(sf.values) == dim
@@ -200,14 +202,14 @@ def test_bm_total_dimension():
 def test_fft_dimension_for_all_lengths():
     tracks = _random_walk_tracks(220, seed=3)
     for L in (20, 50, 100):
-        feats = fft_feature(tracks, 110, L)
+        feats = _window(tracks, 110, L, "fft")
         assert sum(len(sf.values) for sf in feats) == FFT_DIM
         for sf, (name, dim) in zip(feats, FFT_SUBFEATURES):
             assert sf.name == name and len(sf.values) == dim
 
 
 def test_fft_constant_trajectory_conventions():
-    feats = _subfeature_map(fft_feature(_static_tracks(20), 10, 20))
+    feats = _subfeature_map(_window(_static_tracks(20), 10, 20, "fft"))
     assert np.all(feats["fft-bands"] == 0)
     assert np.all(feats["fft-energy"] == 0)
     assert np.all(feats["fft-entropy"] == 0)
@@ -223,7 +225,7 @@ def test_fft_pure_sinusoid_band():
     # r_shoulder x oscillates at DFT bin 2: amplitude L/2 = 10 in the spectrum
     pos[PARTS.index("r_shoulder"), :, 0] += np.sin(2 * np.pi * 2 * t / 20)
     tracks = JointTrackSet(pos)
-    feats = _subfeature_map(fft_feature(tracks, 10, 20))
+    feats = _subfeature_map(_window(tracks, 10, 20, "fft"))
     assert ARM_JOINTS[0] == "r_shoulder"
     bands = feats["fft-bands"][0:4]
     assert bands[1] == pytest.approx(100.0, abs=1e-9)
@@ -235,9 +237,9 @@ def test_fft_pure_sinusoid_band():
 
 def test_fft_energy_scales_quadratically():
     tracks = _random_walk_tracks(24, seed=4)
-    f1 = _subfeature_map(fft_feature(tracks, 12, 20))
+    f1 = _subfeature_map(_window(tracks, 12, 20, "fft"))
     scaled = JointTrackSet(tracks.positions * 3.0)
-    f2 = _subfeature_map(fft_feature(scaled, 12, 20))
+    f2 = _subfeature_map(_window(scaled, 12, 20, "fft"))
     assert np.allclose(f2["fft-energy"], 9.0 * f1["fft-energy"], rtol=1e-9)
 
 
@@ -392,9 +394,9 @@ def test_descriptor_oracle_covers_degenerate_geometry():
     tracks = _oracle_tracks()
     pos = _oracle_window(tracks, 37 + 50, 20)
     # static head: no velocity mass; zero-length r_wrist-r_hand segment
-    assert np.all(bm_feature(tracks, 37 + 50, 20)[0].values[:8] == 0)
+    assert np.all(_window(tracks, 37 + 50, 20)[0].values[:8] == 0)
     assert np.all(_oracle_part(pos, "r_hand") == _oracle_part(pos, "r_wrist"))
-    r_wrist_angle = bm_feature(tracks, 37 + 50, 20)[4].values[4 * 5:5 * 5]
+    r_wrist_angle = _window(tracks, 37 + 50, 20)[4].values[4 * 5:5 * 5]
     assert np.all(r_wrist_angle == 0)
 
 
@@ -433,8 +435,9 @@ def _former_angles(inner, end_a, end_b):
 
 
 def _former_bm_feature(tracks, center_frame, length):
-    """bm_feature as it was written with np.diff, np.linalg.norm, np.stack,
-    x.mean and x.std: the bit-for-bit oracle of bm_feature."""
+    """The bm descriptor of one window as it was written with np.diff,
+    np.linalg.norm, np.stack, x.mean and x.std: the bit-for-bit oracle of
+    the bm blocks."""
     pos = _oracle_window(tracks, center_frame, length)
     vel = np.diff(pos, axis=1)
     acc = np.diff(vel, axis=1)
@@ -450,7 +453,7 @@ def _former_bm_feature(tracks, center_frame, length):
 
 
 def _former_fft_feature(tracks, center_frame, length):
-    """fft_feature as it was written one window at a time: the
+    """The fft descriptor as it was written one window at a time: the
     bit-for-bit oracle of the blocked transforms."""
     pos = _oracle_window(tracks, center_frame, length)
     x = pos[_ARM_IDX].transpose(0, 2, 1).reshape(-1, length)  # (16, L)
@@ -506,7 +509,6 @@ def test_bm_feature_matches_former_bit_for_bit(tracks):
 
 
 _FORMER_FNS = {"bm": _former_bm_feature, "fft": _former_fft_feature}
-_FEATURE_FNS = {"bm": bm_feature, "fft": fft_feature}
 _MIN_LENGTH = {"bm": 3, "fft": 2}
 
 
@@ -538,7 +540,7 @@ def test_descriptor_blocks_match_former_bit_for_bit(name, order):
     tracks = JointTrackSet(source.positions, source.first_frame)
     visits = _visits(tracks, order)
     for kind, center, L in visits:
-        feats = _FEATURE_FNS[kind](tracks, center, L)
+        feats = _window(tracks, center, L, kind)
         want = _FORMER_FNS[kind](tracks, center, L)
         assert len(feats) == len(want)
         for sf, values in zip(feats, want):
@@ -552,12 +554,44 @@ def test_descriptor_blocks_match_former_bit_for_bit(name, order):
                               if L >= _MIN_LENGTH[kind])
 
 
+_BORDER_TRACKS = {
+    "short": _random_walk_tracks(40, seed=13, first_frame=13),
+    "edge-segments": _edge_segment_tracks(),    # 90 frames from frame 4
+}
+
+
+@pytest.mark.parametrize("kind", ["bm", "fft"])
+@pytest.mark.parametrize("name", list(_BORDER_TRACKS))
+def test_border_frames_omit_exactly_the_windows_that_leave(name, kind):
+    # every centre, both borders and one frame past each: the keys are
+    # the lengths whose window fits, no call raises for one that does not
+    source = _BORDER_TRACKS[name]
+    tracks = JointTrackSet(source.positions, source.first_frame)
+    T = tracks.num_frames
+    lengths = [L for L in (2, 3, 20, 51, T, T + 1) if L >= _MIN_LENGTH[kind]]
+    first, last = tracks.frame_range
+    checked = 0
+    for center in range(first - 1, last + 2):
+        rec = pose_frame_features(tracks, center, lengths, kind)
+        fits = [L for L in lengths
+                if first <= center - L // 2 and center - L // 2 + L - 1 <= last]
+        assert list(rec) == fits, center
+        for L in fits:
+            want = _FORMER_FNS[kind](tracks, center, L)
+            assert len(rec[L]) == len(want)
+            for sf, values in zip(rec[L], want):
+                assert sf.values.tobytes() == values.tobytes(), (center, L,
+                                                                 sf.name)
+            checked += 1
+    assert checked == sum(T - L + 1 for L in lengths if L <= T)
+
+
 def test_edge_segment_tracks_touch_both_ends():
     tracks = _edge_segment_tracks()
     r_wrist_angle = ANGLE_TRIPLES.index(("r_wrist", "r_elbow", "r_hand"))
     first, last = tracks.frame_range
     for center in (first + 1, last - 1):
-        stats = bm_feature(tracks, center, 3)[4].values
+        stats = _window(tracks, center, 3)[4].values
         assert np.all(stats[5 * r_wrist_angle:5 * r_wrist_angle + 5] == 0)
 
 
@@ -578,9 +612,9 @@ def test_mutating_the_source_array_leaves_descriptors_unchanged():
     pos = _random_walk_positions(60, seed=6)
     want = JointTrackSet(pos.copy())
     tracks = JointTrackSet(pos)
-    fft_feature(tracks, 30, 20)
+    _window(tracks, 30, 20, "fft")
     assert "_motion" not in vars(tracks)        # built on the first bm window
-    bm_feature(tracks, 30, 20)
+    _window(tracks, 30, 20)
     assert "_motion" in vars(tracks)
     pos[:] = 0.0
     for kind in ("bm", "fft"):
@@ -611,13 +645,8 @@ def test_tracks_accept_numpy_integer_first_frame():
                                  np.bool_(True), "60", None])
 def test_window_arguments_must_be_integers(kind, bad):
     tracks = _random_walk_tracks(120, seed=2)
-    fn = _FEATURE_FNS[kind]
     center = f"center_frame must be an integer, got {re.escape(repr(bad))}$"
     length = f"length must be an integer, got {re.escape(repr(bad))}$"
-    with pytest.raises(ValueError, match=center):
-        fn(tracks, bad, 20)
-    with pytest.raises(ValueError, match=length):
-        fn(tracks, 60, bad)
     for lengths in ((20,), ()):
         with pytest.raises(ValueError, match=center):
             pose_frame_features(tracks, bad, lengths, kind)
@@ -629,9 +658,9 @@ def test_window_arguments_must_be_integers(kind, bad):
 def test_window_arguments_accept_numpy_integers(kind):
     tracks = _random_walk_tracks(120, seed=2)
     want = [sf.values.tobytes()
-            for sf in _FEATURE_FNS[kind](tracks, 60, 20)]
-    got = _FEATURE_FNS[kind](tracks, np.int64(60), np.int32(20))
-    assert [sf.values.tobytes() for sf in got] == want
+            for sf in _window(tracks, 60, 20, kind)]
+    got = pose_frame_features(tracks, np.int64(60), (np.int32(20),), kind)
+    assert [sf.values.tobytes() for sf in got[20]] == want
     rec = pose_frame_features(tracks, np.uint16(60), (np.int64(20),), kind)
     assert list(rec) == [20]
     assert [sf.values.tobytes() for sf in rec[20]] == want
@@ -642,7 +671,7 @@ def test_descriptor_blocks_are_read_only():
     fresh = JointTrackSet(tracks.positions, tracks.first_frame)
     lengths = (3, 20, 51)
     for kind in ("bm", "fft"):
-        for sf in _FEATURE_FNS[kind](tracks, 100, 20):
+        for sf in _window(tracks, 100, 20, kind):
             with pytest.raises(ValueError, match="read-only"):
                 sf.values[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -679,10 +708,10 @@ def test_frame_ordered_walk_builds_one_block_per_block_of_centres(
     builds = _record_block_builds(monkeypatch)
     tracks = _random_walk_tracks(300, seed=11, first_frame=5)
     # one call builds the one block of aligned centres that holds it
-    bm_feature(tracks, 5 + 150 + 10, 20)        # offset 150
+    _window(tracks, 5 + 150 + 10, 20)        # offset 150
     assert [b[:3] for b in builds] == [("bm", 20, 128)]
     assert len(tracks._blocks["bm", 20][1]) == _DESCRIPTOR_BLOCK
-    bm_feature(tracks, 5 + 138 + 10, 20)        # offset 138, same block
+    _window(tracks, 5 + 138 + 10, 20)        # offset 138, same block
     assert len(builds) == 1
     builds.clear()
     lengths = (3, 20, 51, 100, 300)
