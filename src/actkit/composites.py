@@ -72,19 +72,28 @@ def classify_svm(train_features, train_composites, test_features,
 
 
 def _nearest_tables(train_features, train_composites, test_features,
-                    composites, distances):
+                    composites, distances, comparable=None):
     """(scores (M, Z), preds) of a nearest-neighbour rule.  distances(X, g)
-    gives the (N,) distances from test row g to the training rows X, inf
-    where a training row cannot be compared."""
+    gives the (N,) distances from test row g to the training rows X; the
+    training rows outside the (N,) comparable mask (all rows when None)
+    are at distance inf.  Raises on non-finite features and on a
+    comparable distance that overflows."""
     X = np.asarray(train_features, dtype=float)
     G = np.asarray(test_features, dtype=float)
     if X.ndim != 2 or not 0 < len(X) == len(train_composites) \
             or G.ndim != 2 or G.shape[1] != X.shape[1]:
         raise ValueError("need (N, n) training features for N > 0 "
                          "composite labels and (M, n) test features")
+    if not (np.isfinite(X).all() and np.isfinite(G).all()):
+        raise ValueError("features must be finite (found NaN or inf)")
+    ok = np.ones(len(X), dtype=bool) if comparable is None else comparable
     dist = np.empty((len(G), len(X)))
-    for m, g in enumerate(G):
-        dist[m] = distances(X, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, g in enumerate(G):
+            dist[m] = distances(X, g)
+    if not np.isfinite(dist[:, ok]).all():
+        raise ValueError("features too large: their distances overflow")
+    dist[:, ~ok] = np.inf
     rows = np.asarray(train_composites)
     scores = np.full((len(G), len(composites)), SCORE_FLOOR)
     for z, c in enumerate(composites):
@@ -148,8 +157,7 @@ def nn_script_classify(train_features, train_composites, test_features,
         raise ValueError("every training composite has an all-zero weight row")
     scores, preds = _nearest_tables(
         train_features, train_composites, test_features, composites,
-        lambda X, g: np.where(
-            ok, np.sqrt(np.einsum("ij,ij->i", W, (X - g) ** 2)), np.inf))
+        lambda X, g: np.sqrt(np.einsum("ij,ij->i", W, (X - g) ** 2)), ok)
     excluded = tuple(sorted({z for z, k in zip(train_composites, ok)
                              if not k}))
     return scores, preds, excluded

@@ -16,9 +16,12 @@ kernel ("distance_transform", the default) or a brute-force scan of
 every location pair, a block of parent cells at a time ("naive"), two
 deliberately independent implementations whose decode tables both give
 the best child row and column per parent cell, ties to the lowest flat
-(row-major) index.  Exact per-part posterior marginals use the same
-kernel with logsumexp (scipy's float steps, in numpy) in place of max.
-The kernel sums and reduces one C-order slab of rows at a time.
+(row-major) index; the max kernel reduces one C-order slab of rows at a
+time.  Exact per-part posterior marginals use the same kernel with
+logsumexp in place of max, as one matrix product with the exponentiated
+table per axis (the sum-product form of Felzenszwalb & Huttenlocher's
+separable messages); rows whose product may have lost its mass to
+underflow are recomputed exactly with the slab kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ LOG_FLOOR = -1e30
 # floats in one block of either message kernel (512 KB): it bounds the
 # kernel's memory and keeps the per-block Python overhead small
 _BLOCK_CELLS = 1 << 16
+
+# a sum-product cell whose matrix product is at or below this floor is
+# recomputed exactly: 2^64 bounds the number of summed terms, 2^-53 is
+# the unit roundoff and 2^-1022 the smallest normal float (_sum_pass)
+_SUM_FLOOR = 2.0 ** (64 + 53 - 1022)
 
 HAND_MIN_SCORE = -1.0       # hand_likelihood_map drops hypotheses below
 
@@ -235,16 +243,57 @@ def _reduce_slabs(f, t, maximize):
     return out, arg
 
 
-def _separable_message(f, tx, ty, maximize):
-    """Message out[yo, xo] = reduce over (yi, xi) of f[yi, xi] + tx[xo, xi]
-    + ty[yo, yi] in O(HW(H+W)): over xi first, then over yi, with max
-    (maximize) or logsumexp.  Returns (out, bestx, besty); for max,
-    bestx[yi, xo] is the best xi per input row and besty[xo, yo] the
-    best yi, else both are None.  Each pass is reduced one C-order slab
-    of rows at a time (_reduce_slabs).
+def _sum_pass(f, t, k):
+    """out[r, o] = log sum_i exp(f[r, i] + t[o, i]) by one matrix
+    product, for a table t <= 0 and k = exp(t).
+
+    With m_r = max_i f[r, i], E = exp(f - m_r) lies in [0, 1] with a 1
+    in every row and k in [0, 1]; s = E @ k.T sums the n = t.shape[1]
+    terms E[r, i] k[o, i] of S[r, o] = sum_i exp(f[r, i] - m_r + t[o, i])
+    and out = m_r + log s.  With u = 2^-53:
+    - a term whose factors and product are normal floats is off by at
+      most c u relative: two exps, one product and the shift's rounding,
+      which enters the exponent as u |f[r, i] - m_r| < 709 u, as in any
+      shifted logsumexp; a sum of n non-negative terms in any order adds
+      at most (n - 1) u relative;
+    - a term with a factor or its product below 2^-1022 is itself below
+      about 2^-1022, both factors being at most 1, so it loses at most
+      that much, even when it underflows to zero.
+    So s = S (1 + d) + e with |d| <= (n + c) u and |e| <= n 2^-1022.
+    Where s > _SUM_FLOOR = 2^-905 and n < 2^64, |e| / S is below
+    2^(64 - 1022 + 905) = u, so log s is within about (n + c + 1) u of
+    log S (underflow costs at most one more unit) and out within a
+    further u (|m_r| + |log s|) of the exact value.  A cell at or below
+    the floor may have lost its mass to underflow (an output far from
+    every input under a narrow kernel); each row holding one is
+    recomputed exactly with _reduce_slabs.  The floor follows from the
+    bound alone; it is not fitted to any input.
     """
-    g, bestx = _reduce_slabs(f, tx, maximize)
-    out, besty = _reduce_slabs(np.ascontiguousarray(g.T), ty, maximize)
+    m = f.max(axis=1, keepdims=True)
+    s = np.exp(f - m) @ k.T
+    out = m + np.log(np.maximum(s, _SUM_FLOOR))
+    low = (s <= _SUM_FLOOR).any(axis=1)
+    if low.any():
+        out[low] = _reduce_slabs(f[low], t, False)[0]
+    return out
+
+
+def _separable_message(f, tx, ty, kernels=None):
+    """Message out[yo, xo] = reduce over (yi, xi) of f[yi, xi] + tx[xo, xi]
+    + ty[yo, yi] in O(HW(H+W)): over xi first, then over yi.  Returns
+    (out, bestx, besty).
+
+    Without kernels the reduction is max, each pass reduced one C-order
+    slab of rows at a time (_reduce_slabs); bestx[yi, xo] is the best xi
+    per input row and besty[xo, yo] the best yi.  With kernels =
+    (exp(tx), exp(ty)) it is logsumexp, each pass one matrix product
+    (_sum_pass), and bestx and besty are None.
+    """
+    if kernels is not None:
+        g = _sum_pass(f, tx, kernels[0])
+        return _sum_pass(g.T, ty, kernels[1]).T, None, None
+    g, bestx = _reduce_slabs(f, tx, True)
+    out, besty = _reduce_slabs(np.ascontiguousarray(g.T), ty, True)
     return out.T, bestx, besty
 
 
@@ -256,8 +305,7 @@ def _dt_max_message(beta, edge, shape):
     to the lowest column within that row on the x pass, which is the
     lowest flat (row-major) child index among exact maximisers.
     """
-    msg, bestx, besty = _separable_message(beta, *_axis_tables(edge, shape),
-                                           True)
+    msg, bestx, besty = _separable_message(beta, *_axis_tables(edge, shape))
     ystar = besty.T
     return msg, ystar, np.take_along_axis(bestx, ystar, axis=0)
 
@@ -282,9 +330,10 @@ def infer(grids, graph: PartGraph, mode: str = "map",
     algorithm picks the MAP message pass: "distance_transform" (the
     default) uses the separable kernel, "naive" scores every (parent,
     child) location pair, O((H*W)^2) time per edge but only one block
-    of parent cells in memory at a time.  The separable kernel sums one
-    C-order slab of rows at a time; marginals always use it, with
-    scipy's logsumexp float steps, and accept either name.
+    of parent cells in memory at a time.  Marginals always use the
+    separable kernel, as one matrix product per axis with the
+    exponentiated edge table and an exact slab recomputation of any row
+    whose product may have underflowed, and accept either name.
     """
     G = np.asarray(grids, dtype=float)
     if G.ndim != 3 or G.shape[0] != len(graph.parts) or G.size == 0:
@@ -334,9 +383,13 @@ def _infer_map(logphi, graph, order, shape, algorithm):
 
 
 def _infer_marginal(logphi, graph, order, shape):
-    _, up, _ = _upward(
-        logphi, graph, order, lambda beta, edge: _separable_message(
-            beta, *_axis_tables(edge, shape), False))
+    def message(beta, edge):
+        tables = _axis_tables(edge, shape)
+        kernels = tuple(np.exp(t) for t in tables)
+        return (_separable_message(beta, *tables, kernels)[0],
+                tables, kernels)
+
+    _, up, kept = _upward(logphi, graph, order, message)
     down = {graph.root: np.zeros(shape)}
     posteriors = {}
     for part in order:
@@ -351,8 +404,9 @@ def _infer_marginal(logphi, graph, order, shape):
             for other in children:
                 if other != ch:
                     minus += up[other]
-            tx, ty = _axis_tables(graph.parent_edge(ch), shape)
-            down[ch] = _separable_message(minus, tx.T, ty.T, False)[0]
+            (tx, ty), (kx, ky) = kept[ch]
+            down[ch] = _separable_message(minus, tx.T, ty.T,
+                                          (kx.T, ky.T))[0]
     return InferenceResult(posteriors=posteriors)
 
 

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,54 @@ def test_nn_classifiers_reject_misshaped_inputs():
             classify_nn(*args, ["c"])
         with pytest.raises(ValueError):
             nn_script_classify(*args, W, ["c"])
+
+
+def _overflow_problem():
+    """12 x 6 normal features scaled by 1e160 (squared differences
+    overflow), three composites and uniform weight rows."""
+    X = np.random.default_rng(30).normal(size=(12, 6)) * 1e160
+    comps = ["c0", "c1", "c2"]
+    W = _weights(np.ones((3, 6)), comps, [f"a{i}" for i in range(6)])
+    return X, [comps[i % 3] for i in range(12)], comps, W
+
+
+def test_nn_classifiers_reject_overflowing_distances():
+    # the overflow used to score every composite but a row's own
+    # SCORE_FLOOR, the value for "no comparable training sequence"
+    X, ys, comps, W = _overflow_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="features too large: their "
+                                             "distances overflow"):
+            classify_nn(X, ys, X, comps)
+        with pytest.raises(ValueError, match="features too large"):
+            nn_script_classify(X, ys, X, W, comps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_nn_classifiers_reject_non_finite_features(bad, side):
+    X, ys, comps, W = _overflow_problem()
+    X = X / 1e160
+    G = X[:4].copy()
+    (X if side == "train" else G)[2, 3] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        classify_nn(X, ys, G, comps)
+    with pytest.raises(ValueError, match="features must be finite"):
+        nn_script_classify(X, ys, G, W, comps)
+
+
+def test_nn_script_ignores_overflow_in_excluded_rows():
+    # a training row excluded by its all-zero weight row is never
+    # compared, so its overflowing distance is no error
+    W = _weights([[1.0, 1.0], [0.0, 0.0]], ["ok", "mute"], ["a", "b"])
+    Xtr = np.array([[5.0, 5.0], [1e160, -1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, preds, excluded = nn_script_classify(
+            Xtr, ["ok", "mute"], np.zeros((1, 2)), W, ["ok", "mute"])
+    assert preds == ["ok"] and excluded == ("mute",)
+    assert scores[0, 0] == -5.0 and scores[0, 1] == SCORE_FLOOR
 
 
 # ---------------------------------------------------------------------------

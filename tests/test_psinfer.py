@@ -10,7 +10,7 @@ from actkit.psinfer import (DEFAULT_STICKS, LOG_FLOOR, EdgeParams,
                             HandHypothesisSet, PartGraph,
                             _axis_tables, _dt_max_message, _log_unary,
                             _logsumexp, _naive_max_message,
-                            _separable_message,
+                            _reduce_slabs, _separable_message,
                             default_part_graph, hand_likelihood_map, infer,
                             load_grids, load_hand_hypotheses_csv,
                             load_placements_csv, pcp_eval, save_grids,
@@ -388,11 +388,14 @@ def _former_separable_message(f, tx, ty, maximize):
 # 2^16 // K^2 rows a slab: 37 x 53 leaves a short last slab in both
 # passes (23 + 14 rows, then 47 + 6), and a 300-wide table (90,000 sums
 # a row) is over the block, so 3 x 300 and 300 x 3 reduce a row a slab.
-@pytest.mark.parametrize("H, W", [(1, 1), (1, 9), (8, 1), (40, 40),
-                                  (120, 160), (37, 53), (3, 300), (300, 3)])
-def test_separable_message_bytes_match_former_kernel(H, W):
+_MESSAGE_SHAPES = [(1, 1), (1, 9), (8, 1), (40, 40), (120, 160), (37, 53),
+                   (3, 300), (300, 3)]
+
+
+def _message_cases(H, W):
+    """(beta, edge) pairs for the kernel comparisons on an (H, W) grid."""
     rng = np.random.default_rng(400 + H * W)
-    cases = [
+    return [
         # random fractional means and variances, LOG_FLOOR cells mixed in
         (_log_unary(_random_grids(rng, 1, H, W, zero_rate=0.2)[0]),
          EdgeParams("p", "c", tuple(rng.uniform(-4, 4, size=2)),
@@ -403,18 +406,45 @@ def test_separable_message_bytes_match_former_kernel(H, W):
         # zero beta with half-pixel means ties inputs exactly
         (np.zeros((H, W)), EdgeParams("p", "c", (0.5, -1.5), (1.0, 2.0))),
     ]
-    for beta, edge in cases:
+
+
+@pytest.mark.parametrize("H, W", _MESSAGE_SHAPES)
+def test_separable_message_bytes_match_former_kernel(H, W):
+    # the max kernel, and the slab sum that is now the product kernel's
+    # exact fallback, keep the former kernel's bytes
+    for beta, edge in _message_cases(H, W):
         tx, ty = _axis_tables(edge, (H, W))
         for tables in ((tx, ty), (tx.T, ty.T)):
-            for maximize in (True, False):
-                got = _separable_message(beta, *tables, maximize)
-                expect = _former_separable_message(beta, *tables, maximize)
-                for g, e in zip(got, expect):
-                    if e is None:
-                        assert g is None
-                        continue
-                    assert (g.shape, g.dtype) == (e.shape, e.dtype)
-                    assert g.tobytes() == e.tobytes()
+            got = _separable_message(beta, *tables)
+            expect = _former_separable_message(beta, *tables, True)
+            for g, e in zip(got, expect):
+                assert (g.shape, g.dtype) == (e.shape, e.dtype)
+                assert g.tobytes() == e.tobytes()
+            g = _reduce_slabs(beta, tables[0], False)[0]
+            got = _reduce_slabs(np.ascontiguousarray(g.T), tables[1],
+                                False)[0].T
+            expect = _former_separable_message(beta, *tables, False)[0]
+            assert (got.shape, got.dtype) == (expect.shape, expect.dtype)
+            assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("H, W", _MESSAGE_SHAPES)
+def test_product_kernel_matches_former_kernel(H, W):
+    # _sum_pass bounds a pass's error by about (n + c + 1) u relative to
+    # max(1, |out|) for n summed inputs; (H + W + 16) eps = 2 (H + W + 16) u
+    # covers both passes and the former kernel's own rounding
+    tol = (H + W + 16) * np.finfo(float).eps
+    for beta, edge in _message_cases(H, W):
+        tx, ty = _axis_tables(edge, (H, W))
+        for tables in ((tx, ty), (tx.T, ty.T)):
+            kernels = tuple(np.exp(t) for t in tables)
+            got = _separable_message(beta, *tables, kernels)
+            expect = _former_separable_message(beta, *tables, False)
+            assert got[1:] == (None, None)
+            assert got[0].shape == expect[0].shape
+            err = np.abs(got[0] - expect[0]) / np.maximum(1.0,
+                                                          np.abs(expect[0]))
+            assert err.max() <= tol
 
 
 def _lse_inputs():
@@ -448,8 +478,14 @@ def test_separable_message_memory_is_one_slab():
     edge = default_part_graph().parent_edge("r_elbow")
     tx, ty = _axis_tables(edge, (H, W))
     assert _traced_peak(lambda: _dt_max_message(beta, edge, (H, W))) < 4e6
-    assert _traced_peak(lambda: _separable_message(beta, tx.T, ty.T,
-                                                   False)) < 4e6
+    assert _traced_peak(lambda: _separable_message(
+        beta, tx.T, ty.T, (np.exp(tx.T), np.exp(ty.T)))) < 4e6
+    # an offset past the grid's edge with a variance of 0.01 underflows
+    # every product, so every row of both passes takes the slab fallback
+    narrow = EdgeParams("p", "c", (170.0, 130.0), (0.01, 0.01))
+    tx, ty = _axis_tables(narrow, (H, W))
+    assert _traced_peak(lambda: _separable_message(
+        beta, tx.T, ty.T, (np.exp(tx.T), np.exp(ty.T)))) < 4e6
 
 
 def test_naive_and_dt_agree_on_default_graph_at_large_grid():
@@ -605,6 +641,104 @@ def test_marginals_identical_under_either_algorithm_name():
             for part in graph.parts:
                 assert np.array_equal(res.posteriors[part],
                                       base.posteriors[part])
+
+
+def _assert_marginals_match_oracle(grids, graph):
+    expect = _sum_product_oracle(grids, graph)
+    res = infer(grids, graph, mode="marginal")
+    for part in graph.parts:
+        assert res.posteriors[part].shape == grids.shape[1:]
+        assert np.abs(res.posteriors[part] - expect[part]).max() < 1e-10
+
+
+def test_marginals_with_narrow_variances_match_oracle():
+    # variances down to 0.005 put exp(t) below the float range a few
+    # pixels off the mean, where the products underflow
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        P = int(rng.integers(2, 5))
+        graph = _random_tree(rng, P)
+        graph = PartGraph(graph.parts, [
+            EdgeParams(e.parent, e.child, e.mean,
+                       tuple(rng.uniform(0.005, 0.05, size=2)))
+            for e in graph.edges])
+        _assert_marginals_match_oracle(
+            _random_grids(rng, P, 7, 9, zero_rate=0.2), graph)
+
+
+def test_marginals_with_sharp_unaries_match_oracle():
+    # unaries raised to the 200th power span about 260 decades
+    rng = np.random.default_rng(21)
+    for graph in (_random_tree(rng, 4), default_part_graph(scale=0.01)):
+        P = len(graph.parts)
+        _assert_marginals_match_oracle(
+            _random_grids(rng, P, 10, 12) ** 200, graph)
+
+
+def test_marginals_with_floor_rows_match_oracle():
+    # whole rows and a whole column of every unary are zero (LOG_FLOOR)
+    rng = np.random.default_rng(22)
+    for _ in range(4):
+        graph = _random_tree(rng, 4)
+        grids = _random_grids(rng, 4, 8, 7)
+        grids[:, [0, 3, 4, 7]] = 0.0
+        grids[:, :, 2] = 0.0
+        _assert_marginals_match_oracle(grids, graph)
+
+
+def test_marginals_on_a_single_cell():
+    rng = np.random.default_rng(23)
+    graph = _random_tree(rng, 4)
+    grids = np.array([[[0.3]], [[0.0]], [[2.0]], [[1.0]]])
+    _assert_marginals_match_oracle(grids, graph)
+    res = infer(grids, graph, mode="marginal")
+    assert all(p.tolist() == [[1.0]] for p in res.posteriors.values())
+
+
+@pytest.mark.parametrize("H, W", [(9, 1), (1, 9)])
+def test_marginals_on_a_single_column_or_row_match_oracle(H, W):
+    rng = np.random.default_rng(24 + H)
+    for _ in range(4):
+        graph = _random_tree(rng, 4)
+        _assert_marginals_match_oracle(
+            _random_grids(rng, 4, H, W, zero_rate=0.2), graph)
+
+
+def test_product_kernel_falls_back_where_its_product_underflows(monkeypatch):
+    import actkit.psinfer as psinfer
+    passed = []
+
+    def spy(f, t, maximize):
+        passed.append(len(f))
+        return _reduce_slabs(f, t, maximize)
+
+    monkeypatch.setattr(psinfer, "_reduce_slabs", spy)
+    # the only live child cell is x = 0, so the message is exactly
+    # tx[o, 0] = -(o - 0)^2 / (2 vx): with vx = 1 every product is
+    # normal and no row falls back; with vx = 0.01, exp(-50 o^2)
+    # underflows to zero from o = 4 on and the one input row falls back
+    W = 12
+    beta = np.full((1, W), LOG_FLOOR)
+    beta[0, 0] = 0.0
+    for vx, fallback in ((1.0, []), (0.01, [1])):
+        passed.clear()
+        tables = _axis_tables(EdgeParams("p", "c", (0.0, 0.0), (vx, 1.0)),
+                              (1, W))
+        out = _separable_message(beta, *tables,
+                                 tuple(np.exp(t) for t in tables))[0]
+        assert passed == fallback
+        expect = -np.arange(W) ** 2 / (2 * vx)
+        assert np.abs(out[0] - expect).max() <= 1e-15 * np.abs(expect).max()
+    # the same edge in a two-part chain: the parent's posterior is
+    # proportional to exp(-50 x^2)
+    graph = PartGraph(("p", "c"), [EdgeParams("p", "c", (0.0, 0.0),
+                                              (0.01, 1.0))])
+    grids = np.zeros((2, 1, W))
+    grids[0] = 1.0
+    grids[1, 0, 0] = 1.0
+    passed.clear()
+    _assert_marginals_match_oracle(grids, graph)
+    assert passed
 
 
 def test_infer_validation():
