@@ -40,7 +40,7 @@ from .corpus import (build_documents, normalize_l1, save_weights_csv,
 from .metrics import EvalReport, accuracy, confusion_counts, \
     mean_average_precision
 from .synth import load_bundle
-from .temporal import Segment, _cosine, merge_adjacent, save_segments_jsonl
+from .temporal import Segment, merge_adjacent, save_segments_jsonl
 
 
 class ConfigError(Exception):
@@ -195,15 +195,10 @@ def _apply_segmentation(bundle, cfg, mats, out_dir):
     os.makedirs(seg_dir, exist_ok=True)
     out = []
     for seq, V in zip(bundle.sequences, mats):
-        items = [([t], V[:, t].copy()) for t in range(V.shape[1])]
-        merged = merge_adjacent(
-            items, lambda a, b: _cosine(a[1], b[1]),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            threshold)
-        cols = [vec / len(idx) for idx, vec in merged]
-        out.append(np.stack(cols, axis=1))
-        segs = [Segment(seq.intervals[idx[0]][0], seq.intervals[idx[-1]][1])
-                for idx, _ in merged]
+        runs, sums = merge_adjacent(V.T, threshold)
+        out.append((sums / (runs[:, 1] - runs[:, 0] + 1)[:, None]).T)
+        segs = [Segment(seq.intervals[a][0], seq.intervals[b][1])
+                for a, b in runs]
         save_segments_jsonl(segs, os.path.join(
             seg_dir, f"{seq.sequence_id}.jsonl"))
     return out

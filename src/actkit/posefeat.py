@@ -731,16 +731,17 @@ def stream_word_counts(frame_features, frames, codebook_set: CodebookSet,
     """Per-frame codebook word counts for a whole stream.
 
     frame_features / frames: aligned lists of per-frame descriptor
-    records and their frame indices, of equal length (a length mismatch
-    raises ValueError).  Returns a (num_frames, dim) count matrix
-    suitable for integral histograms; frames without descriptors stay
-    zero.  Descriptors are quantized once per (length, sub-feature)
-    block, which must have a codebook.
+    records and their integer frame indices, of equal length (a length
+    mismatch or non-integer frame raises ValueError).  Returns a
+    (num_frames, dim) count matrix suitable for integral histograms;
+    frames without descriptors stay zero.  Descriptors are quantized
+    once per (length, sub-feature) block, which must have a codebook.
     """
     starts = {(L, n): start for (L, n, start, _)
               in codebook_set.block_layout()}
     blocks = {}
     for record, frame in zip(frame_features, frames, strict=True):
+        frame = _integer(frame, "frame")
         if not 0 <= frame < num_frames:
             raise ValueError(f"frame {frame} outside the stream")
         for length, feats in record.items():

@@ -182,7 +182,10 @@ def window_counts(table: IntegralHistogram, start, end) -> np.ndarray:
     """Raw bin counts of the inclusive frame window [start, end].
 
     start and end are ints (one (B,) row) or arrays of them (one row
-    per window)."""
+    per window); a bool or float bound raises ValueError."""
+    for name, b in (("start", start), ("end", end)):
+        if np.asarray(b).dtype.kind not in "iu":
+            raise ValueError(f"window {name} must be integers, got {b!r}")
     s, e = np.broadcast_arrays(start, end)
     bad = ~((0 <= s) & (s <= e) & (e < table.num_frames))
     if bad.any():
@@ -314,66 +317,64 @@ def uniform_intervals(num_frames: int, span: int = SEGMENT_SPAN) -> list:
     """Chop a stream into fixed spans; the trailing piece may be shorter."""
     if num_frames < 1 or span < 1:
         raise ValueError("need positive stream length and span")
-    out = []
-    for start in range(0, num_frames, span):
-        out.append(Segment(start, min(start + span, num_frames) - 1))
-    return out
+    return [Segment(start, min(start + span, num_frames) - 1)
+            for start in range(0, num_frames, span)]
 
 
-def _cosine(u, v) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+def _cosines(vecs, norms, lo, hi) -> list:
+    """Cosines of adjacent pairs (i, i + 1), lo <= i < hi; 0 at a zero norm."""
+    return [float(vecs[i] @ vecs[i + 1]) / (norms[i] * norms[i + 1])
+            if norms[i] and norms[i + 1] else 0.0 for i in range(lo, hi)]
 
 
-def merge_adjacent(items, similarity, combine, threshold: float) -> list:
-    """Greedy agglomeration of an ordered list.
+def merge_adjacent(vectors, threshold: float):
+    """Greedy agglomeration of an ordered (n, d) stack of row vectors.
 
-    Repeatedly merges the adjacent pair with the highest similarity
-    while that similarity is at or above the threshold, preferring the
-    leftmost pair on ties.  combine(a, b) produces the merged item.
-    The input list is left untouched.  After a merge only the merged
-    item's similarities to its two neighbours are recomputed.
+    Repeatedly merges the adjacent pair with the highest cosine, leftmost
+    on ties, while that cosine is at or above the threshold; a zero
+    vector has cosine 0.  A merged vector is the sum of the pair, left
+    plus right.  Each vector's norm is taken once, and a merge recomputes
+    only the merged vector's two cosines.  The rows are copied into C
+    order and scaled by the power of two that puts the largest magnitude
+    in [0.5, 1): exact, so cosines and sums keep the bits of unscaled
+    arithmetic on contiguous rows, and no norm or dot product overflows.
+    A NaN or infinite entry raises ValueError.
+
+    Returns (runs, sums): the (m, 2) int64 first and last input rows of
+    each merged vector, in order, and the (m, d) merged vectors.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"merge threshold must be finite, got {threshold!r}")
-    out = list(items)
-    sims = [similarity(a, b) for a, b in zip(out, out[1:])]
-    while sims:
-        best = int(np.argmax(sims))
-        if sims[best] < threshold:
-            break
-        out[best:best + 2] = [combine(out[best], out[best + 1])]
+    V = np.asarray(vectors, dtype=float)
+    if V.ndim != 2 or not math.isfinite(top := np.abs(V).max(initial=0.0)):
+        raise ValueError("vectors must be a finite (n, d) stack")
+    _, exp = np.frexp(top)
+    vecs = list(np.ldexp(V, -exp, order="C"))
+    norms = [math.sqrt(v @ v) for v in vecs]
+    runs = [(i, i) for i in range(len(vecs))]
+    sims = _cosines(vecs, norms, 0, len(vecs) - 1)
+    while sims and (high := max(sims)) >= threshold:
+        best = sims.index(high)
+        vecs[best:best + 2] = [vecs[best] + vecs[best + 1]]
+        norms[best:best + 2] = [math.sqrt(vecs[best] @ vecs[best])]
+        runs[best:best + 2] = [(runs[best][0], runs[best + 1][1])]
         lo = max(best - 1, 0)
-        sims[lo:best + 2] = [similarity(out[i], out[i + 1])
-                             for i in range(lo, min(best + 1, len(out) - 1))]
-    return out
+        sims[lo:best + 2] = _cosines(vecs, norms, lo,
+                                     min(best + 1, len(vecs) - 1))
+    return (np.array(runs, dtype=np.int64).reshape(-1, 2),
+            np.ldexp(vecs, exp).reshape(len(vecs), V.shape[1]))
 
 
 def segment_agglomerative(table: IntegralHistogram, threshold: float,
                           span: int = SEGMENT_SPAN) -> list:
-    """Merge adjacent spans whose histograms agree.
-
-    Starts from uniform spans and repeatedly merges the adjacent pair
-    whose window_histogram vectors have the highest cosine similarity,
-    while that similarity is at or above the threshold (leftmost pair on
-    ties).  Segment scores stay zero.
-    """
-    segs = uniform_intervals(table.num_frames, span)
-
-    def hist(seg):
-        return window_histogram(table, seg.start, seg.end)
-
-    items = merge_adjacent(
-        [(s, hist(s)) for s in segs],
-        similarity=lambda a, b: _cosine(a[1], b[1]),
-        combine=lambda a, b: (
-            Segment(a[0].start, b[0].end),
-            hist(Segment(a[0].start, b[0].end))),
-        threshold=threshold)
-    return [s for s, _ in items]
+    """Merge adjacent spans whose word counts agree: merge_adjacent on
+    the raw window_counts rows of uniform spans, read in one batch.  A
+    cosine ignores scale, so in exact arithmetic these are the merges of
+    the spans' window_histogram rows.  Segment scores stay zero."""
+    spans = uniform_intervals(table.num_frames, span)
+    runs, _ = merge_adjacent(window_counts(
+        table, [s.start for s in spans], [s.end for s in spans]), threshold)
+    return [Segment(spans[a].start, spans[b].end) for a, b in runs]
 
 
 # ---------------------------------------------------------------------------

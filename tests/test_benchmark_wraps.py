@@ -124,3 +124,38 @@ def test_pose_windows_count_every_fitting_window(monkeypatch):
     assert names.count("posefeat.bm_s") == names.count("posefeat.fft_s") == T
     assert len(names) == 2 * T
     assert all(error is None for *_, error in tracer.spans)
+
+
+def test_segmentation_call_sites(monkeypatch, tmp_path):
+    # temporal.segment_s times experiment.merge_adjacent, once per
+    # sequence of a segmented run; actkit segment reads its spans with
+    # one window_counts call and counts no temporal.histogram_calls
+    from actkit import cli, experiment, synth, temporal
+    calls = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    bundle = synth.gen_synthetic(synth.SyntheticConfig(seed=11))
+    synth.save_bundle(bundle, tmp_path / "bundle")
+    for module, name in ((experiment, "merge_adjacent"),
+                         (temporal, "window_counts"),
+                         (temporal, "window_histogram")):
+        counting(module, name)
+    experiment.run_experiment({"data": str(tmp_path / "bundle"),
+                               "output": str(tmp_path / "run"),
+                               "mode": "script", "segment_threshold": 0.8})
+    assert calls == {"merge_adjacent": len(bundle.sequences)}
+
+    calls.clear()
+    counts = np.random.default_rng(3).poisson(0.5, size=(600, 4))
+    np.save(tmp_path / "c.npy", counts.astype(float))
+    assert cli.main(["segment", "--counts", str(tmp_path / "c.npy"),
+                     "--threshold", "0.9", "--output",
+                     str(tmp_path / "s.jsonl")]) == 0
+    assert calls == {"window_counts": 1}

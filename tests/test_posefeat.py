@@ -1085,6 +1085,21 @@ def test_stream_word_counts():
         stream_word_counts(feats, [2, 99], cbs, num_frames=8)
 
 
+def test_stream_word_counts_frames_must_be_integers():
+    # a bool frame once counted its words at row 1; a float or string
+    # frame raised a bare IndexError or TypeError
+    from actkit.posefeat import SubFeature
+    cbs = _toy_codebook_set()
+    feats = [{20: [SubFeature("toy", np.array([0.1]))]}]
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"frame must be an integer, "
+                                             f"got {re.escape(repr(bad))}"):
+            stream_word_counts(feats, [bad], cbs, num_frames=8)
+    for good in (2, np.int32(2), np.int64(2)):
+        counts = stream_word_counts(feats, [good], cbs, num_frames=8)
+        assert counts[2, 0] == 1 and counts.sum() == 1
+
+
 @pytest.mark.parametrize("num_frames", [40, 81])
 def test_stream_word_counts_rejects_misaligned_frames(num_frames):
     tracks = _oracle_tracks(80, first_frame=0)

@@ -1,4 +1,6 @@
+import os
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +68,23 @@ def test_window_counts_bounds_name_the_window_in_a_batch():
     with pytest.raises(ValueError, match=r"window \[1, 0\]"):
         window_counts(table, np.array([0, 1]), np.array([2, 0]))
     assert window_counts(table, np.array([0, 2]), 4).shape == (2, 2)
+
+
+def test_window_bounds_must_be_integers():
+    # a bool bound was read as a mask, a float one raised a bare IndexError
+    table = build_integral(np.ones((6, 2)))
+    for start, end in ((True, 3), (0, 1.0), (np.array([0, 1]), 2.5),
+                       (np.array([True, False]), 3), (0, np.array([1.0]))):
+        bad = start if np.asarray(start).dtype.kind not in "iu" else end
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be integers, got {bad!r}")):
+            window_counts(table, start, end)
+        with pytest.raises(ValueError, match="must be integers"):
+            window_histogram(table, start, end)
+    for start in (1, np.int32(1), np.int64(1), np.uint8(1)):
+        assert np.array_equal(window_histogram(table, start, np.int16(3)),
+                              [0.5, 0.5])
+    assert window_counts(table, [0, 2], np.array([1, 5])).shape == (2, 2)
 
 
 def test_window_histogram_unit_mass():
@@ -661,10 +680,9 @@ def test_segment_agglomerative_zero_norm_cosine_is_zero():
 
 
 def test_merge_adjacent_rejects_non_finite_threshold():
-    items = [np.ones(2)] * 3
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            merge_adjacent(items, temporal._cosine, np.add, bad)
+            merge_adjacent(np.ones((3, 2)), bad)
     table = build_integral(np.random.default_rng(0).poisson(
         1.0, size=(600, 8)).astype(float))
     with pytest.raises(ValueError, match="finite"):
@@ -672,16 +690,87 @@ def test_merge_adjacent_rejects_non_finite_threshold():
     assert len(segment_agglomerative(table, 1.5)) == 10
 
 
+def test_merge_adjacent_runs_and_sums():
+    V = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                  [0.0, 3.0]])
+    kept = V.copy()
+    runs, sums = merge_adjacent(V, 0.9)
+    assert np.array_equal(V, kept)
+    # the zero row has cosine 0 with both neighbours, so it stays alone
+    assert runs.dtype == np.int64
+    assert runs.tolist() == [[0, 1], [2, 2], [3, 3], [4, 4]]
+    assert np.array_equal(sums, [[3.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                                 [0.0, 3.0]])
+    runs, sums = merge_adjacent(V, -1.0)
+    assert runs.tolist() == [[0, 4]]
+    assert np.array_equal(sums, V.sum(axis=0, keepdims=True))
+    for n, d in ((0, 3), (1, 3), (4, 0)):
+        runs, sums = merge_adjacent(np.zeros((n, d)), 0.5)
+        assert runs.shape == (n, 2) and sums.shape == (n, d)
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        merge_adjacent(np.ones(3), 0.5)
+    for bad in (np.nan, np.inf):
+        V[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            merge_adjacent(V, 0.5)
+
+
+def _cosine(u, v) -> float:
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        return 0.0
+    return float(u @ v) / (nu * nv)
+
+
 def _former_merge_adjacent(items, similarity, combine, threshold):
-    """The former agglomeration: every adjacent similarity is recomputed
-    after each merge."""
+    """temporal.merge_adjacent in its former callback form: the oracle
+    for the array kernel."""
     out = list(items)
-    while len(out) > 1:
-        sims = [similarity(out[i], out[i + 1]) for i in range(len(out) - 1)]
+    sims = [similarity(a, b) for a, b in zip(out, out[1:])]
+    while sims:
         best = int(np.argmax(sims))
         if sims[best] < threshold:
             break
         out[best:best + 2] = [combine(out[best], out[best + 1])]
+        lo = max(best - 1, 0)
+        sims[lo:best + 2] = [similarity(out[i], out[i + 1])
+                             for i in range(lo, min(best + 1, len(out) - 1))]
+    return out
+
+
+def _former_segment_agglomerative(table, threshold, span):
+    """The former segmenter: cosines of L1-normalized window_histogram
+    rows, one window_histogram call per span and per merge."""
+    def hist(seg):
+        return window_histogram(table, seg.start, seg.end)
+
+    items = _former_merge_adjacent(
+        [(s, hist(s)) for s in uniform_intervals(table.num_frames, span)],
+        similarity=lambda a, b: _cosine(a[1], b[1]),
+        combine=lambda a, b: (
+            Segment(a[0].start, b[0].end),
+            hist(Segment(a[0].start, b[0].end))),
+        threshold=threshold)
+    return [s for s, _ in items]
+
+
+def _former_apply_segmentation(bundle, cfg, mats, out_dir):
+    """experiment._apply_segmentation before the array kernel."""
+    seg_dir = os.path.join(out_dir, "segments")
+    os.makedirs(seg_dir, exist_ok=True)
+    out = []
+    for seq, V in zip(bundle.sequences, mats):
+        items = [([t], V[:, t].copy()) for t in range(V.shape[1])]
+        merged = _former_merge_adjacent(
+            items, lambda a, b: _cosine(a[1], b[1]),
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            cfg["segment_threshold"])
+        out.append(np.stack([vec / len(idx) for idx, vec in merged], axis=1))
+        save_segments_jsonl(
+            [Segment(seq.intervals[idx[0]][0], seq.intervals[idx[-1]][1])
+             for idx, _ in merged],
+            os.path.join(seg_dir, f"{seq.sequence_id}.jsonl"))
     return out
 
 
@@ -700,51 +789,141 @@ def _tied_columns(rng, n, dim):
     return patterns[picks]
 
 
-def test_segment_agglomerative_matches_former_merge(monkeypatch):
+def _exact_segments(table, threshold, span):
+    """segment_agglomerative in exact rational arithmetic on integer
+    counts: a cosine d / sqrt(a b) is ranked by d |d| / (a b)."""
+    spans = uniform_intervals(table.num_frames, span)
+    vecs = [[int(x) for x in window_counts(table, s.start, s.end)]
+            for s in spans]
+    runs = [(s.start, s.end) for s in spans]
+
+    def key(u, v):
+        a, b = sum(x * x for x in u), sum(x * x for x in v)
+        d = sum(x * y for x, y in zip(u, v))
+        return Fraction(d * abs(d), a * b) if a and b else Fraction(0)
+
+    while len(vecs) > 1:
+        keys = [key(u, v) for u, v in zip(vecs, vecs[1:])]
+        best = keys.index(max(keys))
+        if keys[best] < threshold * abs(threshold):
+            break
+        vecs[best:best + 2] = [[x + y for x, y in zip(*vecs[best:best + 2])]]
+        runs[best:best + 2] = [(runs[best][0], runs[best + 1][1])]
+    return [Segment(a, b) for a, b in runs]
+
+
+def _assert_matches_former(table, threshold, span):
+    """segment_agglomerative equals the former segmenter, except where
+    exact arithmetic puts a cosine within 1e-12 of the threshold.  There
+    the float cosine of raw counts and that of L1-normalized histograms
+    each land on either side by rounding.  Returns whether the two
+    differ."""
+    got = segment_agglomerative(table, threshold, span)
+    if got == _former_segment_agglomerative(table, threshold, span):
+        return False
+    band = [Fraction(threshold) * (1 + k * Fraction(1, 10 ** 12))
+            for k in (-1, 1)]
+    assert _exact_segments(table, band[0], span) \
+        != _exact_segments(table, band[1], span), (threshold, span)
+    return True
+
+
+THRESHOLDS = (0.3, 0.6, 0.8, 0.9, 0.97)
+
+
+def test_segment_agglomerative_matches_former_merge():
+    # the tied patterns have cosines of exactly 0.8 (two permutations of
+    # [0, 1, 2]) and 1 (parallel sums): the knife edges that may differ
     rng = np.random.default_rng(8)
-    merged = 0
+    merged = differ = 0
     for trial in range(25):
         span = int(rng.integers(1, 8))
         n = int(rng.integers(1, 40))
         rows = np.repeat(_tied_columns(rng, n, 3), span, axis=0)
         table = build_integral(rows[:n * span - int(rng.integers(0, span))])
-        for threshold in (-1.0, 0.0, 0.5, 0.8, 0.95, 1.0, 1.5):
-            got = segment_agglomerative(table, threshold, span)
-            with monkeypatch.context() as m:
-                m.setattr(temporal, "merge_adjacent", _former_merge_adjacent)
-                want = segment_agglomerative(table, threshold, span)
-            assert got == want
-            merged += len(got) < len(uniform_intervals(table.num_frames,
-                                                       span))
-    assert merged > 50
+        for threshold in (-1.0, 0.0, 0.5, 0.95, 1.0, 1.5) + THRESHOLDS:
+            differ += _assert_matches_former(table, threshold, span)
+            merged += len(segment_agglomerative(table, threshold, span)) \
+                < len(uniform_intervals(table.num_frames, span))
+    assert merged > 100
+    assert differ < 30
 
 
-def test_experiment_segmentation_matches_former_merge(tmp_path, monkeypatch):
-    rng = np.random.default_rng(9)
+def test_segment_agglomerative_matches_former_on_poisson_streams():
+    # raw counts in place of L1-normalized histograms: only knife edges
+    # move, and they are rare
+    rng = np.random.default_rng(12)
+    merged = differ = 0
+    for trial in range(200):
+        T = int(rng.integers(1, 400))
+        B = int(rng.integers(1, 12))
+        lam = rng.uniform(0.05, 3.0, size=B) * rng.uniform(0.2, 1.0)
+        table = build_integral(rng.poisson(lam, size=(T, B)).astype(float))
+        span = int(rng.integers(1, 40))
+        for threshold in THRESHOLDS:
+            differ += _assert_matches_former(table, threshold, span)
+            merged += len(segment_agglomerative(table, threshold, span)) \
+                < len(uniform_intervals(T, span))
+    assert merged > 800
+    assert differ <= 5
+
+
+def test_segment_agglomerative_huge_counts_give_the_same_segments():
+    # counts scaled by 1e160 overflow their squared norms unless the
+    # kernel rescales them; a NaN cosine would merge silently
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        counts = rng.poisson(rng.uniform(0.1, 2.0, size=6),
+                             size=(500, 6)).astype(float)
+        span = int(rng.integers(5, 40))
+        for threshold in (0.3, 0.8, 0.9, 0.97):
+            want = segment_agglomerative(build_integral(counts), threshold,
+                                         span)
+            with np.errstate(all="raise"):
+                for scale in (2.0 ** 530, 1e160):
+                    assert segment_agglomerative(
+                        build_integral(counts * scale), threshold,
+                        span) == want
+
+
+def _segmentation_bundle(rng, columns):
     seqs, mats = [], []
     for i in range(30):
         T = int(rng.integers(1, 25))
         seqs.append(SimpleNamespace(
             sequence_id=f"s{i}", intervals=[(10 * t, 10 * t + 9)
                                             for t in range(T)]))
-        mats.append(_tied_columns(rng, T, 4).T)
-    bundle = SimpleNamespace(sequences=seqs)
-    merged = 0
-    for threshold in (-1.0, 0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0):
-        cfg = {"segment_threshold": threshold}
-        got = experiment._apply_segmentation(bundle, cfg, mats,
-                                             tmp_path / "new")
-        with monkeypatch.context() as m:
-            m.setattr(experiment, "merge_adjacent", _former_merge_adjacent)
-            want = experiment._apply_segmentation(bundle, cfg, mats,
-                                                  tmp_path / "old")
-        for d, s in enumerate(seqs):
-            assert np.array_equal(got[d], want[d])
-            name = f"segments/{s.sequence_id}.jsonl"
-            assert (tmp_path / "new" / name).read_bytes() \
-                == (tmp_path / "old" / name).read_bytes()
-            merged += got[d].shape[1] < mats[d].shape[1]
-    assert merged > 50
+        mats.append(columns(T))
+    return SimpleNamespace(sequences=seqs), mats
+
+
+def test_experiment_segmentation_matches_former_merge(tmp_path):
+    rng = np.random.default_rng(9)
+    kinds = {
+        "tied": lambda T: _tied_columns(rng, T, 4).T,
+        "normal": lambda T: rng.normal(size=(6, T)),
+        # skipped attributes sit at the -10 score floor in every column
+        "floored": lambda T: np.concatenate(
+            [rng.normal(size=(5, T)), np.full((2, T), -10.0)]),
+    }
+    for kind, columns in kinds.items():
+        bundle, mats = _segmentation_bundle(rng, columns)
+        merged = 0
+        for threshold in (-1.0, 0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0,
+                          2.0):
+            cfg = {"segment_threshold": threshold}
+            got = experiment._apply_segmentation(bundle, cfg, mats,
+                                                 tmp_path / "new")
+            want = _former_apply_segmentation(bundle, cfg, mats,
+                                              tmp_path / "old")
+            for d, s in enumerate(bundle.sequences):
+                assert got[d].shape == want[d].shape
+                assert got[d].tobytes() == want[d].tobytes()
+                name = f"segments/{s.sequence_id}.jsonl"
+                assert (tmp_path / "new" / name).read_bytes() \
+                    == (tmp_path / "old" / name).read_bytes()
+                merged += got[d].shape[1] < mats[d].shape[1]
+        assert merged > 50, kind
 
 
 # ---------------------------------------------------------------------------
