@@ -317,31 +317,37 @@ def uniform_intervals(num_frames: int, span: int = SEGMENT_SPAN) -> list:
     """Chop a stream into fixed spans; the trailing piece may be shorter."""
     if num_frames < 1 or span < 1:
         raise ValueError("need positive stream length and span")
-    return [Segment(start, min(start + span, num_frames) - 1)
-            for start in range(0, num_frames, span)]
+    out = []
+    for start in range(0, num_frames, span):
+        out.append(Segment(start, min(start + span, num_frames) - 1))
+    return out
 
 
-def _cosines(vecs, norms, lo, hi) -> list:
-    """Cosines of adjacent pairs (i, i + 1), lo <= i < hi; 0 at a zero norm."""
-    return [float(vecs[i] @ vecs[i + 1]) / (norms[i] * norms[i + 1])
-            if norms[i] and norms[i + 1] else 0.0 for i in range(lo, hi)]
+def _compared(v, unit_mass):
+    """(v, norm) as cosines see v: with unit_mass, over its positive sum."""
+    if unit_mass and (total := v.sum()) > 0:
+        v = v / total
+    return v, math.sqrt(v @ v)
 
 
-def merge_adjacent(vectors, threshold: float):
+def _cosines(rows) -> list:
+    """Cosines of adjacent (row, norm) pairs; 0 at a zero norm."""
+    return [float(u @ v) / (nu * nv) if nu and nv else 0.0
+            for (u, nu), (v, nv) in zip(rows, rows[1:])]
+
+
+def merge_adjacent(vectors, threshold: float, unit_mass: bool = False):
     """Greedy agglomeration of an ordered (n, d) stack of row vectors.
 
-    Repeatedly merges the adjacent pair with the highest cosine, leftmost
-    on ties, while that cosine is at or above the threshold; a zero
-    vector has cosine 0.  A merged vector is the sum of the pair, left
-    plus right.  Each vector's norm is taken once, and a merge recomputes
-    only the merged vector's two cosines.  The rows are copied into C
-    order and scaled by the power of two that puts the largest magnitude
-    in [0.5, 1): exact, so cosines and sums keep the bits of unscaled
-    arithmetic on contiguous rows, and no norm or dot product overflows.
-    A NaN or infinite entry raises ValueError.
-
-    Returns (runs, sums): the (m, 2) int64 first and last input rows of
-    each merged vector, in order, and the (m, d) merged vectors.
+    While the highest cosine of an adjacent pair (leftmost on ties, 0 at
+    a zero vector) is at or above the threshold, replaces that pair by
+    its sum, left plus right.  With unit_mass a cosine compares each row
+    divided by its sum, as window_histogram does; the sums stay raw.
+    The rows are copied into C order and scaled by the power of two that
+    puts the largest magnitude in [0.5, 1): the bits of unscaled
+    arithmetic, but no norm or dot product overflows.  A NaN or infinite
+    entry raises ValueError.  Returns (runs, sums): the (m, 2) int64
+    first and last input rows of each merged vector, and the (m, d) sums.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"merge threshold must be finite, got {threshold!r}")
@@ -349,31 +355,31 @@ def merge_adjacent(vectors, threshold: float):
     if V.ndim != 2 or not math.isfinite(top := np.abs(V).max(initial=0.0)):
         raise ValueError("vectors must be a finite (n, d) stack")
     _, exp = np.frexp(top)
-    vecs = list(np.ldexp(V, -exp, order="C"))
-    norms = [math.sqrt(v @ v) for v in vecs]
-    runs = [(i, i) for i in range(len(vecs))]
-    sims = _cosines(vecs, norms, 0, len(vecs) - 1)
+    sums = list(np.ldexp(V, -exp, order="C"))
+    rows = [_compared(v, unit_mass) for v in sums]
+    runs = [(i, i) for i in range(len(sums))]
+    sims = _cosines(rows)
     while sims and (high := max(sims)) >= threshold:
         best = sims.index(high)
-        vecs[best:best + 2] = [vecs[best] + vecs[best + 1]]
-        norms[best:best + 2] = [math.sqrt(vecs[best] @ vecs[best])]
+        sums[best:best + 2] = [sums[best] + sums[best + 1]]
+        rows[best:best + 2] = [_compared(sums[best], unit_mass)]
         runs[best:best + 2] = [(runs[best][0], runs[best + 1][1])]
         lo = max(best - 1, 0)
-        sims[lo:best + 2] = _cosines(vecs, norms, lo,
-                                     min(best + 1, len(vecs) - 1))
+        sims[lo:best + 2] = _cosines(rows[lo:best + 2])
     return (np.array(runs, dtype=np.int64).reshape(-1, 2),
-            np.ldexp(vecs, exp).reshape(len(vecs), V.shape[1]))
+            np.ldexp(sums, exp).reshape(len(sums), V.shape[1]))
 
 
 def segment_agglomerative(table: IntegralHistogram, threshold: float,
                           span: int = SEGMENT_SPAN) -> list:
-    """Merge adjacent spans whose word counts agree: merge_adjacent on
-    the raw window_counts rows of uniform spans, read in one batch.  A
-    cosine ignores scale, so in exact arithmetic these are the merges of
-    the spans' window_histogram rows.  Segment scores stay zero."""
+    """Merge adjacent spans whose histograms agree: merge_adjacent with
+    unit_mass on the window_counts rows of uniform spans, read in one
+    batch.  On integer counts a merged row is its span's exact count, so
+    the cosines are those of window_histogram rows, bit for bit."""
     spans = uniform_intervals(table.num_frames, span)
     runs, _ = merge_adjacent(window_counts(
-        table, [s.start for s in spans], [s.end for s in spans]), threshold)
+        table, [s.start for s in spans], [s.end for s in spans]),
+        threshold, unit_mass=True)
     return [Segment(spans[a].start, spans[b].end) for a, b in runs]
 
 

@@ -1,6 +1,5 @@
 import os
 import re
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -704,6 +703,11 @@ def test_merge_adjacent_runs_and_sums():
     runs, sums = merge_adjacent(V, -1.0)
     assert runs.tolist() == [[0, 4]]
     assert np.array_equal(sums, V.sum(axis=0, keepdims=True))
+    # unit_mass compares rows over their sums, but returns raw sums
+    C = np.array([[1.0, 1.0], [3.0, 3.0], [0.0, 0.0], [0.0, 2.0]])
+    runs, sums = merge_adjacent(C, 0.9, unit_mass=True)
+    assert runs.tolist() == [[0, 1], [2, 2], [3, 3]]
+    assert np.array_equal(sums, [[4.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
     for n, d in ((0, 3), (1, 3), (4, 0)):
         runs, sums = merge_adjacent(np.zeros((n, d)), 0.5)
         assert runs.shape == (n, 2) and sums.shape == (n, d)
@@ -724,18 +728,16 @@ def _cosine(u, v) -> float:
 
 
 def _former_merge_adjacent(items, similarity, combine, threshold):
-    """temporal.merge_adjacent in its former callback form: the oracle
-    for the array kernel."""
+    """temporal.merge_adjacent in its former callback form, recomputing
+    every adjacent similarity after each merge: the oracle for the array
+    kernel's neighbour-only update."""
     out = list(items)
-    sims = [similarity(a, b) for a, b in zip(out, out[1:])]
-    while sims:
+    while len(out) > 1:
+        sims = [similarity(out[i], out[i + 1]) for i in range(len(out) - 1)]
         best = int(np.argmax(sims))
         if sims[best] < threshold:
             break
         out[best:best + 2] = [combine(out[best], out[best + 1])]
-        lo = max(best - 1, 0)
-        sims[lo:best + 2] = [similarity(out[i], out[i + 1])
-                             for i in range(lo, min(best + 1, len(out) - 1))]
     return out
 
 
@@ -789,71 +791,33 @@ def _tied_columns(rng, n, dim):
     return patterns[picks]
 
 
-def _exact_segments(table, threshold, span):
-    """segment_agglomerative in exact rational arithmetic on integer
-    counts: a cosine d / sqrt(a b) is ranked by d |d| / (a b)."""
-    spans = uniform_intervals(table.num_frames, span)
-    vecs = [[int(x) for x in window_counts(table, s.start, s.end)]
-            for s in spans]
-    runs = [(s.start, s.end) for s in spans]
-
-    def key(u, v):
-        a, b = sum(x * x for x in u), sum(x * x for x in v)
-        d = sum(x * y for x, y in zip(u, v))
-        return Fraction(d * abs(d), a * b) if a and b else Fraction(0)
-
-    while len(vecs) > 1:
-        keys = [key(u, v) for u, v in zip(vecs, vecs[1:])]
-        best = keys.index(max(keys))
-        if keys[best] < threshold * abs(threshold):
-            break
-        vecs[best:best + 2] = [[x + y for x, y in zip(*vecs[best:best + 2])]]
-        runs[best:best + 2] = [(runs[best][0], runs[best + 1][1])]
-    return [Segment(a, b) for a, b in runs]
-
-
-def _assert_matches_former(table, threshold, span):
-    """segment_agglomerative equals the former segmenter, except where
-    exact arithmetic puts a cosine within 1e-12 of the threshold.  There
-    the float cosine of raw counts and that of L1-normalized histograms
-    each land on either side by rounding.  Returns whether the two
-    differ."""
-    got = segment_agglomerative(table, threshold, span)
-    if got == _former_segment_agglomerative(table, threshold, span):
-        return False
-    band = [Fraction(threshold) * (1 + k * Fraction(1, 10 ** 12))
-            for k in (-1, 1)]
-    assert _exact_segments(table, band[0], span) \
-        != _exact_segments(table, band[1], span), (threshold, span)
-    return True
-
-
 THRESHOLDS = (0.3, 0.6, 0.8, 0.9, 0.97)
 
 
 def test_segment_agglomerative_matches_former_merge():
     # the tied patterns have cosines of exactly 0.8 (two permutations of
-    # [0, 1, 2]) and 1 (parallel sums): the knife edges that may differ
+    # [0, 1, 2]) and 1 (parallel sums); cosines of raw counts round to
+    # either side of such a threshold, so unit_mass must keep the former
+    # histogram bits
     rng = np.random.default_rng(8)
-    merged = differ = 0
+    merged = 0
     for trial in range(25):
         span = int(rng.integers(1, 8))
         n = int(rng.integers(1, 40))
         rows = np.repeat(_tied_columns(rng, n, 3), span, axis=0)
         table = build_integral(rows[:n * span - int(rng.integers(0, span))])
         for threshold in (-1.0, 0.0, 0.5, 0.95, 1.0, 1.5) + THRESHOLDS:
-            differ += _assert_matches_former(table, threshold, span)
-            merged += len(segment_agglomerative(table, threshold, span)) \
-                < len(uniform_intervals(table.num_frames, span))
+            got = segment_agglomerative(table, threshold, span)
+            assert got == _former_segment_agglomerative(table, threshold,
+                                                        span)
+            merged += len(got) < len(uniform_intervals(table.num_frames,
+                                                       span))
     assert merged > 100
-    assert differ < 30
 
 
 def test_segment_agglomerative_matches_former_on_poisson_streams():
-    # raw counts in place of L1-normalized histograms: only knife edges
-    # move, and they are rare
     rng = np.random.default_rng(12)
-    merged = differ = 0
+    merged = 0
     for trial in range(200):
         T = int(rng.integers(1, 400))
         B = int(rng.integers(1, 12))
@@ -861,11 +825,11 @@ def test_segment_agglomerative_matches_former_on_poisson_streams():
         table = build_integral(rng.poisson(lam, size=(T, B)).astype(float))
         span = int(rng.integers(1, 40))
         for threshold in THRESHOLDS:
-            differ += _assert_matches_former(table, threshold, span)
-            merged += len(segment_agglomerative(table, threshold, span)) \
-                < len(uniform_intervals(T, span))
+            got = segment_agglomerative(table, threshold, span)
+            assert got == _former_segment_agglomerative(table, threshold,
+                                                        span)
+            merged += len(got) < len(uniform_intervals(T, span))
     assert merged > 800
-    assert differ <= 5
 
 
 def test_segment_agglomerative_huge_counts_give_the_same_segments():
