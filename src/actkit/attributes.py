@@ -4,8 +4,12 @@ Attributes (fine-grained activities and manipulated objects) are scored
 on time intervals by one-vs-all linear classifiers.  One batched trainer,
 a deterministic full-batch subgradient descent on the L2-regularized
 hinge loss that updates all labels at once, serves every one-vs-all
-problem in the package.  Scores are z-normalized with training
-statistics; a score table is an (A, T) array, rows in label order.
+problem in the package.  It runs in float32 unless the features are
+outside a range derived for it (then in float64), sums its gradient over
+fixed row blocks in order so that the weights do not depend on the BLAS
+thread count, and returns float64 weights.  Scores are z-normalized with
+float64 training statistics; a score table is an (A, T) array, rows in
+label order.
 Two score-derived features support a second level: the context feature
 (element-wise maximum of all other intervals of the sequence) and the
 co-occurrence feature (the score vector of the interval itself with the
@@ -31,9 +35,15 @@ class TrainConfig:
 
     lam is the L2 regularization strength, the learning rate at epoch t
     is 1 / (lam * t).  The descent starts from zero and draws no random
-    numbers, so the two values decide the fit.  Scores are always
-    z-normalized, and attributes that could not be trained score
-    DEFAULT_FLOOR.
+    numbers, so the two values and the features decide the fit.  Its
+    epochs run in float32 when the features, lam and epochs keep every
+    quantity it forms at most 2^100 and every nonzero feature is a
+    normal float32 (the bound is derived in _descent_dtype), else in
+    float64; no option changes that.  The gradient is summed over fixed
+    blocks of 256 rows, added in row order, so a fit is the same at any
+    BLAS thread count.  Weights, score statistics and scores are
+    float64.  Scores are always z-normalized, and attributes that could
+    not be trained score DEFAULT_FLOOR.
     """
 
     lam: float = 0.01
@@ -55,6 +65,8 @@ class LinearModelSet:
     and the training score statistics of _fit_ova.  trained marks the
     labels that have a row; skipped lists (label, reason) pairs for
     attributes without both a positive and a negative training example.
+    objective is the descent's _objective_summary when the set was
+    trained here, None when it was loaded or trained no label.
     """
 
     models: np.ndarray
@@ -63,43 +75,133 @@ class LinearModelSet:
     skipped: tuple
     config: TrainConfig
     feature_dim: int
+    objective: dict | None = None
+
+
+# Bounds of the float32 descent, derived in _descent_dtype's docstring,
+# and the rows of one gradient block.
+_F32_RANGE = 2.0 ** 100
+_GRADIENT_ROWS = 256
+
+
+def _descent_dtype(X, lam, epochs):
+    """float32 where the descent provably stays in float32's normal range
+    for these features, else float64.
+
+    Let s_j be the largest |x| of feature j, 1 for the bias column, and
+    m the row count.  Each epoch adds mask * G / (m lam t) to (1 - 1/t) W,
+    where G / m has entries of at most s_j as every margin target is
+    -1, 0 or 1; so t W_t is a sum of t such terms over lam and every
+    |W[j]| stays at most s_j / lam.  Then each margin is at most
+    sum_j s_j^2 / lam, each partial gradient sum at most m max(s_j, 1),
+    the update at most 2 max(s_j, 1) / lam <= 2 sum_j s_j^2 / lam, and
+    the step divisor lam t at most lam epochs.  float32 is used when the
+    largest of these bounds is at most 2^100, leaving a factor 2^27 below
+    float32's largest value (about 2^128) for the update's factor 2 and
+    for rounding (a float32 sum of n terms exceeds its bound by a factor
+    of about 1 + n 2^-24, and n is a row, feature or epoch count); and
+    when every nonzero |x| is at least float32's smallest normal
+    value, so that the cast to float32 rounds but loses no input.  NaN
+    or infinite features fail the test and take float64."""
+    a = np.abs(X)
+    s = a.max(axis=0, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.max([len(X) * np.maximum(s, 1.0).max(initial=1.0),
+                        (s @ s + 1.0) / lam, lam * epochs])
+    smallest = a.min(initial=np.inf, where=a > 0)
+    if bound <= _F32_RANGE and smallest >= np.finfo(np.float32).tiny:
+        return np.float32
+    return np.float64
 
 
 def _hinge_descent_batch(X, Y, lam, epochs, mask=1.0):
     """Full-batch subgradient descent on the hinge loss for every column
-    of the (m, A) +-1 targets Y at once.  The bias is an extra always-one
-    feature, so W is (D + 1, A) and all of it follows the 1/(lam*t)
-    schedule.  A 0/1 mask shaped like W zeroes gradient entries; as the
-    descent starts from zero, masked weights stay exactly 0.  The (m, A)
-    margin and violator buffers are allocated once and reused every
-    epoch."""
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    W = np.zeros((Xa.shape[1], Y.shape[1]))
-    M = np.empty(Y.shape)
+    of the (m, A) +-1 targets Y at once; returns the (D + 1, A) float64
+    weights and a (2, A) float64 objective table.
+
+    The bias is an extra always-one feature, so W is (D + 1, A) and all
+    of it follows the 1/(lam*t) schedule.  A 0/1 mask shaped like W
+    zeroes gradient entries; as the descent starts from zero, masked
+    weights stay exactly 0.  Every epoch runs in the dtype that
+    _descent_dtype picks from the features (float32 unless they are too
+    large or too small for it), with lam, m and lam * t rounded to that
+    dtype.  The gradient Xa.T @ M is summed over fixed blocks of
+    _GRADIENT_ROWS rows, added in row order: at the supervised
+    benchmark's size one whole product rounds differently at 1 and at
+    2 OpenBLAS threads, and the blocks do not (the golden manifest pins
+    such a run at both counts).  The design, margin and violator
+    buffers are allocated once and reused every epoch.
+
+    Row 0 of the objective table holds each label's objective lam/2
+    (|w|^2 + b^2) + mean hinge, in float64, for the weights that enter
+    the first epoch of the last tenth of the epochs; row 1 for those
+    that enter the last epoch.  Both are read from the margins the
+    epoch computes anyway, and W does not depend on them."""
+    m, D = X.shape
+    dtype = _descent_dtype(X, lam, epochs)
+    Xa = np.empty((m, D + 1), dtype)
+    Xa[:, :D] = X
+    Xa[:, D] = 1.0
+    Y = np.asarray(Y, dtype)
+    mask = np.asarray(mask, dtype)
+    W = np.zeros((D + 1, Y.shape[1]), dtype)
+    G, part = np.empty_like(W), np.empty_like(W)
+    M = np.empty(Y.shape, dtype)
     cond = np.empty(Y.shape, dtype=bool)
+    objective = np.empty((2, Y.shape[1]))
+    tail = epochs - -(-epochs // 10) + 1    # first epoch of the last tenth
     for t in range(1, epochs + 1):
         np.matmul(Xa, W, out=M)
         np.multiply(Y, M, out=M)
+        if t in (tail, epochs):
+            W64 = W.astype(float)
+            objective[[t == tail, t == epochs]] = (
+                0.5 * lam * (W64 * W64).sum(axis=0)
+                + np.maximum(np.subtract(1.0, M, dtype=float), 0.0)
+                .mean(axis=0))
         np.less(M, 1.0, out=cond)
         np.multiply(Y, cond, out=M)         # the violators' targets, else 0
-        W -= (lam * W - Xa.T @ M / len(Y)) * mask / (lam * t)
-    return W
+        np.matmul(Xa[:_GRADIENT_ROWS].T, M[:_GRADIENT_ROWS], out=G)
+        for r in range(_GRADIENT_ROWS, m, _GRADIENT_ROWS):
+            rows = slice(r, r + _GRADIENT_ROWS)
+            np.matmul(Xa[rows].T, M[rows], out=part)
+            G += part
+        G /= m
+        np.multiply(W, lam, out=part)       # (lam W - G / m) mask / (lam t)
+        part -= G
+        part *= mask
+        part /= lam * t
+        W -= part
+    return W.astype(float), objective
+
+
+def _objective_summary(objective):
+    """The mean final objective and the largest relative change over the
+    last tenth of the epochs, of a descent's objective table; None for a
+    descent of no labels."""
+    if objective.shape[1] == 0:
+        return None
+    start, end = objective
+    return {"final_objective": float(end.mean()),
+            "max_relative_change": float(np.max(np.abs(end - start) / start))}
 
 
 def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
-    """Train a label per column of the boolean positives P; returns W and
-    the training score mean, std (1 where constant) and constant flags.
-    Features so large that the score statistics overflow raise."""
+    """Train a label per column of the boolean positives P; returns W,
+    the training score mean, std (1 where constant) and constant flags,
+    and the descent's _objective_summary.  Features so large that the
+    score statistics overflow raise."""
     with np.errstate(over="ignore", invalid="ignore"):
-        W = _hinge_descent_batch(X, np.where(P, 1.0, -1.0), cfg.lam,
-                                 cfg.epochs, mask)
+        W, objective = _hinge_descent_batch(X, np.where(P, 1.0, -1.0),
+                                            cfg.lam, cfg.epochs, mask)
         scores = X @ W[:-1] + W[-1]
         mean, std = scores.mean(axis=0), scores.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError("training score mean or std is not finite: the "
                          "features are too large")
     constant = std < 1e-12
-    return W, mean, np.where(constant, 1.0, std), constant
+    return (W, mean, np.where(constant, 1.0, std), constant,
+            _objective_summary(objective))
 
 
 def _ova_scores(X, W, mean, std, trained):
@@ -148,9 +250,9 @@ def train_linear_ova(features, labels, attribute_labels,
     ok = (n_pos > 0) & (n_pos < len(P))
     skipped = tuple((a, f"{p} positive / {len(P) - p} negative intervals")
                     for a, p, k in zip(attrs, n_pos, ok) if not k)
-    W, mean, std, constant = _fit_ova(X, P[:, ok], cfg)
+    W, mean, std, constant, objective = _fit_ova(X, P[:, ok], cfg)
     return LinearModelSet(np.column_stack([W.T, mean, std, constant]), ok,
-                          attrs, skipped, cfg, X.shape[1])
+                          attrs, skipped, cfg, X.shape[1], objective)
 
 
 def score_intervals(model_set: LinearModelSet, features) -> np.ndarray:
@@ -219,7 +321,8 @@ def _stacked_design(score_mats, feats, use_base, use_con, use_coocc):
 
 def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
                             mode, train_features=None, eval_features=None,
-                            config: TrainConfig | None = None):
+                            config: TrainConfig | None = None,
+                            diagnostics: dict | None = None):
     """Train second-level attribute classifiers on score-derived features.
 
     train_scores / eval_scores: lists of (A, T) score arrays, one per
@@ -230,7 +333,8 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
 
     Returns a list of refined (A, T) arrays aligned with eval_scores;
     attributes that never or always occur in training score
-    DEFAULT_FLOOR.
+    DEFAULT_FLOOR.  A diagnostics dict, when given, receives the
+    descent's _objective_summary under "objective".
     """
     cfg = config or TrainConfig()
     parts = _stack_parts(mode)
@@ -256,8 +360,10 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
     P = _membership(flat_labels, labels)
     ok = P.any(axis=0) & ~P.all(axis=0)
     Xtr, mask = _stacked_design(S_train, train_features, *parts)
-    W, mean, std, _ = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
+    W, mean, std, _, objective = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
     del Xtr
+    if diagnostics is not None:
+        diagnostics["objective"] = objective
     Xev, _ = _stacked_design(S_eval, eval_features, *parts)
     values = _ova_scores(Xev, W, mean, std, ok)
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]

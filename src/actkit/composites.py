@@ -53,7 +53,8 @@ def classify_svm(train_features, train_composites, test_features,
     composites.  Composites without a positive training sequence are
     reported and scored at DEFAULT_FLOOR; a composite whose rest class
     is empty (single-composite training) is still trained on its
-    one-class data and flagged in the report.
+    one-class data and flagged in the report.  The report's "objective"
+    is the descent's attributes._objective_summary.
     """
     cfg = config or TrainConfig()
     X = np.asarray(train_features, dtype=float)
@@ -67,7 +68,7 @@ def classify_svm(train_features, train_composites, test_features,
     report = {"skipped": [z for z, k in zip(composites, has_pos) if not k],
               "trained_without_negatives": [
                   z for z, k in zip(composites, one_class) if k]}
-    W, mean, std, _ = _fit_ova(X, P[:, has_pos], cfg)
+    W, mean, std, _, report["objective"] = _fit_ova(X, P[:, has_pos], cfg)
     return _ova_scores(Xt, W, mean, std, has_pos).T, report
 
 

@@ -172,16 +172,18 @@ def score_attributes(bundle, model_set) -> list:
                     axis=1)
 
 
-def stack_attributes(bundle, mode, tcfg, mats) -> list:
+def stack_attributes(bundle, mode, tcfg, mats, diagnostics=None) -> list:
     """The per-sequence score matrices mats (bundle order) refined by
-    stacking classifiers of the given mode, trained on the train split."""
+    stacking classifiers of the given mode, trained on the train split;
+    diagnostics is passed on to train_and_score_stacked."""
     seqs = bundle.sequences
     train = [d for d, s in enumerate(seqs) if s.split == "train"]
     return train_and_score_stacked(
         [mats[d] for d in train],
         [[set(a) for a in seqs[d].interval_attributes] for d in train],
         mats, bundle.true_weights.attributes, mode,
-        [seqs[d].features for d in train], [s.features for s in seqs], tcfg)
+        [seqs[d].features for d in train], [s.features for s in seqs], tcfg,
+        diagnostics)
 
 
 def _apply_segmentation(bundle, cfg, mats, out_dir):
@@ -294,6 +296,7 @@ def run_experiment(config) -> EvalReport:
 
     tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"])
     extra = {}
+    objective = {}          # each descent's _objective_summary, by fit
     if bundle.config.mode == "scores":
         mats = [s.scores for s in bundle.sequences]
     else:
@@ -301,11 +304,17 @@ def run_experiment(config) -> EvalReport:
         save_models_npz(model_set, os.path.join(out_dir, "models.npz"))
         if model_set.skipped:
             extra["skipped_attributes"] = [a for a, _ in model_set.skipped]
+        objective["attributes"] = model_set.objective
         mats = score_attributes(bundle, model_set)
     if cfg["stack"] is not None:
-        mats = stack_attributes(bundle, cfg["stack"], tcfg, mats)
+        stacked = {}
+        mats = stack_attributes(bundle, cfg["stack"], tcfg, mats, stacked)
+        objective["stacking"] = stacked["objective"]
     if cfg["segment_threshold"] is not None:
+        intervals = sum(V.shape[1] for V in mats)
         mats = _apply_segmentation(bundle, cfg, mats, out_dir)
+        extra["segmentation"] = {"intervals": intervals, "segments":
+                                 sum(V.shape[1] for V in mats)}
     pooled = np.stack([seq_feature(V) for V in mats])
 
     splits = np.array([s.split for s in bundle.sequences])
@@ -317,6 +326,7 @@ def run_experiment(config) -> EvalReport:
     if mode == "svm":
         scores, rep = classify_svm(Xtr, ytr, Xte, comps, config=tcfg)
         preds = [comps[int(np.argmax(row))] for row in scores]
+        objective["svm"] = rep.pop("objective")
         if rep["skipped"] or rep["trained_without_negatives"]:
             extra["svm"] = rep
     elif mode == "nn":
@@ -335,6 +345,9 @@ def run_experiment(config) -> EvalReport:
             bundle, cfg, weights, pooled, splits, out_dir,
             zero_shot=(mode == "pst-zero-shot"))
         extra.update(pst_extra)
+    objective = {fit: v for fit, v in objective.items() if v is not None}
+    if objective:
+        extra["hinge_objective"] = objective
 
     rows = [(seq.sequence_id, comps[z], float(scores[m, z]))
             for m, seq in enumerate(test) for z in range(len(comps))]

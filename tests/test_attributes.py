@@ -49,8 +49,8 @@ def context_feature(scores, t: int, floor: float = DEFAULT_FLOOR) -> np.ndarray:
 def _hinge_descent(X, y, lam, epochs):
     """The trainer on one label: returns (w, b)."""
     from actkit.attributes import _hinge_descent_batch
-    W = _hinge_descent_batch(X, np.asarray(y, dtype=float)[:, None], lam,
-                             epochs)
+    W, _ = _hinge_descent_batch(X, np.asarray(y, dtype=float)[:, None], lam,
+                                epochs)
     return W[:-1, 0], float(W[-1, 0])
 
 
@@ -354,15 +354,20 @@ def test_batched_ova_matches_per_label_reference():
     assert np.all(scores[:, 3] == DEFAULT_FLOOR)
 
 
-def _hinge_descent_reference(X, Y, lam, epochs, mask=1.0):
-    """The trainer's former epoch loop, which allocated its margins and
-    violators afresh every epoch."""
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    W = np.zeros((Xa.shape[1], Y.shape[1]))
+def _hinge_descent_reference(X, Y, lam, epochs, mask=1.0, dtype=np.float32):
+    """The trainer's epoch loop in dtype, written out plainly: margins and
+    violators allocated afresh every epoch, and the gradient summed
+    block by block of 256 rows, in row order."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))]).astype(dtype)
+    Y, mask = Y.astype(dtype), np.asarray(mask, dtype)
+    W = np.zeros((Xa.shape[1], Y.shape[1]), dtype)
     for t in range(1, epochs + 1):
-        viol = np.where(Y * (Xa @ W) < 1.0, Y, 0.0)
-        W -= (lam * W - Xa.T @ viol / len(Y)) * mask / (lam * t)
-    return W
+        viol = np.where(Y * (Xa @ W) < 1.0, Y, dtype(0.0))
+        grad = Xa[:256].T @ viol[:256]
+        for r in range(256, len(Y), 256):
+            grad += Xa[r:r + 256].T @ viol[r:r + 256]
+        W -= (lam * W - grad / len(Y)) * mask / (lam * t)
+    return W.astype(float)
 
 
 def _cooccurrence_mask(D, A):
@@ -372,7 +377,10 @@ def _cooccurrence_mask(D, A):
     return mask
 
 
-@pytest.mark.parametrize("m, D, A, lam, epochs, masked", [
+# A float64 case scales the features by 2^60: exactly, and far beyond
+# the float32 range bound, so the descent must pick float64 for them.
+# The float32 cases keep their ids from before the dtype was a parameter.
+DESCENT_CASES = [
     (1, 3, 1, 0.01, 20, False),         # one row, one label
     (40, 6, 1, 0.01, 30, False),        # one label
     (5, 12, 4, 0.01, 25, False),        # more weights than rows
@@ -380,17 +388,24 @@ def _cooccurrence_mask(D, A):
     (30, 5, 3, 1.0, 15, True),          # lam = 1
     (30, 5, 3, 0.1, 1, False),          # one epoch
     (200, 16, 11, 0.05, 50, True),
-])
+    (700, 8, 5, 0.01, 20, True),        # three gradient blocks
+]
+
+
+@pytest.mark.parametrize("m, D, A, lam, epochs, masked, dtype", [
+    pytest.param(*case, dtype, id="-".join(map(str, case))
+                 + ("-float64" if dtype is np.float64 else ""))
+    for case in DESCENT_CASES for dtype in (np.float32, np.float64)])
 def test_hinge_descent_batch_matches_the_former_loop_bitwise(
-        m, D, A, lam, epochs, masked):
+        m, D, A, lam, epochs, masked, dtype):
     from actkit.attributes import _hinge_descent_batch
     rng = np.random.default_rng(m * 1000 + D * 10 + A)
-    X = rng.normal(size=(m, D))
+    X = rng.normal(size=(m, D)) * (2.0 ** 60 if dtype is np.float64 else 1)
     Y = np.where(rng.random((m, A)) < 0.4, 1.0, -1.0)
     mask = _cooccurrence_mask(D, A) if masked else 1.0
-    got = _hinge_descent_batch(X, Y, lam, epochs, mask)
+    got, _ = _hinge_descent_batch(X, Y, lam, epochs, mask)
     assert got.tobytes() == \
-        _hinge_descent_reference(X, Y, lam, epochs, mask).tobytes()
+        _hinge_descent_reference(X, Y, lam, epochs, mask, dtype).tobytes()
 
 
 def test_hinge_descent_batch_margin_of_one_is_no_violation():
@@ -399,9 +414,51 @@ def test_hinge_descent_batch_margin_of_one_is_no_violation():
     from actkit.attributes import _hinge_descent_batch
     X = np.zeros((2, 1))
     Y = np.array([[1.0, -1.0], [1.0, -1.0]])
-    got = _hinge_descent_batch(X, Y, 1.0, 2)
+    got, _ = _hinge_descent_batch(X, Y, 1.0, 2)
     assert got.tobytes() == _hinge_descent_reference(X, Y, 1.0, 2).tobytes()
     assert np.array_equal(got, [[0.0, 0.0], [0.5, -0.5]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("epochs", [1, 7, 30, 95])
+def test_descent_objective_matches_the_oracle(dtype, epochs):
+    # row 0: the weights entering the first epoch of the last tenth, that
+    # is a descent of epochs - ceil(epochs / 10) epochs; row 1: those
+    # entering the last epoch, a descent of epochs - 1.  The descent
+    # reads float32 margins, the oracle forms float64 ones.
+    from actkit.attributes import _hinge_descent_batch
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(300, 7)) * (2.0 ** 60 if dtype is np.float64 else 1)
+    Y = np.where(rng.random((300, 4)) < 0.3, 1.0, -1.0)
+    lam = 0.05
+    _, objective = _hinge_descent_batch(X, Y, lam, epochs)
+    rtol = 1e-5 if dtype is np.float32 else 1e-12
+    for row, done in enumerate((epochs - -(-epochs // 10), epochs - 1)):
+        W, _ = _hinge_descent_batch(X, Y, lam, done)    # zeros when done = 0
+        want = [hinge_objective(X, Y[:, k], W[:-1, k], W[-1, k], lam)
+                for k in range(4)]
+        assert objective[row] == pytest.approx(want, rel=rtol)
+
+
+def test_descent_dtype_follows_the_range_bound():
+    # float32 while max(m max(s, 1), (sum s_j^2 + 1) / lam, lam epochs)
+    # is at most 2^100 and every nonzero |x| is a normal float32
+    from actkit.attributes import _descent_dtype
+    X = np.zeros((4, 2))
+    X[0, 0] = 2.0 ** 50                 # sum s_j^2 + 1 rounds to 2^100
+    assert _descent_dtype(X, 1.0, 200) is np.float32
+    assert _descent_dtype(X * 2, 1.0, 200) is np.float64
+    assert _descent_dtype(X, 0.5, 200) is np.float64
+    assert _descent_dtype(np.zeros((4, 2)), 2.0 ** 98, 4) is np.float32
+    assert _descent_dtype(np.zeros((4, 2)), 2.0 ** 98, 5) is np.float64
+    X[0, 0] = 2.0 ** 98                 # every bound exactly 2^100 ...
+    assert _descent_dtype(X, 2.0 ** 96, 1) is np.float32
+    assert _descent_dtype(np.vstack([X, X[1:2]]), 2.0 ** 96, 1) \
+        is np.float64                   # ... but m s with a fifth row
+    X[1, 1] = np.finfo(np.float32).tiny / 2
+    assert _descent_dtype(X[1:], 1.0, 200) is np.float64
+    X[1, 1] = np.nan
+    assert _descent_dtype(X[1:], 1.0, 200) is np.float64
 
 
 def test_context_block_equals_context_feature_exactly():
@@ -479,6 +536,28 @@ def test_ova_training_just_below_overflow_round_trips(tmp_path):
     assert np.array_equal(loaded.models, ms.models)
     S = score_intervals(loaded, X)
     assert S.tobytes() == score_intervals(ms, X).tobytes()
+    assert np.isfinite(S).all() and np.any(S != 0)
+
+
+def test_ova_training_just_inside_the_float32_bound_round_trips(tmp_path):
+    # the largest scale whose margin bound (sum s_j^2 + 1) / lam stays at
+    # most 2^100 trains in float32; 2 % more takes float64
+    from actkit.attributes import _descent_dtype
+    X, labels = _scaled_sample(1.0)
+    s = np.abs(X).max(axis=0)
+    lam, epochs = TrainConfig.lam, TrainConfig.epochs
+    edge = np.sqrt((2.0 ** 100 * lam - 1) / (s @ s))
+    assert _descent_dtype(X * edge * 1.01, lam, epochs) is np.float64
+    X = X * edge * 0.99
+    assert _descent_dtype(X, lam, epochs) is np.float32
+    ms = train_linear_ova(X, labels, ("a", "b"))
+    W = ms.models[:, :7]
+    assert np.array_equal(W.astype(np.float32), W)    # float32 weights
+    assert np.isfinite(ms.models).all()
+    save_models_npz(ms, tmp_path / "m.npz")
+    loaded = load_models_npz(tmp_path / "m.npz")
+    assert np.array_equal(loaded.models, ms.models)
+    S = score_intervals(loaded, X)
     assert np.isfinite(S).all() and np.any(S != 0)
 
 

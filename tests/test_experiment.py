@@ -349,6 +349,31 @@ def test_feature_bundle_base_stacking_allowed(feature_bundle, tmp_path):
     assert report.accuracy >= 0.8
 
 
+def test_report_records_descent_objectives_and_segment_counts(
+        feature_bundle, tmp_path):
+    out = tmp_path / "diag"
+    report = run_experiment(_cfg(feature_bundle, out, "svm",
+                                 stack="base+context", segment_threshold=0.9))
+    objective = report.extra["hinge_objective"]
+    assert set(objective) == {"attributes", "stacking", "svm"}
+    for summary in objective.values():
+        assert set(summary) == {"final_objective", "max_relative_change"}
+        assert summary["final_objective"] > 0
+        assert summary["max_relative_change"] >= 0
+    bundle = load_bundle(feature_bundle)
+    tcfg = TrainConfig()
+    assert objective["attributes"] == \
+        experiment.train_attributes(bundle, tcfg).objective
+    segments = sum(len((out / "segments" / f"{s.sequence_id}.jsonl")
+                       .read_text().splitlines()) for s in bundle.sequences)
+    assert report.extra["segmentation"] == {
+        "intervals": sum(s.num_intervals for s in bundle.sequences),
+        "segments": segments}
+    plain = run_experiment(_cfg(feature_bundle, tmp_path / "plain", "nn"))
+    assert set(plain.extra["hinge_objective"]) == {"attributes"}
+    assert "segmentation" not in plain.extra
+
+
 def test_default_grid_shape():
     assert set(DEFAULT_PST_GRID) == {"alpha", "gamma", "delta", "k"}
     assert DEFAULT_PST_GRID["alpha"] == (0.5, 0.75, 0.9, 0.99)

@@ -62,6 +62,10 @@ RUN_JOBS = {
                                  "stack": "base+context",
                                  "segment_threshold": 0.9},
 }
+# the same job on a features bundle of the supervised benchmark's size,
+# where a gradient product is large enough for BLAS to split over threads
+RUN_JOBS["svm-base-context-segment-large"] = {
+    **RUN_JOBS["svm-base-context-segment"], "data": "features-large"}
 
 RUNS = (
     ["gen-synthetic", "--output", "scores", "--seed", str(SEED)],
@@ -97,13 +101,20 @@ def versions() -> dict:
 
 
 def _write_inputs():
-    """The seeded count stream, part grids and run configs."""
+    """The seeded count stream, part grids, the features bundle of the
+    supervised benchmark's size and the run configs."""
+    from actkit.synth import SyntheticConfig, gen_synthetic, save_bundle
+
     rng = np.random.default_rng(SEED)
     # three 200-frame blocks of their own word rates over 32 bins, the
     # feature dimension of a default features bundle
     rates = np.repeat(rng.uniform(0.2, 3.0, (3, 32)), 200, axis=0)
     np.save("counts.npy", rng.poisson(rates).astype(float))
     np.save("grids.npy", rng.uniform(0.1, 1.0, (10, 12, 12)))
+    save_bundle(gen_synthetic(SyntheticConfig(
+        num_composites=20, num_activities=28, num_objects=42,
+        videos_per_composite=(5, 2, 8), t_range=(10, 10), noise=1.5,
+        feature_dim=64, seed=SEED, mode="features")), "features-large")
     for name, job in RUN_JOBS.items():
         with open(f"run-{name}.json", "w", encoding="utf-8") as fh:
             json.dump({**job, "output": f"run-{name}"}, fh, sort_keys=True)
