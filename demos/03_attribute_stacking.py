@@ -24,9 +24,9 @@ sets = [[{labels[i] for i in range(len(labels)) if L[i, t]}
          for t in range(L.shape[1])] for L in label_mats]
 
 n_train = 10
-refined = train_and_score_stacked(score_mats[:n_train], sets[:n_train],
-                                  score_mats[n_train:], labels,
-                                  "cooccurrence")
+refined, _ = train_and_score_stacked(score_mats[:n_train], sets[:n_train],
+                                     score_mats[n_train:], labels,
+                                     "cooccurrence")
 
 # Per-attribute average precision over the held-out intervals.
 print(f"{'attribute':<10} {'base AP':>8} {'stacked AP':>11}")

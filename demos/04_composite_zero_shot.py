@@ -38,7 +38,7 @@ g_test = np.array([seq_feature(s.scores) for s in test])
 truth = [s.composite for s in test]
 
 # --- supervised route: one-vs-all linear classifiers on pooled scores
-scores, report = classify_svm(
+scores, report, _ = classify_svm(
     g_train, [s.composite for s in train], g_test, composites)
 pred_svm = [composites[i] for i in np.argmax(scores, axis=1)]
 print(f"\nsupervised accuracy: {accuracy(truth, pred_svm):.3f}")
@@ -62,9 +62,10 @@ print(f"zero-shot accuracy (planted weights): "
 everyone = list(bundle.sequences)
 pooled = np.array([seq_feature(s.scores) for s in everyone])
 table = script_score(pooled, mined)       # (num_composites, num_seq)
-labels = np.full(table.shape, -1.0)       # no labeled sequences at all
-cfg = PstConfig(alpha=0.75, delta=0.5, k=7)
-F = pst_scores(table, labels, pooled, cfg, zero_shot=True)
+# zero-shot: no labeled sequences at all (labels None), and gamma 0 so
+# the seeds are the script scores alone
+cfg = PstConfig(alpha=0.75, gamma=0.0, delta=0.5, k=7)
+F = pst_scores(table, None, pooled, cfg)
 test_idx = [i for i, s in enumerate(everyone) if s.split == "test"]
 pred_pst = [composites[int(np.argmax(F[:, i]))] for i in test_idx]
 print(f"propagated zero-shot accuracy:        "

@@ -4,7 +4,9 @@ Attributes (fine-grained activities and manipulated objects) are scored
 on time intervals by one-vs-all linear classifiers.  One batched trainer,
 a deterministic full-batch subgradient descent on the L2-regularized
 hinge loss that updates all labels at once, serves every one-vs-all
-problem in the package.  It runs in float32 unless the features are
+problem in the package: fit_ova fits the attribute models, the stacking
+classifiers and the composite SVM into one LinearModelSet table, and
+score_intervals scores it.  It runs in float32 unless the features are
 outside a range derived for it (then in float64), sums its gradient over
 fixed row blocks in order so that the weights do not depend on the BLAS
 thread count, and returns float64 weights.  Scores are z-normalized with
@@ -62,11 +64,13 @@ class LinearModelSet:
 
     models holds one row [weights | bias, score mean, score std,
     constant] per trained attribute, in label order: the descent table
-    and the training score statistics of _fit_ova.  trained marks the
-    labels that have a row; skipped lists (label, reason) pairs for
-    attributes without both a positive and a negative training example.
-    objective is the descent's _objective_summary when the set was
-    trained here, None when it was loaded or trained no label.
+    and the training score statistics of fit_ova.  trained marks the
+    labels that have a row; skipped lists (label, reason) pairs for the
+    labels that were not trained, the reason giving their positive and
+    negative example counts.  objective is the descent's
+    _objective_summary when the set was trained here, None when it was
+    loaded or trained no label.  Stacking and the composite SVM fit the
+    same table, so score_intervals scores every one-vs-all problem.
     """
 
     models: np.ndarray
@@ -186,33 +190,39 @@ def _objective_summary(objective):
             "max_relative_change": float(np.max(np.abs(end - start) / start))}
 
 
-def _fit_ova(X, P, cfg: TrainConfig, mask=1.0):
-    """Train a label per column of the boolean positives P; returns W,
-    the training score mean, std (1 where constant) and constant flags,
-    and the descent's _objective_summary.  Features so large that the
-    score statistics overflow raise."""
+def fit_ova(X, positives, labels, trainable, config: TrainConfig,
+            mask=1.0) -> LinearModelSet:
+    """Train one-vs-all classifiers on the (m, D) design X: the fitted
+    table of every label whose (L,) trainable flag is set, column j of
+    the (m, L) boolean positives marking the rows of labels[j].
+
+    The other labels are listed in skipped with their positive and
+    negative counts.  mask is 1.0 or a (D + 1, L) 0/1 weight mask (see
+    _hinge_descent_batch).  Non-finite features raise, and so do
+    features so large that the score statistics overflow.
+    """
+    if not np.isfinite(X).all():
+        raise ValueError("features contain non-finite values")
+    n_pos = positives.sum(axis=0)
+    skipped = tuple((a, f"{p} positive / {len(positives) - p} negative "
+                     "intervals")
+                    for a, p, k in zip(labels, n_pos, trainable) if not k)
+    if np.ndim(mask):
+        mask = mask[:, trainable]
     with np.errstate(over="ignore", invalid="ignore"):
-        W, objective = _hinge_descent_batch(X, np.where(P, 1.0, -1.0),
-                                            cfg.lam, cfg.epochs, mask)
+        W, objective = _hinge_descent_batch(
+            X, np.where(positives[:, trainable], 1.0, -1.0), config.lam,
+            config.epochs, mask)
         scores = X @ W[:-1] + W[-1]
         mean, std = scores.mean(axis=0), scores.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError("training score mean or std is not finite: the "
                          "features are too large")
     constant = std < 1e-12
-    return (W, mean, np.where(constant, 1.0, std), constant,
-            _objective_summary(objective))
-
-
-def _ova_scores(X, W, mean, std, trained):
-    """Apply a table fitted by _fit_ova to the rows of X: the
-    (len(trained), m) z-normalized scores, DEFAULT_FLOOR in the rows of
-    labels whose trained flag is False; non-finite scores raise."""
-    values = np.full((len(trained), X.shape[0]), DEFAULT_FLOOR)
-    values[trained] = ((X @ W[:-1] + W[-1] - mean) / std).T
-    if not np.isfinite(values).all():
-        raise ValueError("score matrix contains non-finite values")
-    return values
+    return LinearModelSet(
+        np.column_stack([W.T, mean, np.where(constant, 1.0, std), constant]),
+        trainable, tuple(labels), skipped, config, X.shape[1],
+        _objective_summary(objective))
 
 
 def _membership(label_sets, names) -> np.ndarray:
@@ -238,21 +248,13 @@ def train_linear_ova(features, labels, attribute_labels,
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a (T, N) array")
-    if not np.isfinite(X).all():
-        raise ValueError("features contain non-finite values")
     label_sets = [set(s) for s in labels]
     if len(label_sets) != X.shape[0]:
         raise ValueError("label count does not match feature rows")
 
     attrs = tuple(attribute_labels)
     P = _membership(label_sets, attrs)
-    n_pos = P.sum(axis=0)
-    ok = (n_pos > 0) & (n_pos < len(P))
-    skipped = tuple((a, f"{p} positive / {len(P) - p} negative intervals")
-                    for a, p, k in zip(attrs, n_pos, ok) if not k)
-    W, mean, std, constant, objective = _fit_ova(X, P[:, ok], cfg)
-    return LinearModelSet(np.column_stack([W.T, mean, std, constant]), ok,
-                          attrs, skipped, cfg, X.shape[1], objective)
+    return fit_ova(X, P, attrs, P.any(axis=0) & ~P.all(axis=0), cfg)
 
 
 def score_intervals(model_set: LinearModelSet, features) -> np.ndarray:
@@ -268,23 +270,26 @@ def score_intervals(model_set: LinearModelSet, features) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite values")
     table, D = model_set.models, model_set.feature_dim
-    return _ova_scores(X, table[:, :D + 1].T, table[:, D + 1],
-                       table[:, D + 2], model_set.trained)
+    values = np.full((len(model_set.trained), X.shape[0]), DEFAULT_FLOOR)
+    values[model_set.trained] = ((X @ table[:, :D].T + table[:, D]
+                                  - table[:, D + 1]) / table[:, D + 2]).T
+    if not np.isfinite(values).all():
+        raise ValueError("score matrix contains non-finite values")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # score-derived features
 
-STACK_MODES = ("context", "cooccurrence", "base+context", "base+cooccurrence", "all")
-
-
-def _stack_parts(mode):
-    if mode not in STACK_MODES:
-        raise ValueError(f"unknown stacking mode {mode!r}")
-    use_base = mode in ("base+context", "base+cooccurrence", "all")
-    use_con = mode in ("context", "base+context", "all")
-    use_coocc = mode in ("cooccurrence", "base+cooccurrence", "all")
-    return use_base, use_con, use_coocc
+# The blocks (base features, context, co-occurrence) of each stacking
+# mode's design.
+STACK_MODES = {
+    "context": (False, True, False),
+    "cooccurrence": (False, False, True),
+    "base+context": (True, True, False),
+    "base+cooccurrence": (True, False, True),
+    "all": (True, True, True),
+}
 
 
 def _context_block(S):
@@ -321,8 +326,7 @@ def _stacked_design(score_mats, feats, use_base, use_con, use_coocc):
 
 def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
                             mode, train_features=None, eval_features=None,
-                            config: TrainConfig | None = None,
-                            diagnostics: dict | None = None):
+                            config: TrainConfig | None = None):
     """Train second-level attribute classifiers on score-derived features.
 
     train_scores / eval_scores: lists of (A, T) score arrays, one per
@@ -331,13 +335,15 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
     "base+..." and "all" additionally concatenate the original feature
     vectors, which must then be passed as per-sequence (T, N) arrays.
 
-    Returns a list of refined (A, T) arrays aligned with eval_scores;
-    attributes that never or always occur in training score
-    DEFAULT_FLOOR.  A diagnostics dict, when given, receives the
-    descent's _objective_summary under "objective".
+    Returns (refined, model_set): a list of refined (A, T) arrays
+    aligned with eval_scores, and the fitted table that score_intervals
+    turns into them from the evaluation design.  Attributes that never
+    or always occur in training score DEFAULT_FLOOR.
     """
     cfg = config or TrainConfig()
-    parts = _stack_parts(mode)
+    if mode not in STACK_MODES:
+        raise ValueError(f"unknown stacking mode {mode!r}")
+    parts = STACK_MODES[mode]
     if parts[0] and (train_features is None or eval_features is None):
         raise ValueError(f"mode {mode!r} needs the base feature vectors")
     if not train_scores or not eval_scores:
@@ -358,16 +364,14 @@ def train_and_score_stacked(train_scores, train_labels, eval_scores, labels,
         flat_labels.extend(set(s) for s in per_seq)
 
     P = _membership(flat_labels, labels)
-    ok = P.any(axis=0) & ~P.all(axis=0)
     Xtr, mask = _stacked_design(S_train, train_features, *parts)
-    W, mean, std, _, objective = _fit_ova(Xtr, P[:, ok], cfg, mask[:, ok])
+    model_set = fit_ova(Xtr, P, labels, P.any(axis=0) & ~P.all(axis=0), cfg,
+                        mask)
     del Xtr
-    if diagnostics is not None:
-        diagnostics["objective"] = objective
     Xev, _ = _stacked_design(S_eval, eval_features, *parts)
-    values = _ova_scores(Xev, W, mean, std, ok)
+    values = score_intervals(model_set, Xev)
     bounds = np.cumsum([V.shape[1] for V in S_eval])[:-1]
-    return np.split(values, bounds, axis=1)
+    return np.split(values, bounds, axis=1), model_set
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,8 @@ def _cmd_stack(args):
     if bundle.config.mode != "scores":
         raise ConfigError("the stack command refines precomputed score "
                           "bundles; use 'run' for feature bundles")
-    mats = stack_attributes(bundle, args.mode, cfg,
-                            [s.scores for s in bundle.sequences])
+    mats, _ = stack_attributes(bundle, args.mode, cfg,
+                               [s.scores for s in bundle.sequences])
     _save_scores_bundle(args, bundle, mats)
     print(f"stacked ({args.mode}) {len(mats)} sequences -> {args.output}")
     return 0

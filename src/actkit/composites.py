@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributes import TrainConfig, _fit_ova, _membership, _ova_scores
+from .attributes import TrainConfig, fit_ova, score_intervals
 from .corpus import WeightMatrix
 from .tables import names_file, write_table
 
@@ -49,27 +49,27 @@ def classify_svm(train_features, train_composites, test_features,
                  composites, config: TrainConfig | None = None):
     """One-vs-all linear classification of pooled sequence features.
 
-    Returns (scores (M, Z), report dict), one score column per entry of
-    composites.  Composites without a positive training sequence are
-    reported and scored at DEFAULT_FLOOR; a composite whose rest class
-    is empty (single-composite training) is still trained on its
-    one-class data and flagged in the report.  The report's "objective"
-    is the descent's attributes._objective_summary.
+    Returns (scores (M, Z), report dict, fitted LinearModelSet), one
+    score column per entry of composites: the scores are
+    score_intervals of the table, transposed.  Composites without a
+    positive training sequence are reported and scored at
+    DEFAULT_FLOOR; a composite whose rest class is empty
+    (single-composite training) is still trained on its one-class data
+    and flagged in the report.
     """
-    cfg = config or TrainConfig()
     X = np.asarray(train_features, dtype=float)
-    Xt = np.asarray(test_features, dtype=float)
     train_composites = list(train_composites)
     if X.shape[0] != len(train_composites):
         raise ValueError("training features and composite labels must align")
-    P = _membership([{c} for c in train_composites], composites)
+    P = np.array([[c == z for z in composites] for c in train_composites],
+                 dtype=bool).reshape(len(train_composites), len(composites))
     has_pos = P.any(axis=0)
     one_class = P.all(axis=0) & has_pos
-    report = {"skipped": [z for z, k in zip(composites, has_pos) if not k],
+    model_set = fit_ova(X, P, composites, has_pos, config or TrainConfig())
+    report = {"skipped": [z for z, _ in model_set.skipped],
               "trained_without_negatives": [
                   z for z, k in zip(composites, one_class) if k]}
-    W, mean, std, _, report["objective"] = _fit_ova(X, P[:, has_pos], cfg)
-    return _ova_scores(Xt, W, mean, std, has_pos).T, report
+    return score_intervals(model_set, test_features).T, report, model_set
 
 
 def _nearest_tables(train_features, train_composites, test_features,
@@ -228,8 +228,7 @@ def load_pst_config(path) -> PstConfig:
     return PstConfig(**values)
 
 
-def pst_init(script_scores, labels, cfg: PstConfig,
-             zero_shot: bool = False) -> np.ndarray:
+def pst_init(script_scores, labels, cfg: PstConfig) -> np.ndarray:
     """Seed matrix for propagation.
 
     script_scores: (Z, D) scores per composite and sequence.  labels:
@@ -238,15 +237,14 @@ def pst_init(script_scores, labels, cfg: PstConfig,
     become gamma * label.  Unlabeled entries keep (1 - gamma) * score
     when they rank within the top-delta fraction of their composite's
     unlabeled scores (keeping ceil(delta * count) sequences, with
-    boundary ties kept together); everything else is zero.  zero_shot
-    forces gamma = 0 and treats every sequence as unlabeled.
+    boundary ties kept together); everything else is zero.  Zero-shot
+    propagation is labels None with gamma 0.
     """
     S = np.asarray(script_scores, dtype=float)
     if S.ndim != 2:
         raise ValueError("script scores must be (Z, D)")
     Z, D = S.shape
-    gamma = 0.0 if zero_shot else cfg.gamma
-    if labels is None or zero_shot:
+    if labels is None:
         lab = np.full((Z, D), -1, dtype=int)
     else:
         lab = np.asarray(labels)
@@ -255,7 +253,7 @@ def pst_init(script_scores, labels, cfg: PstConfig,
     out = np.zeros_like(S)
     for z in range(Z):
         labeled = lab[z] != -1
-        out[z, labeled] = gamma * lab[z, labeled]
+        out[z, labeled] = cfg.gamma * lab[z, labeled]
         un = np.flatnonzero(~labeled)
         if un.size == 0:
             continue
@@ -264,7 +262,7 @@ def pst_init(script_scores, labels, cfg: PstConfig,
         order = un[np.lexsort((un, -S[z, un]))]
         threshold = S[z, order[keep - 1]]
         chosen = un[S[z, un] >= threshold]
-        out[z, chosen] = (1.0 - gamma) * S[z, chosen]
+        out[z, chosen] = (1.0 - cfg.gamma) * S[z, chosen]
     return out
 
 
@@ -357,8 +355,7 @@ def propagate(graph: NeighborGraph, init, cfg: PstConfig) -> np.ndarray:
     return F
 
 
-def pst_grid_scores(script_score_table, labels, pooled_features, configs,
-                    zero_shot: bool = False):
+def pst_grid_scores(script_score_table, labels, pooled_features, configs):
     """Propagated score tables for a sequence of configs.
 
     Yields (cfg, F) in input order, F being the (Z, D) table that
@@ -378,8 +375,7 @@ def pst_grid_scores(script_score_table, labels, pooled_features, configs,
     def seed(cfg):
         key = cfg.gamma, cfg.delta
         if key not in seeds:
-            seeds[key] = pst_init(script_score_table, labels, cfg,
-                                  zero_shot=zero_shot)
+            seeds[key] = pst_init(script_score_table, labels, cfg)
         return seeds[key]
 
     for i, cfg in enumerate(configs):
@@ -394,13 +390,13 @@ def pst_grid_scores(script_score_table, labels, pooled_features, configs,
 
 
 def pst_scores(script_score_table, labels, pooled_features,
-               cfg: PstConfig, zero_shot: bool = False) -> np.ndarray:
+               cfg: PstConfig) -> np.ndarray:
     """Full propagation pipeline: seed from script scores, build the
     graph over pooled features, propagate.  Returns a (Z, D) score
     table aligned with the input; the one-config case of
     pst_grid_scores."""
     [(_, F)] = pst_grid_scores(script_score_table, labels, pooled_features,
-                               [cfg], zero_shot=zero_shot)
+                               [cfg])
     return F
 
 

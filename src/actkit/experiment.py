@@ -8,13 +8,14 @@ interval features), optionally refines them by stacking and merges
 similar adjacent intervals, pools each sequence to a single vector and
 classifies the test split.  Intermediates and an evaluation report are
 written to the output directory.  The CLI shares the attribute stages:
-train_attributes returns a model set, and score_attributes and
-stack_attributes return per-sequence arrays in bundle order.
+train_attributes returns a model set, score_attributes per-sequence
+arrays in bundle order, and stack_attributes those arrays and its
+fitted table.
 
 Modes: "svm" and "nn" are supervised, "script" and "nn-script" transfer
 from the weight matrix, "pst" propagates script scores over a sequence
 graph (semi-supervised) and "pst-zero-shot" does the same without any
-labeled sequences.
+labeled sequences, that is with no labels and gamma 0.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import os
 
 import numpy as np
 
-from .attributes import (LinearModelSet, TrainConfig, save_models_npz,
-                         score_intervals, train_and_score_stacked,
-                         train_linear_ova)
-from .attributes import STACK_MODES, _stack_parts
+from .attributes import (LinearModelSet, STACK_MODES, TrainConfig,
+                         save_models_npz, score_intervals,
+                         train_and_score_stacked, train_linear_ova)
 from .composites import (PstConfig, classify_nn, classify_svm,
                          nn_script_classify, pst_grid_scores, pst_scores,
                          save_predictions_csv, save_pst_config, script_score,
@@ -110,8 +110,10 @@ def _validate(cfg: dict) -> dict:
     if out["weights"] not in ("mined", "planted"):
         raise ConfigError(f"weights must be 'mined' or 'planted', "
                           f"got {out['weights']!r}")
-    if out["stack"] is not None and out["stack"] not in STACK_MODES:
-        raise ConfigError(f"unknown stack mode {out['stack']!r}")
+    stack = out["stack"]        # a JSON list would not hash
+    if stack is not None and not (isinstance(stack, str)
+                                  and stack in STACK_MODES):
+        raise ConfigError(f"unknown stack mode {stack!r}")
     if out["segment_threshold"] is not None:
         _number("segment_threshold", out["segment_threshold"], False, float)
         out["segment_threshold"] = float(out["segment_threshold"])
@@ -172,18 +174,17 @@ def score_attributes(bundle, model_set) -> list:
                     axis=1)
 
 
-def stack_attributes(bundle, mode, tcfg, mats, diagnostics=None) -> list:
+def stack_attributes(bundle, mode, tcfg, mats):
     """The per-sequence score matrices mats (bundle order) refined by
-    stacking classifiers of the given mode, trained on the train split;
-    diagnostics is passed on to train_and_score_stacked."""
+    stacking classifiers of the given mode, trained on the train split,
+    and the fitted table: train_and_score_stacked's (refined, model_set)."""
     seqs = bundle.sequences
     train = [d for d, s in enumerate(seqs) if s.split == "train"]
     return train_and_score_stacked(
         [mats[d] for d in train],
         [[set(a) for a in seqs[d].interval_attributes] for d in train],
         mats, bundle.true_weights.attributes, mode,
-        [seqs[d].features for d in train], [s.features for s in seqs], tcfg,
-        diagnostics)
+        [seqs[d].features for d in train], [s.features for s in seqs], tcfg)
 
 
 def _apply_segmentation(bundle, cfg, mats, out_dir):
@@ -222,7 +223,7 @@ def _check_bundle(cfg, bundle):
     """Raise the config errors that only the loaded bundle shows (stack
     modes, pst.k, the propagation grid), before run writes anything."""
     if cfg["stack"] is not None and bundle.config.mode == "scores" \
-            and _stack_parts(cfg["stack"])[0]:
+            and STACK_MODES[cfg["stack"]][0]:
         raise ConfigError(f"stack mode {cfg['stack']!r} needs interval "
                           "features, but the bundle only carries scores")
     if cfg["mode"] not in ("pst", "pst-zero-shot"):
@@ -246,20 +247,22 @@ def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
     S = script_score(G, weights)
     comps = list(bundle.composites)
     truth = np.array([s.composite for s in bundle.sequences])
-    labels = np.where(splits == "train", np.array(comps)[:, None] == truth,
-                      -1)
+    labels = None if zero_shot else np.where(
+        splits == "train", np.array(comps)[:, None] == truth, -1)
     fixed = cfg.get("pst")
     extra = {}
     if fixed is not None:
-        best = PstConfig(**{k: (int(v) if k == "k" else float(v))
-                            for k, v in fixed.items()})
-        F = pst_scores(S, labels, G, best, zero_shot=zero_shot)
+        params = {k: (int(v) if k == "k" else float(v))
+                  for k, v in fixed.items()}
+        if zero_shot:
+            params["gamma"] = 0.0
+        best = PstConfig(**params)
+        F = pst_scores(S, labels, G, best)
     else:
         val = splits == "val"
         feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(G)]
         best_acc = -1.0
-        for pcfg, Fp in pst_grid_scores(S, labels, G, feasible,
-                                        zero_shot=zero_shot):
+        for pcfg, Fp in pst_grid_scores(S, labels, G, feasible):
             preds = [comps[z] for z in Fp[:, val].argmax(axis=0)]
             acc = accuracy(preds, truth[val])
             if acc > best_acc:
@@ -296,7 +299,7 @@ def run_experiment(config) -> EvalReport:
 
     tcfg = TrainConfig(lam=cfg["lam"], epochs=cfg["epochs"])
     extra = {}
-    objective = {}          # each descent's _objective_summary, by fit
+    objective = {}          # each fitted table's objective, by fit
     if bundle.config.mode == "scores":
         mats = [s.scores for s in bundle.sequences]
     else:
@@ -307,9 +310,8 @@ def run_experiment(config) -> EvalReport:
         objective["attributes"] = model_set.objective
         mats = score_attributes(bundle, model_set)
     if cfg["stack"] is not None:
-        stacked = {}
-        mats = stack_attributes(bundle, cfg["stack"], tcfg, mats, stacked)
-        objective["stacking"] = stacked["objective"]
+        mats, stacked = stack_attributes(bundle, cfg["stack"], tcfg, mats)
+        objective["stacking"] = stacked.objective
     if cfg["segment_threshold"] is not None:
         intervals = sum(V.shape[1] for V in mats)
         mats = _apply_segmentation(bundle, cfg, mats, out_dir)
@@ -324,9 +326,9 @@ def run_experiment(config) -> EvalReport:
     truth = [s.composite for s in test]
 
     if mode == "svm":
-        scores, rep = classify_svm(Xtr, ytr, Xte, comps, config=tcfg)
+        scores, rep, svm = classify_svm(Xtr, ytr, Xte, comps, config=tcfg)
         preds = [comps[int(np.argmax(row))] for row in scores]
-        objective["svm"] = rep.pop("objective")
+        objective["svm"] = svm.objective
         if rep["skipped"] or rep["trained_without_negatives"]:
             extra["svm"] = rep
     elif mode == "nn":

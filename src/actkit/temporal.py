@@ -209,8 +209,8 @@ def window_histogram(table: IntegralHistogram, start, end) -> np.ndarray:
 class WindowScores:
     """The windows of one score_windows call, in scan order, as columns:
     inclusive start and end frames (int64) and scores (float64) of one
-    attribute in one video.  len() counts the windows; iterating yields
-    them as Detection records."""
+    attribute in one video.  len() counts the windows, and detection(i)
+    builds window i as a Detection record."""
 
     video: str
     attribute: str
@@ -220,9 +220,6 @@ class WindowScores:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __iter__(self):
-        return map(self.detection, range(len(self)))
 
     def detection(self, i) -> Detection:
         """Window i as a Detection record."""
@@ -261,17 +258,16 @@ def score_windows(table: IntegralHistogram, scorer, video: str = "",
 # ---------------------------------------------------------------------------
 # non-maximum suppression
 
-def nms(detections, overlap_threshold: float = 0.0,
+def nms(detections: WindowScores, overlap_threshold: float = 0.0,
         criterion: str = "overlap") -> list:
-    """Greedy non-maximum suppression, suppress-the-rest form.
+    """Greedy non-maximum suppression, suppress-the-rest form, of the
+    windows of a WindowScores record.
 
-    detections is a WindowScores record, whose arrays are ranked as
-    they are, or any iterable of Detection records.  Candidates are
-    ranked by descending score (ties: earlier start, then shorter
-    window, then input order).  The best live candidate is kept and
-    every later candidate whose overlap with it exceeds the threshold
-    is dropped in one array expression; this repeats until no candidate
-    is live, so the loop runs once per kept window.  The default
+    Candidates are ranked by descending score (ties: earlier start,
+    then shorter window, then scan order).  The best live candidate is
+    kept and every later candidate whose overlap with it exceeds the
+    threshold is dropped in one array expression; this repeats until no
+    candidate is live, so the loop runs once per kept window.  The default
     threshold of zero removes anything that overlaps a kept window at
     all.  criterion "overlap" measures shared frames, "iou" the
     intersection-over-union ratio.  Both are symmetric, so the kept
@@ -283,15 +279,8 @@ def nms(detections, overlap_threshold: float = 0.0,
         raise ValueError(f"unknown suppression criterion {criterion!r}")
     if math.isnan(overlap_threshold):
         raise ValueError("overlap_threshold cannot be NaN")
-    if isinstance(detections, WindowScores):
-        starts, ends = detections.starts, detections.ends
-        scores, pick = detections.scores, detections.detection
-    else:
-        dets = list(detections)
-        starts = np.array([d.start for d in dets], dtype=np.int64)
-        ends = np.array([d.end for d in dets], dtype=np.int64)
-        scores = np.array([d.score for d in dets], dtype=float)
-        pick = dets.__getitem__
+    starts, ends = detections.starts, detections.ends
+    scores, pick = detections.scores, detections.detection
     nan = np.flatnonzero(np.isnan(scores))
     if nan.size:
         raise ValueError(f"detection {pick(nan[0])} has a NaN score")

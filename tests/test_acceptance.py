@@ -27,7 +27,7 @@ from actkit.psinfer import EdgeParams, PartGraph, infer, pcp_eval
 from actkit.synth import SyntheticConfig, gen_cooccurring_scores, \
     gen_synthetic, save_bundle
 from actkit.experiment import run_experiment
-from actkit.temporal import Detection, build_integral, nms, \
+from actkit.temporal import Detection, WindowScores, build_integral, nms, \
     window_counts, window_schedule
 
 
@@ -273,6 +273,14 @@ def test_criterion_07_integral_histograms():
 # ---------------------------------------------------------------------------
 # 8. non-maximum suppression properties
 
+def _windows(dets):
+    """Detection records of video "v", attribute "a" as a WindowScores
+    record, in list order."""
+    return WindowScores("v", "a", np.array([d.start for d in dets]),
+                        np.array([d.end for d in dets]),
+                        np.array([d.score for d in dets]))
+
+
 def test_criterion_08_nms_properties():
     with _limit(5.0, "criterion 8 (NMS properties)"):
         rng = np.random.default_rng(8)
@@ -284,12 +292,12 @@ def test_criterion_08_nms_properties():
                 cands.append(Detection("v", "a", start,
                                        start + int(rng.integers(0, 30)),
                                        float(rng.normal())))
-            kept = nms(cands)
+            kept = nms(_windows(cands))
             for i, a in enumerate(kept):
                 for b in kept[i + 1:]:
                     assert min(a.end, b.end) < max(a.start, b.start)
             assert max(d.score for d in kept) == max(d.score for d in cands)
-            assert nms(kept) == kept
+            assert nms(_windows(kept)) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +349,9 @@ def test_criterion_11_cooccurrence_stacking():
             seed=0, num_sequences=12, num_intervals=16)
         sets = [[{labels[i] for i in range(len(labels)) if L[i, t]}
                  for t in range(L.shape[1])] for L in label_mats]
-        refined = train_and_score_stacked(score_mats[:8], sets[:8],
-                                          score_mats[8:], labels,
-                                          "cooccurrence")
+        refined, _ = train_and_score_stacked(score_mats[:8], sets[:8],
+                                             score_mats[8:], labels,
+                                             "cooccurrence")
 
         def mean_ap(score_list):
             per_label = {}

@@ -187,8 +187,8 @@ def _stacking_data(seed=0, n_seq=6, T=8):
 
 def test_stacked_modes_run_and_shape():
     mats, labels = _stacking_data()
-    refined = train_and_score_stacked(mats[:4], labels[:4], mats[4:], NAMES3,
-                                      "context")
+    refined, _ = train_and_score_stacked(mats[:4], labels[:4], mats[4:], NAMES3,
+                                         "context")
     assert len(refined) == 2
     assert refined[0].shape == mats[4].shape
 
@@ -227,8 +227,8 @@ def test_stacked_context_constant_for_single_interval_sequences():
     rng = np.random.default_rng(4)
     mats = [rng.normal(size=(2, 1)) for _ in range(6)]
     labels = [[{"a0"}] if i % 2 == 0 else [{"a1"}] for i in range(4)]
-    refined = train_and_score_stacked(mats[:4], labels, mats[4:],
-                                      ("a0", "a1"), "context")
+    refined, _ = train_and_score_stacked(mats[:4], labels, mats[4:],
+                                         ("a0", "a1"), "context")
     # all context features equal the floor vector, so scores are constant
     for S in refined:
         assert np.allclose(S, S[:, :1])
@@ -239,8 +239,8 @@ def test_stacked_cooccurrence_improves_noisy_attribute():
     # stacking must not degrade its ranking quality
     from actkit.metrics import average_precision
     mats, labels = _stacking_data(seed=5, n_seq=10, T=12)
-    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], NAMES3,
-                                      "cooccurrence")
+    refined, _ = train_and_score_stacked(mats[:6], labels[:6], mats[6:], NAMES3,
+                                         "cooccurrence")
     base_ap, ref_ap = [], []
     for d in range(4):
         truth = np.array([1 if "a1" in s else 0 for s in labels[6 + d]])
@@ -274,8 +274,7 @@ def _ragged_stacking_case(seed=11, n=5, N=4):
 
 def _per_label_stacked(train, labels, evals, names, mode, ftr, fev, cfg):
     """Per-label reference: one design and one descent per attribute."""
-    from actkit.attributes import _stack_parts
-    use_base, use_con, use_coocc = _stack_parts(mode)
+    use_base, use_con, use_coocc = STACK_MODES[mode]
 
     def design(mats, feats, i):
         rows = []
@@ -310,13 +309,40 @@ def _per_label_stacked(train, labels, evals, names, mode, ftr, fev, cfg):
 def test_stacked_matches_per_label_reference(mode):
     mats, feats, labels, names = _ragged_stacking_case()
     cfg = TrainConfig(epochs=60)
-    refined = train_and_score_stacked(mats[:6], labels[:6], mats[6:], names,
-                                      mode, feats[:6], feats[6:], cfg)
+    refined, _ = train_and_score_stacked(mats[:6], labels[:6], mats[6:], names,
+                                         mode, feats[:6], feats[6:], cfg)
     ref, floored = _per_label_stacked(mats[:6], labels[:6], mats[6:], names,
                                       mode, feats[:6], feats[6:], cfg)
     got = np.concatenate(refined, axis=1)
     assert floored == ("a4",)
     assert np.all(got[names.index("a4")] == DEFAULT_FLOOR)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_stacked_table_scores_the_eval_design_to_the_refined_arrays():
+    # the untrained attribute a4 sits between trained ones, so the
+    # co-occurrence mask must be sliced by the trained flags
+    mats, feats, labels, names = _ragged_stacking_case()
+    order = [0, 4, 1, 2, 3]
+    mats = [S[order] for S in mats]
+    names = tuple(names[i] for i in order)
+    cfg = TrainConfig(epochs=60)
+    refined, model_set = train_and_score_stacked(
+        mats[:6], labels[:6], mats[6:], names, "all", feats[:6], feats[6:],
+        cfg)
+    from actkit.attributes import _stacked_design
+    X, _ = _stacked_design(mats[6:], feats[6:], *STACK_MODES["all"])
+    got = score_intervals(model_set, X)
+    assert np.array_equal(np.concatenate(refined, axis=1), got)
+    assert model_set.labels == names and model_set.config is cfg
+    assert model_set.trained.tolist() == [True, False, True, True, True]
+    m = sum(map(len, labels[:6]))
+    assert model_set.skipped == (("a4", f"0 positive / {m} negative "
+                                  "intervals"),)
+    own = X.shape[1] - len(names) + np.flatnonzero(model_set.trained)
+    assert np.all(model_set.models[np.arange(4), own] == 0.0)
+    ref, _ = _per_label_stacked(mats[:6], labels[:6], mats[6:], names, "all",
+                                feats[:6], feats[6:], cfg)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -343,7 +369,7 @@ def test_batched_ova_matches_per_label_reference():
 
     comps = [sorted(s - {"all"})[0] if s != {"all"} else "a0" for s in sets]
     Xt = rng.normal(size=(9, 4))
-    scores, report = classify_svm(X, comps, Xt, names[:4], config=cfg)
+    scores, report, _ = classify_svm(X, comps, Xt, names[:4], config=cfg)
     assert report["skipped"] == ["none"]
     for z, c in enumerate(names[:3]):
         y = np.array([1.0 if cc == c else -1.0 for cc in comps])
@@ -488,8 +514,9 @@ def test_stacked_rejects_bad_score_matrices(bad, words, side):
 
 
 def test_score_matrix_validation():
-    # a non-finite score result raises in the scoring step that interval
-    # scoring, stacking and the composite SVM share
+    # score_intervals is the scoring step that interval scoring, stacking
+    # and the composite SVM share: it rejects non-finite features and a
+    # non-finite score result
     from actkit.composites import classify_svm
     X, labels = _separable_1d()
     ms = train_linear_ova(X, labels, ["wash"])
@@ -497,8 +524,26 @@ def test_score_matrix_validation():
     with pytest.raises(ValueError, match="score matrix contains non-finite"):
         score_intervals(ms, X)
     Xt = np.array([[0.5], [np.inf]])
-    with pytest.raises(ValueError, match="score matrix contains non-finite"):
+    with pytest.raises(ValueError, match="features contain non-finite values"):
         classify_svm(X, ["a", "a", "b", "b"], Xt, ("a", "b"))
+
+
+def test_ova_training_rejects_non_finite_features():
+    # fit_ova checks the design of every one-vs-all problem, so a NaN or
+    # infinite feature is not reported as an overflow
+    from actkit.composites import classify_svm
+    X, labels = _scaled_sample(1.0)
+    X[3, 2] = np.nan
+    with pytest.raises(ValueError, match="features contain non-finite"):
+        train_linear_ova(X, labels, ("a", "b"))
+    with pytest.raises(ValueError, match="features contain non-finite"):
+        classify_svm(X[:30], ["a", "b", "c"] * 10, X[30:], ("a", "b", "c"))
+    mats, seq_labels = _stacking_data()
+    feats = [np.ones((S.shape[1], 2)) for S in mats]
+    feats[0][0, 1] = np.inf
+    with pytest.raises(ValueError, match="features contain non-finite"):
+        train_and_score_stacked(mats[:4], seq_labels[:4], mats[4:], NAMES3,
+                                "base+context", feats[:4], feats[4:])
 
 
 def _scaled_sample(scale):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from actkit import composites
+from actkit.attributes import score_intervals
 from actkit.composites import (SCORE_FLOOR, NeighborGraph, PstConfig,
                                build_knn_graph, classify_nn, classify_svm,
                                load_pst_config, nn_script_classify,
@@ -74,7 +76,7 @@ def _blob_data(seed=0, spread=0.3):
 def test_classify_svm_separable_blobs():
     Xtr, ytr, Xte, yte = _blob_data()
     comps = ("c0", "c1", "c2")
-    scores, report = classify_svm(Xtr, ytr, Xte, comps)
+    scores, report, _ = classify_svm(Xtr, ytr, Xte, comps)
     assert scores.shape == (len(Xte), 3)
     assert not report["skipped"] and not report["trained_without_negatives"]
     preds = [comps[j] for j in scores.argmax(axis=1)]
@@ -83,7 +85,7 @@ def test_classify_svm_separable_blobs():
 
 def test_classify_svm_single_composite_flagged():
     X = np.array([[1.0, 0.0], [1.2, 0.1], [0.9, -0.1]])
-    scores, report = classify_svm(X, ["only"] * 3, X, ("only",))
+    scores, report, _ = classify_svm(X, ["only"] * 3, X, ("only",))
     assert scores.shape == (3, 1)
     assert report["trained_without_negatives"] == ["only"]
     assert np.isfinite(scores).all()
@@ -92,9 +94,23 @@ def test_classify_svm_single_composite_flagged():
 def test_classify_svm_universe_without_positives_floored():
     X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
     ytr = ["a", "a", "b", "b"]
-    scores, report = classify_svm(X, ytr, X, ("a", "b", "ghost"))
+    scores, report, _ = classify_svm(X, ytr, X, ("a", "b", "ghost"))
     assert report["skipped"] == ["ghost"]
     assert np.all(scores[:, 2] == -10.0)
+
+
+def test_classify_svm_scores_are_its_fitted_table_scored():
+    Xtr, ytr, Xte, _ = _blob_data()
+    comps = ("c0", "ghost", "c1", "c2")
+    scores, report, model_set = classify_svm(Xtr, ytr, Xte, comps)
+    assert model_set.labels == comps
+    assert model_set.trained.tolist() == [True, False, True, True]
+    assert model_set.skipped == (
+        ("ghost", f"0 positive / {len(ytr)} negative intervals"),)
+    assert report["skipped"] == ["ghost"]
+    assert set(model_set.objective) == {"final_objective",
+                                        "max_relative_change"}
+    assert np.array_equal(scores, score_intervals(model_set, Xte).T)
 
 
 def test_classify_svm_alignment_error():
@@ -391,11 +407,11 @@ def test_pst_init_boundary_ties_kept_together():
 
 
 def test_pst_init_zero_shot_ignores_labels():
-    cfg = PstConfig(gamma=1.0, delta=1.0, k=1)
+    # zero-shot propagation is no labels and gamma 0: every sequence is
+    # unlabeled and keeps its whole script score
+    cfg = PstConfig(gamma=0.0, delta=1.0, k=1)
     S = np.array([[0.3, 0.6]])
-    labels = np.array([[1, 0]])
-    Y = pst_init(S, labels, cfg, zero_shot=True)
-    # gamma forced to zero and every sequence treated as unlabeled
+    Y = pst_init(S, None, cfg)
     assert Y[0] == pytest.approx([0.3, 0.6])
 
 
@@ -637,8 +653,8 @@ def test_pst_scores_zero_shot_alpha_zero_equals_script():
     rng = np.random.default_rng(9)
     S = rng.uniform(size=(3, 7))
     G = rng.normal(size=(7, 4))
-    cfg = PstConfig(alpha=0.0, delta=1.0, k=2)
-    out = pst_scores(S, None, G, cfg, zero_shot=True)
+    cfg = PstConfig(alpha=0.0, gamma=0.0, delta=1.0, k=2)
+    out = pst_scores(S, None, G, cfg)
     assert out == pytest.approx(S)
 
 
@@ -677,27 +693,36 @@ def test_pst_grid_scores_match_pst_scores_per_config(monkeypatch, zero_shot):
     grid = [PstConfig(alpha=a, gamma=g, delta=d, k=k)
             for a, g, d, k in itertools.product(
                 (0.0, 0.5, 0.99), (0.25, 1.0), (0.1, 1.0), (1, 3, 7))]
+    labels, grid = _zero_shot_case(labels, grid, zero_shot)
     builds, seeds = [], []
     build, init = composites.build_knn_graph, composites.pst_init
     monkeypatch.setattr(composites, "build_knn_graph",
                         lambda X, k: builds.append(k) or build(X, k))
     monkeypatch.setattr(composites, "pst_init",
-                        lambda S, lab, cfg, **kw: seeds.append(
-                            (cfg.gamma, cfg.delta)) or init(S, lab, cfg, **kw))
-    out = list(pst_grid_scores(S, labels, G, grid, zero_shot=zero_shot))
+                        lambda S, lab, cfg: seeds.append(
+                            (cfg.gamma, cfg.delta)) or init(S, lab, cfg))
+    out = list(pst_grid_scores(S, labels, G, grid))
     assert builds == [1, 3, 7]
-    assert seeds == [(0.25, 0.1), (0.25, 1.0), (1.0, 0.1), (1.0, 1.0)]
+    assert seeds == ([(0.0, 0.1), (0.0, 1.0)] if zero_shot else
+                     [(0.25, 0.1), (0.25, 1.0), (1.0, 0.1), (1.0, 1.0)])
     assert [cfg for cfg, _ in out] == grid
     for cfg, F in out:
-        assert np.array_equal(
-            F, pst_scores(S, labels, G, cfg, zero_shot=zero_shot))
+        assert np.array_equal(F, pst_scores(S, labels, G, cfg))
 
 
-def _pst_grid_oracle(S, labels, G, configs, zero_shot=False):
+def _zero_shot_case(labels, grid, zero_shot):
+    """(labels, grid) as given, or for zero-shot propagation no labels
+    and every config at gamma 0."""
+    if not zero_shot:
+        return labels, grid
+    return None, [dataclasses.replace(cfg, gamma=0.0) for cfg in grid]
+
+
+def _pst_grid_oracle(S, labels, G, configs):
     """The former grid loop: one seed, one graph and one solve per
     config."""
     for cfg in configs:
-        seed = pst_init(S, labels, cfg, zero_shot=zero_shot)
+        seed = pst_init(S, labels, cfg)
         graph = build_knn_graph(G, cfg.k)
         yield cfg, propagate(graph, seed.T, cfg).T
 
@@ -715,17 +740,17 @@ def _interleaved_grid():
 @pytest.mark.parametrize("zero_shot", [False, True])
 def test_pst_grid_scores_match_the_per_config_oracle(monkeypatch, zero_shot):
     S, labels, G = _pst_problem(13)
-    grid = _interleaved_grid()
+    labels, grid = _zero_shot_case(labels, _interleaved_grid(), zero_shot)
     calls = []
     solve = composites.propagate
     monkeypatch.setattr(composites, "propagate",
                         lambda graph, Y, cfg: calls.append(
                             (cfg.alpha, cfg.k)) or solve(graph, Y, cfg))
-    out = list(pst_grid_scores(S, labels, G, grid, zero_shot=zero_shot))
+    out = list(pst_grid_scores(S, labels, G, grid))
     assert [cfg for cfg, _ in out] == grid
     assert all(got is cfg for (got, _), cfg in zip(out, grid))
     assert sorted(calls) == sorted({(c.alpha, c.k) for c in grid})
-    oracle = _pst_grid_oracle(S, labels, G, grid, zero_shot=zero_shot)
+    oracle = _pst_grid_oracle(S, labels, G, grid)
     for (cfg, F), (_, ref) in zip(out, oracle):
         assert F.shape == ref.shape
         assert np.max(np.abs(F - ref)) <= 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from actkit import composites, corpus, experiment
 from actkit.attributes import TrainConfig, score_intervals
+from actkit.composites import load_pst_config
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
 from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
@@ -61,9 +62,10 @@ def test_unknown_mode(score_bundle, tmp_path):
 
 
 def test_unknown_stack_and_weights(score_bundle, tmp_path):
-    with pytest.raises(ConfigError):
-        run_experiment(_cfg(score_bundle, tmp_path / "o", "svm",
-                            stack="triple"))
+    for stack in ("triple", ["context"]):
+        with pytest.raises(ConfigError, match="unknown stack mode"):
+            run_experiment(_cfg(score_bundle, tmp_path / "o", "svm",
+                                stack=stack))
     with pytest.raises(ConfigError):
         run_experiment(_cfg(score_bundle, tmp_path / "o", "svm",
                             weights="oracle"))
@@ -197,6 +199,23 @@ def test_pst_zero_shot_alpha_zero_matches_script(score_bundle, tmp_path):
     assert [(r[0], r[1]) for r in rows_s] == [(r[0], r[1]) for r in rows_z]
     for a, b in zip(rows_s, rows_z):
         assert a[2] == pytest.approx(b[2], abs=1e-9)
+
+
+def test_fixed_zero_shot_config_records_gamma_zero(score_bundle, tmp_path):
+    # zero-shot propagation seeds with gamma 0 whatever gamma the config
+    # gives, and the report and pst.conf say so
+    out = tmp_path / "z"
+    report = run_experiment(_cfg(
+        score_bundle, out, "pst-zero-shot",
+        pst={"alpha": 0.75, "delta": 0.5, "k": 3, "gamma": 1.0}))
+    assert report.extra["gamma"] == 0.0
+    assert load_pst_config(out / "pst.conf").gamma == 0.0
+    same = run_experiment(_cfg(
+        score_bundle, tmp_path / "z0", "pst-zero-shot",
+        pst={"alpha": 0.75, "delta": 0.5, "k": 3, "gamma": 0.0}))
+    assert same.extra == report.extra
+    assert (out / "predictions.csv").read_bytes() == \
+        (tmp_path / "z0" / "predictions.csv").read_bytes()
 
 
 def test_zero_shot_grid_counts_match_the_benchmark_counters(
@@ -338,9 +357,10 @@ def test_score_attributes_splits_one_product_in_bundle_order(
 def test_stack_attributes_returns_bundle_order(score_bundle):
     bundle = load_bundle(score_bundle)
     mats = [s.scores for s in bundle.sequences]
-    got = experiment.stack_attributes(bundle, "context",
-                                      TrainConfig(epochs=20), mats)
+    got, model_set = experiment.stack_attributes(
+        bundle, "context", TrainConfig(epochs=20), mats)
     assert [V.shape for V in got] == [V.shape for V in mats]
+    assert model_set.labels == bundle.true_weights.attributes
 
 
 def test_feature_bundle_base_stacking_allowed(feature_bundle, tmp_path):
@@ -362,8 +382,12 @@ def test_report_records_descent_objectives_and_segment_counts(
         assert summary["max_relative_change"] >= 0
     bundle = load_bundle(feature_bundle)
     tcfg = TrainConfig()
-    assert objective["attributes"] == \
-        experiment.train_attributes(bundle, tcfg).objective
+    model_set = experiment.train_attributes(bundle, tcfg)
+    assert objective["attributes"] == model_set.objective
+    _, stacked = experiment.stack_attributes(
+        bundle, "base+context", tcfg,
+        experiment.score_attributes(bundle, model_set))
+    assert objective["stacking"] == stacked.objective
     segments = sum(len((out / "segments" / f"{s.sequence_id}.jsonl")
                        .read_text().splitlines()) for s in bundle.sequences)
     assert report.extra["segmentation"] == {

@@ -316,16 +316,21 @@ def test_integral_bad_files_keep_their_errors(tmp_path, write, message):
 # ---------------------------------------------------------------------------
 # window scanning
 
+def _records(rec):
+    """The windows of a WindowScores record as Detection records."""
+    return [rec.detection(i) for i in range(len(rec))]
+
+
 def test_score_windows_offsets():
     # stream of 36 frames, only level (30, 6) fits: starts 0 and 6
     table = build_integral(np.ones((36, 2)))
-    dets = score_windows(table, lambda H: np.ones(len(H)))
+    dets = _records(score_windows(table, lambda H: np.ones(len(H))))
     assert [(d.start, d.end) for d in dets] == [(0, 29), (6, 35)]
 
 
 def test_score_windows_skips_oversized_levels():
     table = build_integral(np.ones((40, 1)))
-    dets = score_windows(table, lambda H: np.zeros(len(H)))
+    dets = _records(score_windows(table, lambda H: np.zeros(len(H))))
     assert all(d.length == 30 for d in dets)
 
 
@@ -398,9 +403,9 @@ def test_score_windows_match_per_window_oracle():
             gap = int(rng.integers(0, T - 29))
             counts[gap:gap + 90] = 0         # some windows are all-zero
             table = build_integral(counts)
-            got = score_windows(
+            got = _records(score_windows(
                 table, lambda H: score_intervals(models, H)[row],
-                video="v", attribute="a")
+                video="v", attribute="a"))
             want = _per_window_detections(
                 table,
                 lambda h: score_intervals(models, h[None, :])[row, 0],
@@ -424,12 +429,11 @@ def test_score_windows_returns_columns():
         + [60] * 4 + [85]
     assert list(rec.starts[:3]) == [0, 6, 12]
     assert list(rec.scores[12:15]) == [0.0, 0.5, 1.0]
-    assert list(rec) == [rec.detection(i) for i in range(25)]
     assert rec.detection(13) == Detection("v", "a", 8, 49, 0.5)
     # a stream shorter than every window
     short = score_windows(build_integral(np.ones((29, 2))),
                           lambda H: np.zeros(len(H)))
-    assert len(short) == 0 and list(short) == [] and nms(short) == []
+    assert len(short) == 0 and nms(short) == []
     assert short.starts.dtype == np.int64
 
 
@@ -440,36 +444,48 @@ def _det(start, end, score, attr="a"):
     return Detection("v", attr, start, end, score)
 
 
+def _windows(dets):
+    """Detection records of one video and attribute as the WindowScores
+    record that nms takes, in list order."""
+    assert len({(d.video, d.attribute) for d in dets}) <= 1
+    return temporal.WindowScores(
+        dets[0].video if dets else "v", dets[0].attribute if dets else "a",
+        np.array([d.start for d in dets], dtype=np.int64),
+        np.array([d.end for d in dets], dtype=np.int64),
+        np.array([d.score for d in dets], dtype=float))
+
+
 def test_nms_removes_any_overlap_by_default():
     dets = [_det(0, 9, 1.0), _det(5, 14, 0.9), _det(20, 29, 0.8)]
-    kept = nms(dets)
+    kept = nms(_windows(dets))
     assert [(d.start, d.end) for d in kept] == [(0, 9), (20, 29)]
 
 
 def test_nms_touching_windows_survive():
     # [0, 9] and [10, 19] share no frame
     dets = [_det(0, 9, 1.0), _det(10, 19, 0.9)]
-    assert len(nms(dets)) == 2
+    assert len(nms(_windows(dets))) == 2
 
 
 def test_nms_overlap_threshold_in_frames():
     dets = [_det(0, 9, 1.0), _det(8, 17, 0.9)]
-    assert len(nms(dets, overlap_threshold=1)) == 1
-    assert len(nms(dets, overlap_threshold=2)) == 2
+    assert len(nms(_windows(dets), overlap_threshold=1)) == 1
+    assert len(nms(_windows(dets), overlap_threshold=2)) == 2
 
 
 def test_nms_iou_criterion():
     dets = [_det(0, 9, 1.0), _det(5, 14, 0.9)]
     # IoU = 5 / 15
-    assert len(nms(dets, overlap_threshold=0.5, criterion="iou")) == 2
-    assert len(nms(dets, overlap_threshold=0.2, criterion="iou")) == 1
+    windows = _windows(dets)
+    assert len(nms(windows, overlap_threshold=0.5, criterion="iou")) == 2
+    assert len(nms(windows, overlap_threshold=0.2, criterion="iou")) == 1
     with pytest.raises(ValueError):
-        nms(dets, criterion="jaccard")
+        nms(windows, criterion="jaccard")
 
 
 def test_nms_tie_order_prefers_early_then_short():
     dets = [_det(10, 19, 1.0), _det(0, 19, 1.0), _det(0, 9, 1.0)]
-    kept = nms(dets)
+    kept = nms(_windows(dets))
     assert [(d.start, d.end) for d in kept] == [(0, 9), (10, 19)]
 
 
@@ -482,7 +498,7 @@ def test_nms_properties_random():
             s = int(rng.integers(0, 50))
             e = s + int(rng.integers(0, 20))
             dets.append(_det(s, e, float(rng.normal())))
-        kept = nms(dets)
+        kept = nms(_windows(dets))
         # kept windows are pairwise disjoint
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
@@ -497,7 +513,7 @@ def test_nms_properties_random():
             assert any(min(d.end, k.end) >= max(d.start, k.start)
                        and k.score >= d.score for k in kept)
         # idempotent
-        assert nms(kept) == kept
+        assert nms(_windows(kept)) == kept
 
 
 def _nested_loop_nms(detections, overlap_threshold=0.0, criterion="overlap"):
@@ -531,12 +547,12 @@ def test_nms_matches_nested_loop_oracle(criterion):
             # few distinct scores, so ties are common
             dets.append(_det(s, e, float(rng.integers(0, 4)) / 2))
         for thr in (-0.5, 0, 0.3, 0.5, 1, 3, 30):
-            assert nms(dets, thr, criterion) \
+            assert nms(_windows(dets), thr, criterion) \
                 == _nested_loop_nms(dets, thr, criterion)
     # thresholds above any possible overlap keep everything
-    assert nms(dets, 30, criterion) == sorted(
+    assert nms(_windows(dets), 30, criterion) == sorted(
         dets, key=lambda d: (-d.score, d.start, d.length))
-    assert nms([], 0, criterion) == []
+    assert nms(_windows([]), 0, criterion) == []
 
 
 def _scored_stream(T=3000, B=16, seed=12):
@@ -557,12 +573,13 @@ def test_nms_matches_nested_loop_oracle_on_scored_stream(thr, criterion):
     assert len(dets) > 1000
     kept = nms(dets, thr, criterion)
     assert 0 < len(kept) < len(dets)
-    assert kept == _nested_loop_nms(dets, thr, criterion)
+    assert kept == _nested_loop_nms(_records(dets), thr, criterion)
     # coarse scores: many ties, broken by start, length, then input order
     tied = [Detection(d.video, d.attribute, d.start, d.end,
-                      round(d.score, 1)) for d in dets]
-    assert nms(tied, thr, criterion) == _nested_loop_nms(tied, thr, criterion)
-    assert nms([], thr, criterion) == []
+                      round(d.score, 1)) for d in _records(dets)]
+    assert nms(_windows(tied), thr, criterion) \
+        == _nested_loop_nms(tied, thr, criterion)
+    assert nms(_windows([]), thr, criterion) == []
 
 
 @pytest.mark.parametrize("thr, criterion",
@@ -570,7 +587,7 @@ def test_nms_matches_nested_loop_oracle_on_scored_stream(thr, criterion):
 def test_nms_of_the_record_matches_its_detection_list(thr, criterion,
                                                        monkeypatch):
     rec = _scored_stream()
-    want = nms(list(rec), thr, criterion)
+    want = _nested_loop_nms(_records(rec), thr, criterion)
     built = []
     detection = temporal.WindowScores.detection
     monkeypatch.setattr(temporal.WindowScores, "detection",
@@ -584,7 +601,8 @@ def test_nms_of_the_record_matches_its_detection_list(thr, criterion,
     # coarse scores: ties broken by start, length, then scan order
     tied = temporal.WindowScores("v", "a", rec.starts, rec.ends,
                                  np.round(rec.scores, 1))
-    assert nms(tied, thr, criterion) == nms(list(tied), thr, criterion)
+    assert nms(tied, thr, criterion) \
+        == _nested_loop_nms(_records(tied), thr, criterion)
 
 
 def test_nms_names_a_nan_window_of_the_record():
@@ -599,16 +617,16 @@ def test_nms_names_a_nan_window_of_the_record():
 def test_nms_rejects_nan_scores_keeps_infinities():
     dets = [_det(0, 9, 1.0), _det(5, 14, float("nan"))]
     with pytest.raises(ValueError, match="NaN score"):
-        nms(dets)
+        nms(_windows(dets))
     dets = [_det(0, 9, -np.inf), _det(5, 14, np.inf), _det(20, 29, 0.0)]
-    assert [d.start for d in nms(dets)] == [5, 20]
+    assert [d.start for d in nms(_windows(dets))] == [5, 20]
 
 
 @pytest.mark.parametrize("criterion", ["overlap", "iou"])
 def test_nms_rejects_nan_threshold(criterion):
     dets = [_det(0, 9, 1.0), _det(5, 14, 0.5)]
     with pytest.raises(ValueError, match="overlap_threshold cannot be NaN"):
-        nms(dets, float("nan"), criterion)
+        nms(_windows(dets), float("nan"), criterion)
 
 
 # ---------------------------------------------------------------------------
