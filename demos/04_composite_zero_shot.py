@@ -14,7 +14,7 @@ import numpy as np
 from actkit.composites import (
     PstConfig,
     classify_svm,
-    pst_scores,
+    pst_grid_scores,
     script_score,
     seq_feature,
 )
@@ -65,7 +65,7 @@ table = script_score(pooled, mined)       # (num_composites, num_seq)
 # zero-shot: no labeled sequences at all (labels None), and gamma 0 so
 # the seeds are the script scores alone
 cfg = PstConfig(alpha=0.75, gamma=0.0, delta=0.5, k=7)
-F = pst_scores(table, None, pooled, cfg)
+[(_, F)] = pst_grid_scores(table, None, pooled, [cfg])
 test_idx = [i for i, s in enumerate(everyone) if s.split == "test"]
 pred_pst = [composites[int(np.argmax(F[:, i]))] for i in test_idx]
 print(f"propagated zero-shot accuracy:        "

@@ -17,8 +17,9 @@ attribute scores.  On those pooled vectors the module offers:
   alpha).  The diffusion's fixed point is solved for directly, after
   Zhou et al., Learning with Local and Global Consistency (NIPS 2004).
 
-The SVM and both nearest-neighbour classifiers return (M, Z) score
-tables for a whole test split.  kNN distances are byte-equal to cdist.
+Each classifier returns only an (M, Z) score table for a whole test
+split; the experiment driver predicts each row's argmax, ties going to
+the lowest composite index.  kNN distances are byte-equal to cdist.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def classify_svm(train_features, train_composites, test_features,
 
 def _nearest_tables(train_features, train_composites, test_features,
                     composites, distances, comparable=None):
-    """(scores (M, Z), preds) of a nearest-neighbour rule.  distances(X, g)
+    """(M, Z) scores of a nearest-neighbour rule.  distances(X, g)
     gives the (N,) distances from test row g to the training rows X; the
     training rows outside the (N,) comparable mask (all rows when None)
     are at distance inf.  Raises on non-finite features and on a
@@ -102,17 +103,15 @@ def _nearest_tables(train_features, train_composites, test_features,
         if own.any():
             nearest = dist[:, own].min(axis=1)
             scores[:, z] = np.where(np.isinf(nearest), SCORE_FLOOR, -nearest)
-    return scores, [train_composites[j] for j in dist.argmin(axis=1)]
+    return scores
 
 
 def classify_nn(train_features, train_composites, test_features, composites):
     """Nearest training sequence under plain L2 distance.
 
-    Returns (scores (M, Z), preds).  scores[m, z] is minus the distance
-    from test row m to its nearest training sequence of composites[z],
-    or SCORE_FLOOR when composites[z] has none.  preds[m] is the
-    composite of the nearest training sequence; ties prefer the lowest
-    training row.
+    Returns (M, Z) scores: scores[m, z] is minus the distance from test
+    row m to its nearest training sequence of composites[z], or
+    SCORE_FLOOR when composites[z] has none.
     """
     return _nearest_tables(train_features, list(train_composites),
                            test_features, composites,
@@ -122,13 +121,13 @@ def classify_nn(train_features, train_composites, test_features, composites):
 def script_score(pooled, weights: WeightMatrix) -> np.ndarray:
     """Zero-shot composite scores: weighted sum of pooled attribute scores.
 
-    The weight matrix must be row-normalized.  Accepts a single pooled
-    vector (returns (Z,)) or a (D, n) stack (returns (Z, D))."""
+    The weight matrix must be row-normalized.  Takes a (D, n) stack of
+    pooled vectors and returns (Z, D) scores."""
     if not weights.normalized:
         raise ValueError("script_score expects L1-normalized weights")
     G = np.asarray(pooled, dtype=float)
-    if G.ndim == 1:
-        return weights.values @ G
+    if G.ndim != 2:
+        raise ValueError("script_score needs a (D, n) stack of pooled vectors")
     return weights.values @ G.T
 
 
@@ -144,9 +143,9 @@ def nn_script_classify(train_features, train_composites, test_features,
     weight row cannot be compared; they are excluded and reported.
     Raises if that removes every training sequence.
 
-    Returns (scores (M, Z), preds, excluded composite tuple), with
-    scores and preds as in classify_nn under this distance; a composite
-    without a comparable training sequence scores SCORE_FLOOR.
+    Returns (scores (M, Z), excluded composite tuple), the scores as in
+    classify_nn under this distance; a composite without a comparable
+    training sequence scores SCORE_FLOOR.
     """
     if not weights.normalized:
         raise ValueError("nn_script_classify expects normalized weights")
@@ -156,12 +155,12 @@ def nn_script_classify(train_features, train_composites, test_features,
     ok = W.any(axis=1)
     if not ok.any():
         raise ValueError("every training composite has an all-zero weight row")
-    scores, preds = _nearest_tables(
+    scores = _nearest_tables(
         train_features, train_composites, test_features, composites,
         lambda X, g: np.sqrt(np.einsum("ij,ij->i", W, (X - g) ** 2)), ok)
     excluded = tuple(sorted({z for z, k in zip(train_composites, ok)
                              if not k}))
-    return scores, preds, excluded
+    return scores, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +302,9 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     features: (D, n), one row per sequence.  The bandwidth sigma is the
     mean distance to each sequence's single nearest neighbour; edge
     weights are exp(-0.5 * sqrt(sigma) * dist).  Neighbour ties go to
-    the lower row.  Requires more sequences than k and finite features
-    whose distances do not overflow.
+    the lower row.  Requires more sequences than k, and finite features
+    whose distances do not overflow and whose edge weights do not all
+    underflow at one node.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -327,6 +327,10 @@ def build_knn_graph(features, k: int) -> NeighborGraph:
     np.fill_diagonal(dist, 0.0)
     W = np.where(mask, np.exp(-0.5 * math.sqrt(sigma) * dist), 0.0)
     np.fill_diagonal(W, 0.0)
+    isolated = np.flatnonzero(~W.any(axis=1))
+    if isolated.size:
+        raise ValueError(f"node {isolated[0]} has no edge left: its edge "
+                         "weights underflow to zero")
     return NeighborGraph(W)
 
 
@@ -356,12 +360,14 @@ def propagate(graph: NeighborGraph, init, cfg: PstConfig) -> np.ndarray:
 
 
 def pst_grid_scores(script_score_table, labels, pooled_features, configs):
-    """Propagated score tables for a sequence of configs.
+    """Propagated score tables for a sequence of configs: the one
+    propagation entry point.
 
-    Yields (cfg, F) in input order, F being the (Z, D) table that
-    pst_scores gives for cfg.  The kNN graph over the pooled features
-    is built once per distinct cfg.k and the seed matrix once per
-    distinct (cfg.gamma, cfg.delta).  There is one solve per distinct
+    Yields (cfg, F) in input order, F being the (Z, D) table aligned
+    with the script score table: pst_init's seeds propagated over
+    build_knn_graph of the pooled features.  The graph is built once
+    per distinct cfg.k and the seed matrix once per distinct
+    (cfg.gamma, cfg.delta).  There is one solve per distinct
     (cfg.alpha, cfg.k): the seeds of that group's configs go side by
     side as its right-hand sides, and each config's table is sliced
     back out of the result.
@@ -387,17 +393,6 @@ def pst_grid_scores(script_score_table, labels, pooled_features, configs):
             F = propagate(graphs[cfg.k], Y, cfg).T
             tables.update(zip(members, np.split(F, len(members))))
         yield cfg, tables.pop(i)
-
-
-def pst_scores(script_score_table, labels, pooled_features,
-               cfg: PstConfig) -> np.ndarray:
-    """Full propagation pipeline: seed from script scores, build the
-    graph over pooled features, propagate.  Returns a (Z, D) score
-    table aligned with the input; the one-config case of
-    pst_grid_scores."""
-    [(_, F)] = pst_grid_scores(script_score_table, labels, pooled_features,
-                               [cfg])
-    return F
 
 
 # ---------------------------------------------------------------------------

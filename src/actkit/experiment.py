@@ -32,7 +32,7 @@ from .attributes import (LinearModelSet, STACK_MODES, TrainConfig,
                          save_models_npz, score_intervals,
                          train_and_score_stacked, train_linear_ova)
 from .composites import (PstConfig, classify_nn, classify_svm,
-                         nn_script_classify, pst_grid_scores, pst_scores,
+                         nn_script_classify, pst_grid_scores,
                          save_predictions_csv, save_pst_config, script_score,
                          seq_feature)
 from .corpus import (build_documents, normalize_l1, save_weights_csv,
@@ -243,6 +243,12 @@ def _check_bundle(cfg, bundle):
                           "the number of sequences")
 
 
+def _predict(scores, comps) -> list:
+    """The composite of each row's highest score in an (M, Z) table; a
+    tie goes to the lowest composite index."""
+    return [comps[z] for z in np.argmax(scores, axis=1)]
+
+
 def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
     S = script_score(G, weights)
     comps = list(bundle.composites)
@@ -257,23 +263,20 @@ def _classify_pst(bundle, cfg, weights, G, splits, out_dir, zero_shot):
         if zero_shot:
             params["gamma"] = 0.0
         best = PstConfig(**params)
-        F = pst_scores(S, labels, G, best)
+        [(_, F)] = pst_grid_scores(S, labels, G, [best])
     else:
         val = splits == "val"
         feasible = [p for p in _pst_grid(cfg, zero_shot) if p.k < len(G)]
         best_acc = -1.0
         for pcfg, Fp in pst_grid_scores(S, labels, G, feasible):
-            preds = [comps[z] for z in Fp[:, val].argmax(axis=0)]
-            acc = accuracy(preds, truth[val])
+            acc = accuracy(_predict(Fp[:, val].T, comps), truth[val])
             if acc > best_acc:
                 best, best_acc, F = pcfg, acc, Fp
         extra["val_accuracy"] = best_acc
     extra.update({"alpha": best.alpha, "gamma": best.gamma,
                   "delta": best.delta, "k": best.k})
     save_pst_config(best, os.path.join(out_dir, "pst.conf"))
-    scores = F[:, splits == "test"].T               # (M_test, Z)
-    preds = [comps[int(np.argmax(row))] for row in scores]
-    return scores, preds, extra
+    return F[:, splits == "test"].T, extra
 
 
 def run_experiment(config) -> EvalReport:
@@ -327,26 +330,23 @@ def run_experiment(config) -> EvalReport:
 
     if mode == "svm":
         scores, rep, svm = classify_svm(Xtr, ytr, Xte, comps, config=tcfg)
-        preds = [comps[int(np.argmax(row))] for row in scores]
         objective["svm"] = svm.objective
         if rep["skipped"] or rep["trained_without_negatives"]:
             extra["svm"] = rep
     elif mode == "nn":
-        scores, preds = classify_nn(Xtr, ytr, Xte, comps)
+        scores = classify_nn(Xtr, ytr, Xte, comps)
     elif mode == "script":
-        table = script_score(Xte, weights)          # (Z, M_test)
-        scores = table.T
-        preds = [comps[int(np.argmax(col))] for col in scores]
+        scores = script_score(Xte, weights).T
     elif mode == "nn-script":
-        scores, preds, excluded = nn_script_classify(Xtr, ytr, Xte, weights,
-                                                     comps)
+        scores, excluded = nn_script_classify(Xtr, ytr, Xte, weights, comps)
         if excluded:
             extra["excluded_weight_rows"] = list(excluded)
     else:   # pst / pst-zero-shot
-        scores, preds, pst_extra = _classify_pst(
+        scores, pst_extra = _classify_pst(
             bundle, cfg, weights, pooled, splits, out_dir,
             zero_shot=(mode == "pst-zero-shot"))
         extra.update(pst_extra)
+    preds = _predict(scores, comps)
     objective = {fit: v for fit, v in objective.items() if v is not None}
     if objective:
         extra["hinge_objective"] = objective

@@ -164,25 +164,23 @@ def test_criterion_05_weighted_nn():
             X = rng.normal(size=(m, n))
             zs = [comps[int(rng.integers(0, 3))] for _ in range(m)]
             g = rng.normal(size=n)
-            scores, preds, excluded = nn_script_classify(
+            scores, excluded = nn_script_classify(
                 X, zs, g[None, :], weights, comps)
             assert excluded == ()
-            best = None
-            for j, z in enumerate(zs):
-                w = weights.row(z)
-                d = math.sqrt(float(w @ (g - X[j]) ** 2))
-                if best is None or (d, j) < best[:2]:
-                    best = (d, j, z)
-            assert preds[0] == best[2]
-            assert -scores[0, comps.index(preds[0])] == \
-                pytest.approx(best[0], abs=1e-12)
+            # the prediction is the top-scoring composite; the oracle
+            # orders by distance, then by composite index
+            best = min((math.sqrt(float(weights.row(z) @ (g - X[j]) ** 2)),
+                        comps.index(z)) for j, z in enumerate(zs))
+            z = int(np.argmax(scores[0]))
+            assert z == best[1]
+            assert -scores[0, z] == pytest.approx(best[0], abs=1e-12)
             # uniform weights reduce to plain nearest neighbour
             uniform = binarize_weights(
                 WeightMatrix(np.ones((3, n)), comps, weights.attributes))
-            _, pred_u, _ = nn_script_classify(X, zs, g[None, :], uniform,
-                                              comps)
-            _, pred_plain = classify_nn(X, zs, g[None, :], comps)
-            assert pred_u == pred_plain
+            scores_u, _ = nn_script_classify(X, zs, g[None, :], uniform,
+                                             comps)
+            scores_plain = classify_nn(X, zs, g[None, :], comps)
+            assert np.argmax(scores_u[0]) == np.argmax(scores_plain[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from actkit.composites import (SCORE_FLOOR, NeighborGraph, PstConfig,
                                build_knn_graph, classify_nn, classify_svm,
                                load_pst_config, nn_script_classify,
                                propagate, pst_grid_scores, pst_init,
-                               pst_scores, save_pst_config,
+                               save_pst_config,
                                save_predictions_csv, script_score,
                                seq_feature)
 from actkit.corpus import WeightMatrix, binarize_weights, normalize_l1
@@ -119,22 +119,28 @@ def test_classify_svm_alignment_error():
                      ("a", "b"))
 
 
+def _predict(scores, comps):
+    """Each row's highest-scoring composite, ties to the lowest index."""
+    return [comps[z] for z in np.argmax(scores, axis=1)]
+
+
 def test_classify_nn_picks_closest():
     X = np.array([[0.0, 0.0], [10.0, 0.0]])
-    scores, preds = classify_nn(X, ["near", "far"], np.array([[1.0, 0.0]]),
-                                ["near", "far"])
-    assert preds == ["near"]
+    scores = classify_nn(X, ["near", "far"], np.array([[1.0, 0.0]]),
+                         ["near", "far"])
+    assert _predict(scores, ["near", "far"]) == ["near"]
     assert scores == pytest.approx(np.array([[-1.0, -9.0]]))
 
 
 def test_classify_nn_tie_prefers_lowest_id():
+    # an exact tie between composites goes to the lowest composite
+    # index, whatever the order of the training rows
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    _, preds = classify_nn(X[::-1], ["left", "right"], np.zeros((1, 2)),
-                           ["left", "right"])
-    assert preds == ["left"]
-    _, preds = classify_nn(X, ["right", "left"], np.zeros((1, 2)),
-                           ["left", "right"])
-    assert preds == ["right"]
+    for rows, ys in ((X[::-1], ["left", "right"]), (X, ["right", "left"])):
+        for comps in (["left", "right"], ["right", "left"]):
+            scores = classify_nn(rows, ys, np.zeros((1, 2)), comps)
+            assert np.array_equal(scores, [[-1.0, -1.0]])
+            assert _predict(scores, comps) == comps[:1]
 
 
 def test_classify_nn_empty_error():
@@ -195,9 +201,10 @@ def test_nn_script_ignores_overflow_in_excluded_rows():
     Xtr = np.array([[5.0, 5.0], [1e160, -1e160]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scores, preds, excluded = nn_script_classify(
+        scores, excluded = nn_script_classify(
             Xtr, ["ok", "mute"], np.zeros((1, 2)), W, ["ok", "mute"])
-    assert preds == ["ok"] and excluded == ("mute",)
+    assert _predict(scores, ["ok", "mute"]) == ["ok"]
+    assert excluded == ("mute",)
     assert scores[0, 0] == -5.0 and scores[0, 1] == SCORE_FLOOR
 
 
@@ -207,16 +214,24 @@ def test_nn_script_ignores_overflow_in_excluded_rows():
 def test_script_score_weighted_sum():
     W = _weights([[2.0, 1.0, 1.0], [0.0, 3.0, 1.0]],
                  ["c0", "c1"], ["a0", "a1", "a2"])
-    g = np.array([4.0, 8.0, -4.0])
+    g = np.array([[4.0, 8.0, -4.0]])
     s = script_score(g, W)
-    assert s == pytest.approx([0.5 * 4 + 0.25 * 8 + 0.25 * (-4),
-                               0.75 * 8 + 0.25 * (-4)])
+    assert s.shape == (2, 1)
+    assert s[:, 0] == pytest.approx([0.5 * 4 + 0.25 * 8 + 0.25 * (-4),
+                                     0.75 * 8 + 0.25 * (-4)])
 
 
 def test_script_score_requires_normalized():
     W = _weights([[2.0, 1.0]], ["c"], ["a", "b"], normalize=False)
     with pytest.raises(ValueError):
-        script_score(np.ones(2), W)
+        script_score(np.ones((1, 2)), W)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+def test_script_score_takes_a_stack_only(shape):
+    W = _weights([[2.0, 1.0]], ["c"], ["a", "b"])
+    with pytest.raises(ValueError, match=r"\(D, n\) stack"):
+        script_score(np.ones(shape), W)
 
 
 def test_script_score_stacked_matches_loop():
@@ -227,15 +242,15 @@ def test_script_score_stacked_matches_loop():
     stacked = script_score(G, W)
     assert stacked.shape == (4, 5)
     for d in range(5):
-        assert stacked[:, d] == pytest.approx(script_score(G[d], W))
+        assert stacked[:, d] == pytest.approx(W.values @ G[d])
 
 
 def test_nn_script_distance_oracle():
     # w = [0.5, 0.5]: sqrt(0.5 * (3-2)^2 + 0.5 * (1-3)^2) = sqrt(2.5)
     W = _weights([[1.0, 1.0]], ["c"], ["a", "b"])
-    scores, preds, excluded = nn_script_classify(
+    scores, excluded = nn_script_classify(
         np.array([[2.0, 3.0]]), ["c"], np.array([[3.0, 1.0]]), W, ["c"])
-    assert preds == ["c"]
+    assert scores.shape == (1, 1)
     assert -scores[0, 0] == pytest.approx(math.sqrt(2.5))
     assert excluded == ()
 
@@ -243,23 +258,25 @@ def test_nn_script_distance_oracle():
 def test_nn_script_excludes_zero_rows():
     W = _weights([[1.0, 1.0], [0.0, 0.0]], ["ok", "mute"], ["a", "b"])
     Xtr = np.array([[5.0, 5.0], [0.1, 0.1]])
-    scores, preds, excluded = nn_script_classify(
+    scores, excluded = nn_script_classify(
         Xtr, ["ok", "mute"], np.zeros((1, 2)), W, ["ok", "mute"])
     # the mute row would win on raw distance but cannot be scored
-    assert preds == ["ok"]
+    assert _predict(scores, ["ok", "mute"]) == ["ok"]
     assert excluded == ("mute",)
     assert scores[0, 1] == SCORE_FLOOR
 
 
-def test_nn_script_tie_prefers_lowest_row():
+def test_nn_script_tie_prefers_lowest_id():
+    # as for classify_nn: the lowest composite index, not the lowest
+    # training row, wins an exact tie
     W = _weights([[1.0, 1.0], [1.0, 1.0]], ["right", "left"], ["a", "b"])
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    _, preds, _ = nn_script_classify(X[::-1], ["left", "right"],
-                                     np.zeros((1, 2)), W, ["left", "right"])
-    assert preds == ["left"]
-    _, preds, _ = nn_script_classify(X, ["right", "left"], np.zeros((1, 2)),
-                                     W, ["left", "right"])
-    assert preds == ["right"]
+    for rows, ys in ((X[::-1], ["left", "right"]), (X, ["right", "left"])):
+        for comps in (["left", "right"], ["right", "left"]):
+            scores, _ = nn_script_classify(rows, ys, np.zeros((1, 2)), W,
+                                           comps)
+            assert np.array_equal(scores, [[-np.sqrt(0.5)] * 2])
+            assert _predict(scores, comps) == comps[:1]
 
 
 def test_nn_script_all_rows_zero_error():
@@ -279,9 +296,9 @@ def test_nn_script_uniform_weights_match_plain_nn():
         Xtr = rng.normal(size=(8, n))
         ytr = [comps[i % 4] for i in range(8)]
         g = rng.normal(size=(1, n))
-        _, plain = classify_nn(Xtr, ytr, g, comps)
-        _, weighted, _ = nn_script_classify(Xtr, ytr, g, W, comps)
-        assert weighted == plain
+        plain = _predict(classify_nn(Xtr, ytr, g, comps), comps)
+        weighted, _ = nn_script_classify(Xtr, ytr, g, W, comps)
+        assert _predict(weighted, comps) == plain
 
 
 def test_nn_script_binarized_ignores_unmentioned():
@@ -289,27 +306,28 @@ def test_nn_script_binarized_ignores_unmentioned():
                    normalize=False)
     W = binarize_weights(raw)
     g = np.array([[0.0, 0.0, 100.0]])
-    scores, _, _ = nn_script_classify(np.array([[0.0, 0.0, -100.0]]), ["c"],
-                                      g, W, ["c"])
+    scores, _ = nn_script_classify(np.array([[0.0, 0.0, -100.0]]), ["c"],
+                                   g, W, ["c"])
     # the third attribute has zero weight so the huge gap is invisible
     assert -scores[0, 0] == pytest.approx(0.0)
 
 
 def _former_nn_tables(Xtr, ytr, Xte, comps, weights=None):
-    """The (M, Z) tables and predictions as run_experiment used to build
-    them: plain L2 with weights None, else the per-pair weighted
-    distance; one test vector and one composite at a time."""
+    """The (M, Z) tables as run_experiment used to build them: plain L2
+    with weights None, else the per-pair weighted distance; one test
+    vector and one composite at a time.  The predictions order the
+    comparable training rows by distance, then by composite index."""
     scores = np.full((len(Xte), len(comps)), SCORE_FLOOR)
     preds = []
     for m, g in enumerate(Xte):
         if weights is None:
             dists = np.linalg.norm(Xtr - g[None, :], axis=1)
-            preds.append(list(ytr)[int(np.argmin(dists))])
+            pairs = [(d, comps.index(z)) for d, z in zip(dists, ytr)]
         else:
             pairs = [(math.sqrt(float(weights.row(z) @ ((g - Xtr[j]) ** 2))),
-                      j, z) for j, z in enumerate(ytr)
+                      comps.index(z)) for j, z in enumerate(ytr)
                      if weights.row(z).any()]
-            preds.append(min(pairs)[2])
+        preds.append(comps[min(pairs)[1]])
         for z, c in enumerate(comps):
             if weights is None:
                 mine = [d for d, cc in zip(dists, ytr) if cc == c]
@@ -327,7 +345,8 @@ def _former_nn_tables(Xtr, ytr, Xte, comps, weights=None):
 def _nn_problem(rng):
     """Random pooled features over composites a-e; e has no training
     sequence, d an all-zero weight row.  b and c share a weight row and
-    sometimes a training vector, so their distances tie exactly."""
+    sometimes a training vector, so their distances tie exactly; c's
+    row comes first about half the time."""
     comps = ["a", "b", "c", "d", "e"]
     n = int(rng.integers(2, 9))
     raw = rng.uniform(size=(5, n)) * (rng.random((5, n)) < 0.6)
@@ -338,6 +357,8 @@ def _nn_problem(rng):
                                   tuple(f"x{i}" for i in range(n))))
     N = int(rng.integers(3, 12))
     ytr = ["a", "b", "c"] + [comps[int(k)] for k in rng.integers(0, 4, N - 3)]
+    if rng.random() < 0.5:
+        ytr[1:3] = ["c", "b"]
     Xtr = rng.normal(size=(N, n))
     if rng.random() < 0.5:
         Xtr[2] = Xtr[1]
@@ -352,10 +373,10 @@ def test_classify_nn_matches_the_former_tables_exactly():
     rng = np.random.default_rng(21)
     for _ in range(200):
         Xtr, ytr, Xte, comps, _ = _nn_problem(rng)
-        scores, preds = classify_nn(Xtr, ytr, Xte, comps)
+        scores = classify_nn(Xtr, ytr, Xte, comps)
         want, want_preds = _former_nn_tables(Xtr, ytr, Xte, comps)
         assert np.array_equal(scores, want)
-        assert preds == want_preds
+        assert _predict(scores, comps) == want_preds
         assert (scores[:, comps.index("e")] == SCORE_FLOOR).all()
 
 
@@ -363,12 +384,12 @@ def test_nn_script_classify_matches_the_former_tables():
     rng = np.random.default_rng(22)
     for _ in range(200):
         Xtr, ytr, Xte, comps, W = _nn_problem(rng)
-        scores, preds, excluded = nn_script_classify(Xtr, ytr, Xte, W, comps)
+        scores, excluded = nn_script_classify(Xtr, ytr, Xte, W, comps)
         want, want_preds = _former_nn_tables(Xtr, ytr, Xte, comps, W)
         floored = want == SCORE_FLOOR
         assert np.array_equal(scores == SCORE_FLOOR, floored)
         assert np.abs(scores[~floored] - want[~floored]).max() <= 1e-12
-        assert preds == want_preds
+        assert _predict(scores, comps) == want_preds
         assert excluded == (("d",) if "d" in ytr else ())
         assert (scores[:, comps.index("d")] == SCORE_FLOOR).all()
         assert (scores[:, comps.index("e")] == SCORE_FLOOR).all()
@@ -474,6 +495,21 @@ def test_knn_graph_rejects_overflowing_distances():
     X[5] *= 1e160
     with pytest.raises(ValueError, match="features too large"):
         build_knn_graph(X, k=2)
+
+
+@pytest.mark.parametrize("scale, shift, node", [(300.0, 0.0, 0),
+                                                (1.0, 1e4, 7)])
+def test_knn_graph_rejects_underflowing_weights(scale, shift, node):
+    # exp(-0.5 * sqrt(sigma) * dist) underflows on every edge of a node:
+    # of all nodes at scale 300, of the one outlier row 7 when shifted.
+    # Without those edges propagation would silently return
+    # (1 - alpha) * Y on those nodes
+    X = np.random.default_rng(3).normal(size=(30, 6)) * scale
+    X[7] += shift
+    with pytest.raises(ValueError, match=f"node {node} has no edge left"):
+        build_knn_graph(X, k=3)
+    with pytest.raises(ValueError, match="underflow to zero"):
+        list(pst_grid_scores(np.ones((2, 30)), None, X, [PstConfig(k=3)]))
 
 
 def _cdist_case(rng, shape):
@@ -654,7 +690,7 @@ def test_pst_scores_zero_shot_alpha_zero_equals_script():
     S = rng.uniform(size=(3, 7))
     G = rng.normal(size=(7, 4))
     cfg = PstConfig(alpha=0.0, gamma=0.0, delta=1.0, k=2)
-    out = pst_scores(S, None, G, cfg)
+    [(_, out)] = pst_grid_scores(S, None, G, [cfg])
     assert out == pytest.approx(S)
 
 
@@ -665,7 +701,7 @@ def test_pst_scores_shape():
     labels[:, :3] = 0
     labels[0, 0] = labels[1, 1] = labels[2, 2] = 1
     G = rng.normal(size=(9, 5))
-    out = pst_scores(S, labels, G, PstConfig(k=3))
+    [(_, out)] = pst_grid_scores(S, labels, G, [PstConfig(k=3)])
     assert out.shape == (4, 9)
     assert np.isfinite(out).all()
 
@@ -680,11 +716,13 @@ def _pst_problem(seed):
 
 
 def test_pst_scores_is_one_config_of_the_grid():
+    # a one-config call is the whole pipeline: seed, graph, propagate
     S, labels, G = _pst_problem(11)
     cfg = PstConfig(alpha=0.9, gamma=0.25, delta=0.5, k=4)
     [(got_cfg, F)] = pst_grid_scores(S, labels, G, [cfg])
     assert got_cfg is cfg
-    assert np.array_equal(F, pst_scores(S, labels, G, cfg))
+    [(_, want)] = _pst_grid_oracle(S, labels, G, [cfg])
+    assert np.array_equal(F, want)
 
 
 @pytest.mark.parametrize("zero_shot", [False, True])
@@ -707,7 +745,8 @@ def test_pst_grid_scores_match_pst_scores_per_config(monkeypatch, zero_shot):
                      [(0.25, 0.1), (0.25, 1.0), (1.0, 0.1), (1.0, 1.0)])
     assert [cfg for cfg, _ in out] == grid
     for cfg, F in out:
-        assert np.array_equal(F, pst_scores(S, labels, G, cfg))
+        [(_, alone)] = pst_grid_scores(S, labels, G, [cfg])
+        assert np.array_equal(F, alone)
 
 
 def _zero_shot_case(labels, grid, zero_shot):

@@ -10,6 +10,7 @@ from actkit.attributes import TrainConfig, score_intervals
 from actkit.composites import load_pst_config
 from actkit.experiment import (ConfigError, DEFAULT_PST_GRID, load_config,
                                run_experiment)
+from actkit.metrics import accuracy, confusion_counts
 from actkit.synth import SyntheticConfig, gen_synthetic, load_bundle, \
     save_bundle
 
@@ -152,6 +153,58 @@ def test_nearest_neighbour_modes_call_their_classifier_once(
     run_experiment(_cfg(score_bundle, tmp_path / mode, mode))
     assert len(calls) == 1
     assert calls[0][2].shape[0] == len(load_bundle(score_bundle).split("test"))
+
+
+@pytest.fixture(scope="module")
+def noisy_bundle(tmp_path_factory):
+    """A scores bundle noisy enough that every mode misses some tests."""
+    path = tmp_path_factory.mktemp("data") / "noisy"
+    save_bundle(gen_synthetic(SyntheticConfig(seed=13, noise=3.0)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", experiment.MODES)
+def test_report_predicts_the_argmax_of_the_saved_table(
+        noisy_bundle, tmp_path, monkeypatch, mode):
+    # accuracy and confusion count each test sequence's top-scoring
+    # composite in the table written to predictions.csv, a tie going to
+    # the lowest composite index
+    saved = []
+    save = experiment.save_predictions_csv
+    monkeypatch.setattr(experiment, "save_predictions_csv",
+                        lambda rows, path: saved.extend(rows) or
+                        save(rows, path))
+    grid = {"alpha": [0.5, 0.9], "delta": [0.5, 1.0], "k": [3, 5]}
+    out = tmp_path / mode
+    run_experiment(_cfg(noisy_bundle, out, mode,
+                        **({"grid": grid} if "pst" in mode else {})))
+    with open(out / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    comps = report["labels"]
+    test = load_bundle(noisy_bundle).split("test")
+    score = {(seq, comp): value for seq, comp, value in saved}
+    assert len(score) == len(saved) == len(test) * len(comps)
+    table = np.array([[score[s.sequence_id, c] for c in comps]
+                      for s in test])
+    preds = [comps[z] for z in np.argmax(table, axis=1)]
+    truth = [s.composite for s in test]
+    assert report["accuracy"] == accuracy(preds, truth)
+    assert report["confusion"] == \
+        confusion_counts(truth, preds, comps).tolist()
+    assert 0 < report["accuracy"] < 1
+
+
+def test_tied_scores_predict_the_lowest_composite_index(
+        score_bundle, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "script_score",
+                        lambda G, weights: np.zeros((len(weights.values),
+                                                     len(G))))
+    report = run_experiment(_cfg(score_bundle, tmp_path / "o", "script"))
+    first = report.labels[0]
+    assert report.confusion[:, 1:].sum() == 0
+    assert report.accuracy == np.mean(
+        [s.composite == first
+         for s in load_bundle(score_bundle).split("test")])
 
 
 def test_pst_fixed_parameters(score_bundle, tmp_path):

@@ -141,10 +141,10 @@ def _write_arrays():
     give every codebook its 2 x dim samples): the stacked bm and fft
     descriptors, every codebook's centres and the word-count matrix.
     Then the integral table of counts.npy, the raw interval scores of
-    models.npz on the features bundle, and the (Z, D) pst_scores table
+    models.npz on the features bundle, and the (Z, D) propagated table
     of the pst-fixed run, built with the calls run makes."""
     from actkit.attributes import load_models_npz, score_intervals
-    from actkit.composites import (PstConfig, pst_scores, script_score,
+    from actkit.composites import (PstConfig, pst_grid_scores, script_score,
                                    seq_feature)
     from actkit.experiment import _resolve_weights
     from actkit.posefeat import (build_codebook_set, pose_frame_features,
@@ -188,9 +188,9 @@ def _write_arrays():
     labels = np.where(splits == "train",
                       np.array(bundle.composites)[:, None] == truth, -1)
     weights = _resolve_weights(bundle, {"weights": "mined"})
-    np.save("arrays/pst_scores.npy", pst_scores(
-        script_score(pooled, weights), labels, pooled,
-        PstConfig(**RUN_JOBS["pst-fixed"]["pst"])))
+    [(_, F)] = pst_grid_scores(script_score(pooled, weights), labels, pooled,
+                               [PstConfig(**RUN_JOBS["pst-fixed"]["pst"])])
+    np.save("arrays/pst_scores.npy", F)
 
 
 def _digest(path: Path) -> str:

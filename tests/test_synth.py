@@ -440,7 +440,7 @@ def test_noiseless_planted_zero_shot_is_exact():
     W = bundle.true_weights
     for seq in bundle.split("test"):
         g = seq_feature(seq.scores)
-        scores = script_score(g, W)
+        scores = script_score(g[None, :], W)[:, 0]
         pred = bundle.composites[int(np.argmax(scores))]
         assert pred == seq.composite
         # the true composite's score is exactly signal * 1.0
